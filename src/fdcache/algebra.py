@@ -1,17 +1,24 @@
-"""GF(2) symbolic vectors over the file-segment basis, plus a rank oracle.
+"""GF(2) vectors over the file-segment basis, plus a rank oracle.
 
 A SymbolVec is the support-set view of a GF(2) vector: XOR is symmetric
 difference of supports.  Every cached parity, broadcast symbol, and
-transformed segment in the scheme is such a vector.  SpanBasis implements
-incremental Gaussian elimination on int bitmasks and backs span_contains,
-the decodability oracle; it shares no code with the constructive decoder.
+transformed segment in the scheme is such a vector.  SegmentIndex gives each
+segment of a system a dense position, so a vector is also an int mask with
+bit i set for the segment at position i; the decoder works on masks and
+builds SymbolVec labels only for reports.  SpanBasis implements incremental
+Gaussian elimination on int bitmasks and backs span_contains, the
+decodability oracle; it shares only the segment index with the decoder.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+from .core import SchemeParams, binom
 
 CHANNELS = ("I", "Q")
 
@@ -115,6 +122,94 @@ class Payload:
 
     def int_values(self) -> dict[SegmentId, int]:
         return {seg: int.from_bytes(raw, "big") for seg, raw in self.data.items()}
+
+
+def bit_positions(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class SegmentIndex:
+    """Dense position of every segment of one system, in partition order.
+
+    Positions are a mixed radix over (file, r-subset, excluded user,
+    channel): each file owns per_file consecutive positions, each r-subset
+    2(K-r) of them in lexicographic subset order, each excluded user outside
+    the subset two in ascending order, and Q follows I.
+    """
+
+    def __init__(self, params: SchemeParams):
+        self.params = params
+        width = 2 * (params.n_users - params.r)
+        self.per_file = width * binom(params.n_users, params.r)
+        self.size = params.n_files * self.per_file
+        # (r-subset, excluded user) -> position of the I segment within a file
+        self._offsets: dict[tuple[tuple[int, ...], int], int] = {}
+        for rank, r_set in enumerate(itertools.combinations(params.users, params.r)):
+            outside = (s for s in params.users if s not in r_set)
+            for place, s in enumerate(outside):
+                self._offsets[(r_set, s)] = rank * width + 2 * place
+
+    def slot(self, file: int, r_set: tuple[int, ...], excluded: int) -> int:
+        """Position of W^I[file; r_set; excluded]; W^Q sits at the next one."""
+        return (file - 1) * self.per_file + self._offsets[(r_set, excluded)]
+
+    def __getitem__(self, seg: SegmentId) -> int:
+        if not 1 <= seg.file <= self.params.n_files or seg.channel not in CHANNELS:
+            raise KeyError(f"no position for segment {seg.label()}")
+        return self.slot(seg.file, seg.users, seg.excluded) + CHANNELS.index(seg.channel)
+
+    @cached_property
+    def segments(self) -> tuple[SegmentId, ...]:
+        """The segment at each position."""
+        return tuple(
+            SegmentId(file, r_set, s, channel)
+            for file in self.params.files
+            for r_set, s in self._offsets
+            for channel in CHANNELS
+        )
+
+    @cached_property
+    def units(self) -> tuple[int, ...]:
+        """The unit mask 1 << i of every position i."""
+        return tuple(1 << i for i in range(self.size))
+
+    def mask(self, vec: SymbolVec) -> int:
+        out = 0
+        for seg in vec.support:
+            out |= 1 << self[seg]
+        return out
+
+    def vector(self, mask: int) -> SymbolVec:
+        segments = self.segments
+        return SymbolVec(frozenset(segments[i] for i in bit_positions(mask)))
+
+
+@lru_cache(maxsize=None)
+def segment_index(params: SchemeParams) -> SegmentIndex:
+    """The dense index of one system, built once per parameters."""
+    return SegmentIndex(params)
+
+
+class MaskValues(dict):
+    """Payload value of each mask over a segment index: the XOR of the
+    segment values on its bits.  Unit masks are filled in up front, every
+    other mask on first lookup."""
+
+    def __init__(self, index: SegmentIndex, segment_values: Sequence[int]):
+        super().__init__(zip(index.units, segment_values))
+        self.segment_values = segment_values
+
+    def __missing__(self, mask: int) -> int:
+        values = self.segment_values
+        acc = 0
+        for i in bit_positions(mask):
+            acc ^= values[i]
+        self[mask] = acc
+        return acc
 
 
 def evaluate(vec: SymbolVec, payload: Payload) -> bytes:

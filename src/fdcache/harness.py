@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .algebra import CHANNELS, Payload, SegmentId, SpanBasis, SymbolVec, ZERO, segment
+from .algebra import CHANNELS, MaskValues, Payload, SegmentId, SpanBasis, SymbolVec, ZERO, segment, segment_index
 from .analysis import memory_point, type_operating_point
 from .core import (
     Demand,
@@ -42,12 +42,12 @@ from .scheme import (
     CacheContent,
     DeliverySet,
     MIX_POWER,
-    PayloadSource,
+    PayloadSource,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     apply_matrix,
-    decode_file,
+    decode_file,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
+    decode_plan,
     delivery,
     file_segments,
-    partition,
     prefetch,
     reconstruct_skipped,
     row_parity_closure,
@@ -74,14 +74,9 @@ def _prefetch_all(params: SchemeParams) -> tuple[CacheContent, ...]:
 
 
 @lru_cache(maxsize=None)
-def _basis_index(params: SchemeParams) -> dict[SegmentId, int]:
-    return {seg: i for i, seg in enumerate(partition(params))}
-
-
-@lru_cache(maxsize=None)
 def _cache_spans(params: SchemeParams) -> tuple[SpanBasis, ...]:
     """Pre-eliminated cache row spaces, one per user, sharing one basis index."""
-    index = _basis_index(params)
+    index = segment_index(params)
     spans = []
     for cache in _prefetch_all(params):
         span = SpanBasis(index)
@@ -95,10 +90,9 @@ def _cache_spans(params: SchemeParams) -> tuple[SpanBasis, ...]:
     return tuple(spans)
 
 
-@lru_cache(maxsize=None)
 def _file_target_rows(params: SchemeParams, file: int) -> tuple[int, ...]:
-    index = _basis_index(params)
-    return tuple(1 << index[seg] for seg in file_segments(params, file))
+    index = segment_index(params)
+    return index.units[(file - 1) * index.per_file : file * index.per_file]
 
 
 def _payload_seed(seed: str, params: SchemeParams, demand: Demand) -> str:
@@ -146,31 +140,23 @@ class VerificationReport:
         return self.oracle_ok is None or self.oracle_ok == self.decode_ok
 
 
-def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, engine: str, ints) -> bool:
+def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, engine: str,
+                    encoded: MaskValues | None) -> bool:
+    """User k's plan recovers every segment of its file: on masks (symbolic)
+    and, given the demand's payload encoding, on bytes."""
     try:
-        if engine in ("symbolic", "both"):
-            for seg, vec in decode_file(dset, cache, k):
-                if vec != SymbolVec.unit(seg):
-                    return False
-        if engine in ("payload", "both"):
-            source = PayloadSource(cache, dset, payload=None, segment_ints=ints)  # type: ignore[arg-type]
-            for seg, value in decode_file(dset, cache, k, source):
-                if value != ints[seg]:
-                    return False
-    except (LookupError, ValueError, AssertionError):
+        plan = decode_plan(dset, cache, k)
+    except LookupError:  # the decoding needs an item the user does not hold
         return False
-    return True
+    if engine != "payload" and not plan.recovers():
+        return False
+    return encoded is None or plan.recovers(encoded.__getitem__)
 
 
 def _oracle_flags(params: SchemeParams, dset: DeliverySet) -> list[bool]:
     """Per-user decodability by rank only: cache rows + transmitted symbols."""
     spans = _cache_spans(params)
-    row_of = spans[0].row_of
-    symbol_rows = [
-        row_of(vec)
-        for (s, r_plus, _channel), vec in dset.symbols.items()
-        if dset.is_transmitted(s, r_plus)
-    ]
+    symbol_rows = [mask for key, pair in dset.pairs.items() if key not in dset.skipped for mask in pair]
     flags = []
     for k in params.users:
         span = spans[k - 1].copy()
@@ -195,14 +181,15 @@ def verify_demand(
     started = time.perf_counter()
     caches = _prefetch_all(params)
     dset = delivery(params, demand)
-    ints = None
+    encoded = None
     if engine in ("payload", "both"):
-        payload = Payload.random(
-            partition(params), width=payload_width, seed=_payload_seed(seed, params, demand)
-        )
+        index = segment_index(params)
+        payload = Payload.random(index.segments, width=payload_width, seed=_payload_seed(seed, params, demand))
         ints = payload.int_values()
+        # one encoding per demand: every user reads the same broadcast
+        encoded = MaskValues(index, [ints[seg] for seg in index.segments])
     per_user = tuple(
-        _decode_user_ok(dset, caches[k - 1], k, engine, ints) for k in params.users
+        _decode_user_ok(dset, caches[k - 1], k, engine, encoded) for k in params.users
     )
     engine_seconds = time.perf_counter() - started
 
@@ -214,7 +201,8 @@ def verify_demand(
         oracle_seconds = time.perf_counter() - started
 
     sizes = {cache.size for cache in caches}
-    assert len(sizes) == 1  # symmetric prefetching
+    if len(sizes) != 1:  # prefetching is symmetric by construction
+        raise RuntimeError(f"users cache different amounts: {sorted(sizes)}")
     denom = 2 * params.n_users * binom(params.n_users - 1, params.r)
     return VerificationReport(
         params=params,

@@ -18,25 +18,33 @@ Pipeline, per (N, K, r) system:
                    by per-symbol elimination (s != k), or by aligning parities
                    against broadcast sums (s == k), then inverts the transform.
 
-Decoding runs generically over "sources" so the same equations execute both
-symbolically (supports over the segment basis) and on concrete bytes.
+Delivery and decoding work on int masks over the dense segment index
+(algebra.SegmentIndex).  Decoding compiles once per (demand, user) into a
+plan that lists, for each segment of the user's file, the held items whose
+XOR is its I and its Q value.  The symbolic check evaluates the plan on the
+items' masks and compares with the segment's unit mask; the byte-level check
+evaluates the same plan on payload values.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import cached_property, lru_cache, reduce
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import (
     CHANNELS,
+    MaskValues,
     Payload,
     SegmentId,
+    SegmentIndex,
     SymbolVec,
     ZERO,
     segment,
+    segment_index,
     xor_all,
 )
 from .core import (
@@ -114,6 +122,14 @@ def row_parity_vec(params: SchemeParams, k: int, file: int, r_minus: tuple[int, 
     )
 
 
+class CacheMasks(NamedTuple):
+    """A cache over the dense segment index: what the decoder reads."""
+
+    uncoded: frozenset[int]  # positions
+    column: dict[tuple[int, ...], tuple[int, int]]  # r_set -> (I mask, Q mask)
+    row: dict[tuple[int, tuple[int, ...]], tuple[int, int]]  # (file, r_minus) -> (I mask, Q mask)
+
+
 @dataclass(frozen=True)
 class CacheContent:
     """Everything user `owner` prefetches: uncoded segments plus parities."""
@@ -144,6 +160,24 @@ class CacheContent:
         """Cache size normalized by the per-file segment count."""
         p = self.params
         return Fraction(self.size, 2 * p.n_users * binom(p.n_users - 1, p.r))
+
+    @cached_property
+    def masks(self) -> CacheMasks:
+        index = segment_index(self.params)
+        columns, rows = self.column_parities, self.row_parities
+        return CacheMasks(
+            uncoded=frozenset(index[seg] for seg in self.uncoded),
+            column={
+                r_set: (index.mask(columns[(r_set, "I")]), index.mask(columns[(r_set, "Q")]))
+                for r_set, channel in columns
+                if channel == "I"
+            },
+            row={
+                (f, r_minus): (index.mask(rows[(f, r_minus, "I")]), index.mask(rows[(f, r_minus, "Q")]))
+                for f, r_minus, channel in rows
+                if channel == "I"
+            },
+        )
 
 
 def prefetch(params: SchemeParams, k: int) -> CacheContent:
@@ -256,6 +290,23 @@ def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...],
 # pairwise transform
 
 
+MIX_POWER: tuple[Matrix, ...] = (IDENTITY, MIX, MIX_INV)  # MIX generates a 3-cycle
+_MIX_LOG = {IDENTITY: 0, MIX: 1, MIX_INV: 2}
+
+
+def _transform_log(d: Demand, asking: tuple[int, ...], t: int, s: int) -> int:
+    """Exponent e with MIX**e the transform of user t toward s; asking = requesters(d(t))."""
+    if len(asking) % 2 == 1:
+        return 0
+    if d[t - 1] == d[s - 1]:
+        special = t == s
+    else:
+        # s does not request d(t), so min over all requesters is the leader
+        # among the users other than s
+        special = t == asking[0]
+    return 2 if special else 1
+
+
 @lru_cache(maxsize=None)
 def transform_matrix(params: SchemeParams, d: Demand, t: int, s: int) -> Matrix:
     """GF(2) matrix applied to the (I, Q) pair of W_{d(t), ., s}.
@@ -264,17 +315,15 @@ def transform_matrix(params: SchemeParams, d: Demand, t: int, s: int) -> Matrix:
     MIX_INV and everyone else MIX: the special user is t == s when t and s
     request the same file, else the lowest-indexed requester of d(t).
     """
-    file = d[t - 1]
-    asking = requesters(d, file)
-    if len(asking) % 2 == 1:
-        return IDENTITY
-    if file == d[s - 1]:
-        special = t == s
-    else:
-        # s does not request d(t), so min over all requesters is the leader
-        # among the users other than s
-        special = t == asking[0]
-    return MIX_INV if special else MIX
+    return MIX_POWER[_transform_log(d, requesters(d, d[t - 1]), t, s)]
+
+
+def transform_exponents(params: SchemeParams, d: Demand) -> tuple[tuple[int, ...], ...]:
+    """K x K table whose entry [t-1][s-1] is the e with transform_matrix(t, s) == MIX**e."""
+    asking = {f: requesters(d, f) for f in params.files}
+    return tuple(
+        tuple(_transform_log(d, asking[d[t - 1]], t, s) for s in params.users) for t in params.users
+    )
 
 
 def inverse_matrix(matrix: Matrix) -> Matrix:
@@ -287,16 +336,18 @@ def inverse_matrix(matrix: Matrix) -> Matrix:
     raise ValueError(f"not a transform matrix: {matrix}")
 
 
+def mix(e: int, i_val, q_val):
+    """MIX**e applied to an (I, Q) pair of XORable values."""
+    if e == 0:
+        return i_val, q_val
+    if e == 1:
+        return i_val ^ q_val, i_val
+    return q_val, i_val ^ q_val
+
+
 def apply_matrix(matrix: Matrix, pair):
-    """Apply a 2x2 GF(2) matrix to an (I, Q) pair of XORable values."""
-    i_val, q_val = pair
-
-    def combine(a: int, b: int):
-        if a and b:
-            return i_val ^ q_val
-        return i_val if a else q_val
-
-    return (combine(*matrix[0]), combine(*matrix[1]))
+    """Apply a transform matrix (a power of MIX) to an (I, Q) pair of XORable values."""
+    return mix(_MIX_LOG[matrix], *pair)
 
 
 def transform_segment_pair(
@@ -313,24 +364,29 @@ def transform_segment_pair(
     return apply_matrix(transform_matrix(params, d, t, s), pair)
 
 
-def inverse_transform_pair(params: SchemeParams, d: Demand, t: int, s: int, pair):
-    """Undo the (t, s) pairwise transform on an (I, Q) value pair."""
-    return apply_matrix(inverse_matrix(transform_matrix(params, d, t, s)), pair)
-
-
 # ---------------------------------------------------------------------------
 # delivery
 
 
 @dataclass(frozen=True)
 class DeliverySet:
-    """All broadcast symbols for one demand, with the skipped ones marked."""
+    """All broadcast symbols for one demand, with the skipped ones marked.
+
+    pairs maps (excluded user, (r+1)-subset) to the symbol's (I, Q) masks over
+    the dense segment index.  exponents[t-1][s-1] is the e with
+    transform_matrix(t, s) == MIX**e, and reconstruction maps each skipped
+    pair to the transmitted subsets and MIX exponents that rebuild it.
+    """
 
     params: SchemeParams
     demand: Demand
-    symbols: dict[DeliveryKey, SymbolVec]
+    pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]]
     skipped: frozenset[tuple[int, tuple[int, ...]]]
     leader_infos: dict[int, LeaderInfo]
+    exponents: tuple[tuple[int, ...], ...]
+    reconstruction: dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], int], ...]] = field(
+        default_factory=dict
+    )
 
     def is_transmitted(self, s: int, r_plus: tuple[int, ...]) -> bool:
         return (s, r_plus) not in self.skipped
@@ -338,11 +394,21 @@ class DeliverySet:
     @property
     def transmitted_count(self) -> int:
         """Symbols actually sent, counting both channels."""
-        return len(self.symbols) - 2 * len(self.skipped)
+        return 2 * (len(self.pairs) - len(self.skipped))
 
     def rate(self) -> Fraction:
         p = self.params
         return Fraction(self.transmitted_count, 2 * p.n_users * binom(p.n_users - 1, p.r))
+
+    @cached_property
+    def symbols(self) -> dict[DeliveryKey, SymbolVec]:
+        """Every symbol, skipped ones included, as a labelled vector."""
+        index = segment_index(self.params)
+        out = {}
+        for (s, r_plus), (mask_i, mask_q) in self.pairs.items():
+            out[(s, r_plus, "I")] = index.vector(mask_i)
+            out[(s, r_plus, "Q")] = index.vector(mask_q)
+        return out
 
 
 def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
@@ -352,7 +418,9 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
     over t in r_plus; it is skipped when r_plus avoids every leader of s.
     """
     demand = require_fully_demanded(params, d)
-    symbols: dict[DeliveryKey, SymbolVec] = {}
+    index = segment_index(params)
+    exponents = transform_exponents(params, demand)
+    pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     skipped: set[tuple[int, tuple[int, ...]]] = set()
     leader_infos: dict[int, LeaderInfo] = {}
     for s in params.users:
@@ -360,31 +428,29 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
         leader_infos[s] = info
         others = [u for u in params.users if u != s]
         for r_plus in itertools.combinations(others, params.r + 1):
-            acc_i, acc_q = ZERO, ZERO
+            acc_i = acc_q = 0
             for t in r_plus:
                 rest = tuple(u for u in r_plus if u != t)
-                vec_i, vec_q = transform_segment_pair(params, demand, t, s, rest)
-                acc_i, acc_q = acc_i ^ vec_i, acc_q ^ vec_q
-            symbols[(s, r_plus, "I")] = acc_i
-            symbols[(s, r_plus, "Q")] = acc_q
+                unit = 1 << index.slot(demand[t - 1], rest, s)
+                add_i, add_q = mix(exponents[t - 1][s - 1], unit, unit << 1)
+                acc_i ^= add_i
+                acc_q ^= add_q
+            pairs[(s, r_plus)] = (acc_i, acc_q)
             if not info.leader_set.intersection(r_plus):
                 skipped.add((s, r_plus))
-    return DeliverySet(
+    dset = DeliverySet(
         params=params,
         demand=demand,
-        symbols=symbols,
+        pairs=pairs,
         skipped=frozenset(skipped),
         leader_infos=leader_infos,
+        exponents=exponents,
     )
-
-
-MIX_POWER: tuple[Matrix, ...] = (IDENTITY, MIX, MIX_INV)  # MIX generates a 3-cycle
-_MIX_LOG = {IDENTITY: 0, MIX: 1, MIX_INV: 2}
-
-
-def transform_log(params: SchemeParams, d: Demand, t: int, s: int) -> int:
-    """Exponent e with transform_matrix(t, s) == MIX**e (0, 1, or 2)."""
-    return _MIX_LOG[transform_matrix(params, d, t, s)]
+    for s, r_plus in sorted(skipped):
+        dset.reconstruction[(s, r_plus)] = tuple(
+            (rest, _MIX_LOG[coeff]) for rest, coeff in skip_combination(dset, s, r_plus)
+        )
+    return dset
 
 
 def selection_weights(dset: DeliverySet, s: int, block: tuple[int, ...]):
@@ -398,16 +464,12 @@ def selection_weights(dset: DeliverySet, s: int, block: tuple[int, ...]):
     weight special case (it fails once an even-multiplicity file other than
     d(s) puts its leader inside a selection).
     """
-    params, demand = dset.params, dset.demand
+    demand, exponents = dset.demand, dset.exponents
     info = dset.leader_infos[s]
-    block_set = set(block)
-    choices = []
-    for file, _leader in info.per_file_leader:
-        candidates = [u for u in requesters(demand, file) if u in block_set]
-        choices.append(candidates)
+    choices = [[u for u in block if demand[u - 1] == file] for file, _leader in info.per_file_leader]
     out = []
     for pick in itertools.product(*choices):
-        weight = sum(transform_log(params, demand, t, s) for t in pick) % 3
+        weight = sum(exponents[t - 1][s - 1] for t in pick) % 3
         out.append((frozenset(pick), weight))
     return out
 
@@ -433,207 +495,262 @@ def skip_combination(
             continue
         rest = tuple(u for u in block if u not in chosen)
         if not dset.is_transmitted(s, rest):  # cannot happen: rest meets a leader
-            raise AssertionError(f"reconstruction referenced skipped symbol {rest}")
+            raise RuntimeError(f"reconstruction referenced skipped symbol {rest}")
         entries.append((rest, weight))
-    assert leader_weight is not None
+    if leader_weight is None:  # cannot happen: the leaders form one selection
+        raise RuntimeError(f"leader set {sorted(info.leader_set)} is not a selection of block {block}")
     return tuple(
         (rest, MIX_POWER[(weight - leader_weight) % 3]) for rest, weight in entries
     )
 
 
-def reconstruct_skipped_pair(dset: DeliverySet, s: int, r_plus: tuple[int, ...]):
-    """(I, Q) vectors of a skipped symbol, combined from transmitted ones."""
-    acc_i, acc_q = ZERO, ZERO
-    for rest, coeff in skip_combination(dset, s, r_plus):
-        pair = (dset.symbols[(s, rest, "I")], dset.symbols[(s, rest, "Q")])
-        add_i, add_q = apply_matrix(coeff, pair)
-        acc_i, acc_q = acc_i ^ add_i, acc_q ^ add_q
-    return (acc_i, acc_q)
+def _broadcast_terms(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(I mask, Q mask, MIX exponent) terms whose transformed sum is symbol
+    (s, r_plus): the symbol itself when transmitted, else its reconstruction
+    from transmitted ones."""
+    combo = dset.reconstruction.get((s, r_plus))
+    if combo is None:
+        return [(*dset.pairs[(s, r_plus)], 0)]
+    return [(*dset.pairs[(s, rest)], e) for rest, e in combo]
 
 
 def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], channel: str) -> SymbolVec:
     """Recover one channel of a skipped symbol from transmitted ones."""
-    return reconstruct_skipped_pair(dset, s, r_plus)[CHANNELS.index(channel)]
+    if dset.is_transmitted(s, r_plus):
+        raise ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
+    acc_i = acc_q = 0
+    for mask_i, mask_q, e in _broadcast_terms(dset, s, r_plus):
+        add_i, add_q = mix(e, mask_i, mask_q)
+        acc_i ^= add_i
+        acc_q ^= add_q
+    return segment_index(dset.params).vector((acc_i, acc_q)[CHANNELS.index(channel)])
 
 
 # ---------------------------------------------------------------------------
-# decoding sources: what a user legitimately holds, in two value domains
+# decoding: one plan per (demand, user), evaluated on masks or on payloads
+
+Row = tuple[int, tuple[int, ...], tuple[int, ...]]  # (position of the I target, I items, Q items)
 
 
-class SymbolicSource:
-    """Basis expansions of user k's cache content and the received symbols."""
+def _evaluate(i_items, q_items, value_of=None) -> tuple[int, int]:
+    if value_of is not None:
+        i_items, q_items = map(value_of, i_items), map(value_of, q_items)
+    return reduce(operator.xor, i_items, 0), reduce(operator.xor, q_items, 0)
 
-    zero = ZERO
 
-    def __init__(self, cache: CacheContent, dset: DeliverySet):
-        self.cache = cache
+@dataclass(frozen=True)
+class DecodePlan:
+    """One user's decoding of its whole file for one demand.
+
+    Row (t, i_items, q_items) says that the segments at positions t (I) and
+    t + 1 (Q) of the dense segment index are the XORs of the listed items.
+    An item is something the user holds (an uncoded slot, a cached column or
+    row parity, or a transmitted symbol), given by its mask.  Rows run in
+    partition order.
+    """
+
+    rows: tuple[Row, ...]
+
+    def recovers(self, value_of=None) -> bool:
+        """True iff every target decodes to its unit mask, or with value_of,
+        to value_of of that unit mask (the segment's own payload)."""
+        for target, i_items, q_items in self.rows:
+            unit_i, unit_q = 1 << target, 2 << target
+            if value_of is not None:
+                unit_i, unit_q = value_of(unit_i), value_of(unit_q)
+            if _evaluate(i_items, q_items, value_of) != (unit_i, unit_q):
+                return False
+        return True
+
+
+# The demand-independent part of one target's decoding equation:
+# (offset of the target within its file, excluded user s, class, data), with
+# data None for an uncoded hit, (r_plus, ((i, offset of W[., r_plus - i, s]), ...))
+# for class 1 and (r_set, ((t, r_set - t), ...), (r_set | {h}, ...)) for class 2.
+Equation = tuple[int, int, int, tuple | None]
+
+
+def _equation(index: SegmentIndex, k: int, r_set: tuple[int, ...], s: int) -> Equation:
+    """How user k recovers (d(k), r_set, s), whatever the demand.
+
+    Class 1 (s != k, k not in r_set): the broadcast symbol over r_set | {k}
+    minus the transformed segments of it that user k caches uncoded.  Class 2
+    (s == k): the column parity, the transformed row-parity closures of the
+    files requested inside r_set, and every broadcast symbol over r_set | {h}.
+    """
+    offset = index.slot(1, r_set, s)
+    if k in r_set:
+        return offset, s, 0, None
+    if s != k:
+        r_plus = tuple(sorted(r_set + (k,)))
+        held = tuple((i, index.slot(1, tuple(u for u in r_plus if u != i), s)) for i in r_set)
+        return offset, s, 1, (r_plus, held)
+    closures = tuple((t, tuple(u for u in r_set if u != t)) for t in r_set)
+    others = (h for h in index.params.users if h != k and h not in r_set)
+    return offset, s, 2, (r_set, closures, tuple(tuple(sorted(r_set + (h,))) for h in others))
+
+
+@lru_cache(maxsize=None)
+def _equations(params: SchemeParams, k: int) -> tuple[Equation, ...]:
+    """User k's equations for every segment of a file, in partition order."""
+    index = segment_index(params)
+    return tuple(
+        _equation(index, k, r_set, s)
+        for r_set in itertools.combinations(params.users, params.r)
+        for s in params.users
+        if s not in r_set
+    )
+
+
+class _PlanCompiler:
+    """Rows of user k's plan: its equations filled in for one demand.
+
+    Filling in an equation gives (I mask, Q mask, e) terms whose
+    MIX**e-weighted sum is the transformed target; the row undoes the
+    target's transform and spells out which items each channel XORs.
+    """
+
+    def __init__(self, dset: DeliverySet, cache: CacheContent, k: int):
         self.dset = dset
+        self.k = k
+        self.index = segment_index(dset.params)
+        self.held = cache.masks
+        self.base = (dset.demand[k - 1] - 1) * self.index.per_file
 
-    def held_segment(self, seg: SegmentId) -> SymbolVec:
-        if seg not in self.cache.uncoded:
-            raise LookupError(f"user {self.cache.owner} did not cache {seg.label()}")
-        return SymbolVec.unit(seg)
+    def _held_slot(self, position: int) -> tuple[int, int]:
+        uncoded = self.held.uncoded
+        if position not in uncoded or position + 1 not in uncoded:
+            raise LookupError(f"user {self.k} did not cache {self.index.segments[position].label()}")
+        units = self.index.units
+        return units[position], units[position + 1]
 
-    def column_parity(self, r_set: tuple[int, ...], channel: str) -> SymbolVec:
-        return self.cache.column_parities[(r_set, channel)]
+    def row(self, equation: Equation) -> Row:
+        offset, s, kind, data = equation
+        target = self.base + offset
+        if kind == 0:
+            mask_i, mask_q = self._held_slot(target)
+            return target, (mask_i,), (mask_q,)
+        dset, k = self.dset, self.k
+        demand, exponents = dset.demand, dset.exponents
+        if kind == 1:
+            r_plus, held = data
+            terms = _broadcast_terms(dset, s, r_plus)
+            per_file = self.index.per_file
+            for i, rest_offset in held:
+                slot = self._held_slot((demand[i - 1] - 1) * per_file + rest_offset)
+                terms.append((*slot, exponents[i - 1][s - 1]))
+        else:
+            r_set, closures, symbols = data
+            columns, row_parities = self.held.column, self.held.row
+            terms = [(*columns[r_set], 0)]
+            for t, r_minus in closures:
+                cols, rows = parity_combination(dset.params, k, demand[t - 1], r_minus)
+                e = exponents[t - 1][k - 1]
+                terms += [(*columns[subset], e) for subset in cols]
+                terms += [(*row_parities[key], e) for key in rows]
+            for r_plus in symbols:
+                terms += _broadcast_terms(dset, k, r_plus)
+        undo = exponents[k - 1][s - 1]
+        i_items: list[int] = []
+        q_items: list[int] = []
+        for mask_i, mask_q, e in terms:
+            e = (e - undo) % 3
+            if e == 0:
+                i_items.append(mask_i)
+                q_items.append(mask_q)
+            elif e == 1:
+                i_items += (mask_i, mask_q)
+                q_items.append(mask_i)
+            else:
+                i_items.append(mask_q)
+                q_items += (mask_i, mask_q)
+        return target, tuple(i_items), tuple(q_items)
 
-    def row_parity(self, file: int, r_minus: tuple[int, ...], channel: str) -> SymbolVec:
-        return self.cache.row_parities[(file, r_minus, channel)]
 
-    def delivered(self, s: int, r_plus: tuple[int, ...], channel: str) -> SymbolVec:
-        if not self.dset.is_transmitted(s, r_plus):
-            raise LookupError(f"symbol (s={s}, subset={r_plus}) was skipped")
-        return self.dset.symbols[(s, r_plus, channel)]
+def decode_plan(dset: DeliverySet, cache: CacheContent, k: int) -> DecodePlan:
+    """Compile user k's decoding of its file for this demand.
+
+    Raises LookupError when an equation needs an item the user does not hold.
+    """
+    compiler = _PlanCompiler(dset, cache, k)
+    return DecodePlan(tuple(map(compiler.row, _equations(dset.params, k))))
 
 
 class PayloadSource:
     """Byte values (as ints) user k holds after prefetch plus the broadcast.
 
-    Parity and broadcast values are evaluated from the source payload once,
-    mirroring the server-side encode; decoding then only combines these.
+    An item's value is the XOR of the source payload over its mask, encoded
+    once on first use as the server would; decoding evaluates the user's plan
+    on these values.
     """
-
-    zero = 0
 
     def __init__(self, cache: CacheContent, dset: DeliverySet, payload: Payload,
                  segment_ints: Mapping[SegmentId, int] | None = None):
         ints = payload.int_values() if segment_ints is None else segment_ints
-        self.owner = cache.owner
-        self._uncoded = {seg: ints[seg] for seg in cache.uncoded}
-        self._column = {key: self._eval(vec, ints) for key, vec in cache.column_parities.items()}
-        self._row = {key: self._eval(vec, ints) for key, vec in cache.row_parities.items()}
-        self._delivered = {
-            key: self._eval(vec, ints)
-            for key, vec in dset.symbols.items()
-            if dset.is_transmitted(key[0], key[1])
-        }
-
-    @staticmethod
-    def _eval(vec: SymbolVec, ints: Mapping[SegmentId, int]) -> int:
-        acc = 0
-        for seg in vec.support:
-            acc ^= ints[seg]
-        return acc
+        self.cache = cache
+        self.dset = dset
+        self.index = segment_index(cache.params)
+        self.value = MaskValues(self.index, [ints[seg] for seg in self.index.segments]).__getitem__
 
     def held_segment(self, seg: SegmentId) -> int:
-        if seg not in self._uncoded:
-            raise LookupError(f"user {self.owner} did not cache {seg.label()}")
-        return self._uncoded[seg]
-
-    def column_parity(self, r_set: tuple[int, ...], channel: str) -> int:
-        return self._column[(r_set, channel)]
-
-    def row_parity(self, file: int, r_minus: tuple[int, ...], channel: str) -> int:
-        return self._row[(file, r_minus, channel)]
+        if seg not in self.cache.uncoded:
+            raise LookupError(f"user {self.cache.owner} did not cache {seg.label()}")
+        return self.value(self.index.units[self.index[seg]])
 
     def delivered(self, s: int, r_plus: tuple[int, ...], channel: str) -> int:
-        return self._delivered[(s, r_plus, channel)]
+        if not self.dset.is_transmitted(s, r_plus):
+            raise KeyError(f"symbol (s={s}, subset={r_plus}) was skipped, never broadcast")
+        return self.value(self.dset.pairs[(s, r_plus)][CHANNELS.index(channel)])
 
 
-def _available_pair(source, dset: DeliverySet, s: int, r_plus: tuple[int, ...]):
-    """(I, Q) values of a delivery symbol, reconstructing it if skipped."""
-    if dset.is_transmitted(s, r_plus):
-        return (source.delivered(s, r_plus, "I"), source.delivered(s, r_plus, "Q"))
-    acc_i, acc_q = source.zero, source.zero
-    for rest, coeff in skip_combination(dset, s, r_plus):
-        pair = (source.delivered(s, rest, "I"), source.delivered(s, rest, "Q"))
-        add_i, add_q = apply_matrix(coeff, pair)
-        acc_i, acc_q = acc_i ^ add_i, acc_q ^ add_q
-    return (acc_i, acc_q)
+def _decoded_pair(dset: DeliverySet, row: Row, source: PayloadSource | None):
+    """One row's decoded (I, Q) pair: SymbolVecs, or payload ints with a source."""
+    _target, i_items, q_items = row
+    if source is not None:
+        return _evaluate(i_items, q_items, source.value)
+    index = segment_index(dset.params)
+    return tuple(index.vector(mask) for mask in _evaluate(i_items, q_items))
 
 
-# ---------------------------------------------------------------------------
-# decoding
-
-
-def decode_class1(dset: DeliverySet, cache: CacheContent, k: int, r_set: tuple[int, ...], s: int, source=None):
+def decode_class1(dset: DeliverySet, cache: CacheContent, k: int, r_set: tuple[int, ...], s: int,
+                  source: PayloadSource | None = None):
     """Recover (W^I, W^Q) of segment (d(k), r_set, s) when s != k, k not in r_set.
 
     The broadcast symbol over r_set | {k} is the transformed target XORed with
     transformed segments the user holds uncoded; eliminate those, then invert
     the (k, s) transform.
     """
-    params, d = dset.params, dset.demand
-    if source is None:
-        source = SymbolicSource(cache, dset)
     if k in r_set or s == k or s in r_set:
         raise ValueError(f"bad elimination indices k={k} r_set={r_set} s={s}")
-    r_plus = tuple(sorted(r_set + (k,)))
-    acc_i, acc_q = _available_pair(source, dset, s, r_plus)
-    for i in r_set:
-        rest = tuple(u for u in r_plus if u != i)
-        pair = (
-            source.held_segment(segment(d[i - 1], rest, s, "I")),
-            source.held_segment(segment(d[i - 1], rest, s, "Q")),
-        )
-        t_i, t_q = apply_matrix(transform_matrix(params, d, i, s), pair)
-        acc_i, acc_q = acc_i ^ t_i, acc_q ^ t_q
-    return inverse_transform_pair(params, d, k, s, (acc_i, acc_q))
+    equation = _equation(segment_index(dset.params), k, tuple(r_set), s)
+    return _decoded_pair(dset, _PlanCompiler(dset, cache, k).row(equation), source)
 
 
-def decode_class2(dset: DeliverySet, cache: CacheContent, k: int, r_set: tuple[int, ...], source=None):
+def decode_class2(dset: DeliverySet, cache: CacheContent, k: int, r_set: tuple[int, ...],
+                  source: PayloadSource | None = None):
     """Recover (W^I, W^Q) of segment (d(k), r_set, k) with k not in r_set.
 
     Align the transformed row parities of the files requested inside r_set
     and every broadcast symbol over a superset of r_set against the column
     parity: all interference cancels, leaving the transformed target.
     """
-    params, d = dset.params, dset.demand
-    if source is None:
-        source = SymbolicSource(cache, dset)
     if k in r_set:
         raise ValueError(f"user {k} must be outside {r_set}")
-    acc_i = source.column_parity(r_set, "I")
-    acc_q = source.column_parity(r_set, "Q")
-    for t in r_set:
-        r_minus = tuple(u for u in r_set if u != t)
-        cols, rows = parity_combination(params, k, d[t - 1], r_minus)
-        pair = []
-        for channel in CHANNELS:
-            val = source.zero
-            for subset in cols:
-                val = val ^ source.column_parity(subset, channel)
-            for file, sub in rows:
-                val = val ^ source.row_parity(file, sub, channel)
-            pair.append(val)
-        t_i, t_q = apply_matrix(transform_matrix(params, d, t, k), tuple(pair))
-        acc_i, acc_q = acc_i ^ t_i, acc_q ^ t_q
-    for h in params.users:
-        if h == k or h in r_set:
-            continue
-        r_plus = tuple(sorted(r_set + (h,)))
-        y_i, y_q = _available_pair(source, dset, k, r_plus)
-        acc_i, acc_q = acc_i ^ y_i, acc_q ^ y_q
-    return inverse_transform_pair(params, d, k, k, (acc_i, acc_q))
+    equation = _equation(segment_index(dset.params), k, tuple(r_set), k)
+    return _decoded_pair(dset, _PlanCompiler(dset, cache, k).row(equation), source)
 
 
-def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source=None):
+def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadSource | None = None):
     """Recover every segment of user k's file, in canonical segment order.
 
-    Returns [(SegmentId, value)]: values are SymbolVec expansions for the
-    symbolic source (correct iff equal to the unit vector) or payload ints.
+    Returns [(SegmentId, value)]: values are SymbolVec expansions (correct iff
+    equal to the unit vector) or, with a PayloadSource, payload ints.
     """
-    params, d = dset.params, dset.demand
-    if source is None:
-        source = SymbolicSource(cache, dset)
-    file = d[k - 1]
+    segments = segment_index(dset.params).segments
     out = []
-    for r_set in itertools.combinations(params.users, params.r):
-        for s in params.users:
-            if s in r_set:
-                continue
-            if k in r_set:
-                pair = (
-                    source.held_segment(segment(file, r_set, s, "I")),
-                    source.held_segment(segment(file, r_set, s, "Q")),
-                )
-            elif s != k:
-                pair = decode_class1(dset, cache, k, r_set, s, source)
-            else:
-                pair = decode_class2(dset, cache, k, r_set, source)
-            out.append((segment(file, r_set, s, "I"), pair[0]))
-            out.append((segment(file, r_set, s, "Q"), pair[1]))
-    out.sort(key=lambda item: item[0])
+    for row in decode_plan(dset, cache, k).rows:
+        i_val, q_val = _decoded_pair(dset, row, source)
+        out += [(segments[row[0]], i_val), (segments[row[0] + 1], q_val)]
     return out
 
 

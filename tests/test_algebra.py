@@ -2,15 +2,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fdcache.algebra import (
+    MaskValues,
     Payload,
     SpanBasis,
     SymbolVec,
     ZERO,
     evaluate,
     segment,
+    segment_index,
     span_contains,
     xor,
 )
+from fdcache.core import SchemeParams
+from fdcache.scheme import partition
 
 
 def seg(file, users, excluded, channel="I"):
@@ -170,3 +174,38 @@ def test_span_oracle_running_example_end_to_end():
     targets = [SymbolVec.unit(s) for s in file_segments(params, 1)]
     assert span_contains(cache_vecs + received, targets)
     assert not span_contains(cache_vecs, targets)
+
+
+def test_segment_index_is_partition_position():
+    for k_users in range(1, 7):
+        for n_files in range(1, k_users + 1):
+            for r in range(k_users):
+                params = SchemeParams(n_files, k_users, r)
+                segs = partition(params)
+                index = segment_index(params)
+                assert index.size == len(segs)
+                assert [index[seg] for seg in segs] == list(range(len(segs)))
+                assert list(index.segments) == segs
+
+
+def test_segment_index_rejects_foreign_segments():
+    index = segment_index(SchemeParams(2, 3, 1))
+    with pytest.raises(KeyError):
+        index[seg(3, (1,), 2)]  # file 3 of a two-file system
+    with pytest.raises(KeyError):
+        index[seg(1, (1, 2), 3)]  # subset of size 2 when r = 1
+
+
+@given(st.lists(st.integers(0, 35), max_size=6), st.integers(0, 2**32))
+def test_mask_values_match_evaluate(positions, seed):
+    params = SchemeParams(3, 3, 1)
+    index = segment_index(params)
+    payload = Payload.random(index.segments, width=2, seed=str(seed))
+    ints = payload.int_values()
+    values = MaskValues(index, [ints[s] for s in index.segments])
+    mask = 0
+    for i in positions:
+        mask ^= 1 << i
+    vec = index.vector(mask)
+    assert index.mask(vec) == mask
+    assert values[mask].to_bytes(2, "big") == evaluate(vec, payload)

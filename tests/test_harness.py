@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fdcache import scheme
 from fdcache.core import DemandType, NotFullyDemandedError, SchemeParams
 from fdcache.harness import (
     SweepLimitExceeded,
@@ -91,6 +92,15 @@ def test_sweep_limit_guard():
         verify_sweep(SchemeParams(3, 4, 1), "fully_demanded", limit=10)
     sweep = verify_sweep(SchemeParams(3, 4, 1), "fully_demanded", limit=10, force=True)
     assert sweep.count == 36
+
+
+def test_sweep_keeps_no_per_demand_transform_state():
+    # transform_matrix memoizes per demand; verification reads the demand's
+    # own exponent table instead, so a sweep must not grow that cache
+    before = scheme.transform_matrix.cache_info().currsize
+    sweep = verify_sweep(SchemeParams(3, 5, 1), "fully_demanded")
+    assert sweep.count == 150 and sweep.success
+    assert scheme.transform_matrix.cache_info().currsize == before
 
 
 def test_sweep_parallel_matches_serial_bytes():

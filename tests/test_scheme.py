@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdcache.algebra import CHANNELS, Payload, SymbolVec, segment, xor_all
+from fdcache.algebra import CHANNELS, MaskValues, Payload, SymbolVec, segment, segment_index, xor_all
 from fdcache.analysis import memory_point, type_operating_point
 from fdcache.core import SchemeParams, NotFullyDemandedError, demand_type, enumerate_demands
 from fdcache.scheme import (
@@ -17,6 +18,7 @@ from fdcache.scheme import (
     decode_class1,
     decode_class2,
     decode_file,
+    decode_plan,
     delivery,
     file_segments,
     inverse_matrix,
@@ -370,6 +372,65 @@ def test_payload_source_guards_cache_boundary(run_delivery, run_caches):
         source.held_segment(segment(1, (2,), 3, "I"))  # user 1 never cached it
     with pytest.raises(KeyError):
         source.delivered(1, (3, 4), "I")  # skipped, never broadcast
+
+
+# ---------------------------------------------------------------------------
+# fault injection: a corrupted item fails both checks of a user reading it
+
+
+def _payload_values(width=8, seed="fault"):
+    index = segment_index(RUN)
+    ints = Payload.random(index.segments, width=width, seed=seed).int_values()
+    return MaskValues(index, [ints[seg] for seg in index.segments])
+
+
+def _reads(plan, mask):
+    return any(mask in i_items or mask in q_items for _t, i_items, q_items in plan.rows)
+
+
+def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
+    values = _payload_values()
+    for k in RUN.users:
+        plan = decode_plan(run_delivery, run_caches[k], k)
+        assert len(plan.rows) == 30  # 60 segments of the file, one row per I/Q pair
+        assert plan.recovers()
+        assert plan.recovers(values.__getitem__)
+
+
+def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches):
+    index = segment_index(RUN)
+    key = (2, (1, 3))  # user 1 eliminates it for segment (1, {3}, 2)
+    assert run_delivery.is_transmitted(*key)
+    mask_i, mask_q = run_delivery.pairs[key]
+    assert _reads(decode_plan(run_delivery, run_caches[1], 1), mask_i)
+    position = index[segment(3, (4,), 5, "I")]
+    values = _payload_values()
+    assert values.segment_values[position] != 0
+    flipped = dataclasses.replace(run_delivery, pairs={**run_delivery.pairs, key: (mask_i ^ (1 << position), mask_q)})
+    plan = decode_plan(flipped, run_caches[1], 1)
+    assert not plan.recovers()
+    assert not plan.recovers(values.__getitem__)
+
+
+def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
+    cache = run_caches[1]
+    key = ((2,), "I")  # read by user 1's class-2 row for subset {2}
+    assert _reads(decode_plan(run_delivery, cache, 1), cache.masks.column[(2,)][0])
+    stray = segment(2, (3,), 1, "I")
+    parities = {**cache.column_parities, key: cache.column_parities[key] ^ SymbolVec.unit(stray)}
+    corrupted = dataclasses.replace(cache, column_parities=parities)
+    values = _payload_values()
+    assert values.segment_values[segment_index(RUN)[stray]] != 0
+    plan = decode_plan(run_delivery, corrupted, 1)
+    assert not plan.recovers()
+    assert not plan.recovers(values.__getitem__)
+
+
+def test_plan_needs_every_uncoded_slot(run_delivery, run_caches):
+    cache = run_caches[1]
+    missing = dataclasses.replace(cache, uncoded=cache.uncoded - {segment(1, (1,), 2, "Q")})
+    with pytest.raises(LookupError):
+        decode_plan(run_delivery, missing, 1)
 
 
 # ---------------------------------------------------------------------------
