@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Export memory-rate curve CSVs for plotting.
 
-Writes one CSV per requested system/type (plus the worst-case curve) with the
-schema r,M_frac,M_dec,R_frac,R_dec,S_frac, suitable for external plotting.
+Writes one CSV per requested system/type (plus the worst-case curve), each
+the output of `fdcache tradeoff --format csv`: schema r,M_frac,M_dec,R_frac,
+R_dec,S_frac, suitable for external plotting.
 """
 
 from __future__ import annotations
@@ -10,52 +11,29 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-from fdcache.analysis import tradeoff_curve
-from fdcache.core import DemandType, format_fraction
-
-
-def decimal(value) -> str:
-    return format(float(value), ".10g")
-
-
-def rows_to_csv(rows) -> str:
-    lines = ["r,M_frac,M_dec,R_frac,R_dec,S_frac"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    "" if row.r is None else str(row.r),
-                    format_fraction(row.point.memory),
-                    decimal(row.point.memory),
-                    format_fraction(row.point.rate),
-                    decimal(row.point.rate),
-                    "" if row.saving is None else format_fraction(row.saving),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
+from fdcache import cli
 
 CURVES = [
-    ("tradeoff_4x6_type3111.csv", 4, 6, (3, 1, 1, 1), False),
-    ("tradeoff_4x6_worst.csv", 4, 6, None, True),
-    ("tradeoff_3x3_type111.csv", 3, 3, (1, 1, 1), False),
-    ("tradeoff_3x6_type411.csv", 3, 6, (4, 1, 1), False),
+    ("tradeoff_4x6_type3111.csv", "--n 4 --k 6 --type 3,1,1,1"),
+    ("tradeoff_4x6_worst.csv", "--n 4 --k 6 --worst"),
+    ("tradeoff_3x3_type111.csv", "--n 3 --k 3 --type 1,1,1"),
+    ("tradeoff_3x6_type411.csv", "--n 3 --k 6 --type 4,1,1"),
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", help="directory for the CSV files")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, n, k, counts, worst in CURVES:
-        dtype = None if counts is None else DemandType.of(counts)
-        rows = tradeoff_curve(n, k, dtype=dtype, worst=worst)
+    for name, curve in CURVES:
         path = outdir / name
-        path.write_text(rows_to_csv(rows), encoding="utf-8")
-        print(f"wrote {path} ({len(rows)} rows)")
+        code = cli.main(["tradeoff", *curve.split(), "--format", "csv", "--output", str(path)])
+        if code:
+            return code
+        rows = len(path.read_text(encoding="utf-8").splitlines()) - 1
+        print(f"wrote {path} ({rows} rows)")
     return 0
 
 

@@ -1,78 +1,1 @@
 """Coded caching for fully demanded systems: exact construction and analysis."""
-
-from .core import (
-    DemandType,
-    NotFullyDemandedError,
-    SchemeParams,
-    binom,
-    demand_type,
-    enumerate_demands,
-    leaders,
-)
-from .algebra import CHANNELS, Payload, SegmentId, SymbolVec, evaluate, segment, span_contains, xor
-from .analysis import (
-    RatePoint,
-    check_point,
-    lower_convex_hull,
-    region_33,
-    saving_factor,
-    tradeoff_curve,
-    type_operating_point,
-    worst_case_operating_point,
-)
-from .scheme import (
-    CacheContent,
-    DeliverySet,
-    decode_file,
-    delivery,
-    partition,
-    prefetch,
-    reconstruct_skipped,
-    row_parity_closure,
-    transform_matrix,
-)
-from .harness import (
-    golden_example_check,
-    identity_suite,
-    verify_demand,
-    verify_sweep,
-)
-
-__all__ = [
-    "CHANNELS",
-    "CacheContent",
-    "DeliverySet",
-    "DemandType",
-    "NotFullyDemandedError",
-    "Payload",
-    "RatePoint",
-    "SchemeParams",
-    "SegmentId",
-    "SymbolVec",
-    "binom",
-    "check_point",
-    "decode_file",
-    "delivery",
-    "demand_type",
-    "enumerate_demands",
-    "evaluate",
-    "golden_example_check",
-    "identity_suite",
-    "leaders",
-    "lower_convex_hull",
-    "partition",
-    "prefetch",
-    "reconstruct_skipped",
-    "region_33",
-    "row_parity_closure",
-    "saving_factor",
-    "segment",
-    "span_contains",
-    "tradeoff_curve",
-    "transform_matrix",
-    "type_operating_point",
-    "verify_demand",
-    "verify_sweep",
-    "worst_case_operating_point",
-    "xor",
-]

@@ -1,5 +1,10 @@
 """Command-line front end: tradeoff | verify | bounds | lemmas | golden.
 
+Each command returns one Output record holding its exit code and all three
+renderings, built in a single pass over its result.  main is the only place
+that picks the --format, writes to --output or stdout, and maps a ValueError
+to exit 2.
+
 Exit codes: 0 success, 1 verification/identity failure, 2 usage error.
 """
 
@@ -8,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analysis import (
     RatePoint,
@@ -17,14 +23,12 @@ from .analysis import (
 )
 from .core import (
     DemandType,
-    NotFullyDemandedError,
     SchemeParams,
     format_fraction,
     parse_fraction,
 )
 from .harness import (
     ENGINES,
-    SweepLimitExceeded,
     golden_example_check,
     golden_json_dict,
     identity_json_dict,
@@ -41,16 +45,17 @@ from .harness import (
 SETTINGS = {"mixed": "mixed", "300": "type300", "210": "type210", "111": "type111"}
 
 
+class Output(NamedTuple):
+    """A command's exit code and its rendering in every --format."""
+
+    code: int
+    json: dict
+    csv: list[str]  # lines
+    text: list[str]  # lines
+
+
 def _decimal(value: Fraction) -> str:
     return format(float(value), ".10g")
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -60,60 +65,42 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def cmd_tradeoff(args) -> int:
+def _jobs(text: str) -> int:
+    """A worker count: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def cmd_tradeoff(args) -> Output:
     dtype = DemandType.of(_parse_ints(args.type)) if args.type else None
-    rows = tradeoff_curve(args.n, args.k, dtype=dtype, worst=args.worst, hull=args.hull)
-    if args.format == "json":
-        payload = {
-            "n_files": args.n,
-            "n_users": args.k,
-            "demand_class": "worst" if args.worst else {"type": list(dtype.counts)},
-            "hull": args.hull,
-            "rows": [
-                {
-                    "r": row.r,
-                    "M": format_fraction(row.point.memory),
-                    "M_dec": _decimal(row.point.memory),
-                    "R": format_fraction(row.point.rate),
-                    "R_dec": _decimal(row.point.rate),
-                    "S": None if row.saving is None else format_fraction(row.saving),
-                }
-                for row in rows
-            ],
-        }
-        _emit(to_json(payload), args.output)
-    elif args.format == "csv":
-        lines = ["r,M_frac,M_dec,R_frac,R_dec,S_frac"]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        "" if row.r is None else str(row.r),
-                        format_fraction(row.point.memory),
-                        _decimal(row.point.memory),
-                        format_fraction(row.point.rate),
-                        _decimal(row.point.rate),
-                        "" if row.saving is None else format_fraction(row.saving),
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        label = "worst case" if args.worst else f"type ({dtype.label()})"
-        lines = [f"tradeoff for N={args.n} K={args.k}, {label}"]
-        for row in rows:
-            tag = "endpoint" if row.r is None else f"r={row.r}"
-            saving = "" if row.saving is None else f"  S={format_fraction(row.saving)}"
-            lines.append(
-                f"  {tag}: M={format_fraction(row.point.memory)}"
-                f" ({_decimal(row.point.memory)}), R={format_fraction(row.point.rate)}"
-                f" ({_decimal(row.point.rate)}){saving}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    label = "worst case" if args.worst else f"type ({dtype.label()})"
+    rows = []
+    csv = ["r,M_frac,M_dec,R_frac,R_dec,S_frac"]
+    text = [f"tradeoff for N={args.n} K={args.k}, {label}"]
+    for row in tradeoff_curve(args.n, args.k, dtype=dtype, worst=args.worst, hull=args.hull):
+        m, m_dec = format_fraction(row.point.memory), _decimal(row.point.memory)
+        rate, rate_dec = format_fraction(row.point.rate), _decimal(row.point.rate)
+        saving = None if row.saving is None else format_fraction(row.saving)
+        rows.append({"r": row.r, "M": m, "M_dec": m_dec, "R": rate, "R_dec": rate_dec, "S": saving})
+        csv.append(f"{'' if row.r is None else row.r},{m},{m_dec},{rate},{rate_dec},{saving or ''}")
+        tag = "endpoint" if row.r is None else f"r={row.r}"
+        text.append(f"  {tag}: M={m} ({m_dec}), R={rate} ({rate_dec})" + (f"  S={saving}" if saving else ""))
+    payload = {
+        "n_files": args.n,
+        "n_users": args.k,
+        "demand_class": "worst" if args.worst else {"type": list(dtype.counts)},
+        "hull": args.hull,
+        "rows": rows,
+    }
+    return Output(0, payload, csv, text)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     params = SchemeParams(args.n, args.k, args.r)
     if args.demand:
         report = verify_demand(
@@ -124,20 +111,17 @@ def cmd_verify(args) -> int:
             payload_width=args.payload_bytes,
             run_oracle=not args.no_oracle,
         )
-        if args.format == "json":
-            _emit(to_json(report_json_dict(report, timing=args.timing)), args.output)
-        elif args.format == "csv":
-            _emit("\n".join(reports_csv_rows([report])) + "\n", args.output)
-        else:
-            verdict = "ok" if report.success else "FAILED"
-            _emit(
-                f"demand {report.demand}: {verdict}, T={report.t_count},"
+        return Output(
+            0 if report.success and report.oracle_ok is not False else 1,
+            report_json_dict(report, timing=args.timing),
+            reports_csv_rows([report]),
+            [
+                f"demand {report.demand}: {'ok' if report.success else 'FAILED'}, T={report.t_count},"
                 f" rate={format_fraction(report.rate_measured)},"
                 f" memory={format_fraction(report.memory_measured)},"
-                f" oracle={report.oracle_ok}\n",
-                args.output,
-            )
-        return 0 if report.success and report.oracle_ok is not False else 1
+                f" oracle={report.oracle_ok}"
+            ],
+        )
 
     demand_class = "fully_demanded" if args.all_fully_demanded else DemandType.of(_parse_ints(args.type))
     sweep = verify_sweep(
@@ -151,128 +135,78 @@ def cmd_verify(args) -> int:
         limit=args.limit,
         force=args.force,
     )
-    if args.format == "json":
-        _emit(to_json(sweep_json_dict(sweep, timing=args.timing)), args.output)
-    elif args.format == "csv":
-        _emit("\n".join(sweep_csv_rows(sweep)) + "\n", args.output)
-    else:
-        verdict = "ok" if sweep.success else "FAILED"
-        lines = [
-            f"sweep {sweep.demand_class} at N={args.n} K={args.k} r={args.r}:"
-            f" {sweep.count} demands, {verdict}, oracle={sweep.oracle_ok}"
-        ]
-        for row in sweep.per_type():
-            lines.append(
-                f"  type ({','.join(str(c) for c in row['type'])}):"
-                f" {row['demands']} demands, T={row['T']}, rate={row['rate']}"
-            )
-        for failed in sweep.failures:
-            lines.append(f"  FAILED demand {failed.demand}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if sweep.success else 1
+    text = [
+        f"sweep {sweep.demand_class} at N={args.n} K={args.k} r={args.r}:"
+        f" {sweep.count} demands, {'ok' if sweep.success else 'FAILED'}, oracle={sweep.oracle_ok}"
+    ]
+    for row in sweep.per_type():
+        text.append(
+            f"  type ({','.join(str(c) for c in row['type'])}):"
+            f" {row['demands']} demands, T={row['T']}, rate={row['rate']}"
+        )
+    text.extend(f"  FAILED demand {failed.demand}" for failed in sweep.failures)
+    return Output(0 if sweep.success else 1, sweep_json_dict(sweep, timing=args.timing), sweep_csv_rows(sweep), text)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> Output:
     region = region_33(SETTINGS[args.setting])
     check = None
     if args.check:
         parts = args.check.split(",")
         if len(parts) != 2:
             raise ValueError(f"--check expects M,R got {args.check!r}")
-        point = RatePoint(parse_fraction(parts[0]), parse_fraction(parts[1]))
-        check = check_point(point, region)
-    if args.format == "json":
-        payload = {
-            "setting": args.setting,
-            "facets": [f.label() for f in region.outer_facets],
-            "inner_corners": [
-                [format_fraction(p.memory), format_fraction(p.rate)]
-                for p in region.inner_corners
-            ],
-        }
-        if check is not None:
-            payload["check"] = {
-                "point": [format_fraction(check.point.memory), format_fraction(check.point.rate)],
-                "satisfied": check.satisfied,
-                "facets": [
-                    {"facet": fc.facet.label(), "value": format_fraction(fc.value), "ok": fc.satisfied}
-                    for fc in check.facets
-                ],
-            }
-        _emit(to_json(payload), args.output)
-    elif args.format == "csv":
-        lines = ["kind,a,b,c_or_R,ok"]
-        for facet in region.outer_facets:
-            lines.append(
-                f"facet,{format_fraction(facet.m_coef)},{format_fraction(facet.r_coef)},"
-                f"{format_fraction(facet.bound)},"
-            )
-        for corner in region.inner_corners:
-            lines.append(f"corner,{format_fraction(corner.memory)},{format_fraction(corner.rate)},,")
-        if check is not None:
-            for fc in check.facets:
-                lines.append(
-                    f"check,{fc.facet.label()},{format_fraction(fc.value)},,{str(fc.satisfied).lower()}"
-                )
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        lines = [f"(3,3) setting {args.setting}"]
-        lines.append("outer facets: " + "; ".join(f.label() for f in region.outer_facets))
-        corners = ", ".join(
-            f"({format_fraction(p.memory)}, {format_fraction(p.rate)})" for p in region.inner_corners
-        )
-        lines.append(f"inner corners: {corners}")
-        if check is not None:
-            lines.append(
-                f"check ({format_fraction(check.point.memory)}, {format_fraction(check.point.rate)}):"
-                f" {'satisfies all facets' if check.satisfied else 'VIOLATES'}"
-            )
-            for fc in check.facets:
-                status = "ok" if fc.satisfied else "violated"
-                lines.append(f"  {fc.facet.label()}: value {format_fraction(fc.value)} -> {status}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+        check = check_point(RatePoint(parse_fraction(parts[0]), parse_fraction(parts[1])), region)
+    facets = [f.label() for f in region.outer_facets]
+    payload = {"setting": args.setting, "facets": facets, "inner_corners": []}
+    csv = ["kind,a,b,c_or_R,ok"]
+    csv.extend(
+        f"facet,{format_fraction(f.m_coef)},{format_fraction(f.r_coef)},{format_fraction(f.bound)},"
+        for f in region.outer_facets
+    )
+    corners = []
+    for corner in region.inner_corners:
+        m, rate = format_fraction(corner.memory), format_fraction(corner.rate)
+        payload["inner_corners"].append([m, rate])
+        csv.append(f"corner,{m},{rate},,")
+        corners.append(f"({m}, {rate})")
+    text = [
+        f"(3,3) setting {args.setting}",
+        "outer facets: " + "; ".join(facets),
+        f"inner corners: {', '.join(corners)}",
+    ]
+    if check is not None:
+        m, rate = format_fraction(check.point.memory), format_fraction(check.point.rate)
+        payload["check"] = {"point": [m, rate], "satisfied": check.satisfied, "facets": []}
+        text.append(f"check ({m}, {rate}): {'satisfies all facets' if check.satisfied else 'VIOLATES'}")
+        for fc in check.facets:
+            facet, value = fc.facet.label(), format_fraction(fc.value)
+            payload["check"]["facets"].append({"facet": facet, "value": value, "ok": fc.satisfied})
+            csv.append(f"check,{facet},{value},,{str(fc.satisfied).lower()}")
+            text.append(f"  {facet}: value {value} -> {'ok' if fc.satisfied else 'violated'}")
+    return Output(0, payload, csv, text)
 
 
-def cmd_lemmas(args) -> int:
+def cmd_lemmas(args) -> Output:
     params = SchemeParams(args.n, args.k, args.r)
     demands = [_parse_ints(args.demand)] if args.demand else None
     report = identity_suite(params, demands=demands, samples=args.samples)
-    if args.format == "json":
-        _emit(to_json(identity_json_dict(report)), args.output)
-    elif args.format == "csv":
-        lines = ["family,checked,failed"]
-        for name, result in report.families.items():
-            lines.append(f"{name},{result.checked},{len(result.failures)}")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        lines = [
-            f"identity suite at N={args.n} K={args.k} r={args.r}"
-            f" over {len(report.demands)} demand(s)"
-        ]
-        for name, result in report.families.items():
-            verdict = "ok" if result.ok else "FAILED"
-            lines.append(f"  {name}: {result.checked} checks, {verdict}")
-            lines.extend(f"    {failure}" for failure in result.failures)
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if report.success else 1
+    csv = ["family,checked,failed"]
+    text = [f"identity suite at N={args.n} K={args.k} r={args.r} over {len(report.demands)} demand(s)"]
+    for name, result in report.families.items():
+        csv.append(f"{name},{result.checked},{len(result.failures)}")
+        text.append(f"  {name}: {result.checked} checks, {'ok' if result.ok else 'FAILED'}")
+        text.extend(f"    {failure}" for failure in result.failures)
+    return Output(0 if report.success else 1, identity_json_dict(report), csv, text)
 
 
-def cmd_golden(args) -> int:
+def cmd_golden(args) -> Output:
     report = golden_example_check()
-    if args.format == "json":
-        _emit(to_json(golden_json_dict(report)), args.output)
-    elif args.format == "csv":
-        lines = ["check,ok"]
-        lines.extend(f"{check.name},{str(check.ok).lower()}" for check in report.checks)
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        lines = ["golden (3,6) r=1 construction check"]
-        for check in report.checks:
-            verdict = "ok" if check.ok else f"FAILED {check.detail}"
-            lines.append(f"  {check.name}: {verdict}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if report.success else 1
+    csv = ["check,ok"]
+    text = ["golden (3,6) r=1 construction check"]
+    for check in report.checks:
+        csv.append(f"{check.name},{str(check.ok).lower()}")
+        text.append(f"  {check.name}: {'ok' if check.ok else f'FAILED {check.detail}'}")
+    return Output(0 if report.success else 1, golden_json_dict(report), csv, text)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -307,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all-fully-demanded", action="store_true", help="sweep every fully demanded vector")
     p.add_argument("--engine", choices=ENGINES, default="both")
     p.add_argument("--seed", default="0")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes, at least 1")
     p.add_argument("--payload-bytes", type=int, default=1)
     p.add_argument("--no-oracle", action="store_true", help="skip the rank-oracle cross-check")
     p.add_argument("--limit", type=int, default=100_000, help="refuse sweeps larger than this")
@@ -341,13 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (NotFullyDemandedError, SweepLimitExceeded) as exc:
+        out = args.func(args)
+    except ValueError as exc:  # bad input, including NotFullyDemandedError and SweepLimitExceeded
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rendered = to_json(out.json) if args.format == "json" else "\n".join(getattr(out, args.format)) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(rendered)
+    else:
+        sys.stdout.write(rendered)
+    return out.code
 
 
 if __name__ == "__main__":

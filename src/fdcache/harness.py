@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from .core import (
     NotFullyDemandedError,
     SchemeParams,
     as_demand_type,
-    binom,
     count_demands,
     demand_type,
     enumerate_demands,
@@ -203,7 +203,6 @@ def verify_demand(
     sizes = {cache.size for cache in caches}
     if len(sizes) != 1:  # prefetching is symmetric by construction
         raise RuntimeError(f"users cache different amounts: {sorted(sizes)}")
-    denom = 2 * params.n_users * binom(params.n_users - 1, params.r)
     return VerificationReport(
         params=params,
         demand=demand,
@@ -214,7 +213,7 @@ def verify_demand(
         t_count=dset.transmitted_count,
         rate_measured=dset.rate(),
         rate_formula=type_operating_point(params, demand_type(params, demand)).rate,
-        memory_measured=Fraction(sizes.pop(), denom),
+        memory_measured=caches[0].memory(),
         memory_formula=memory_point(params),
         oracle_ok=oracle_ok,
         engine_seconds=engine_seconds,
@@ -311,15 +310,16 @@ def verify_sweep(
             f"{count} demands exceed the limit of {limit}; pass force=True to run anyway"
         )
     demands = enumerate_demands(params, demand_class)
-    jobs = max(1, jobs)
-    if jobs == 1:
+    # the pool forks every worker up front, so never ask for more than can run
+    workers = min(jobs, os.cpu_count() or 1, len(demands))
+    if workers <= 1:
         reports = [
             verify_demand(params, d, engine, seed, payload_width, run_oracle) for d in demands
         ]
     else:
         payloads = [(params, d, engine, seed, payload_width, run_oracle) for d in demands]
-        chunk = max(1, len(payloads) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(payloads) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_sweep_worker, payloads, chunksize=chunk))
     return SweepReport(
         params=params,
@@ -333,12 +333,14 @@ def verify_sweep(
 
 
 def sample_fully_demanded(params: SchemeParams, count: int) -> list[Demand]:
-    """Deterministic, evenly spread sample of the fully demanded vectors."""
-    demands = enumerate_demands(params, "fully_demanded")
-    if len(demands) <= count:
-        return demands
-    picks = sorted({i * len(demands) // count for i in range(count)})
-    return [demands[i] for i in picks]
+    """Deterministic, evenly spread sample of the fully demanded vectors, in
+    lexicographic order.  The picks' positions follow from the closed-form
+    count, and only the picked vectors are kept from a lazy enumeration."""
+    total = count_demands(params, "fully_demanded")
+    picks = set(range(total)) if total <= count else {i * total // count for i in range(count)}
+    full = set(params.files)
+    demands = (d for d in itertools.product(params.files, repeat=params.n_users) if set(d) == full)
+    return [d for i, d in zip(range(max(picks, default=-1) + 1), demands) if i in picks]
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .algebra import (
     ZERO,
     segment,
     segment_index,
-    xor_all,
 )
 from .core import (
     Demand,
@@ -760,10 +759,21 @@ def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadS
 
 def transformed_sum_identity(params: SchemeParams, d: Sequence[int], s: int, r_set: tuple[int, ...], channel: str) -> bool:
     """XOR of transformed (d(t), r_set, s) segments over ALL users t equals the
-    column parity over files: per file, the special/mix split cancels."""
+    column parity over files: per file, the special/mix split cancels.
+
+    Works on index masks with user s's transform exponents, so it leaves the
+    per-demand transform_matrix cache alone."""
     demand = require_fully_demanded(params, d)
     idx = CHANNELS.index(channel)
-    total = xor_all(
-        transform_segment_pair(params, demand, t, s, r_set)[idx] for t in params.users
-    )
-    return total == column_parity_vec(params, s, r_set, channel)
+    if s in r_set:
+        raise ValueError(f"excluded user {s} inside subset {r_set}")
+    index = segment_index(params)
+    r_set = tuple(sorted(r_set))
+    asking = {f: requesters(demand, f) for f in params.files}
+    total = column = 0
+    for t in params.users:
+        unit = 1 << index.slot(demand[t - 1], r_set, s)
+        total ^= mix(_transform_log(demand, asking[demand[t - 1]], t, s), unit, unit << 1)[idx]
+    for f in params.files:
+        column ^= 1 << (index.slot(f, r_set, s) + idx)
+    return total == column

@@ -1,8 +1,13 @@
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 
+from fdcache import cli
 from fdcache.cli import main
+from fdcache.harness import FamilyResult, GoldenCheck, GoldenReport, IdentityReport
 
 GOLDEN_TRADEOFF_33 = """\
 r,M_frac,M_dec,R_frac,R_dec,S_frac
@@ -49,6 +54,14 @@ def test_tradeoff_requires_type_or_worst(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tradeoff", "--n", "3", "--k", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", "--k", "2", "--r", "1", "--all-fully-demanded", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
 
 
 def test_verify_single_demand(capsys):
@@ -167,3 +180,210 @@ def test_repeat_runs_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# Exact text and CSV output of every subcommand on small inputs.
+PINNED = {
+    ("tradeoff", "--n", "2", "--k", "2", "--worst", "--format", "text"): """\
+tradeoff for N=2 K=2, worst case
+  endpoint: M=0 (0), R=2 (2)
+  r=0: M=1/2 (0.5), R=1 (1)  S=0
+  r=1: M=2 (2), R=0 (0)  S=0
+""",
+    ("tradeoff", "--n", "2", "--k", "2", "--worst", "--format", "csv"): """\
+r,M_frac,M_dec,R_frac,R_dec,S_frac
+,0,0,2,2,
+0,1/2,0.5,1,1,0
+1,2,2,0,0,0
+""",
+    ("verify", "--n", "2", "--k", "2", "--r", "1", "--demand", "1,2", "--format", "text"): """\
+demand (1, 2): ok, T=0, rate=0, memory=2, oracle=True
+""",
+    ("verify", "--n", "2", "--k", "2", "--r", "1", "--demand", "1,2", "--format", "csv"): """\
+n_files,n_users,r,demand,success,T,rate,rate_formula,memory,memory_formula,oracle
+2,2,1,1 2,true,0,0,0,2,2,true
+""",
+    ("verify", "--n", "2", "--k", "2", "--r", "1", "--all-fully-demanded", "--format", "text"): """\
+sweep fully_demanded at N=2 K=2 r=1: 2 demands, ok, oracle=True
+  type (1,1): 2 demands, T=[0], rate=0
+""",
+    ("verify", "--n", "2", "--k", "2", "--r", "1", "--all-fully-demanded", "--format", "csv"): """\
+n_files,n_users,r,demand,success,T,rate,rate_formula,memory,memory_formula,oracle
+2,2,1,1 2,true,0,0,0,2,2,true
+2,2,1,2 1,true,0,0,0,2,2,true
+""",
+    ("bounds", "--setting", "300", "--check", "1/2,1", "--format", "text"): """\
+(3,3) setting 300
+outer facets: M+3R>=3
+inner corners: (0, 1), (3, 0)
+check (1/2, 1): satisfies all facets
+  M+3R>=3: value 7/2 -> ok
+""",
+    ("bounds", "--setting", "300", "--check", "1/2,1", "--format", "csv"): """\
+kind,a,b,c_or_R,ok
+facet,1,3,3,
+corner,0,1,,
+corner,3,0,,
+check,M+3R>=3,7/2,,true
+""",
+    ("lemmas", "--n", "2", "--k", "2", "--r", "0", "--format", "text"): """\
+identity suite at N=2 K=2 r=0 over 2 demand(s)
+  parity_closure: 0 checks, ok
+  delivery_redundancy: 0 checks, ok
+  skip_reconstruction: 0 checks, ok
+  transformed_sum: 8 checks, ok
+""",
+    ("lemmas", "--n", "2", "--k", "2", "--r", "0", "--format", "csv"): """\
+family,checked,failed
+parity_closure,0,0
+delivery_redundancy,0,0
+skip_reconstruction,0,0
+transformed_sum,8,0
+""",
+    ("golden", "--format", "text"): """\
+golden (3,6) r=1 construction check
+  partition_roster_60_per_file: ok
+  user1_uncoded_slice: ok
+  user1_column_parities: ok
+  user1_row_parities_file1_pruned: ok
+  s1_transformed_segments: ok
+  s1_delivery_symbols: ok
+  s1_skips_only_34: ok
+  s1_skip_reconstruction: ok
+  total_transmitted_100: ok
+  rate_5_3: ok
+""",
+    ("golden", "--format", "csv"): """\
+check,ok
+partition_roster_60_per_file,true
+user1_uncoded_slice,true
+user1_column_parities,true
+user1_row_parities_file1_pruned,true
+s1_transformed_segments,true
+s1_delivery_symbols,true
+s1_skips_only_34,true
+s1_skip_reconstruction,true
+total_transmitted_100,true
+rate_5_3,true
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)
+def test_pinned_output(capsys, argv):
+    assert run(capsys, *argv) == (0, PINNED[argv], "")
+
+
+def _failing_golden():
+    return GoldenReport(checks=(GoldenCheck("rate_5_3", True), GoldenCheck("total_transmitted_100", False, "T=98")))
+
+
+def _failing_identities(params, demands=None, samples=10):
+    return IdentityReport(
+        params=params,
+        demands=((1, 2),),
+        families={
+            "parity_closure": FamilyResult(0, ()),
+            "transformed_sum": FamilyResult(4, ("d=1-2 s=1 subset=() ch=Q",)),
+        },
+    )
+
+
+FAILING = {
+    ("golden", "--format", "text"): """\
+golden (3,6) r=1 construction check
+  rate_5_3: ok
+  total_transmitted_100: FAILED T=98
+""",
+    ("golden", "--format", "csv"): """\
+check,ok
+rate_5_3,true
+total_transmitted_100,false
+""",
+    ("golden", "--format", "json"): """\
+{
+  "success": false,
+  "checks": [
+    {
+      "name": "rate_5_3",
+      "ok": true,
+      "detail": ""
+    },
+    {
+      "name": "total_transmitted_100",
+      "ok": false,
+      "detail": "T=98"
+    }
+  ]
+}
+""",
+    ("lemmas", "--n", "2", "--k", "2", "--r", "0", "--format", "text"): """\
+identity suite at N=2 K=2 r=0 over 1 demand(s)
+  parity_closure: 0 checks, ok
+  transformed_sum: 4 checks, FAILED
+    d=1-2 s=1 subset=() ch=Q
+""",
+    ("lemmas", "--n", "2", "--k", "2", "--r", "0", "--format", "csv"): """\
+family,checked,failed
+parity_closure,0,0
+transformed_sum,4,1
+""",
+    ("lemmas", "--n", "2", "--k", "2", "--r", "0", "--format", "json"): """\
+{
+  "params": {
+    "n_files": 2,
+    "n_users": 2,
+    "r": 0
+  },
+  "demands": [
+    [
+      1,
+      2
+    ]
+  ],
+  "success": false,
+  "families": {
+    "parity_closure": {
+      "checked": 0,
+      "failed": 0,
+      "failures": []
+    },
+    "transformed_sum": {
+      "checked": 4,
+      "failed": 1,
+      "failures": [
+        "d=1-2 s=1 subset=() ch=Q"
+      ]
+    }
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(FAILING), ids=" ".join)
+def test_failure_output(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "golden_example_check", _failing_golden)
+    monkeypatch.setattr(cli, "identity_suite", _failing_identities)
+    assert run(capsys, *argv) == (1, FAILING[argv], "")
+
+
+def test_export_script_writes_cli_csv(tmp_path, capsys, monkeypatch):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "export_tradeoff_points.py"
+    spec = importlib.util.spec_from_file_location("export_tradeoff_points", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), "--outdir", str(tmp_path)])
+    assert script.main() == 0
+    capsys.readouterr()
+    curves = {
+        "tradeoff_4x6_type3111.csv": ("--n", "4", "--k", "6", "--type", "3,1,1,1"),
+        "tradeoff_4x6_worst.csv": ("--n", "4", "--k", "6", "--worst"),
+        "tradeoff_3x3_type111.csv": ("--n", "3", "--k", "3", "--type", "1,1,1"),
+        "tradeoff_3x6_type411.csv": ("--n", "3", "--k", "6", "--type", "4,1,1"),
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(curves)
+    for name, args in curves.items():
+        code, out, _ = run(capsys, "tradeoff", *args, "--format", "csv")
+        assert code == 0
+        assert (tmp_path / name).read_text(encoding="utf-8") == out

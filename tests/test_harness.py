@@ -1,9 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from fdcache import scheme
-from fdcache.core import DemandType, NotFullyDemandedError, SchemeParams
+from fdcache import harness, scheme
+from fdcache.core import DemandType, NotFullyDemandedError, SchemeParams, enumerate_demands
 from fdcache.harness import (
     SweepLimitExceeded,
     golden_example_check,
@@ -103,6 +104,49 @@ def test_sweep_keeps_no_per_demand_transform_state():
     assert scheme.transform_matrix.cache_info().currsize == before
 
 
+def test_identity_suite_keeps_no_per_demand_transform_state():
+    # the transformed-sum family reads the demand's exponents directly, so
+    # sampling more demands must not grow transform_matrix's cache
+    before = scheme.transform_matrix.cache_info().currsize
+    demands = [(1, 1, 1, 2, 3), (1, 2, 3, 3, 3), (2, 1, 3, 1, 2)]
+    suite = identity_suite(SchemeParams(3, 5, 1), demands=demands)
+    assert suite.success and suite.families["transformed_sum"].checked > 0
+    assert scheme.transform_matrix.cache_info().currsize == before
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "jobs,cpus,workers",
+    [(5000, 4, 4), (5000, 64, 6), (3, 64, 3), (5000, None, None), (1, 64, None)],
+)
+def test_sweep_clamps_worker_count(monkeypatch, jobs, cpus, workers):
+    # (3,3) r=1 has 6 fully demanded vectors; None means no pool is started
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "created", [])
+    params = SchemeParams(3, 3, 1)
+    sweep = verify_sweep(params, "fully_demanded", jobs=jobs)
+    assert _SerialPool.created == ([] if workers is None else [workers])
+    assert sweep_csv_rows(sweep) == sweep_csv_rows(verify_sweep(params, "fully_demanded", jobs=1))
+
+
 def test_sweep_parallel_matches_serial_bytes():
     params = SchemeParams(3, 4, 2)
     serial = verify_sweep(params, "fully_demanded", jobs=1)
@@ -144,6 +188,31 @@ def test_sample_fully_demanded_deterministic():
     assert len(set(first)) == 10
     small = sample_fully_demanded(SchemeParams(3, 3, 1), 10)
     assert len(small) == 6  # fewer demands than requested
+
+
+def _sample_by_enumeration(params, count):
+    demands = enumerate_demands(params, "fully_demanded")
+    if len(demands) <= count:
+        return demands
+    return [demands[i] for i in sorted({i * len(demands) // count for i in range(count)})]
+
+
+@pytest.mark.parametrize("params", [SchemeParams(2, 2, 0), SchemeParams(2, 4, 1), SchemeParams(3, 4, 1)])
+def test_sample_fully_demanded_matches_enumeration(params):
+    total = len(enumerate_demands(params, "fully_demanded"))
+    for count in range(total + 2):
+        assert sample_fully_demanded(params, count) == _sample_by_enumeration(params, count)
+
+
+def test_sample_fully_demanded_keeps_only_the_picks():
+    tracemalloc.start()
+    try:
+        sample = sample_fully_demanded(SchemeParams(4, 9, 1), 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sample) == 10
+    assert peak < 1 << 20
 
 
 def test_identity_suite_families_and_json():
