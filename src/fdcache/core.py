@@ -154,13 +154,19 @@ def enumerate_demands(params: SchemeParams, demand_class: DemandClass) -> list[D
     return [tuple(d) for d in everything if demand_type(params, d) == dtype]
 
 
+def covering_count(n_files: int, missing: int, length: int) -> int:
+    """Length-`length` vectors over n_files files that request each of
+    `missing` given files at least once, by inclusion-exclusion."""
+    return sum((-1) ** i * binom(missing, i) * (n_files - i) ** length for i in range(missing + 1))
+
+
 def count_demands(params: SchemeParams, demand_class: DemandClass) -> int:
     """Cardinality of enumerate_demands() by closed form (no enumeration)."""
     n, k = params.n_files, params.n_users
     if demand_class == "mixed":
         return n**k
     if demand_class == "fully_demanded":
-        return sum((-1) ** i * binom(n, i) * (n - i) ** k for i in range(n + 1))
+        return covering_count(n, n, k)
     dtype = as_demand_type(params, demand_class)
     per_assignment = math.factorial(k)
     for c in dtype.counts:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .algebra import CHANNELS, MaskValues, Payload, SegmentId, SpanBasis, SymbolVec, ZERO, segment, segment_index
+from .algebra import CHANNELS, MaskValues, Payload, SegmentId, SpanBasis, SymbolVec, segment, segment_index
 from .analysis import memory_point, type_operating_point
 from .core import (
     Demand,
@@ -33,6 +33,7 @@ from .core import (
     SchemeParams,
     as_demand_type,
     count_demands,
+    covering_count,
     demand_type,
     enumerate_demands,
     format_fraction,
@@ -41,21 +42,23 @@ from .core import (
 from .scheme import (
     CacheContent,
     DeliverySet,
-    MIX_POWER,
     PayloadSource,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
-    apply_matrix,
+    closure_pair,
     decode_file,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     decode_plan,
     delivery,
     file_segments,
+    mix_sum,
     prefetch,
     reconstruct_skipped,
-    row_parity_closure,
-    row_parity_vec,
+    reconstructed_pair,
+    row_parity_closure,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
+    row_parity_pair,
     selection_weights,
     transform_matrix,
     transform_segment_pair,
-    transformed_sum_identity,
+    transformed_sum_identity,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
+    transformed_sum_residual,
     IDENTITY,
     MIX,
     MIX_INV,
@@ -332,15 +335,30 @@ def verify_sweep(
     )
 
 
+def _unrank_fully_demanded(params: SchemeParams, rank: int) -> Demand:
+    """The fully demanded vector at position `rank` in lexicographic order,
+    built entry by entry: each candidate file is passed over together with
+    the covering_count completions that start with it."""
+    missing = set(params.files)
+    out = []
+    for left in reversed(range(params.n_users)):
+        for f in params.files:
+            block = covering_count(params.n_files, len(missing - {f}), left)
+            if rank < block:
+                break
+            rank -= block
+        out.append(f)
+        missing.discard(f)
+    return tuple(out)
+
+
 def sample_fully_demanded(params: SchemeParams, count: int) -> list[Demand]:
     """Deterministic, evenly spread sample of the fully demanded vectors, in
     lexicographic order.  The picks' positions follow from the closed-form
-    count, and only the picked vectors are kept from a lazy enumeration."""
+    count, and each pick is unranked from its position."""
     total = count_demands(params, "fully_demanded")
-    picks = set(range(total)) if total <= count else {i * total // count for i in range(count)}
-    full = set(params.files)
-    demands = (d for d in itertools.product(params.files, repeat=params.n_users) if set(d) == full)
-    return [d for i, d in zip(range(max(picks, default=-1) + 1), demands) if i in picks]
+    picks = range(total) if total <= count else [i * total // count for i in range(count)]
+    return [_unrank_fully_demanded(params, rank) for rank in picks]
 
 
 # ---------------------------------------------------------------------------
@@ -368,33 +386,41 @@ class IdentityReport:
         return all(result.ok for result in self.families.values())
 
 
+def _compare_pairs(got: tuple[int, int], want: tuple[int, int], failures: list[str], label: str) -> int:
+    """Compare two (I, Q) mask pairs channel by channel, recording one failure
+    per differing channel; returns the number of checks made."""
+    for channel, got_mask, want_mask in zip(CHANNELS, got, want):
+        if got_mask != want_mask:
+            failures.append(f"{label} ch={channel}")
+    return len(CHANNELS)
+
+
 def identity_suite(
     params: SchemeParams, demands: Sequence[Demand] | None = None, samples: int = 10
 ) -> IdentityReport:
     """Run the three XOR-identity families used by the construction.
 
     parity_closure is demand-independent; the delivery families run per
-    sampled demand.  Every failure records its full index tuple.
+    sampled demand.  Every family compares int masks over the dense segment
+    index.  Every failure records its full index tuple.
     """
     if demands is None:
         demands = sample_fully_demanded(params, samples)
     demands = tuple(require_fully_demanded(params, d) for d in demands)
-    caches = _prefetch_all(params)
+    index = segment_index(params)
 
     closure_checked = 0
     closure_failures = []
     if params.r >= 1:
-        for cache in caches:
+        for cache in _prefetch_all(params):
             k = cache.owner
             others = [u for u in params.users if u != k]
             for f in params.files:
                 for r_minus in itertools.combinations(others, params.r - 1):
-                    for channel in CHANNELS:
-                        closure_checked += 1
-                        got = row_parity_closure(cache, f, r_minus, channel)
-                        want = row_parity_vec(params, k, f, r_minus, channel)
-                        if got != want:
-                            closure_failures.append(f"k={k} f={f} subset={r_minus} ch={channel}")
+                    closure_checked += _compare_pairs(
+                        closure_pair(cache, f, r_minus), row_parity_pair(index, k, f, r_minus),
+                        closure_failures, f"k={k} f={f} subset={r_minus}",
+                    )
 
     redundancy_checked = 0
     redundancy_failures = []
@@ -404,6 +430,7 @@ def identity_suite(
     sum_failures = []
     for d in demands:
         dset = delivery(params, d)
+        pairs = dset.pairs
         tag = "-".join(str(x) for x in d)
         for s in params.users:
             info = dset.leader_infos[s]
@@ -411,28 +438,25 @@ def identity_suite(
             for extra in itertools.combinations(free, params.r + 1):
                 # weighted zero-sum over every one-requester-per-file selection
                 block = tuple(sorted(info.leader_set.union(extra)))
-                total_i, total_q = ZERO, ZERO
-                for chosen, weight in selection_weights(dset, s, block):
-                    rest = tuple(u for u in block if u not in chosen)
-                    pair = (dset.symbols[(s, rest, "I")], dset.symbols[(s, rest, "Q")])
-                    add_i, add_q = apply_matrix(MIX_POWER[weight], pair)
-                    total_i, total_q = total_i ^ add_i, total_q ^ add_q
+                total = mix_sum(
+                    (*pairs[(s, tuple(u for u in block if u not in chosen))], weight)
+                    for chosen, weight in selection_weights(dset, s, block)
+                )
                 redundancy_checked += 2
-                if total_i != ZERO or total_q != ZERO:
+                if total != (0, 0):
                     redundancy_failures.append(f"d={tag} s={s} block={block}")
         for s, r_plus in sorted(dset.skipped):
-            for channel in CHANNELS:
-                reconstruction_checked += 1
-                got = reconstruct_skipped(dset, s, r_plus, channel)
-                if got != dset.symbols[(s, r_plus, channel)]:
-                    reconstruction_failures.append(f"d={tag} s={s} subset={r_plus} ch={channel}")
+            reconstruction_checked += _compare_pairs(
+                reconstructed_pair(dset, s, r_plus), pairs[(s, r_plus)],
+                reconstruction_failures, f"d={tag} s={s} subset={r_plus}",
+            )
         for s in params.users:
             others = [u for u in params.users if u != s]
             for r_set in itertools.combinations(others, params.r):
-                for channel in CHANNELS:
-                    sum_checked += 1
-                    if not transformed_sum_identity(params, d, s, r_set, channel):
-                        sum_failures.append(f"d={tag} s={s} subset={r_set} ch={channel}")
+                sum_checked += _compare_pairs(
+                    transformed_sum_residual(index, d, dset.exponents, s, r_set), (0, 0),
+                    sum_failures, f"d={tag} s={s} subset={r_set}",
+                )
 
     return IdentityReport(
         params=params,

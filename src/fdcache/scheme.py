@@ -42,7 +42,6 @@ from .algebra import (
     SegmentId,
     SegmentIndex,
     SymbolVec,
-    ZERO,
     segment,
     segment_index,
 )
@@ -273,16 +272,26 @@ def parity_combination(
     return frozenset(columns), frozenset(rows)
 
 
-def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...], channel: str) -> SymbolVec:
-    """Row parity (file, r_minus, channel) of the cache owner, XORed together
-    from stored parities only.  Stored inputs come back unchanged."""
+def row_parity_pair(index: SegmentIndex, k: int, file: int, r_minus: tuple[int, ...]) -> tuple[int, int]:
+    """row_parity_vec of both channels as (I, Q) masks over the index."""
+    mask = 0
+    for u in index.params.users:
+        if u != k and u not in r_minus:
+            mask |= 1 << index.slot(file, tuple(sorted((*r_minus, u))), k)
+    return mask, mask << 1
+
+
+def closure_pair(cache: CacheContent, file: int, r_minus: tuple[int, ...]) -> tuple[int, int]:
+    """(I, Q) masks of row parity (file, r_minus) of the cache owner, XORed
+    together from stored parities only.  Stored inputs come back unchanged."""
     columns, rows = parity_combination(cache.params, cache.owner, file, tuple(r_minus))
-    acc = ZERO
-    for r_set in columns:
-        acc = acc ^ cache.column_parities[(r_set, channel)]
-    for f, subset in rows:
-        acc = acc ^ cache.row_parities[(f, subset, channel)]
-    return acc
+    held = cache.masks
+    return mix_sum([(*held.column[r_set], 0) for r_set in columns] + [(*held.row[key], 0) for key in rows])
+
+
+def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...], channel: str) -> SymbolVec:
+    """closure_pair's channel as a labelled vector."""
+    return segment_index(cache.params).vector(closure_pair(cache, file, r_minus)[CHANNELS.index(channel)])
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +351,16 @@ def mix(e: int, i_val, q_val):
     if e == 1:
         return i_val ^ q_val, i_val
     return q_val, i_val ^ q_val
+
+
+def mix_sum(terms) -> tuple[int, int]:
+    """XOR of MIX**e (I, Q) over (I, Q, e) terms."""
+    acc_i = acc_q = 0
+    for mask_i, mask_q, e in terms:
+        add_i, add_q = mix(e, mask_i, mask_q)
+        acc_i ^= add_i
+        acc_q ^= add_q
+    return acc_i, acc_q
 
 
 def apply_matrix(matrix: Matrix, pair):
@@ -410,6 +429,19 @@ class DeliverySet:
         return out
 
 
+@lru_cache(maxsize=None)
+def _symbol_layout(params: SchemeParams) -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+    """The demand-independent part of every broadcast symbol, in delivery
+    order: (s, r_plus, ((t, position of W^I[1; r_plus - t; s]), ...)).  A
+    demand moves each position to file d(t) by adding (d(t) - 1) * per_file."""
+    index = segment_index(params)
+    return tuple(
+        (s, r_plus, tuple((t, index.slot(1, tuple(u for u in r_plus if u != t), s)) for t in r_plus))
+        for s in params.users
+        for r_plus in itertools.combinations([u for u in params.users if u != s], params.r + 1)
+    )
+
+
 def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
     """Build every broadcast symbol for a fully demanded vector.
 
@@ -417,26 +449,22 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
     over t in r_plus; it is skipped when r_plus avoids every leader of s.
     """
     demand = require_fully_demanded(params, d)
-    index = segment_index(params)
+    per_file = segment_index(params).per_file
+    base = [(f - 1) * per_file for f in demand]
     exponents = transform_exponents(params, demand)
+    leader_infos = {s: leaders(params, demand, s) for s in params.users}
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     skipped: set[tuple[int, tuple[int, ...]]] = set()
-    leader_infos: dict[int, LeaderInfo] = {}
-    for s in params.users:
-        info = leaders(params, demand, s)
-        leader_infos[s] = info
-        others = [u for u in params.users if u != s]
-        for r_plus in itertools.combinations(others, params.r + 1):
-            acc_i = acc_q = 0
-            for t in r_plus:
-                rest = tuple(u for u in r_plus if u != t)
-                unit = 1 << index.slot(demand[t - 1], rest, s)
-                add_i, add_q = mix(exponents[t - 1][s - 1], unit, unit << 1)
-                acc_i ^= add_i
-                acc_q ^= add_q
-            pairs[(s, r_plus)] = (acc_i, acc_q)
-            if not info.leader_set.intersection(r_plus):
-                skipped.add((s, r_plus))
+    for s, r_plus, terms in _symbol_layout(params):
+        acc_i = acc_q = 0
+        for t, offset in terms:
+            unit = 1 << (base[t - 1] + offset)
+            add_i, add_q = mix(exponents[t - 1][s - 1], unit, unit << 1)
+            acc_i ^= add_i
+            acc_q ^= add_q
+        pairs[(s, r_plus)] = (acc_i, acc_q)
+        if not leader_infos[s].leader_set.intersection(r_plus):
+            skipped.add((s, r_plus))
     dset = DeliverySet(
         params=params,
         demand=demand,
@@ -513,16 +541,17 @@ def _broadcast_terms(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> list
     return [(*dset.pairs[(s, rest)], e) for rest, e in combo]
 
 
-def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], channel: str) -> SymbolVec:
-    """Recover one channel of a skipped symbol from transmitted ones."""
+def reconstructed_pair(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> tuple[int, int]:
+    """(I, Q) masks of a skipped symbol, rebuilt from transmitted ones."""
     if dset.is_transmitted(s, r_plus):
         raise ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
-    acc_i = acc_q = 0
-    for mask_i, mask_q, e in _broadcast_terms(dset, s, r_plus):
-        add_i, add_q = mix(e, mask_i, mask_q)
-        acc_i ^= add_i
-        acc_q ^= add_q
-    return segment_index(dset.params).vector((acc_i, acc_q)[CHANNELS.index(channel)])
+    return mix_sum(_broadcast_terms(dset, s, r_plus))
+
+
+def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], channel: str) -> SymbolVec:
+    """One channel of reconstructed_pair as a labelled vector."""
+    pair = reconstructed_pair(dset, s, r_plus)
+    return segment_index(dset.params).vector(pair[CHANNELS.index(channel)])
 
 
 # ---------------------------------------------------------------------------
@@ -757,23 +786,25 @@ def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadS
 # whole-demand identity
 
 
-def transformed_sum_identity(params: SchemeParams, d: Sequence[int], s: int, r_set: tuple[int, ...], channel: str) -> bool:
-    """XOR of transformed (d(t), r_set, s) segments over ALL users t equals the
-    column parity over files: per file, the special/mix split cancels.
+def transformed_sum_residual(index: SegmentIndex, demand: Demand, exponents: Sequence[Sequence[int]],
+                             s: int, r_set: tuple[int, ...]) -> tuple[int, int]:
+    """(I, Q) masks of the XOR of the transformed (d(t), r_set, s) segments
+    over ALL users t and the column parity (r_set, s) over files, with
+    exponents[t-1][s-1] the transform of user t toward s.  The identity says
+    this is zero: per file, the special/mix split cancels."""
+    params = index.params
+    unit = {f: 1 << index.slot(f, r_set, s) for f in params.files}
+    terms = [(unit[demand[t - 1]], unit[demand[t - 1]] << 1, exponents[t - 1][s - 1]) for t in params.users]
+    return mix_sum(terms + [(unit[f], unit[f] << 1, 0) for f in params.files])
 
-    Works on index masks with user s's transform exponents, so it leaves the
-    per-demand transform_matrix cache alone."""
+
+def transformed_sum_identity(params: SchemeParams, d: Sequence[int], s: int, r_set: tuple[int, ...], channel: str) -> bool:
+    """One channel of the transformed-sum identity for demand d: its
+    transformed_sum_residual is zero.  Reads the demand's exponent table, so it
+    leaves the per-demand transform_matrix cache alone."""
     demand = require_fully_demanded(params, d)
     idx = CHANNELS.index(channel)
     if s in r_set:
         raise ValueError(f"excluded user {s} inside subset {r_set}")
-    index = segment_index(params)
-    r_set = tuple(sorted(r_set))
-    asking = {f: requesters(demand, f) for f in params.files}
-    total = column = 0
-    for t in params.users:
-        unit = 1 << index.slot(demand[t - 1], r_set, s)
-        total ^= mix(_transform_log(demand, asking[demand[t - 1]], t, s), unit, unit << 1)[idx]
-    for f in params.files:
-        column ^= 1 << (index.slot(f, r_set, s) + idx)
-    return total == column
+    exponents = transform_exponents(params, demand)
+    return transformed_sum_residual(segment_index(params), demand, exponents, s, tuple(sorted(r_set)))[idx] == 0

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from fdcache.core import (
     SchemeParams,
     binom,
     count_demands,
+    covering_count,
     demand_type,
     enumerate_demands,
     enumerate_fully_demanded_types,
@@ -140,6 +142,14 @@ def test_count_matches_enumeration(n, k):
         assert count_demands(params, cls) == len(enumerate_demands(params, cls))
     for dtype in enumerate_fully_demanded_types(n, k):
         assert count_demands(params, dtype) == len(enumerate_demands(params, dtype))
+
+
+@pytest.mark.parametrize("n,length", [(1, 0), (1, 3), (2, 0), (2, 3), (3, 4), (4, 5)])
+def test_covering_count_matches_brute_force(n, length):
+    vectors = list(itertools.product(range(1, n + 1), repeat=length))
+    for missing in range(n + 1):
+        want = sum(1 for v in vectors if set(range(1, missing + 1)) <= set(v))
+        assert covering_count(n, missing, length) == want
 
 
 def test_single_type_enumeration_agrees_with_filter():

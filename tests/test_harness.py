@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -252,3 +255,114 @@ def test_golden_example_check_passes():
     payload = golden_json_dict(report)
     assert payload["success"] is True
     assert all(check["ok"] for check in payload["checks"])
+
+
+# the (4,10) r=1 sample of `fdcache lemmas --samples 10`, as the enumeration picked it
+LEMMAS_4X10_SAMPLE = [
+    (1, 1, 1, 1, 1, 1, 1, 2, 3, 4),
+    (1, 2, 3, 4, 1, 4, 2, 2, 2, 4),
+    (1, 4, 1, 4, 4, 2, 2, 3, 4, 4),
+    (2, 1, 4, 1, 3, 4, 2, 4, 3, 4),
+    (2, 3, 2, 4, 1, 3, 1, 1, 3, 1),
+    (3, 1, 1, 1, 1, 1, 1, 1, 2, 4),
+    (3, 2, 3, 1, 4, 2, 4, 4, 3, 1),
+    (3, 4, 1, 4, 2, 1, 3, 1, 2, 2),
+    (4, 1, 4, 1, 1, 3, 3, 2, 1, 2),
+    (4, 3, 2, 1, 4, 1, 3, 3, 3, 2),
+]
+
+
+def test_sample_fully_demanded_unranks_its_picks(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the sampler walked the demand vectors")
+
+    monkeypatch.setattr(itertools, "product", no_walk)
+    assert sample_fully_demanded(SchemeParams(4, 10, 1), 10) == LEMMAS_4X10_SAMPLE
+    # 5^40 vectors: only unranking reaches these
+    big = SchemeParams(5, 40, 1)
+    sample = sample_fully_demanded(big, 4)
+    assert len(sample) == 4 and sample == sorted(set(sample))
+    assert all(set(d) == set(big.files) for d in sample)
+    assert sample[0] == (1,) * 36 + (2, 3, 4, 5)
+
+
+# SHA-256 of to_json(identity_json_dict(...)), recorded before the identity
+# families moved onto index masks
+PINNED_IDENTITY_REPORTS = [
+    ((3, 6, 1), {"samples": 10}, "29b9ddc86c99d9215f603a95bc7ef5a4736cb18afa78b00e0d8bb2a4dd07d221"),
+    ((2, 4, 0), {}, "9adbcd089cf7373c34ec7e9c50afdd16b070feebc60ec4619d37d6fce0787bae"),
+    ((3, 3, 2), {}, "9e9c6b6b7ba314ccd09102b53e0bbb8098d16cefe883cde2531ca4d9b1cb18f6"),
+    (
+        (4, 10, 1),
+        {"demands": [(2, 3, 1, 4, 4, 2, 1, 1, 1, 4), (3, 3, 2, 2, 3, 3, 3, 1, 3, 4), (2, 2, 2, 4, 3, 1, 3, 1, 3, 3)]},
+        "1581488c39cc61833a1af851b09de99427b7f0d89b2e443cd3cabcf1e6baf570",
+    ),
+]
+
+
+@pytest.mark.parametrize("params,kwargs,digest", PINNED_IDENTITY_REPORTS)
+def test_identity_report_bytes_pinned(params, kwargs, digest):
+    report = identity_suite(SchemeParams(*params), **kwargs)
+    assert hashlib.sha256(to_json(identity_json_dict(report)).encode()).hexdigest() == digest
+
+
+def _failing_families(report):
+    return {name for name, result in report.families.items() if not result.ok}
+
+
+def _patch_delivery(monkeypatch, change):
+    real = harness.delivery
+
+    def corrupted(params, d):
+        return change(real(params, d))
+
+    monkeypatch.setattr(harness, "delivery", corrupted)
+
+
+@pytest.mark.parametrize("s,r_plus", [(1, (3, 4)), (5, (2, 3)), (1, (2, 3))])
+def test_identity_suite_catches_a_corrupted_symbol(monkeypatch, s, r_plus):
+    # (1,(3,4)) and (5,(2,3)) are skipped, (1,(2,3)) is transmitted and
+    # rebuilds (1,(3,4)); every one of them sits in a redundancy block of s
+    def flip(dset):
+        pairs = dict(dset.pairs)
+        mask_i, mask_q = pairs[(s, r_plus)]
+        pairs[(s, r_plus)] = (mask_i ^ 1 << 7, mask_q)
+        return dataclasses.replace(dset, pairs=pairs)
+
+    _patch_delivery(monkeypatch, flip)
+    suite = identity_suite(RUN, demands=[RUN_D])
+    assert _failing_families(suite) == {"delivery_redundancy", "skip_reconstruction"}
+    for family in ("delivery_redundancy", "skip_reconstruction"):
+        failures = suite.families[family].failures
+        assert failures and all(f" s={s} " in failure for failure in failures)
+
+
+@pytest.mark.parametrize("params,kind", [(RUN, "row"), (RUN, "column"), (SchemeParams(3, 4, 2), "row")])
+def test_identity_suite_catches_a_corrupted_parity(monkeypatch, params, kind):
+    owner = 3
+    caches = list(harness._prefetch_all(params))
+    cache = dataclasses.replace(caches[owner - 1])
+    stored = getattr(cache.masks, kind)
+    key = sorted(stored)[-1]
+    mask_i, mask_q = stored[key]
+    stored[key] = (mask_i, mask_q ^ 1)
+    caches[owner - 1] = cache
+    monkeypatch.setattr(harness, "_prefetch_all", lambda p: tuple(caches))
+    suite = identity_suite(params, samples=2)
+    assert _failing_families(suite) == {"parity_closure"}
+    failures = suite.families["parity_closure"].failures
+    assert failures and all(failure.startswith(f"k={owner} ") for failure in failures)
+
+
+def test_identity_suite_catches_a_corrupted_exponent(monkeypatch):
+    # user 5 alone asks for file 2, so its transform toward user 2 is the identity
+    def bump(dset):
+        rows = [list(row) for row in dset.exponents]
+        rows[5 - 1][2 - 1] = 1
+        return dataclasses.replace(dset, exponents=tuple(map(tuple, rows)))
+
+    _patch_delivery(monkeypatch, bump)
+    suite = identity_suite(RUN, demands=[RUN_D])
+    failures = suite.families["transformed_sum"].failures
+    assert failures and all(" s=2 " in failure for failure in failures)
+    assert suite.families["parity_closure"].ok

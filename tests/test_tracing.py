@@ -1,0 +1,45 @@
+"""The benchmark's tracer wraps fdcache functions by name: it must still find
+every one of them, and put the originals back."""
+
+import importlib.util
+from pathlib import Path
+
+from fdcache import algebra, harness, scheme
+from fdcache.core import SchemeParams
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    return {
+        (owner.__name__, name): value
+        for owner in (harness, scheme, algebra.Payload)
+        for name, value in vars(owner).items()
+    }
+
+
+def test_tracer_installs_and_uninstalls():
+    before = _bindings()
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert harness.delivery is not before[("fdcache.harness", "delivery")]
+        tracer.begin_demand()
+        report = harness.identity_suite(SchemeParams(3, 6, 1), demands=[(1, 1, 1, 1, 2, 3)])
+        tracer.end_demand(report)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert report.success
+    assert metrics["harness.identity_checks"] == sum(f.checked for f in report.families.values())
+    assert metrics["scheme.skip_combination_calls"] > 0
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
