@@ -98,6 +98,18 @@ def xor_all(vectors: Iterable[SymbolVec]) -> SymbolVec:
     return acc
 
 
+def _random_values(count: int, width: int, seed: str) -> list[int]:
+    """count seeded segment values of width bytes each, drawn as ints: one
+    getrandbits(8 * width) apiece from random.Random(f"payload:{seed}").
+    Value v is the bytes v.to_bytes(width, "little"), which is what
+    Random.randbytes(width) draws from the same stream."""
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    bits = 8 * width
+    getrandbits = random.Random(f"payload:{seed}").getrandbits
+    return [getrandbits(bits) for _ in range(count)]
+
+
 @dataclass
 class Payload:
     """Concrete byte values for every segment, all of a common width."""
@@ -107,12 +119,9 @@ class Payload:
 
     @classmethod
     def random(cls, segments: Iterable[SegmentId], width: int = 1, seed: str = "0") -> "Payload":
-        if width < 1:
-            raise ValueError("width must be >= 1")
-        rng = random.Random(f"payload:{seed}")
-        # sorted iteration fixes the RNG consumption order
-        data = {seg: rng.randbytes(width) for seg in sorted(set(segments))}
-        return cls(width=width, data=data)
+        ordered = sorted(set(segments))  # fixes the draw order: index order on a full system
+        values = _random_values(len(ordered), width, seed)
+        return cls(width=width, data={seg: v.to_bytes(width, "little") for seg, v in zip(ordered, values)})
 
     def value(self, seg: SegmentId) -> bytes:
         try:
@@ -202,6 +211,14 @@ class MaskValues(dict):
     def __init__(self, index: SegmentIndex, segment_values: Sequence[int]):
         super().__init__(zip(index.units, segment_values))
         self.segment_values = segment_values
+
+    @classmethod
+    def random(cls, index: SegmentIndex, width: int, seed: str) -> "MaskValues":
+        """Seeded values of width bytes for every segment, drawn in index
+        order, which is sorted segment order: segment i holds the bytes
+        Payload.random(index.segments, width, seed) gives it, read as a
+        little-endian int."""
+        return cls(index, _random_values(index.size, width, seed))
 
     def __missing__(self, mask: int) -> int:
         values = self.segment_values

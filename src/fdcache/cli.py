@@ -65,8 +65,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _jobs(text: str) -> int:
-    """A worker count: an int of at least 1."""
+def _at_least_one(text: str) -> int:
+    """A worker count or payload width: an int of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -241,8 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all-fully-demanded", action="store_true", help="sweep every fully demanded vector")
     p.add_argument("--engine", choices=ENGINES, default="both")
     p.add_argument("--seed", default="0")
-    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes, at least 1")
-    p.add_argument("--payload-bytes", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least_one, default=1, help="worker processes, at least 1")
+    p.add_argument("--payload-bytes", type=_at_least_one, default=1,
+                   help="bytes per segment value, at least 1; at most 256 MiB over all segments")
     p.add_argument("--no-oracle", action="store_true", help="skip the rank-oracle cross-check")
     p.add_argument("--limit", type=int, default=100_000, help="refuse sweeps larger than this")
     p.add_argument("--force", action="store_true", help="run even past the sweep limit")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .algebra import CHANNELS, MaskValues, Payload, SegmentId, SpanBasis, SymbolVec, segment, segment_index
+from .algebra import CHANNELS, MaskValues, SegmentId, SpanBasis, SymbolVec, segment, segment_index
 from .analysis import memory_point, type_operating_point
 from .core import (
     Demand,
@@ -65,6 +65,9 @@ from .scheme import (
 )
 
 ENGINES = ("symbolic", "payload", "both")
+# ceiling on the bytes of one demand's segment values (payload_width x segment
+# count), so no accepted width draws a payload without bound
+MAX_PAYLOAD_BYTES = 256 * 2**20
 
 
 class SweepLimitExceeded(ValueError):
@@ -187,10 +190,12 @@ def verify_demand(
     encoded = None
     if engine in ("payload", "both"):
         index = segment_index(params)
-        payload = Payload.random(index.segments, width=payload_width, seed=_payload_seed(seed, params, demand))
-        ints = payload.int_values()
+        if payload_width * index.size > MAX_PAYLOAD_BYTES:
+            raise ValueError(
+                f"payload of {index.size} segments x {payload_width} bytes exceeds {MAX_PAYLOAD_BYTES} bytes"
+            )
         # one encoding per demand: every user reads the same broadcast
-        encoded = MaskValues(index, [ints[seg] for seg in index.segments])
+        encoded = MaskValues.random(index, payload_width, _payload_seed(seed, params, demand))
     per_user = tuple(
         _decode_user_ok(dset, caches[k - 1], k, engine, encoded) for k in params.users
     )

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -209,3 +211,30 @@ def test_mask_values_match_evaluate(positions, seed):
     vec = index.vector(mask)
     assert index.mask(vec) == mask
     assert values[mask].to_bytes(2, "big") == evaluate(vec, payload)
+
+
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_mask_values_draw_the_payload_stream(width):
+    index = segment_index(SchemeParams(3, 6, 1))
+    assert list(index.segments) == sorted(index.segments)
+    values = MaskValues.random(index, width, "draw")
+    payload = Payload.random(index.segments, width, "draw")
+    assert [values[unit].to_bytes(width, "little") for unit in index.units] == [
+        payload.data[s] for s in index.segments
+    ]
+
+
+def test_payload_random_bytes_pinned():
+    # recorded before Payload.random drew its values as ints
+    payload = Payload.random(segment_index(SchemeParams(3, 6, 1)).segments, width=5, seed="pin")
+    data = b"".join(payload.data[s] for s in sorted(payload.data))
+    assert hashlib.sha256(data).hexdigest() == "216f06dc1076f886aa4156d16cb1456e4e642285d39d87b20cd47884fb3a107b"
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_payload_draw_rejects_width_below_one(width):
+    index = segment_index(SchemeParams(2, 2, 1))
+    with pytest.raises(ValueError):
+        MaskValues.random(index, width, "0")
+    with pytest.raises(ValueError):
+        Payload.random(index.segments, width, "0")

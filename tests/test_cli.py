@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -62,6 +63,41 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
         main(["verify", "--n", "2", "--k", "2", "--r", "1", "--all-fully-demanded", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width,message", [("0", "must be at least 1, got 0"), ("-3", "must be at least 1, got -3"),
+                                           ("x", "invalid int value: 'x'")])
+def test_verify_rejects_payload_bytes_below_one(capsys, width, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", "--k", "2", "--r", "1", "--demand", "1,2", "--payload-bytes", width])
+    assert exc.value.code == 2
+    assert f"--payload-bytes: {message}" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_payload_past_the_ceiling(capsys):
+    # 180 segments on (3,6) r=1: the width is one byte past 256 MiB in total
+    width = str(2**28 // 180 + 1)
+    code, out, err = run(capsys, "verify", "--n", "3", "--k", "6", "--r", "1", "--demand", "1,1,1,1,2,3",
+                         "--engine", "payload", "--payload-bytes", width)
+    assert (code, out) == (2, "")
+    assert err == f"error: payload of 180 segments x {width} bytes exceeds 268435456 bytes\n"
+
+
+# SHA-256 of stdout for the README payload sweep, recorded before verify_demand
+# drew its payload as ints
+PINNED_PAYLOAD_SWEEP = {
+    "text": "04b23c258a6dc87b0546294bc6fb6cf1ed9d1e98991f0322d88bac764bec04ee",
+    "json": "737926f4d278d7771c0b408965055851b0adeef4f7aae44f28711d2c4c2aef1e",
+    "csv": "5d40175a92790e56494723b823200b4b8b4be2d0a565cc8f5a6b4aa50afd8fab",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_PAYLOAD_SWEEP))
+def test_readme_payload_sweep_pinned(capsys, fmt):
+    code, out, err = run(capsys, "verify", "--n", "3", "--k", "6", "--r", "1", "--type", "4,1,1",
+                         "--engine", "payload", "--seed", "7", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_PAYLOAD_SWEEP[fmt]
 
 
 def test_verify_single_demand(capsys):

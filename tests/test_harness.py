@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fdcache import harness, scheme
+from fdcache.algebra import MaskValues, segment_index
 from fdcache.core import DemandType, NotFullyDemandedError, SchemeParams, enumerate_demands
 from fdcache.harness import (
     SweepLimitExceeded,
@@ -366,3 +367,67 @@ def test_identity_suite_catches_a_corrupted_exponent(monkeypatch):
     failures = suite.families["transformed_sum"].failures
     assert failures and all(" s=2 " in failure for failure in failures)
     assert suite.families["parity_closure"].ok
+
+
+# SHA-256 of to_json([report_json_dict(r) for r in sweep.reports]), recorded
+# before verify_demand drew its payload as ints
+PINNED_VERIFY_REPORTS = [
+    ((3, 6, 1), DemandType.of((4, 1, 1)), {"engine": "payload", "payload_width": 3},
+     "db16fac2b78993b2b0ab24b08213be332fd39e100af3ddf39c1adcdc577871b9"),
+    ((3, 5, 1), "fully_demanded", {"engine": "both"},
+     "e264491ff25ee4af14ed021896c83eb9dff79935b3b0fed1f950d8edeb124f85"),
+    ((2, 4, 1), "fully_demanded", {"engine": "both", "payload_width": 17, "seed": "x"},
+     "6ae6fa519b25e58c92a9af6d89bd37169ff0185f0c46759a6d891b728d27eaf5"),
+]
+
+
+@pytest.mark.parametrize("params,demand_class,kwargs,digest", PINNED_VERIFY_REPORTS)
+def test_verify_report_bytes_pinned(params, demand_class, kwargs, digest):
+    sweep = verify_sweep(SchemeParams(*params), demand_class, **kwargs)
+    rendered = to_json([report_json_dict(r) for r in sweep.reports])
+    assert hashlib.sha256(rendered.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("position,width", [(67, 1), (0, 3), (123, 64)])
+def test_payload_check_catches_a_flipped_segment_value(monkeypatch, position, width):
+    # the segment's own value differs from the one its encodings were made
+    # from, as if the user had recovered different bytes
+    real = MaskValues.random.__func__
+
+    def flipped(cls, index, w, seed):
+        values = real(cls, index, w, seed)
+        values[index.units[position]] ^= 1 << (8 * w - 1)
+        return values
+
+    monkeypatch.setattr(MaskValues, "random", classmethod(flipped))
+    file = segment_index(RUN).segments[position].file
+    report = verify_demand(RUN, RUN_D, engine="payload", payload_width=width)
+    assert not report.success
+    assert all(not ok for ok, f in zip(report.per_user, RUN_D) if f == file)
+    if position == 67:  # W[2;(1);5;Q]: only user 5 reads it
+        assert report.per_user == (True, True, True, True, False, True)
+    assert verify_demand(RUN, RUN_D, engine="symbolic").per_user == (True,) * 6
+
+
+def test_verify_demand_refuses_a_payload_past_the_ceiling(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a payload past the ceiling")
+
+    monkeypatch.setattr(MaskValues, "random", no_draw)
+    width = harness.MAX_PAYLOAD_BYTES // segment_index(RUN).size + 1
+    for engine in ("payload", "both"):
+        with pytest.raises(ValueError, match="exceeds"):
+            verify_demand(RUN, RUN_D, engine=engine, payload_width=width)
+
+
+def test_payload_ceiling_is_inclusive(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_PAYLOAD_BYTES", 2 * segment_index(RUN).size)
+    assert verify_demand(RUN, RUN_D, engine="payload", payload_width=2).success
+    with pytest.raises(ValueError, match="exceeds"):
+        verify_demand(RUN, RUN_D, engine="payload", payload_width=3)
+
+
+@pytest.mark.parametrize("width", [0, -2])
+def test_verify_demand_rejects_payload_width_below_one(width):
+    with pytest.raises(ValueError):
+        verify_demand(RUN, RUN_D, engine="payload", payload_width=width)
