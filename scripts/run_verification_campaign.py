@@ -15,6 +15,8 @@ import time
 
 from fdcache.core import SchemeParams
 from fdcache.harness import (
+    IDENTITY_SUITES,
+    SWEEP_MATRIX,
     golden_example_check,
     golden_json_dict,
     identity_json_dict,
@@ -22,16 +24,6 @@ from fdcache.harness import (
     sweep_json_dict,
     verify_sweep,
 )
-
-SWEEPS = [
-    (2, 2, 0), (2, 2, 1),
-    (3, 3, 0), (3, 3, 1), (3, 3, 2),
-    (3, 4, 0), (3, 4, 1), (3, 4, 2), (3, 4, 3),
-    (3, 6, 1),
-    (4, 6, 1), (4, 6, 2),
-]
-
-SUITES = [(3, 6, 1), (4, 6, 2)]
 
 
 def main() -> int:
@@ -45,7 +37,7 @@ def main() -> int:
     ok = True
     summary = {"seed": args.seed, "sweeps": [], "identity_suites": [], "golden": None}
 
-    for n, k, r in SWEEPS:
+    for n, k, r in SWEEP_MATRIX:
         started = time.perf_counter()
         sweep = verify_sweep(
             SchemeParams(n, k, r), "fully_demanded", engine="both", seed=args.seed, jobs=args.jobs
@@ -58,7 +50,7 @@ def main() -> int:
             f" {'ok' if sweep.success else 'FAILED'}, oracle={sweep.oracle_ok}, {elapsed:.1f}s"
         )
 
-    for n, k, r in SUITES:
+    for n, k, r in IDENTITY_SUITES:
         suite = identity_suite(SchemeParams(n, k, r), samples=args.samples)
         ok = ok and suite.success
         summary["identity_suites"].append(identity_json_dict(suite))

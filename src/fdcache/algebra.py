@@ -1,13 +1,13 @@
-"""GF(2) vectors over the file-segment basis, plus a rank oracle.
+"""Segment ids, their dense index, labels, payloads, and a rank oracle.
 
-A SymbolVec is the support-set view of a GF(2) vector: XOR is symmetric
-difference of supports.  Every cached parity, broadcast symbol, and
-transformed segment in the scheme is such a vector.  SegmentIndex gives each
-segment of a system a dense position, so a vector is also an int mask with
-bit i set for the segment at position i; the decoder works on masks and
-builds SymbolVec labels only for reports.  SpanBasis implements incremental
-Gaussian elimination on int bitmasks and backs span_contains, the
-decodability oracle; it shares only the segment index with the decoder.
+SegmentIndex gives each segment of a system a dense position, so a GF(2)
+vector over the file-segment basis is an int mask with bit i set for the
+segment at position i.  Every cached parity, broadcast symbol, and
+transformed segment in the scheme is such a mask, and XOR of masks is the
+vector sum.  SymbolVec, the support-set view of a mask, only labels masks
+for reports.  SpanBasis implements incremental Gaussian elimination on int
+masks and backs the decodability oracle, which shares only the segment index
+with the decoder.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import SchemeParams, binom
 
@@ -50,7 +50,7 @@ def segment(file: int, users: Iterable[int], excluded: int, channel: str) -> Seg
 
 @dataclass(frozen=True, slots=True)
 class SymbolVec:
-    """GF(2) linear form over segments; the support holds the 1-coefficients."""
+    """Label of a GF(2) linear form over segments: the 1-coefficients."""
 
     support: frozenset[SegmentId] = frozenset()
 
@@ -58,44 +58,10 @@ class SymbolVec:
     def unit(cls, seg: SegmentId) -> "SymbolVec":
         return cls(frozenset((seg,)))
 
-    @classmethod
-    def of(cls, *segments: SegmentId) -> "SymbolVec":
-        """XOR of unit vectors; repeated segments cancel."""
-        acc: frozenset[SegmentId] = frozenset()
-        for seg in segments:
-            acc = acc ^ frozenset((seg,))
-        return cls(acc)
-
-    def __xor__(self, other: "SymbolVec") -> "SymbolVec":
-        return SymbolVec(self.support ^ other.support)
-
-    def __bool__(self) -> bool:
-        return bool(self.support)
-
-    def __len__(self) -> int:
-        return len(self.support)
-
-    def sorted_support(self) -> list[SegmentId]:
-        return sorted(self.support)
-
     def describe(self) -> str:
         if not self.support:
             return "0"
-        return " + ".join(seg.label() for seg in self.sorted_support())
-
-
-ZERO = SymbolVec()
-
-
-def xor(a: SymbolVec, b: SymbolVec) -> SymbolVec:
-    return a ^ b
-
-
-def xor_all(vectors: Iterable[SymbolVec]) -> SymbolVec:
-    acc = ZERO
-    for vec in vectors:
-        acc = acc ^ vec
-    return acc
+        return " + ".join(seg.label() for seg in sorted(self.support))
 
 
 def _random_values(count: int, width: int, seed: str) -> list[int]:
@@ -186,13 +152,8 @@ class SegmentIndex:
         """The unit mask 1 << i of every position i."""
         return tuple(1 << i for i in range(self.size))
 
-    def mask(self, vec: SymbolVec) -> int:
-        out = 0
-        for seg in vec.support:
-            out |= 1 << self[seg]
-        return out
-
     def vector(self, mask: int) -> SymbolVec:
+        """The label of a mask."""
         segments = self.segments
         return SymbolVec(frozenset(segments[i] for i in bit_positions(mask)))
 
@@ -229,41 +190,20 @@ class MaskValues(dict):
         return acc
 
 
-def evaluate(vec: SymbolVec, payload: Payload) -> bytes:
-    """Bytewise XOR of the payloads on the support; empty support is all-zero."""
-    acc = 0
-    for seg in vec.support:
-        acc ^= int.from_bytes(payload.value(seg), "big")
-    return acc.to_bytes(payload.width, "big")
-
-
 class SpanBasis:
-    """Row space over GF(2) built incrementally from int-bitmask rows.
+    """Row space over GF(2) built incrementally from int-mask rows.
 
     Rows are reduced against pivots keyed by leading bit; copy() is cheap so a
     precomputed basis can be extended per query without re-elimination.
     """
 
-    __slots__ = ("index", "pivots")
+    __slots__ = ("pivots",)
 
-    def __init__(self, index: Mapping[SegmentId, int], pivots: dict[int, int] | None = None):
-        self.index = index
+    def __init__(self, pivots: dict[int, int] | None = None):
         self.pivots: dict[int, int] = {} if pivots is None else pivots
 
-    @classmethod
-    def over(cls, segments: Iterable[SegmentId]) -> "SpanBasis":
-        ordered = sorted(set(segments))
-        return cls({seg: i for i, seg in enumerate(ordered)})
-
     def copy(self) -> "SpanBasis":
-        return SpanBasis(self.index, dict(self.pivots))
-
-    def row_of(self, vec: SymbolVec) -> int:
-        row = 0
-        index = self.index
-        for seg in vec.support:
-            row |= 1 << index[seg]
-        return row
+        return SpanBasis(dict(self.pivots))
 
     def residual(self, row: int) -> int:
         pivots = self.pivots
@@ -282,25 +222,6 @@ class SpanBasis:
             return True
         return False
 
-    def insert(self, vec: SymbolVec) -> bool:
-        return self.insert_row(self.row_of(vec))
-
-    def contains(self, vec: SymbolVec) -> bool:
-        return self.residual(self.row_of(vec)) == 0
-
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-
-def span_contains(generators: Sequence[SymbolVec], targets: Sequence[SymbolVec]) -> bool:
-    """True iff every target lies in the GF(2) span of the generators."""
-    segments: set[SegmentId] = set()
-    for vec in generators:
-        segments |= vec.support
-    for vec in targets:
-        segments |= vec.support
-    basis = SpanBasis.over(segments)
-    for vec in generators:
-        basis.insert(vec)
-    return all(basis.contains(vec) for vec in targets)

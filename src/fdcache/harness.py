@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .algebra import CHANNELS, MaskValues, SegmentId, SpanBasis, SymbolVec, segment, segment_index
+from .algebra import CHANNELS, MaskValues, SegmentId, SpanBasis, bit_positions, segment, segment_index
 from .analysis import memory_point, type_operating_point
 from .core import (
     Demand,
@@ -48,26 +48,34 @@ from .scheme import (
     decode_plan,
     delivery,
     file_segments,
+    mix,
     mix_sum,
     prefetch,
-    reconstruct_skipped,
+    reconstruct_skipped,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     reconstructed_pair,
     row_parity_closure,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     row_parity_pair,
     selection_weights,
-    transform_matrix,
-    transform_segment_pair,
+    transform_exponents,
     transformed_sum_identity,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     transformed_sum_residual,
-    IDENTITY,
-    MIX,
-    MIX_INV,
 )
 
 ENGINES = ("symbolic", "payload", "both")
 # ceiling on the bytes of one demand's segment values (payload_width x segment
 # count), so no accepted width draws a payload without bound
 MAX_PAYLOAD_BYTES = 256 * 2**20
+
+# (N, K, r) of the exhaustive fully demanded sweeps of the acceptance gate and
+# the verification campaign, and of their identity suites
+SWEEP_MATRIX = (
+    (2, 2, 0), (2, 2, 1),
+    (3, 3, 0), (3, 3, 1), (3, 3, 2),
+    (3, 4, 0), (3, 4, 1), (3, 4, 2), (3, 4, 3),
+    (3, 6, 1),
+    (4, 6, 1), (4, 6, 2),
+)
+IDENTITY_SUITES = ((3, 6, 1), (4, 6, 2))
 
 
 class SweepLimitExceeded(ValueError):
@@ -81,17 +89,16 @@ def _prefetch_all(params: SchemeParams) -> tuple[CacheContent, ...]:
 
 @lru_cache(maxsize=None)
 def _cache_spans(params: SchemeParams) -> tuple[SpanBasis, ...]:
-    """Pre-eliminated cache row spaces, one per user, sharing one basis index."""
-    index = segment_index(params)
+    """Pre-eliminated cache row spaces, one per user, over the segment index."""
     spans = []
     for cache in _prefetch_all(params):
-        span = SpanBasis(index)
-        for seg in sorted(cache.uncoded):
-            span.insert_row(1 << index[seg])
-        for key in sorted(cache.column_parities):
-            span.insert(cache.column_parities[key])
-        for key in sorted(cache.row_parities):
-            span.insert(cache.row_parities[key])
+        span = SpanBasis()
+        for position in sorted(cache.uncoded):
+            span.insert_row(1 << position)
+        for parities in (cache.column, cache.row):
+            for key in sorted(parities):
+                for mask in parities[key]:
+                    span.insert_row(mask)
         spans.append(span)
     return tuple(spans)
 
@@ -498,9 +505,11 @@ class GoldenReport:
 def golden_example_check() -> GoldenReport:
     """Rebuild the (3,6) r=1 system with demand (1,1,1,1,2,3) and compare the
     user-1 cache, the s=1 transforms, and the s=1 delivery symbols against
-    their expected segment supports."""
+    their expected segment supports, each spelled out as segments and turned
+    into a mask through the segment index."""
     params = SchemeParams(3, 6, 1)
     demand = (1, 1, 1, 1, 2, 3)
+    index = segment_index(params)
     checks: list[GoldenCheck] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
@@ -509,12 +518,21 @@ def golden_example_check() -> GoldenReport:
     def w(f: int, t: int, channel: str) -> SegmentId:
         return segment(f, (t,), 1, channel)
 
+    def mask(segments) -> int:
+        out = 0
+        for seg in segments:
+            out ^= 1 << index[seg]
+        return out
+
+    def labels(bits: int) -> list[SegmentId]:
+        return [index.segments[i] for i in bit_positions(bits)]
+
     roster_ok = all(len(file_segments(params, f)) == 60 for f in params.files)
     record("partition_roster_60_per_file", roster_ok)
 
     cache1 = prefetch(params, 1)
     expect_uncoded = frozenset(
-        segment(f, (1,), s, a)
+        index[segment(f, (1,), s, a)]
         for f in params.files
         for s in range(2, 7)
         for a in CHANNELS
@@ -522,45 +540,37 @@ def golden_example_check() -> GoldenReport:
     record(
         "user1_uncoded_slice",
         cache1.uncoded == expect_uncoded,
-        f"got {sorted(cache1.uncoded)}",
+        f"got {[index.segments[i] for i in sorted(cache1.uncoded)]}",
     )
 
-    expect_columns = {}
-    for t in range(2, 7):
-        for a in CHANNELS:
-            expect_columns[((t,), a)] = SymbolVec(frozenset(w(f, t, a) for f in params.files))
-    record(
-        "user1_column_parities",
-        cache1.column_parities == expect_columns,
-        f"keys {sorted(cache1.column_parities)}",
-    )
+    expect_columns = {
+        (t,): tuple(mask(w(f, t, a) for f in params.files) for a in CHANNELS) for t in range(2, 7)
+    }
+    record("user1_column_parities", cache1.column == expect_columns, f"keys {sorted(cache1.column)}")
 
-    expect_rows = {}
-    for f in (2, 3):
-        for a in CHANNELS:
-            expect_rows[(f, (), a)] = SymbolVec(frozenset(w(f, t, a) for t in range(2, 7)))
-    row_ok = cache1.row_parities == expect_rows
-    pruned_ok = all((1, (), a) not in cache1.row_parities for a in CHANNELS)
-    record("user1_row_parities_file1_pruned", row_ok and pruned_ok, f"keys {sorted(cache1.row_parities)}")
+    expect_rows = {
+        (f, ()): tuple(mask(w(f, t, a) for t in range(2, 7)) for a in CHANNELS) for f in (2, 3)
+    }
+    row_ok = cache1.row == expect_rows
+    pruned_ok = (1, ()) not in cache1.row
+    record("user1_row_parities_file1_pruned", row_ok and pruned_ok, f"keys {sorted(cache1.row)}")
 
-    expect_matrix = {2: MIX, 3: MIX, 4: MIX, 5: IDENTITY, 6: IDENTITY, 1: MIX_INV}
-    matrix_ok = all(
-        transform_matrix(params, demand, t, 1) == expect_matrix[t] for t in params.users
-    )
+    # MIX for users 2-4, the identity for 5-6 and MIX**2 = MIX^-1 for user 1
+    expect_exponent = {2: 1, 3: 1, 4: 1, 5: 0, 6: 0, 1: 2}
+    exponents = transform_exponents(params, demand)
+    exponent_ok = all(exponents[t - 1][0] == expect_exponent[t] for t in params.users)
     pair_ok = True
     for t in range(2, 7):
         for r_user in range(2, 7):
-            pair = transform_segment_pair(params, demand, t, 1, (r_user,))
             f = demand[t - 1]
+            unit_i, unit_q = mask([w(f, r_user, "I")]), mask([w(f, r_user, "Q")])
+            pair = mix(exponents[t - 1][0], unit_i, unit_q)
             if t in (2, 3, 4):
-                want = (
-                    SymbolVec(frozenset({w(f, r_user, "I"), w(f, r_user, "Q")})),
-                    SymbolVec.unit(w(f, r_user, "I")),
-                )
+                want = (mask([w(f, r_user, "I"), w(f, r_user, "Q")]), unit_i)
             else:
-                want = (SymbolVec.unit(w(f, r_user, "I")), SymbolVec.unit(w(f, r_user, "Q")))
+                want = (unit_i, unit_q)
             pair_ok = pair_ok and pair == want
-    record("s1_transformed_segments", matrix_ok and pair_ok)
+    record("s1_transformed_segments", exponent_ok and pair_ok)
 
     dset = delivery(params, demand)
     expected_delivery = {
@@ -578,23 +588,18 @@ def golden_example_check() -> GoldenReport:
     delivery_ok = True
     detail = ""
     for r_plus, (want_i, want_q) in expected_delivery.items():
-        got_i = dset.symbols[(1, r_plus, "I")].support
-        got_q = dset.symbols[(1, r_plus, "Q")].support
-        if got_i != frozenset(want_i) or got_q != frozenset(want_q):
+        got_i, got_q = dset.pairs[(1, r_plus)]
+        if (got_i, got_q) != (mask(want_i), mask(want_q)):
             delivery_ok = False
-            detail = f"subset {r_plus}: I={sorted(got_i)} Q={sorted(got_q)}"
+            detail = f"subset {r_plus}: I={labels(got_i)} Q={labels(got_q)}"
             break
     record("s1_delivery_symbols", delivery_ok, detail)
 
     skipped_s1 = {r_plus for s, r_plus in dset.skipped if s == 1}
     record("s1_skips_only_34", skipped_s1 == {(3, 4)}, f"got {sorted(skipped_s1)}")
 
-    recon_ok = all(
-        reconstruct_skipped(dset, 1, (3, 4), a)
-        == dset.symbols[(1, (2, 3), a)] ^ dset.symbols[(1, (2, 4), a)]
-        for a in CHANNELS
-    )
-    record("s1_skip_reconstruction", recon_ok)
+    sent = zip(dset.pairs[(1, (2, 3))], dset.pairs[(1, (2, 4))])
+    record("s1_skip_reconstruction", reconstructed_pair(dset, 1, (3, 4)) == tuple(a ^ b for a, b in sent))
 
     record("total_transmitted_100", dset.transmitted_count == 100, f"T={dset.transmitted_count}")
     record("rate_5_3", dset.rate() == Fraction(5, 3), f"rate={dset.rate()}")

@@ -8,9 +8,10 @@ Pipeline, per (N, K, r) system:
                    (column parities across files, a pruned set of row parities
                    along each file).  The pruned row parities are linearly
                    dependent on stored ones and recoverable via the closure.
-3. transform     - once demands are known, (I, Q) pairs are mixed by 2x2
-                   GF(2) matrices chosen per (requesting user, excluded user)
-                   so that even-multiplicity files still cancel in sums.
+3. transform     - once demands are known, (I, Q) pairs are mixed by powers
+                   MIX**e, e in {0, 1, 2}, of the GF(2) map MIX: (I, Q) ->
+                   (I^Q, I), chosen per (requesting user, excluded user) so
+                   that even-multiplicity files still cancel in sums.
 4. delivery      - broadcast symbols XOR transformed segments over (r+1)-user
                    subsets; symbols whose subset avoids every per-file leader
                    are linearly dependent on the rest and are skipped.
@@ -32,8 +33,8 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from typing import Mapping, NamedTuple, Sequence
+from functools import lru_cache, reduce
+from typing import Sequence
 
 from .algebra import (
     CHANNELS,
@@ -54,16 +55,6 @@ from .core import (
     require_fully_demanded,
     requesters,
 )
-
-Matrix = tuple[tuple[int, int], tuple[int, int]]
-
-IDENTITY: Matrix = ((1, 0), (0, 1))
-MIX: Matrix = ((1, 1), (1, 0))  # (I, Q) -> (I^Q, I)
-MIX_INV: Matrix = ((0, 1), (1, 1))  # (I, Q) -> (Q, I^Q); inverse of MIX
-
-ColumnKey = tuple[tuple[int, ...], str]  # (r_subset, channel)
-RowKey = tuple[int, tuple[int, ...], str]  # (file, subset of size r-1, channel)
-DeliveryKey = tuple[int, tuple[int, ...], str]  # (excluded user, (r+1)-subset, channel)
 
 
 # ---------------------------------------------------------------------------
@@ -103,40 +94,16 @@ def anchor_user(k: int) -> int:
     return 2 if k == 1 else 1
 
 
-def column_parity_vec(params: SchemeParams, k: int, r_set: tuple[int, ...], channel: str) -> SymbolVec:
-    """XOR over all files of the segments tagged (r_set, excluded=k)."""
-    return SymbolVec(frozenset(segment(f, r_set, k, channel) for f in params.files))
-
-
-def row_parity_vec(params: SchemeParams, k: int, file: int, r_minus: tuple[int, ...], channel: str) -> SymbolVec:
-    """XOR over completions u of the file's segments tagged ({u} | r_minus, k)."""
-    blocked = set(r_minus) | {k}
-    return SymbolVec(
-        frozenset(
-            segment(file, tuple(sorted(r_minus + (u,))), k, channel)
-            for u in params.users
-            if u not in blocked
-        )
-    )
-
-
-class CacheMasks(NamedTuple):
-    """A cache over the dense segment index: what the decoder reads."""
-
-    uncoded: frozenset[int]  # positions
-    column: dict[tuple[int, ...], tuple[int, int]]  # r_set -> (I mask, Q mask)
-    row: dict[tuple[int, tuple[int, ...]], tuple[int, int]]  # (file, r_minus) -> (I mask, Q mask)
-
-
 @dataclass(frozen=True)
 class CacheContent:
-    """Everything user `owner` prefetches: uncoded segments plus parities."""
+    """Everything user `owner` prefetches, over the dense segment index:
+    uncoded segment positions plus (I mask, Q mask) pairs of parities."""
 
     params: SchemeParams
     owner: int
-    uncoded: frozenset[SegmentId]
-    column_parities: dict[ColumnKey, SymbolVec]
-    row_parities: dict[RowKey, SymbolVec]
+    uncoded: frozenset[int]
+    column: dict[tuple[int, ...], tuple[int, int]]  # r_set -> column parity pair
+    row: dict[tuple[int, tuple[int, ...]], tuple[int, int]]  # (file, r_minus) -> row parity pair
 
     @property
     def m1(self) -> int:
@@ -144,11 +111,11 @@ class CacheContent:
 
     @property
     def m2(self) -> int:
-        return len(self.column_parities)
+        return 2 * len(self.column)
 
     @property
     def m3(self) -> int:
-        return len(self.row_parities)
+        return 2 * len(self.row)
 
     @property
     def size(self) -> int:
@@ -159,65 +126,42 @@ class CacheContent:
         p = self.params
         return Fraction(self.size, 2 * p.n_users * binom(p.n_users - 1, p.r))
 
-    @cached_property
-    def masks(self) -> CacheMasks:
-        index = segment_index(self.params)
-        columns, rows = self.column_parities, self.row_parities
-        return CacheMasks(
-            uncoded=frozenset(index[seg] for seg in self.uncoded),
-            column={
-                r_set: (index.mask(columns[(r_set, "I")]), index.mask(columns[(r_set, "Q")]))
-                for r_set, channel in columns
-                if channel == "I"
-            },
-            row={
-                (f, r_minus): (index.mask(rows[(f, r_minus, "I")]), index.mask(rows[(f, r_minus, "Q")]))
-                for f, r_minus, channel in rows
-                if channel == "I"
-            },
-        )
-
 
 def prefetch(params: SchemeParams, k: int) -> CacheContent:
-    """Build user k's cache: uncoded slice, column parities, pruned row parities."""
+    """Build user k's cache: uncoded slice, column parities, pruned row parities.
+
+    Column parity r_set XORs the segments tagged (r_set, excluded=k) over all
+    files; row parity (file, r_minus) is row_parity_pair.
+    """
     if k not in params.users:
         raise ValueError(f"user {k} outside 1..{params.n_users}")
+    index = segment_index(params)
     uncoded = set()
-    for f in params.files:
-        for r_set in itertools.combinations(params.users, params.r):
-            if k not in r_set:
-                continue
-            for s in params.users:
-                if s in r_set:
-                    continue
-                for channel in CHANNELS:
-                    uncoded.add(segment(f, r_set, s, channel))
-
-    column_parities: dict[ColumnKey, SymbolVec] = {}
+    column = {}
     for r_set in itertools.combinations(params.users, params.r):
         if k in r_set:
-            continue
-        for channel in CHANNELS:
-            column_parities[(r_set, channel)] = column_parity_vec(params, k, r_set, channel)
+            for f in params.files:
+                for s in params.users:
+                    if s not in r_set:
+                        slot = index.slot(f, r_set, s)
+                        uncoded.update((slot, slot + 1))  # W^I and W^Q
+        else:
+            mask = 0
+            for f in params.files:
+                mask |= 1 << index.slot(f, r_set, k)
+            column[r_set] = (mask, mask << 1)
 
     # only files >= 2 and subsets avoiding the anchor peer are stored
-    row_parities: dict[RowKey, SymbolVec] = {}
+    row = {}
     if params.r >= 1:
         others = [u for u in params.users if u not in (k, anchor_user(k))]
         for f in params.files:
             if f == 1:
                 continue
             for r_minus in itertools.combinations(others, params.r - 1):
-                for channel in CHANNELS:
-                    row_parities[(f, r_minus, channel)] = row_parity_vec(params, k, f, r_minus, channel)
+                row[(f, r_minus)] = row_parity_pair(index, k, f, r_minus)
 
-    return CacheContent(
-        params=params,
-        owner=k,
-        uncoded=frozenset(uncoded),
-        column_parities=column_parities,
-        row_parities=row_parities,
-    )
+    return CacheContent(params=params, owner=k, uncoded=frozenset(uncoded), column=column, row=row)
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +217,8 @@ def parity_combination(
 
 
 def row_parity_pair(index: SegmentIndex, k: int, file: int, r_minus: tuple[int, ...]) -> tuple[int, int]:
-    """row_parity_vec of both channels as (I, Q) masks over the index."""
+    """(I, Q) masks of row parity (file, r_minus) of user k: the XOR over
+    completions u of the file's segments tagged ({u} | r_minus, k)."""
     mask = 0
     for u in index.params.users:
         if u != k and u not in r_minus:
@@ -285,8 +230,7 @@ def closure_pair(cache: CacheContent, file: int, r_minus: tuple[int, ...]) -> tu
     """(I, Q) masks of row parity (file, r_minus) of the cache owner, XORed
     together from stored parities only.  Stored inputs come back unchanged."""
     columns, rows = parity_combination(cache.params, cache.owner, file, tuple(r_minus))
-    held = cache.masks
-    return mix_sum([(*held.column[r_set], 0) for r_set in columns] + [(*held.row[key], 0) for key in rows])
+    return mix_sum([(*cache.column[r_set], 0) for r_set in columns] + [(*cache.row[key], 0) for key in rows])
 
 
 def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...], channel: str) -> SymbolVec:
@@ -298,12 +242,14 @@ def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...],
 # pairwise transform
 
 
-MIX_POWER: tuple[Matrix, ...] = (IDENTITY, MIX, MIX_INV)  # MIX generates a 3-cycle
-_MIX_LOG = {IDENTITY: 0, MIX: 1, MIX_INV: 2}
-
-
 def _transform_log(d: Demand, asking: tuple[int, ...], t: int, s: int) -> int:
-    """Exponent e with MIX**e the transform of user t toward s; asking = requesters(d(t))."""
+    """Exponent e of the transform MIX**e of user t toward s; asking = requesters(d(t)).
+
+    The identity (e = 0) when d(t) has odd multiplicity.  Otherwise one
+    special user gets MIX**2 = MIX^-1 and everyone else MIX: the special user
+    is t == s when t and s request the same file, else the lowest-indexed
+    requester of d(t).
+    """
     if len(asking) % 2 == 1:
         return 0
     if d[t - 1] == d[s - 1]:
@@ -315,37 +261,17 @@ def _transform_log(d: Demand, asking: tuple[int, ...], t: int, s: int) -> int:
     return 2 if special else 1
 
 
-@lru_cache(maxsize=None)
-def transform_matrix(params: SchemeParams, d: Demand, t: int, s: int) -> Matrix:
-    """GF(2) matrix applied to the (I, Q) pair of W_{d(t), ., s}.
-
-    Identity when d(t) has odd multiplicity.  Otherwise one special user gets
-    MIX_INV and everyone else MIX: the special user is t == s when t and s
-    request the same file, else the lowest-indexed requester of d(t).
-    """
-    return MIX_POWER[_transform_log(d, requesters(d, d[t - 1]), t, s)]
-
-
 def transform_exponents(params: SchemeParams, d: Demand) -> tuple[tuple[int, ...], ...]:
-    """K x K table whose entry [t-1][s-1] is the e with transform_matrix(t, s) == MIX**e."""
+    """K x K table whose entry [t-1][s-1] is the exponent of the transform of user t toward s."""
     asking = {f: requesters(d, f) for f in params.files}
     return tuple(
         tuple(_transform_log(d, asking[d[t - 1]], t, s) for s in params.users) for t in params.users
     )
 
 
-def inverse_matrix(matrix: Matrix) -> Matrix:
-    if matrix == IDENTITY:
-        return IDENTITY
-    if matrix == MIX:
-        return MIX_INV
-    if matrix == MIX_INV:
-        return MIX
-    raise ValueError(f"not a transform matrix: {matrix}")
-
-
 def mix(e: int, i_val, q_val):
-    """MIX**e applied to an (I, Q) pair of XORable values."""
+    """MIX**e applied to an (I, Q) pair of XORable values, where MIX maps
+    (I, Q) to (I^Q, I) and generates a 3-cycle: MIX**3 is the identity."""
     if e == 0:
         return i_val, q_val
     if e == 1:
@@ -363,25 +289,6 @@ def mix_sum(terms) -> tuple[int, int]:
     return acc_i, acc_q
 
 
-def apply_matrix(matrix: Matrix, pair):
-    """Apply a transform matrix (a power of MIX) to an (I, Q) pair of XORable values."""
-    return mix(_MIX_LOG[matrix], *pair)
-
-
-def transform_segment_pair(
-    params: SchemeParams, d: Demand, t: int, s: int, r_set: tuple[int, ...]
-) -> tuple[SymbolVec, SymbolVec]:
-    """Transformed (I, Q) pair of W_{d(t), r_set, s} as symbolic vectors."""
-    if s in r_set:
-        raise ValueError(f"excluded user {s} inside subset {r_set}")
-    file = d[t - 1]
-    pair = (
-        SymbolVec.unit(segment(file, r_set, s, "I")),
-        SymbolVec.unit(segment(file, r_set, s, "Q")),
-    )
-    return apply_matrix(transform_matrix(params, d, t, s), pair)
-
-
 # ---------------------------------------------------------------------------
 # delivery
 
@@ -391,9 +298,9 @@ class DeliverySet:
     """All broadcast symbols for one demand, with the skipped ones marked.
 
     pairs maps (excluded user, (r+1)-subset) to the symbol's (I, Q) masks over
-    the dense segment index.  exponents[t-1][s-1] is the e with
-    transform_matrix(t, s) == MIX**e, and reconstruction maps each skipped
-    pair to the transmitted subsets and MIX exponents that rebuild it.
+    the dense segment index.  exponents[t-1][s-1] is the e with MIX**e the
+    transform of user t toward s, and reconstruction maps each skipped pair
+    to the transmitted subsets and MIX exponents that rebuild it.
     """
 
     params: SchemeParams
@@ -417,16 +324,6 @@ class DeliverySet:
     def rate(self) -> Fraction:
         p = self.params
         return Fraction(self.transmitted_count, 2 * p.n_users * binom(p.n_users - 1, p.r))
-
-    @cached_property
-    def symbols(self) -> dict[DeliveryKey, SymbolVec]:
-        """Every symbol, skipped ones included, as a labelled vector."""
-        index = segment_index(self.params)
-        out = {}
-        for (s, r_plus), (mask_i, mask_q) in self.pairs.items():
-            out[(s, r_plus, "I")] = index.vector(mask_i)
-            out[(s, r_plus, "Q")] = index.vector(mask_q)
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -474,9 +371,7 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
         exponents=exponents,
     )
     for s, r_plus in sorted(skipped):
-        dset.reconstruction[(s, r_plus)] = tuple(
-            (rest, _MIX_LOG[coeff]) for rest, coeff in skip_combination(dset, s, r_plus)
-        )
+        dset.reconstruction[(s, r_plus)] = skip_combination(dset, s, r_plus)
     return dset
 
 
@@ -503,8 +398,8 @@ def selection_weights(dset: DeliverySet, s: int, block: tuple[int, ...]):
 
 def skip_combination(
     dset: DeliverySet, s: int, r_plus: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], Matrix], ...]:
-    """Transmitted subsets and 2x2 coefficients reconstructing a skipped symbol.
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Transmitted subsets and MIX exponents reconstructing a skipped symbol.
 
     With B = leaders(s) | r_plus the skipped symbol is the leader selection's
     term in the vanishing weighted sum over B, so it equals the weighted sum
@@ -526,9 +421,7 @@ def skip_combination(
         entries.append((rest, weight))
     if leader_weight is None:  # cannot happen: the leaders form one selection
         raise RuntimeError(f"leader set {sorted(info.leader_set)} is not a selection of block {block}")
-    return tuple(
-        (rest, MIX_POWER[(weight - leader_weight) % 3]) for rest, weight in entries
-    )
+    return tuple((rest, (weight - leader_weight) % 3) for rest, weight in entries)
 
 
 def _broadcast_terms(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -642,11 +535,11 @@ class _PlanCompiler:
         self.dset = dset
         self.k = k
         self.index = segment_index(dset.params)
-        self.held = cache.masks
+        self.cache = cache
         self.base = (dset.demand[k - 1] - 1) * self.index.per_file
 
     def _held_slot(self, position: int) -> tuple[int, int]:
-        uncoded = self.held.uncoded
+        uncoded = self.cache.uncoded
         if position not in uncoded or position + 1 not in uncoded:
             raise LookupError(f"user {self.k} did not cache {self.index.segments[position].label()}")
         units = self.index.units
@@ -669,7 +562,7 @@ class _PlanCompiler:
                 terms.append((*slot, exponents[i - 1][s - 1]))
         else:
             r_set, closures, symbols = data
-            columns, row_parities = self.held.column, self.held.row
+            columns, row_parities = self.cache.column, self.cache.row
             terms = [(*columns[r_set], 0)]
             for t, r_minus in closures:
                 cols, rows = parity_combination(dset.params, k, demand[t - 1], r_minus)
@@ -712,18 +605,18 @@ class PayloadSource:
     on these values.
     """
 
-    def __init__(self, cache: CacheContent, dset: DeliverySet, payload: Payload,
-                 segment_ints: Mapping[SegmentId, int] | None = None):
-        ints = payload.int_values() if segment_ints is None else segment_ints
+    def __init__(self, cache: CacheContent, dset: DeliverySet, payload: Payload):
+        ints = payload.int_values()
         self.cache = cache
         self.dset = dset
         self.index = segment_index(cache.params)
         self.value = MaskValues(self.index, [ints[seg] for seg in self.index.segments]).__getitem__
 
     def held_segment(self, seg: SegmentId) -> int:
-        if seg not in self.cache.uncoded:
+        position = self.index[seg]
+        if position not in self.cache.uncoded:
             raise LookupError(f"user {self.cache.owner} did not cache {seg.label()}")
-        return self.value(self.index.units[self.index[seg]])
+        return self.value(self.index.units[position])
 
     def delivered(self, s: int, r_plus: tuple[int, ...], channel: str) -> int:
         if not self.dset.is_transmitted(s, r_plus):
@@ -731,54 +624,20 @@ class PayloadSource:
         return self.value(self.dset.pairs[(s, r_plus)][CHANNELS.index(channel)])
 
 
-def _decoded_pair(dset: DeliverySet, row: Row, source: PayloadSource | None):
-    """One row's decoded (I, Q) pair: SymbolVecs, or payload ints with a source."""
-    _target, i_items, q_items = row
-    if source is not None:
-        return _evaluate(i_items, q_items, source.value)
-    index = segment_index(dset.params)
-    return tuple(index.vector(mask) for mask in _evaluate(i_items, q_items))
-
-
-def decode_class1(dset: DeliverySet, cache: CacheContent, k: int, r_set: tuple[int, ...], s: int,
-                  source: PayloadSource | None = None):
-    """Recover (W^I, W^Q) of segment (d(k), r_set, s) when s != k, k not in r_set.
-
-    The broadcast symbol over r_set | {k} is the transformed target XORed with
-    transformed segments the user holds uncoded; eliminate those, then invert
-    the (k, s) transform.
-    """
-    if k in r_set or s == k or s in r_set:
-        raise ValueError(f"bad elimination indices k={k} r_set={r_set} s={s}")
-    equation = _equation(segment_index(dset.params), k, tuple(r_set), s)
-    return _decoded_pair(dset, _PlanCompiler(dset, cache, k).row(equation), source)
-
-
-def decode_class2(dset: DeliverySet, cache: CacheContent, k: int, r_set: tuple[int, ...],
-                  source: PayloadSource | None = None):
-    """Recover (W^I, W^Q) of segment (d(k), r_set, k) with k not in r_set.
-
-    Align the transformed row parities of the files requested inside r_set
-    and every broadcast symbol over a superset of r_set against the column
-    parity: all interference cancels, leaving the transformed target.
-    """
-    if k in r_set:
-        raise ValueError(f"user {k} must be outside {r_set}")
-    equation = _equation(segment_index(dset.params), k, tuple(r_set), k)
-    return _decoded_pair(dset, _PlanCompiler(dset, cache, k).row(equation), source)
-
-
 def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadSource | None = None):
-    """Recover every segment of user k's file, in canonical segment order.
+    """decode_plan's rows evaluated and labelled, in canonical segment order.
 
     Returns [(SegmentId, value)]: values are SymbolVec expansions (correct iff
     equal to the unit vector) or, with a PayloadSource, payload ints.
     """
-    segments = segment_index(dset.params).segments
+    index = segment_index(dset.params)
     out = []
-    for row in decode_plan(dset, cache, k).rows:
-        i_val, q_val = _decoded_pair(dset, row, source)
-        out += [(segments[row[0]], i_val), (segments[row[0] + 1], q_val)]
+    for target, i_items, q_items in decode_plan(dset, cache, k).rows:
+        if source is None:
+            pair = map(index.vector, _evaluate(i_items, q_items))
+        else:
+            pair = _evaluate(i_items, q_items, source.value)
+        out += zip(index.segments[target : target + 2], pair)
     return out
 
 
@@ -800,8 +659,7 @@ def transformed_sum_residual(index: SegmentIndex, demand: Demand, exponents: Seq
 
 def transformed_sum_identity(params: SchemeParams, d: Sequence[int], s: int, r_set: tuple[int, ...], channel: str) -> bool:
     """One channel of the transformed-sum identity for demand d: its
-    transformed_sum_residual is zero.  Reads the demand's exponent table, so it
-    leaves the per-demand transform_matrix cache alone."""
+    transformed_sum_residual is zero."""
     demand = require_fully_demanded(params, d)
     idx = CHANNELS.index(channel)
     if s in r_set:

@@ -19,6 +19,8 @@ from fdcache.analysis import (
 from fdcache.cli import main
 from fdcache.core import SchemeParams, enumerate_fully_demanded_types
 from fdcache.harness import (
+    IDENTITY_SUITES,
+    SWEEP_MATRIX,
     golden_example_check,
     golden_json_dict,
     identity_json_dict,
@@ -31,21 +33,6 @@ from fdcache.harness import (
 
 F = Fraction
 
-SWEEP_CASES = (
-    (2, 2, 0),
-    (2, 2, 1),
-    (3, 3, 0),
-    (3, 3, 1),
-    (3, 3, 2),
-    (3, 4, 0),
-    (3, 4, 1),
-    (3, 4, 2),
-    (3, 4, 3),
-    (3, 6, 1),
-    (4, 6, 1),
-    (4, 6, 2),
-)
-
 EXPECTED_SWEEP_SIZES = {(2, 2): 2, (3, 3): 6, (3, 4): 36, (3, 6): 540, (4, 6): 1560}
 
 
@@ -53,7 +40,7 @@ EXPECTED_SWEEP_SIZES = {(2, 2): 2, (3, 3): 6, (3, 4): 36, (3, 6): 540, (4, 6): 1
 def sweep_matrix():
     """All criterion-4 sweeps, run once: both engines, every user, oracle on."""
     results = {}
-    for n, k, r in SWEEP_CASES:
+    for n, k, r in SWEEP_MATRIX:
         started = time.perf_counter()
         sweep = verify_sweep(SchemeParams(n, k, r), "fully_demanded", engine="both", seed="0")
         results[(n, k, r)] = (sweep, time.perf_counter() - started)
@@ -138,7 +125,7 @@ def test_criterion_5_rate_and_memory_identities(sweep_matrix):
 
 def test_criterion_6_identity_suites():
     started = time.perf_counter()
-    for n, k, r in ((3, 6, 1), (4, 6, 2)):
+    for n, k, r in IDENTITY_SUITES:
         suite = identity_suite(SchemeParams(n, k, r), samples=10)
         assert len(suite.demands) >= 10
         for name, family in suite.families.items():

@@ -8,12 +8,8 @@ from fdcache.algebra import (
     Payload,
     SpanBasis,
     SymbolVec,
-    ZERO,
-    evaluate,
     segment,
     segment_index,
-    span_contains,
-    xor,
 )
 from fdcache.core import SchemeParams
 from fdcache.scheme import partition
@@ -26,6 +22,31 @@ def seg(file, users, excluded, channel="I"):
 X = seg(1, (1,), 2)
 Y = seg(1, (1,), 3)
 Z = seg(2, (2,), 3)
+INDEX = segment_index(SchemeParams(3, 6, 1))  # holds X, Y, Z and every drawn segment
+
+
+def mask_of(segments):
+    """XOR of the unit masks of the segments; repeated segments cancel."""
+    out = 0
+    for s in segments:
+        out ^= 1 << INDEX[s]
+    return out
+
+
+def values_of(by_segment):
+    """MaskValues over INDEX with the given segment values and every other one 0."""
+    values = [0] * INDEX.size
+    for s, value in by_segment.items():
+        values[INDEX[s]] = value
+    return MaskValues(INDEX, values)
+
+
+def spans(generators, targets):
+    """True iff every target row lies in the GF(2) span of the generator rows."""
+    basis = SpanBasis()
+    for row in generators:
+        basis.insert_row(row)
+    return all(basis.residual(row) == 0 for row in targets)
 
 
 def test_segment_canonicalization():
@@ -39,22 +60,21 @@ def test_segment_canonicalization():
 
 
 def test_xor_disjoint():
-    assert xor(SymbolVec.unit(X), SymbolVec.unit(Y)).support == {X, Y}
+    assert INDEX.vector(mask_of([X]) ^ mask_of([Y])).support == {X, Y}
 
 
 def test_xor_cancellation():
-    assert xor(SymbolVec.unit(X), SymbolVec.unit(X)) == ZERO
-    assert not xor(SymbolVec.unit(X), SymbolVec.unit(X))
+    assert mask_of([X]) ^ mask_of([X]) == 0
+    assert INDEX.vector(0) == SymbolVec()
+    assert INDEX.vector(0).describe() == "0"
 
 
 def test_xor_overlap():
-    a = SymbolVec(frozenset({X, Y}))
-    b = SymbolVec(frozenset({Y, Z}))
-    assert (a ^ b).support == {X, Z}
+    assert INDEX.vector(mask_of([X, Y]) ^ mask_of([Y, Z])).support == {X, Z}
 
 
 def test_of_cancels_duplicates():
-    assert SymbolVec.of(X, Y, X) == SymbolVec.unit(Y)
+    assert INDEX.vector(mask_of([X, Y, X])) == SymbolVec.unit(Y)
 
 
 segments_strategy = st.builds(
@@ -64,47 +84,37 @@ segments_strategy = st.builds(
     st.integers(4, 6),
     st.sampled_from(["I", "Q"]),
 )
-vec_strategy = st.frozensets(segments_strategy, max_size=6).map(SymbolVec)
+support_strategy = st.frozensets(segments_strategy, max_size=6)
 
 
-@given(vec_strategy, vec_strategy, vec_strategy)
-def test_xor_group_laws(a, b, c):
-    assert a ^ b == b ^ a
-    assert (a ^ b) ^ c == a ^ (b ^ c)
-    assert a ^ ZERO == a
-    assert a ^ a == ZERO
+@given(support_strategy, support_strategy)
+def test_xor_group_laws(a, b):
+    # labelling is a bijection that maps XOR of masks to symmetric difference
+    assert INDEX.vector(mask_of(a) ^ mask_of(b)).support == a ^ b
+    assert mask_of(INDEX.vector(mask_of(a)).support) == mask_of(a)
 
 
 def test_evaluate_single():
-    payload = Payload(width=1, data={X: b"\xa5"})
-    assert evaluate(SymbolVec.unit(X), payload) == b"\xa5"
+    assert values_of({X: 0xA5})[mask_of([X])] == 0xA5
 
 
 def test_evaluate_empty_support_is_zero():
-    payload = Payload(width=1, data={})
-    assert evaluate(ZERO, payload) == b"\x00"
+    assert MaskValues(INDEX, [0xFF] * INDEX.size)[0] == 0
 
 
 def test_evaluate_xors_bytes():
-    payload = Payload(width=1, data={X: b"\xf0", Y: b"\x0f"})
-    assert evaluate(SymbolVec(frozenset({X, Y})), payload) == b"\xff"
+    assert values_of({X: 0xF0, Y: 0x0F})[mask_of([X, Y])] == 0xFF
 
 
 def test_evaluate_missing_segment():
-    payload = Payload(width=1, data={X: b"\x01"})
-    with pytest.raises(KeyError):
-        evaluate(SymbolVec.unit(Y), payload)
+    with pytest.raises(IndexError):
+        values_of({X: 1})[1 << INDEX.size]  # a position past the index
 
 
-@given(st.frozensets(segments_strategy, min_size=1, max_size=8), st.integers(0, 2**32))
-def test_evaluate_is_linear(universe, seed):
-    payload = Payload.random(universe, width=2, seed=str(seed))
-    pool = sorted(universe)
-    a = SymbolVec(frozenset(pool[::2]))
-    b = SymbolVec(frozenset(pool[1::3]))
-    lhs = evaluate(a ^ b, payload)
-    rhs = bytes(x ^ y for x, y in zip(evaluate(a, payload), evaluate(b, payload)))
-    assert lhs == rhs
+@given(support_strategy, support_strategy, st.integers(0, 2**32))
+def test_evaluate_is_linear(a, b, seed):
+    values = MaskValues.random(INDEX, 2, str(seed))
+    assert values[mask_of(a) ^ mask_of(b)] == values[mask_of(a)] ^ values[mask_of(b)]
 
 
 def test_payload_random_is_seed_deterministic():
@@ -114,46 +124,44 @@ def test_payload_random_is_seed_deterministic():
 
 
 def test_span_contains_xor_combination():
-    gens = [SymbolVec.unit(X), SymbolVec.unit(Y)]
-    assert span_contains(gens, [SymbolVec(frozenset({X, Y}))])
+    assert spans([mask_of([X]), mask_of([Y])], [mask_of([X, Y])])
 
 
 def test_span_cannot_isolate_from_sum():
-    gens = [SymbolVec(frozenset({X, Y}))]
-    assert not span_contains(gens, [SymbolVec.unit(X)])
+    assert not spans([mask_of([X, Y])], [mask_of([X])])
 
 
 def test_span_empty_target_always_contained():
-    assert span_contains([], [ZERO])
+    assert spans([], [0])
 
 
 @given(st.frozensets(segments_strategy, min_size=2, max_size=8), st.randoms(use_true_random=False))
 def test_span_contains_random_subset_sums(universe, rng):
     pool = sorted(universe)
-    gens = [SymbolVec(frozenset(rng.sample(pool, rng.randint(1, len(pool))))) for _ in range(4)]
-    combo = ZERO
+    gens = [mask_of(rng.sample(pool, rng.randint(1, len(pool)))) for _ in range(4)]
+    combo = 0
     for g in gens:
         if rng.random() < 0.5:
-            combo = combo ^ g
-    assert span_contains(gens, [combo])
+            combo ^= g
+    assert spans(gens, [combo])
 
 
 @given(st.frozensets(segments_strategy, min_size=1, max_size=8))
 def test_rank_bounds(universe):
     pool = sorted(universe)
-    gens = [SymbolVec(frozenset(pool[i::2])) for i in range(2)]
-    basis = SpanBasis.over(universe)
+    gens = [mask_of(pool[i::2]) for i in range(2)]
+    basis = SpanBasis()
     for g in gens:
-        basis.insert(g)
+        basis.insert_row(g)
     assert basis.rank <= len([g for g in gens if g])
     assert basis.rank <= len(universe)
 
 
 def test_span_basis_copy_is_independent():
-    basis = SpanBasis.over([X, Y])
-    basis.insert(SymbolVec.unit(X))
+    basis = SpanBasis()
+    basis.insert_row(mask_of([X]))
     clone = basis.copy()
-    clone.insert(SymbolVec.unit(Y))
+    clone.insert_row(mask_of([Y]))
     assert clone.rank == 2
     assert basis.rank == 1
 
@@ -161,21 +169,18 @@ def test_span_basis_copy_is_independent():
 def test_span_oracle_running_example_end_to_end():
     # user 1's cache plus the transmitted symbols span all 60 file-1 segments;
     # the cache alone does not
-    from fdcache.core import SchemeParams
     from fdcache.scheme import delivery, file_segments, prefetch
 
     params = SchemeParams(3, 6, 1)
     cache = prefetch(params, 1)
     dset = delivery(params, (1, 1, 1, 1, 2, 3))
-    cache_vecs = [SymbolVec.unit(s) for s in sorted(cache.uncoded)]
-    cache_vecs += [cache.column_parities[k] for k in sorted(cache.column_parities)]
-    cache_vecs += [cache.row_parities[k] for k in sorted(cache.row_parities)]
-    received = [
-        vec for (s, r_plus, _a), vec in dset.symbols.items() if dset.is_transmitted(s, r_plus)
-    ]
-    targets = [SymbolVec.unit(s) for s in file_segments(params, 1)]
-    assert span_contains(cache_vecs + received, targets)
-    assert not span_contains(cache_vecs, targets)
+    cache_rows = [1 << i for i in sorted(cache.uncoded)]
+    for parities in (cache.column, cache.row):
+        cache_rows += [mask for key in sorted(parities) for mask in parities[key]]
+    received = [mask for key, pair in dset.pairs.items() if dset.is_transmitted(*key) for mask in pair]
+    targets = [mask_of([s]) for s in file_segments(params, 1)]
+    assert spans(cache_rows + received, targets)
+    assert not spans(cache_rows, targets)
 
 
 def test_segment_index_is_partition_position():
@@ -200,17 +205,17 @@ def test_segment_index_rejects_foreign_segments():
 
 @given(st.lists(st.integers(0, 35), max_size=6), st.integers(0, 2**32))
 def test_mask_values_match_evaluate(positions, seed):
-    params = SchemeParams(3, 3, 1)
-    index = segment_index(params)
-    payload = Payload.random(index.segments, width=2, seed=str(seed))
-    ints = payload.int_values()
+    # a mask's value is the XOR of the payload over its labelled segments
+    index = segment_index(SchemeParams(3, 3, 1))
+    ints = Payload.random(index.segments, width=2, seed=str(seed)).int_values()
     values = MaskValues(index, [ints[s] for s in index.segments])
     mask = 0
     for i in positions:
         mask ^= 1 << i
-    vec = index.vector(mask)
-    assert index.mask(vec) == mask
-    assert values[mask].to_bytes(2, "big") == evaluate(vec, payload)
+    want = 0
+    for s in index.vector(mask).support:
+        want ^= ints[s]
+    assert values[mask] == want
 
 
 @pytest.mark.parametrize("width", [1, 3, 64])

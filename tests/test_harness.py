@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fdcache import harness, scheme
+from fdcache import algebra, harness, scheme
 from fdcache.algebra import MaskValues, segment_index
 from fdcache.core import DemandType, NotFullyDemandedError, SchemeParams, enumerate_demands
 from fdcache.harness import (
@@ -99,23 +99,50 @@ def test_sweep_limit_guard():
     assert sweep.count == 36
 
 
+def _package_caches():
+    """Every module-level lru_cache of the package, by qualified name."""
+    return {
+        f"{module.__name__}.{name}": value
+        for module in (algebra, harness, scheme)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    }
+
+
+def _cache_sizes():
+    return {name: cached.cache_info().currsize for name, cached in _package_caches().items()}
+
+
+def _clear_caches():
+    # start cold, so that demands met by earlier tests count too
+    for cached in _package_caches().values():
+        cached.cache_clear()
+
+
 def test_sweep_keeps_no_per_demand_transform_state():
-    # transform_matrix memoizes per demand; verification reads the demand's
-    # own exponent table instead, so a sweep must not grow that cache
-    before = scheme.transform_matrix.cache_info().currsize
-    sweep = verify_sweep(SchemeParams(3, 5, 1), "fully_demanded")
+    # transforms are read from the demand's own exponent table, so once a
+    # sweep of one type has filled the per-parameters caches, sweeping the
+    # whole class must not add a cache entry for any demand
+    params = SchemeParams(3, 5, 1)
+    _clear_caches()
+    assert verify_sweep(params, DemandType.of((3, 1, 1))).success
+    before = _cache_sizes()
+    sweep = verify_sweep(params, "fully_demanded")
     assert sweep.count == 150 and sweep.success
-    assert scheme.transform_matrix.cache_info().currsize == before
+    assert _cache_sizes() == before
 
 
 def test_identity_suite_keeps_no_per_demand_transform_state():
     # the transformed-sum family reads the demand's exponents directly, so
-    # sampling more demands must not grow transform_matrix's cache
-    before = scheme.transform_matrix.cache_info().currsize
-    demands = [(1, 1, 1, 2, 3), (1, 2, 3, 3, 3), (2, 1, 3, 1, 2)]
-    suite = identity_suite(SchemeParams(3, 5, 1), demands=demands)
+    # sampling more demands must not grow any cache
+    params = SchemeParams(3, 5, 1)
+    _clear_caches()
+    assert identity_suite(params, demands=[(1, 1, 1, 2, 3)]).success
+    before = _cache_sizes()
+    demands = [(1, 2, 3, 3, 3), (2, 1, 3, 1, 2)]
+    suite = identity_suite(params, demands=demands)
     assert suite.success and suite.families["transformed_sum"].checked > 0
-    assert scheme.transform_matrix.cache_info().currsize == before
+    assert _cache_sizes() == before
 
 
 class _SerialPool:
@@ -247,6 +274,21 @@ def test_identity_suite_rejects_partial_demand():
         identity_suite(RUN, demands=[(1, 1, 1, 1, 2, 2)])
 
 
+def test_checks_build_no_labelled_vectors(monkeypatch):
+    # verification, the identity suite and the golden check all work on
+    # masks, from prefetch on; labels are only for reports
+    def no_labels(*args, **kwargs):
+        raise AssertionError("built a SymbolVec")
+
+    harness._prefetch_all.cache_clear()
+    harness._cache_spans.cache_clear()
+    monkeypatch.setattr(algebra.SymbolVec, "__init__", no_labels)
+    sweep = verify_sweep(SchemeParams(3, 5, 1), "fully_demanded", engine="both", run_oracle=True)
+    assert sweep.count == 150 and sweep.success and sweep.oracle_ok
+    assert identity_suite(RUN, samples=3).success
+    assert golden_example_check().success
+
+
 def test_golden_example_check_passes():
     report = golden_example_check()
     assert report.success
@@ -342,12 +384,10 @@ def test_identity_suite_catches_a_corrupted_symbol(monkeypatch, s, r_plus):
 def test_identity_suite_catches_a_corrupted_parity(monkeypatch, params, kind):
     owner = 3
     caches = list(harness._prefetch_all(params))
-    cache = dataclasses.replace(caches[owner - 1])
-    stored = getattr(cache.masks, kind)
+    stored = getattr(caches[owner - 1], kind)
     key = sorted(stored)[-1]
     mask_i, mask_q = stored[key]
-    stored[key] = (mask_i, mask_q ^ 1)
-    caches[owner - 1] = cache
+    caches[owner - 1] = dataclasses.replace(caches[owner - 1], **{kind: {**stored, key: (mask_i, mask_q ^ 1)}})
     monkeypatch.setattr(harness, "_prefetch_all", lambda p: tuple(caches))
     suite = identity_suite(params, samples=2)
     assert _failing_families(suite) == {"parity_closure"}

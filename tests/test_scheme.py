@@ -1,41 +1,54 @@
 import dataclasses
 import itertools
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdcache.algebra import CHANNELS, MaskValues, Payload, SymbolVec, segment, segment_index, xor_all
+from fdcache.algebra import CHANNELS, MaskValues, Payload, SymbolVec, segment, segment_index
 from fdcache.analysis import memory_point, type_operating_point
 from fdcache.core import SchemeParams, NotFullyDemandedError, demand_type, enumerate_demands
 from fdcache.scheme import (
-    IDENTITY,
-    MIX,
-    MIX_INV,
     PayloadSource,
     anchor_user,
-    apply_matrix,
-    decode_class1,
-    decode_class2,
+    closure_pair,
     decode_file,
     decode_plan,
     delivery,
     file_segments,
-    inverse_matrix,
+    mix,
     parity_combination,
     partition,
     prefetch,
     reconstruct_skipped,
+    reconstructed_pair,
     row_parity_closure,
-    row_parity_vec,
     skip_combination,
-    transform_matrix,
-    transform_segment_pair,
+    transform_exponents,
     transformed_sum_identity,
 )
 
 RUN = SchemeParams(3, 6, 1)
 RUN_D = (1, 1, 1, 1, 2, 3)
+
+
+def unit(file, users, excluded, channel, params=RUN):
+    """Unit mask of one segment over the system's dense index."""
+    return 1 << segment_index(params)[segment(file, users, excluded, channel)]
+
+
+def unit_pair(file, users, excluded, params=RUN):
+    return tuple(unit(file, users, excluded, channel, params) for channel in CHANNELS)
+
+
+def decoded_pair(plan, unit_i):
+    """The (I, Q) masks that the plan's row for the segment with I mask unit_i XORs to."""
+    for target, i_items, q_items in plan.rows:
+        if 1 << target == unit_i:
+            return reduce(operator.xor, i_items, 0), reduce(operator.xor, q_items, 0)
+    raise KeyError(unit_i)
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +95,9 @@ def test_prefetch_counts_running_example(run_caches):
 
 def test_prefetch_prunes_first_file_rows(run_caches):
     cache = run_caches[1]
-    row_files = {key[0] for key in cache.row_parities}
+    row_files = {key[0] for key in cache.row}
     assert row_files == {2, 3}
-    assert all(key[1] == () for key in cache.row_parities)
+    assert all(key[1] == () for key in cache.row)
 
 
 def test_prefetch_r0_boundary():
@@ -98,7 +111,7 @@ def test_prefetch_excludes_anchor_subsets():
     params = SchemeParams(3, 6, 2)
     cache = prefetch(params, 1)
     assert anchor_user(1) == 2 and anchor_user(4) == 1
-    assert all(2 not in key[1] for key in cache.row_parities)
+    assert all(2 not in key[1] for key in cache.row)
 
 
 def test_memory_identity_exhaustive_to_seven_users():
@@ -138,14 +151,16 @@ def test_closure_requires_row_parities():
 
 @pytest.mark.parametrize("params", [RUN, SchemeParams(4, 6, 2)])
 def test_closure_expansion_matches_definition(params):
+    # row parity (f, r_minus) of user k XORs the segments tagged ({u} | r_minus, k)
     for k in params.users:
         cache = prefetch(params, k)
         others = [u for u in params.users if u != k]
         for f in params.files:
             for r_minus in itertools.combinations(others, params.r - 1):
+                completions = [u for u in others if u not in r_minus]
                 for channel in CHANNELS:
-                    got = row_parity_closure(cache, f, r_minus, channel)
-                    assert got == row_parity_vec(params, k, f, r_minus, channel)
+                    want = {segment(f, r_minus + (u,), k, channel) for u in completions}
+                    assert row_parity_closure(cache, f, r_minus, channel).support == want
 
 
 # ---------------------------------------------------------------------------
@@ -153,31 +168,36 @@ def test_closure_expansion_matches_definition(params):
 
 
 def test_transform_matrices_running_example():
-    assert transform_matrix(RUN, RUN_D, 2, 1) == MIX
-    assert transform_matrix(RUN, RUN_D, 5, 1) == IDENTITY
-    assert transform_matrix(RUN, RUN_D, 1, 1) == MIX_INV
-    assert transform_matrix(RUN, RUN_D, 2, 5) == MIX  # leader of file 1 is user 1
+    exponents = transform_exponents(RUN, RUN_D)  # [t-1][s-1]: MIX**e of user t toward s
+    assert exponents[2 - 1][1 - 1] == 1
+    assert exponents[5 - 1][1 - 1] == 0  # file 2 is requested once
+    assert exponents[1 - 1][1 - 1] == 2  # MIX**2 is the inverse of MIX
+    assert exponents[2 - 1][5 - 1] == 1  # leader of file 1 is user 1
+
+
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**70), st.integers(0, 2**70))
+def test_mix_group_law(e1, e2, i, q):
+    # delivery, skip reconstruction and plan compilation add exponents mod 3
+    assert mix(0, i, q) == (i, q)
+    assert mix(e2, *mix(e1, i, q)) == mix((e1 + e2) % 3, i, q)
 
 
 def test_mix_matrices_are_mutual_inverses():
-    assert inverse_matrix(MIX) == MIX_INV and inverse_matrix(MIX_INV) == MIX
-    pair = (SymbolVec.unit(segment(1, (2,), 1, "I")), SymbolVec.unit(segment(1, (2,), 1, "Q")))
-    assert apply_matrix(MIX, apply_matrix(MIX_INV, pair)) == pair
-    assert apply_matrix(MIX_INV, apply_matrix(MIX, pair)) == pair
+    # MIX is exponent 1 and its inverse exponent 2
+    pair = unit_pair(1, (2,), 1)
+    assert mix(1, *pair) != pair and mix(2, *pair) != pair
+    assert mix(1, *mix(2, *pair)) == pair
+    assert mix(2, *mix(1, *pair)) == pair
 
 
 def test_transform_pair_worked_case():
-    vec_i, vec_q = transform_segment_pair(RUN, RUN_D, 2, 5, (3,))
-    w_i = segment(1, (3,), 5, "I")
-    w_q = segment(1, (3,), 5, "Q")
-    assert vec_i.support == {w_i, w_q}
-    assert vec_q.support == {w_i}
+    w_i, w_q = unit_pair(1, (3,), 5)
+    assert mix(transform_exponents(RUN, RUN_D)[2 - 1][5 - 1], w_i, w_q) == (w_i ^ w_q, w_i)
 
 
 def test_transform_pair_odd_file_unchanged():
-    vec_i, vec_q = transform_segment_pair(RUN, RUN_D, 5, 1, (3,))
-    assert vec_i == SymbolVec.unit(segment(2, (3,), 1, "I"))
-    assert vec_q == SymbolVec.unit(segment(2, (3,), 1, "Q"))
+    pair = unit_pair(2, (3,), 1)
+    assert mix(transform_exponents(RUN, RUN_D)[5 - 1][1 - 1], *pair) == pair
 
 
 @given(st.data())
@@ -190,13 +210,11 @@ def test_transform_round_trip(data):
     d = pool[data.draw(st.integers(0, len(pool) - 1))]
     t = data.draw(st.integers(1, k_users))
     s = data.draw(st.integers(1, k_users))
-    matrix = transform_matrix(params, d, t, s)
-    assert matrix in (IDENTITY, MIX, MIX_INV)
-    pair = (
-        SymbolVec.unit(segment(1, (), min(u for u in params.users if u != s) if s == 1 else 1, "I")),
-        SymbolVec.unit(segment(1, (), min(u for u in params.users if u != s) if s == 1 else 1, "Q")),
-    )
-    assert apply_matrix(inverse_matrix(matrix), apply_matrix(matrix, pair)) == pair
+    e = transform_exponents(params, d)[t - 1][s - 1]
+    assert e in (0, 1, 2)
+    excluded = min(u for u in params.users if u != s) if s == 1 else 1
+    pair = unit_pair(1, (), excluded, params)
+    assert mix(-e % 3, *mix(e, *pair)) == pair
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +229,8 @@ def test_delivery_running_example_skip(run_delivery):
 
 
 def test_delivery_last_table_row(run_delivery):
-    vec = run_delivery.symbols[(1, (5, 6), "I")]
-    assert vec.support == {segment(2, (6,), 1, "I"), segment(3, (5,), 1, "I")}
+    mask_i, _mask_q = run_delivery.pairs[(1, (5, 6))]
+    assert mask_i == unit(2, (6,), 1, "I") ^ unit(3, (5,), 1, "I")
 
 
 def test_delivery_totals(run_delivery):
@@ -249,24 +267,26 @@ def test_no_skips_when_all_files_covered_narrowly():
 
 
 def test_reconstruction_running_example(run_delivery):
-    for channel in CHANNELS:
-        got = reconstruct_skipped(run_delivery, 1, (3, 4), channel)
-        want = run_delivery.symbols[(1, (2, 3), channel)] ^ run_delivery.symbols[(1, (2, 4), channel)]
-        assert got == want
-        assert got == run_delivery.symbols[(1, (3, 4), channel)]
+    pairs = run_delivery.pairs
+    got = reconstructed_pair(run_delivery, 1, (3, 4))
+    assert got == tuple(a ^ b for a, b in zip(pairs[(1, (2, 3))], pairs[(1, (2, 4))]))
+    assert got == pairs[(1, (3, 4))]
+    index = segment_index(RUN)
+    for channel, mask in zip(CHANNELS, got):
+        assert reconstruct_skipped(run_delivery, 1, (3, 4), channel) == index.vector(mask)
 
 
 def test_reconstruction_mixes_channels_when_weights_differ(run_delivery):
     # excluded user 5 demands the lone file 2; the quadruply-requested file 1
-    # puts its leader inside the selections, so coefficients are not identity
+    # puts its leader inside the selections, so the exponents are not 0
     combo = dict(skip_combination(run_delivery, 5, (2, 3)))
-    assert combo == {(1, 2): MIX_INV, (1, 3): MIX_INV}
-    for channel in CHANNELS:
-        got = reconstruct_skipped(run_delivery, 5, (2, 3), channel)
-        assert got == run_delivery.symbols[(5, (2, 3), channel)]
+    assert combo == {(1, 2): 2, (1, 3): 2}
+    assert reconstructed_pair(run_delivery, 5, (2, 3)) == run_delivery.pairs[(5, (2, 3))]
 
 
 def test_reconstruction_rejects_transmitted(run_delivery):
+    with pytest.raises(ValueError):
+        reconstructed_pair(run_delivery, 1, (2, 3))
     with pytest.raises(ValueError):
         reconstruct_skipped(run_delivery, 1, (2, 3), "I")
 
@@ -276,11 +296,9 @@ def test_reconstruction_full_sweep_four_six_r1():
     for d in enumerate_demands(params, "fully_demanded"):
         dset = delivery(params, d)
         for s, r_plus in sorted(dset.skipped):
-            for rest, _coeff in skip_combination(dset, s, r_plus):
-                assert dset.is_transmitted(s, rest)
-            for channel in CHANNELS:
-                got = reconstruct_skipped(dset, s, r_plus, channel)
-                assert got == dset.symbols[(s, r_plus, channel)]
+            for rest, e in skip_combination(dset, s, r_plus):
+                assert dset.is_transmitted(s, rest) and e in (0, 1, 2)
+            assert reconstructed_pair(dset, s, r_plus) == dset.pairs[(s, r_plus)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +306,14 @@ def test_reconstruction_full_sweep_four_six_r1():
 
 
 def test_decode_class1_worked_case(run_delivery, run_caches):
-    pair = decode_class1(run_delivery, run_caches[1], 1, (2,), 3)
-    assert pair[0] == SymbolVec.unit(segment(1, (2,), 3, "I"))
-    assert pair[1] == SymbolVec.unit(segment(1, (2,), 3, "Q"))
-    # the elimination identity behind it, on transformed vectors
-    y_i = run_delivery.symbols[(3, (1, 2), "I")]
-    cached_i = transform_segment_pair(RUN, RUN_D, 2, 3, (1,))[0]
-    target_i = transform_segment_pair(RUN, RUN_D, 1, 3, (2,))[0]
+    target = unit_pair(1, (2,), 3)
+    plan = decode_plan(run_delivery, run_caches[1], 1)
+    assert decoded_pair(plan, target[0]) == target
+    # the elimination identity behind it, on transformed masks
+    exponents = run_delivery.exponents
+    y_i = run_delivery.pairs[(3, (1, 2))][0]
+    cached_i = mix(exponents[2 - 1][3 - 1], *unit_pair(1, (1,), 3))[0]
+    target_i = mix(exponents[1 - 1][3 - 1], *target)[0]
     assert y_i ^ cached_i == target_i
 
 
@@ -303,29 +322,21 @@ def test_decode_class1_r0_boundary():
     d = (1, 2)
     dset = delivery(params, d)
     cache = prefetch(params, 2)
-    pair = decode_class1(dset, cache, 2, (), 1)
-    assert pair == (
-        SymbolVec.unit(segment(2, (), 1, "I")),
-        SymbolVec.unit(segment(2, (), 1, "Q")),
-    )
-    assert dset.symbols[(1, (2,), "I")] == SymbolVec.unit(segment(2, (), 1, "I"))
+    target = unit_pair(2, (), 1, params)
+    assert decoded_pair(decode_plan(dset, cache, 2), target[0]) == target
+    assert dset.pairs[(1, (2,))][0] == target[0]
 
 
 def test_decode_class2_worked_equations(run_delivery, run_caches):
     cache = run_caches[1]
-    z_col = {a: cache.column_parities[((2,), a)] for a in CHANNELS}
-    z_row = {a: row_parity_closure(cache, 1, (), a) for a in CHANNELS}
-    y = {(rp, a): run_delivery.symbols[(1, rp, a)] for rp in [(2, 3), (2, 4), (2, 5), (2, 6)] for a in CHANNELS}
-    rhs_i = xor_all([z_col["I"], z_row["I"], z_row["Q"], y[((2, 3), "I")], y[((2, 4), "I")], y[((2, 5), "I")], y[((2, 6), "I")]])
-    rhs_q = xor_all([z_col["Q"], z_row["I"], y[((2, 3), "Q")], y[((2, 4), "Q")], y[((2, 5), "Q")], y[((2, 6), "Q")]])
-    target = (
-        SymbolVec.unit(segment(1, (2,), 1, "I")),
-        SymbolVec.unit(segment(1, (2,), 1, "Q")),
-    )
-    transformed = apply_matrix(transform_matrix(RUN, RUN_D, 1, 1), target)
-    assert rhs_i == transformed[0]
-    assert rhs_q == transformed[1]
-    assert decode_class2(run_delivery, cache, 1, (2,)) == target
+    z_col = cache.column[(2,)]
+    z_row = closure_pair(cache, 1, ())
+    y = {rp: run_delivery.pairs[(1, rp)] for rp in [(2, 3), (2, 4), (2, 5), (2, 6)]}
+    rhs_i = reduce(operator.xor, [z_col[0], z_row[0], z_row[1]] + [pair[0] for pair in y.values()])
+    rhs_q = reduce(operator.xor, [z_col[1], z_row[0]] + [pair[1] for pair in y.values()])
+    target = unit_pair(1, (2,), 1)
+    assert (rhs_i, rhs_q) == mix(run_delivery.exponents[1 - 1][1 - 1], *target)
+    assert decoded_pair(decode_plan(run_delivery, cache, 1), target[0]) == target
 
 
 def test_decode_file_running_example(run_delivery, run_caches):
@@ -414,13 +425,12 @@ def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches
 
 def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
     cache = run_caches[1]
-    key = ((2,), "I")  # read by user 1's class-2 row for subset {2}
-    assert _reads(decode_plan(run_delivery, cache, 1), cache.masks.column[(2,)][0])
-    stray = segment(2, (3,), 1, "I")
-    parities = {**cache.column_parities, key: cache.column_parities[key] ^ SymbolVec.unit(stray)}
-    corrupted = dataclasses.replace(cache, column_parities=parities)
+    mask_i, mask_q = cache.column[(2,)]  # read by user 1's class-2 row for subset {2}
+    assert _reads(decode_plan(run_delivery, cache, 1), mask_i)
+    stray = unit(2, (3,), 1, "I")
+    corrupted = dataclasses.replace(cache, column={**cache.column, (2,): (mask_i ^ stray, mask_q)})
     values = _payload_values()
-    assert values.segment_values[segment_index(RUN)[stray]] != 0
+    assert values[stray] != 0
     plan = decode_plan(run_delivery, corrupted, 1)
     assert not plan.recovers()
     assert not plan.recovers(values.__getitem__)
@@ -428,7 +438,7 @@ def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
 
 def test_plan_needs_every_uncoded_slot(run_delivery, run_caches):
     cache = run_caches[1]
-    missing = dataclasses.replace(cache, uncoded=cache.uncoded - {segment(1, (1,), 2, "Q")})
+    missing = dataclasses.replace(cache, uncoded=cache.uncoded - {segment_index(RUN)[segment(1, (1,), 2, "Q")]})
     with pytest.raises(LookupError):
         decode_plan(run_delivery, missing, 1)
 

@@ -17,3 +17,21 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _is_cache(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_no_module_level_cache_is_keyed_by_a_demand():
+    # such a cache holds an entry per demand a sweep visits, without bound
+    cached = [
+        (f"{path.relative_to(PACKAGE)}:{node.name}", {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs})
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and any(map(_is_cache, node.decorator_list))
+    ]
+    assert cached  # the scan sees the per-parameters caches
+    assert [name for name, params in cached if params & {"d", "demand", "dset"}] == []
