@@ -13,10 +13,9 @@ from typing import Iterable
 
 from .core import (
     DemandType,
-    NotFullyDemandedError,
     SchemeParams,
-    as_demand_type,
     binom,
+    require_fully_demanded_type,
 )
 
 
@@ -147,13 +146,6 @@ def region_33(setting: str) -> RegionData33:
 # achievable operating points
 
 
-def _require_fully_demanded_type(params: SchemeParams, dtype) -> DemandType:
-    dtype = as_demand_type(params, dtype)
-    if not dtype.fully_demanded:
-        raise NotFullyDemandedError(f"type {dtype.counts} leaves some file unrequested")
-    return dtype
-
-
 def saving_factor_from_ones(params: SchemeParams, ones: int) -> Fraction:
     """Rate saving from skipped delivery symbols, given the count of
     singly-requested files; symbols avoiding all leaders are never sent."""
@@ -163,7 +155,7 @@ def saving_factor_from_ones(params: SchemeParams, ones: int) -> Fraction:
 
 
 def saving_factor(params: SchemeParams, dtype) -> Fraction:
-    dtype = _require_fully_demanded_type(params, dtype)
+    dtype = require_fully_demanded_type(params, dtype)
     return saving_factor_from_ones(params, dtype.p)
 
 

@@ -29,6 +29,7 @@ from .core import (
 )
 from .harness import (
     ENGINES,
+    SWEEP_LIMIT,
     golden_example_check,
     golden_json_dict,
     identity_json_dict,
@@ -66,7 +67,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _at_least_one(text: str) -> int:
-    """A worker count or payload width: an int of at least 1."""
+    """A worker count, payload width or sample count: an int of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -188,6 +189,8 @@ def cmd_bounds(args) -> Output:
 
 def cmd_lemmas(args) -> Output:
     params = SchemeParams(args.n, args.k, args.r)
+    if args.samples > SWEEP_LIMIT:
+        raise ValueError(f"--samples {args.samples} exceeds the limit of {SWEEP_LIMIT}")
     demands = [_parse_ints(args.demand)] if args.demand else None
     report = identity_suite(params, demands=demands, samples=args.samples)
     csv = ["family,checked,failed"]
@@ -245,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--payload-bytes", type=_at_least_one, default=1,
                    help="bytes per segment value, at least 1; at most 256 MiB over all segments")
     p.add_argument("--no-oracle", action="store_true", help="skip the rank-oracle cross-check")
-    p.add_argument("--limit", type=int, default=100_000, help="refuse sweeps larger than this")
+    p.add_argument("--limit", type=int, default=SWEEP_LIMIT, help="refuse sweeps larger than this")
     p.add_argument("--force", action="store_true", help="run even past the sweep limit")
     p.add_argument("--timing", action="store_true", help="include elapsed_ms in reports")
     _add_common(p)
@@ -262,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--demand", help="check one demand instead of sampling")
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_at_least_one, default=10,
+                   help=f"fully demanded vectors to sample, 1 to {SWEEP_LIMIT}")
     _add_common(p)
     p.set_defaults(func=cmd_lemmas)
 

@@ -138,20 +138,52 @@ def as_demand_type(params: SchemeParams, value: DemandClass) -> DemandType:
     return dtype
 
 
+def require_fully_demanded_type(params: SchemeParams, value: DemandClass) -> DemandType:
+    """as_demand_type, refusing a type that leaves some file unrequested."""
+    dtype = as_demand_type(params, value)
+    if not dtype.fully_demanded:
+        raise NotFullyDemandedError(f"type {dtype.counts} leaves some file unrequested")
+    return dtype
+
+
 def enumerate_demands(params: SchemeParams, demand_class: DemandClass) -> list[Demand]:
     """All demand vectors of a class in lexicographic order.
 
     demand_class is "mixed", "fully_demanded", or a demand type (the
-    single-type class).
+    single-type class).  The two restricted classes are walked prefix by
+    prefix, extending only prefixes that can still complete into the class,
+    so the walk never visits the N^K vectors outside it.
     """
-    everything = itertools.product(params.files, repeat=params.n_users)
     if demand_class == "mixed":
-        return [tuple(d) for d in everything]
+        return list(itertools.product(params.files, repeat=params.n_users))
     if demand_class == "fully_demanded":
-        full = set(params.files)
-        return [tuple(d) for d in everything if set(d) == full]
-    dtype = as_demand_type(params, demand_class)
-    return [tuple(d) for d in everything if demand_type(params, d) == dtype]
+        def viable(counts: list[int], left: int) -> bool:
+            return counts.count(0) <= left  # every unrequested file still fits
+    else:
+        dtype = as_demand_type(params, demand_class)
+
+        def viable(counts: list[int], left: int) -> bool:
+            return all(c <= t for c, t in zip(sorted(counts, reverse=True), dtype.counts))
+
+    out = []
+    prefix: list[int] = []
+    counts = [0] * params.n_files
+    f = 1
+    while True:
+        if f <= params.n_files:
+            counts[f - 1] += 1
+            prefix.append(f)
+            if viable(counts, params.n_users - len(prefix)):
+                if len(prefix) < params.n_users:
+                    f = 1
+                    continue
+                out.append(tuple(prefix))
+        elif not prefix:
+            return out
+        # drop the last entry and try the next file in its place
+        f = prefix.pop()
+        counts[f - 1] -= 1
+        f += 1
 
 
 def covering_count(n_files: int, missing: int, length: int) -> int:

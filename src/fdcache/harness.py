@@ -31,13 +31,13 @@ from .core import (
     DemandType,
     NotFullyDemandedError,
     SchemeParams,
-    as_demand_type,
     count_demands,
     covering_count,
     demand_type,
     enumerate_demands,
     format_fraction,
     require_fully_demanded,
+    require_fully_demanded_type,
 )
 from .scheme import (
     CacheContent,
@@ -76,6 +76,8 @@ SWEEP_MATRIX = (
     (4, 6, 1), (4, 6, 2),
 )
 IDENTITY_SUITES = ((3, 6, 1), (4, 6, 2))
+# default ceiling on the demands of one sweep, and the ceiling on lemma samples
+SWEEP_LIMIT = 100_000
 
 
 class SweepLimitExceeded(ValueError):
@@ -310,15 +312,13 @@ def verify_sweep(
     jobs: int = 1,
     payload_width: int = 1,
     run_oracle: bool = True,
-    limit: int = 100_000,
+    limit: int = SWEEP_LIMIT,
     force: bool = False,
 ) -> SweepReport:
     if demand_class == "mixed":
         raise NotFullyDemandedError("verification sweeps cover fully demanded classes only")
     if not isinstance(demand_class, str):
-        dtype = as_demand_type(params, demand_class)
-        if not dtype.fully_demanded:
-            raise NotFullyDemandedError(f"type {dtype.counts} leaves some file unrequested")
+        require_fully_demanded_type(params, demand_class)
     count = count_demands(params, demand_class)
     if count > limit and not force:
         raise SweepLimitExceeded(

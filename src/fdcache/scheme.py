@@ -20,21 +20,21 @@ Pipeline, per (N, K, r) system:
                    against broadcast sums (s == k), then inverts the transform.
 
 Delivery and decoding work on int masks over the dense segment index
-(algebra.SegmentIndex).  Decoding compiles once per (demand, user) into a
-plan that lists, for each segment of the user's file, the held items whose
-XOR is its I and its Q value.  The symbolic check evaluates the plan on the
-items' masks and compares with the segment's unit mask; the byte-level check
-evaluates the same plan on payload values.
+(algebra.SegmentIndex), as (I mask, Q mask, e) terms whose MIX**e-weighted
+sum mix_sum forms.  Decoding compiles once per (demand, user) into a plan
+that lists, for each segment of the user's file, the terms over held items
+whose weighted sum is the segment's (I, Q) pair.  The symbolic check sums the
+terms on the items' masks and compares with the segment's unit masks; the
+byte-level check sums the same terms on payload values.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .algebra import (
     CHANNELS,
@@ -50,11 +50,12 @@ from .core import (
     Demand,
     LeaderInfo,
     SchemeParams,
-    binom,
     leaders,
     require_fully_demanded,
     requesters,
 )
+
+Term = tuple[int, int, int]  # (I mask, Q mask, e): one summand MIX**e (I, Q) of mix_sum
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +124,7 @@ class CacheContent:
 
     def memory(self) -> Fraction:
         """Cache size normalized by the per-file segment count."""
-        p = self.params
-        return Fraction(self.size, 2 * p.n_users * binom(p.n_users - 1, p.r))
+        return Fraction(self.size, segment_index(self.params).per_file)
 
 
 def prefetch(params: SchemeParams, k: int) -> CacheContent:
@@ -226,11 +226,17 @@ def row_parity_pair(index: SegmentIndex, k: int, file: int, r_minus: tuple[int, 
     return mask, mask << 1
 
 
+def closure_terms(cache: CacheContent, file: int, r_minus: tuple[int, ...], e: int = 0) -> list[Term]:
+    """(I mask, Q mask, e) terms over the stored parities whose XOR is row
+    parity (file, r_minus) of the cache owner, each weighted by MIX**e."""
+    columns, rows = parity_combination(cache.params, cache.owner, file, tuple(r_minus))
+    return [(*cache.column[r_set], e) for r_set in columns] + [(*cache.row[key], e) for key in rows]
+
+
 def closure_pair(cache: CacheContent, file: int, r_minus: tuple[int, ...]) -> tuple[int, int]:
     """(I, Q) masks of row parity (file, r_minus) of the cache owner, XORed
     together from stored parities only.  Stored inputs come back unchanged."""
-    columns, rows = parity_combination(cache.params, cache.owner, file, tuple(r_minus))
-    return mix_sum([(*cache.column[r_set], 0) for r_set in columns] + [(*cache.row[key], 0) for key in rows])
+    return mix_sum(closure_terms(cache, file, r_minus))
 
 
 def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...], channel: str) -> SymbolVec:
@@ -269,24 +275,30 @@ def transform_exponents(params: SchemeParams, d: Demand) -> tuple[tuple[int, ...
     )
 
 
-def mix(e: int, i_val, q_val):
-    """MIX**e applied to an (I, Q) pair of XORable values, where MIX maps
-    (I, Q) to (I^Q, I) and generates a 3-cycle: MIX**3 is the identity."""
-    if e == 0:
-        return i_val, q_val
-    if e == 1:
-        return i_val ^ q_val, i_val
-    return q_val, i_val ^ q_val
+def mix_sum(terms: Iterable[Term]) -> tuple[int, int]:
+    """XOR of MIX**e (I, Q) over (I, Q, e) terms of ints, e in {0, 1, 2}.
 
-
-def mix_sum(terms) -> tuple[int, int]:
-    """XOR of MIX**e (I, Q) over (I, Q, e) terms."""
+    MIX maps (I, Q) to (I^Q, I) and generates a 3-cycle: MIX**2 maps (I, Q)
+    to (Q, I^Q) and MIX**3 is the identity.  This loop is the only place the
+    map is written out.
+    """
     acc_i = acc_q = 0
-    for mask_i, mask_q, e in terms:
-        add_i, add_q = mix(e, mask_i, mask_q)
-        acc_i ^= add_i
-        acc_q ^= add_q
+    for i_val, q_val, e in terms:
+        if e == 0:
+            acc_i ^= i_val
+            acc_q ^= q_val
+        elif e == 1:
+            acc_i ^= i_val ^ q_val
+            acc_q ^= i_val
+        else:
+            acc_i ^= q_val
+            acc_q ^= i_val ^ q_val
     return acc_i, acc_q
+
+
+def mix(e: int, i_val: int, q_val: int) -> tuple[int, int]:
+    """MIX**e applied to one (I, Q) pair of ints."""
+    return mix_sum([(i_val, q_val, e)])
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +334,7 @@ class DeliverySet:
         return 2 * (len(self.pairs) - len(self.skipped))
 
     def rate(self) -> Fraction:
-        p = self.params
-        return Fraction(self.transmitted_count, 2 * p.n_users * binom(p.n_users - 1, p.r))
+        return Fraction(self.transmitted_count, segment_index(self.params).per_file)
 
 
 @lru_cache(maxsize=None)
@@ -346,20 +357,16 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
     over t in r_plus; it is skipped when r_plus avoids every leader of s.
     """
     demand = require_fully_demanded(params, d)
-    per_file = segment_index(params).per_file
-    base = [(f - 1) * per_file for f in demand]
+    index = segment_index(params)
+    base, units = [(f - 1) * index.per_file for f in demand], index.units
     exponents = transform_exponents(params, demand)
     leader_infos = {s: leaders(params, demand, s) for s in params.users}
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     skipped: set[tuple[int, tuple[int, ...]]] = set()
-    for s, r_plus, terms in _symbol_layout(params):
-        acc_i = acc_q = 0
-        for t, offset in terms:
-            unit = 1 << (base[t - 1] + offset)
-            add_i, add_q = mix(exponents[t - 1][s - 1], unit, unit << 1)
-            acc_i ^= add_i
-            acc_q ^= add_q
-        pairs[(s, r_plus)] = (acc_i, acc_q)
+    for s, r_plus, layout in _symbol_layout(params):
+        pairs[(s, r_plus)] = mix_sum(
+            [(units[base[t - 1] + at], units[base[t - 1] + at + 1], exponents[t - 1][s - 1]) for t, at in layout]
+        )
         if not leader_infos[s].leader_set.intersection(r_plus):
             skipped.add((s, r_plus))
     dset = DeliverySet(
@@ -424,7 +431,7 @@ def skip_combination(
     return tuple((rest, (weight - leader_weight) % 3) for rest, weight in entries)
 
 
-def _broadcast_terms(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> list[tuple[int, int, int]]:
+def _broadcast_terms(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> list[Term]:
     """(I mask, Q mask, MIX exponent) terms whose transformed sum is symbol
     (s, r_plus): the symbol itself when transmitted, else its reconstruction
     from transmitted ones."""
@@ -450,36 +457,31 @@ def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], chan
 # ---------------------------------------------------------------------------
 # decoding: one plan per (demand, user), evaluated on masks or on payloads
 
-Row = tuple[int, tuple[int, ...], tuple[int, ...]]  # (position of the I target, I items, Q items)
-
-
-def _evaluate(i_items, q_items, value_of=None) -> tuple[int, int]:
-    if value_of is not None:
-        i_items, q_items = map(value_of, i_items), map(value_of, q_items)
-    return reduce(operator.xor, i_items, 0), reduce(operator.xor, q_items, 0)
-
 
 @dataclass(frozen=True)
 class DecodePlan:
     """One user's decoding of its whole file for one demand.
 
-    Row (t, i_items, q_items) says that the segments at positions t (I) and
-    t + 1 (Q) of the dense segment index are the XORs of the listed items.
-    An item is something the user holds (an uncoded slot, a cached column or
-    row parity, or a transmitted symbol), given by its mask.  Rows run in
-    partition order.
+    Row (t, terms) says that the segments at positions t (I) and t + 1 (Q)
+    of the dense segment index are the mix_sum of the terms.  Each term is
+    (I mask, Q mask, e) over something the user holds (an uncoded slot, a
+    cached column or row parity, or a transmitted symbol), its MIX exponent
+    already shifted to undo the target's transform.  Rows run in partition
+    order.
     """
 
-    rows: tuple[Row, ...]
+    rows: tuple[tuple[int, tuple[Term, ...]], ...]
 
     def recovers(self, value_of=None) -> bool:
-        """True iff every target decodes to its unit mask, or with value_of,
-        to value_of of that unit mask (the segment's own payload)."""
-        for target, i_items, q_items in self.rows:
-            unit_i, unit_q = 1 << target, 2 << target
+        """True iff every target's terms sum to its unit masks, or with
+        value_of, with both masks of every term and the unit masks mapped
+        through value_of (the segment's own payload)."""
+        for target, terms in self.rows:
+            unit = (1 << target, 2 << target)
             if value_of is not None:
-                unit_i, unit_q = value_of(unit_i), value_of(unit_q)
-            if _evaluate(i_items, q_items, value_of) != (unit_i, unit_q):
+                terms = [(value_of(i), value_of(q), e) for i, q, e in terms]
+                unit = (value_of(unit[0]), value_of(unit[1]))
+            if mix_sum(terms) != unit:
                 return False
         return True
 
@@ -523,78 +525,44 @@ def _equations(params: SchemeParams, k: int) -> tuple[Equation, ...]:
     )
 
 
-class _PlanCompiler:
-    """Rows of user k's plan: its equations filled in for one demand.
-
-    Filling in an equation gives (I mask, Q mask, e) terms whose
-    MIX**e-weighted sum is the transformed target; the row undoes the
-    target's transform and spells out which items each channel XORs.
-    """
-
-    def __init__(self, dset: DeliverySet, cache: CacheContent, k: int):
-        self.dset = dset
-        self.k = k
-        self.index = segment_index(dset.params)
-        self.cache = cache
-        self.base = (dset.demand[k - 1] - 1) * self.index.per_file
-
-    def _held_slot(self, position: int) -> tuple[int, int]:
-        uncoded = self.cache.uncoded
-        if position not in uncoded or position + 1 not in uncoded:
-            raise LookupError(f"user {self.k} did not cache {self.index.segments[position].label()}")
-        units = self.index.units
-        return units[position], units[position + 1]
-
-    def row(self, equation: Equation) -> Row:
-        offset, s, kind, data = equation
-        target = self.base + offset
-        if kind == 0:
-            mask_i, mask_q = self._held_slot(target)
-            return target, (mask_i,), (mask_q,)
-        dset, k = self.dset, self.k
-        demand, exponents = dset.demand, dset.exponents
-        if kind == 1:
-            r_plus, held = data
-            terms = _broadcast_terms(dset, s, r_plus)
-            per_file = self.index.per_file
-            for i, rest_offset in held:
-                slot = self._held_slot((demand[i - 1] - 1) * per_file + rest_offset)
-                terms.append((*slot, exponents[i - 1][s - 1]))
-        else:
-            r_set, closures, symbols = data
-            columns, row_parities = self.cache.column, self.cache.row
-            terms = [(*columns[r_set], 0)]
-            for t, r_minus in closures:
-                cols, rows = parity_combination(dset.params, k, demand[t - 1], r_minus)
-                e = exponents[t - 1][k - 1]
-                terms += [(*columns[subset], e) for subset in cols]
-                terms += [(*row_parities[key], e) for key in rows]
-            for r_plus in symbols:
-                terms += _broadcast_terms(dset, k, r_plus)
-        undo = exponents[k - 1][s - 1]
-        i_items: list[int] = []
-        q_items: list[int] = []
-        for mask_i, mask_q, e in terms:
-            e = (e - undo) % 3
-            if e == 0:
-                i_items.append(mask_i)
-                q_items.append(mask_q)
-            elif e == 1:
-                i_items += (mask_i, mask_q)
-                q_items.append(mask_i)
-            else:
-                i_items.append(mask_q)
-                q_items += (mask_i, mask_q)
-        return target, tuple(i_items), tuple(q_items)
-
-
 def decode_plan(dset: DeliverySet, cache: CacheContent, k: int) -> DecodePlan:
     """Compile user k's decoding of its file for this demand.
 
-    Raises LookupError when an equation needs an item the user does not hold.
+    Filling in an equation gives (I mask, Q mask, e) terms whose weighted sum
+    is the transformed target, MIX**undo of it; the row shifts every e by
+    -undo.  Raises LookupError when an equation needs an item the user does
+    not hold.
     """
-    compiler = _PlanCompiler(dset, cache, k)
-    return DecodePlan(tuple(map(compiler.row, _equations(dset.params, k))))
+    params, demand, exponents = dset.params, dset.demand, dset.exponents
+    index = segment_index(params)
+    per_file, units = index.per_file, index.units
+
+    def held(position: int, e: int) -> Term:
+        if position not in cache.uncoded or position + 1 not in cache.uncoded:
+            raise LookupError(f"user {k} did not cache {index.segments[position].label()}")
+        return units[position], units[position + 1], e
+
+    base = (demand[k - 1] - 1) * per_file
+    rows = []
+    for offset, s, kind, data in _equations(params, k):
+        target = base + offset
+        undo = exponents[k - 1][s - 1]
+        if kind == 0:
+            terms = [held(target, undo)]
+        elif kind == 1:
+            r_plus, rests = data
+            terms = _broadcast_terms(dset, s, r_plus)
+            for i, rest in rests:
+                terms.append(held((demand[i - 1] - 1) * per_file + rest, exponents[i - 1][s - 1]))
+        else:
+            r_set, closures, symbols = data
+            terms = [(*cache.column[r_set], 0)]
+            for t, r_minus in closures:
+                terms += closure_terms(cache, demand[t - 1], r_minus, exponents[t - 1][k - 1])
+            for r_plus in symbols:
+                terms += _broadcast_terms(dset, k, r_plus)
+        rows.append((target, tuple([(i, q, (e - undo) % 3) for i, q, e in terms])))
+    return DecodePlan(tuple(rows))
 
 
 class PayloadSource:
@@ -632,11 +600,11 @@ def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadS
     """
     index = segment_index(dset.params)
     out = []
-    for target, i_items, q_items in decode_plan(dset, cache, k).rows:
+    for target, terms in decode_plan(dset, cache, k).rows:
         if source is None:
-            pair = map(index.vector, _evaluate(i_items, q_items))
+            pair = map(index.vector, mix_sum(terms))
         else:
-            pair = _evaluate(i_items, q_items, source.value)
+            pair = mix_sum((source.value(i), source.value(q), e) for i, q, e in terms)
         out += zip(index.segments[target : target + 2], pair)
     return out
 

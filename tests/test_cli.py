@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fdcache import cli
+from fdcache import cli, harness
 from fdcache.cli import main
 from fdcache.harness import FamilyResult, GoldenCheck, GoldenReport, IdentityReport
 
@@ -192,6 +192,24 @@ def test_lemmas_vacuous_families(capsys):
     payload = json.loads(out)
     assert payload["success"] is True
     assert payload["families"]["skip_reconstruction"]["checked"] == 0
+
+
+@pytest.mark.parametrize("samples,message", [
+    ("0", "--samples: must be at least 1, got 0"),
+    ("-3", "--samples: must be at least 1, got -3"),
+    ("100001", "--samples 100001 exceeds the limit of 100000"),
+])
+def test_lemmas_rejects_samples_out_of_range(capsys, monkeypatch, samples, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled demands for an invalid --samples")
+
+    monkeypatch.setattr(harness, "sample_fully_demanded", no_sampling)
+    try:
+        code = main(["lemmas", "--n", "3", "--k", "6", "--r", "1", "--samples", samples])
+    except SystemExit as exc:  # argparse rejects values below 1
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_golden_command(capsys):

@@ -152,13 +152,38 @@ def test_covering_count_matches_brute_force(n, length):
         assert covering_count(n, missing, length) == want
 
 
-def test_single_type_enumeration_agrees_with_filter():
-    params = SchemeParams(3, 4, 0)
-    by_filter = {}
-    for d in enumerate_demands(params, "mixed"):
-        by_filter.setdefault(demand_type(params, d).counts, []).append(d)
-    for dtype in enumerate_fully_demanded_types(3, 4):
-        assert enumerate_demands(params, dtype) == by_filter[dtype.counts]
+def _no_product(*args, **kwargs):
+    raise AssertionError("enumeration walked itertools.product")
+
+
+def test_single_type_enumeration_agrees_with_filter(monkeypatch):
+    """Every restricted class on every (N, K <= 6), including types that
+    leave files unrequested, equals the filter over all N^K vectors, and is
+    walked without itertools.product."""
+    for k in range(1, 7):
+        for n in range(1, k + 1):
+            params = SchemeParams(n, k, 0)
+            by_filter = {"fully_demanded": []}
+            for d in itertools.product(params.files, repeat=k):
+                by_filter.setdefault(demand_type(params, d), []).append(d)
+                if set(d) == set(params.files):
+                    by_filter["fully_demanded"].append(d)
+            with monkeypatch.context() as patch:
+                patch.setattr(itertools, "product", _no_product)
+                for demand_class, demands in by_filter.items():
+                    assert enumerate_demands(params, demand_class) == demands, (n, k, demand_class)
+
+
+@pytest.mark.parametrize("params,demand_class,count", [
+    (SchemeParams(4, 15, 0), (12, 1, 1, 1), 10_920),
+    (SchemeParams(8, 8, 0), "fully_demanded", 40_320),
+])
+def test_enumeration_skips_vectors_outside_the_class(monkeypatch, params, demand_class, count):
+    # a walk over all N^K vectors would take 4^15 ~ 1.1e9 and 8^8 ~ 1.7e7 steps
+    monkeypatch.setattr(itertools, "product", _no_product)
+    demands = enumerate_demands(params, demand_class)
+    assert len(demands) == count == count_demands(params, demand_class)
+    assert demands == sorted(set(demands))
 
 
 def test_fully_demanded_types_enumeration():

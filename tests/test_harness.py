@@ -5,10 +5,19 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdcache import algebra, harness, scheme
 from fdcache.algebra import MaskValues, segment_index
-from fdcache.core import DemandType, NotFullyDemandedError, SchemeParams, enumerate_demands
+from fdcache.analysis import type_operating_point
+from fdcache.core import (
+    DemandType,
+    NotFullyDemandedError,
+    SchemeParams,
+    count_demands,
+    demand_type,
+    enumerate_demands,
+)
 from fdcache.harness import (
     SweepLimitExceeded,
     golden_example_check,
@@ -49,6 +58,19 @@ def test_verify_distinct_requests_three_users():
     report = verify_demand(SchemeParams(3, 3, 1), (1, 2, 3))
     assert report.success
     assert (report.memory_measured, report.rate_measured) == (Fraction(5, 3), Fraction(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_random_system_decodes_as_the_oracle_and_the_type_point_say(data):
+    k = data.draw(st.integers(1, 8), label="K")
+    params = SchemeParams(data.draw(st.integers(1, k), label="N"), k, data.draw(st.integers(0, k - 1), label="r"))
+    rank = data.draw(st.integers(0, count_demands(params, "fully_demanded") - 1), label="rank")
+    demand = harness._unrank_fully_demanded(params, rank)
+    report = verify_demand(params, demand, engine="both")
+    assert report.success
+    assert report.oracle_ok == report.decode_ok
+    assert report.rate_measured == type_operating_point(params, demand_type(params, demand)).rate
 
 
 def test_verify_rejects_partial_demand():

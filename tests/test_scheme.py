@@ -19,6 +19,7 @@ from fdcache.scheme import (
     delivery,
     file_segments,
     mix,
+    mix_sum,
     parity_combination,
     partition,
     prefetch,
@@ -44,10 +45,10 @@ def unit_pair(file, users, excluded, params=RUN):
 
 
 def decoded_pair(plan, unit_i):
-    """The (I, Q) masks that the plan's row for the segment with I mask unit_i XORs to."""
-    for target, i_items, q_items in plan.rows:
+    """The (I, Q) masks that the terms of the plan's row for the segment with I mask unit_i sum to."""
+    for target, terms in plan.rows:
         if 1 << target == unit_i:
-            return reduce(operator.xor, i_items, 0), reduce(operator.xor, q_items, 0)
+            return mix_sum(terms)
     raise KeyError(unit_i)
 
 
@@ -396,7 +397,7 @@ def _payload_values(width=8, seed="fault"):
 
 
 def _reads(plan, mask):
-    return any(mask in i_items or mask in q_items for _t, i_items, q_items in plan.rows)
+    return any(mask in (i, q) for _t, terms in plan.rows for i, q, _e in terms)
 
 
 def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
