@@ -158,9 +158,22 @@ class SegmentIndex:
         return SymbolVec(frozenset(segments[i] for i in bit_positions(mask)))
 
 
+# ceiling on the segments of one system: the unit masks alone take about
+# size**2 / 16 bytes, 16 MiB here, and every mask of the scheme is size bits wide
+MAX_SEGMENTS = 2**14
+
+
 @lru_cache(maxsize=None)
 def segment_index(params: SchemeParams) -> SegmentIndex:
-    """The dense index of one system, built once per parameters."""
+    """The dense index of one system, built once per parameters.  Raises
+    ValueError, before building anything, for a system of more than
+    MAX_SEGMENTS segments."""
+    size = params.n_files * 2 * (params.n_users - params.r) * binom(params.n_users, params.r)
+    if size > MAX_SEGMENTS:
+        raise ValueError(
+            f"(N, K, r) = ({params.n_files}, {params.n_users}, {params.r}) has {size} segments,"
+            f" more than the ceiling of {MAX_SEGMENTS}"
+        )
     return SegmentIndex(params)
 
 
@@ -183,9 +196,11 @@ class MaskValues(dict):
 
     def __missing__(self, mask: int) -> int:
         values = self.segment_values
-        acc = 0
-        for i in bit_positions(mask):
-            acc ^= values[i]
+        acc, rest = 0, mask
+        while rest:  # bit_positions, inlined: this runs once per held item and demand
+            low = rest & -rest
+            acc ^= values[low.bit_length() - 1]
+            rest ^= low
         self[mask] = acc
         return acc
 
@@ -221,6 +236,29 @@ class SpanBasis:
             self.pivots[row.bit_length() - 1] = row
             return True
         return False
+
+    def insert_rows(self, rows: Iterable[int]) -> None:
+        """insert_row of each row in turn, in one elimination loop."""
+        pivots = self.pivots
+        for row in rows:
+            while row:
+                lead = row.bit_length() - 1
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = row
+                    break
+                row ^= pivot
+
+    def spans(self, rows: Iterable[int]) -> bool:
+        """True iff every row lies in the span: each residual is 0."""
+        pivots = self.pivots
+        for row in rows:
+            while row:
+                pivot = pivots.get(row.bit_length() - 1)
+                if pivot is None:
+                    return False
+                row ^= pivot
+        return True
 
     @property
     def rank(self) -> int:

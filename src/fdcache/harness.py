@@ -45,7 +45,7 @@ from .scheme import (
     PayloadSource,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     closure_pair,
     decode_file,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
-    decode_plan,
+    decode_rows,
     delivery,
     file_segments,
     mix,
@@ -95,12 +95,9 @@ def _cache_spans(params: SchemeParams) -> tuple[SpanBasis, ...]:
     spans = []
     for cache in _prefetch_all(params):
         span = SpanBasis()
-        for position in sorted(cache.uncoded):
-            span.insert_row(1 << position)
+        span.insert_rows(1 << position for position in sorted(cache.uncoded))
         for parities in (cache.column, cache.row):
-            for key in sorted(parities):
-                for mask in parities[key]:
-                    span.insert_row(mask)
+            span.insert_rows(mask for key in sorted(parities) for mask in parities[key])
         spans.append(span)
     return tuple(spans)
 
@@ -157,15 +154,26 @@ class VerificationReport:
 
 def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, engine: str,
                     encoded: MaskValues | None) -> bool:
-    """User k's plan recovers every segment of its file: on masks (symbolic)
-    and, given the demand's payload encoding, on bytes."""
+    """User k's rows recover every segment of its file: on masks (symbolic)
+    and, given the demand's payload encoding, on payload values.  Each row's
+    terms are summed once, in both domains together."""
     try:
-        plan = decode_plan(dset, cache, k)
+        rows = list(decode_rows(dset, cache, k))
     except LookupError:  # the decoding needs an item the user does not hold
         return False
-    if engine != "payload" and not plan.recovers():
-        return False
-    return encoded is None or plan.recovers(encoded.__getitem__)
+    symbolic = engine != "payload"
+    for target, undo, terms in rows:
+        unit = mix(undo, 1 << target, 2 << target)  # the target as the row leaves it
+        if encoded is None:
+            if mix_sum(terms) != unit:
+                return False
+            continue
+        masks, values = mix_sum(terms, encoded)
+        if symbolic and masks != unit:
+            return False
+        if values != mix(undo, encoded[1 << target], encoded[2 << target]):
+            return False
+    return True
 
 
 def _oracle_flags(params: SchemeParams, dset: DeliverySet) -> list[bool]:
@@ -175,10 +183,8 @@ def _oracle_flags(params: SchemeParams, dset: DeliverySet) -> list[bool]:
     flags = []
     for k in params.users:
         span = spans[k - 1].copy()
-        for row in symbol_rows:
-            span.insert_row(row)
-        targets = _file_target_rows(params, dset.demand[k - 1])
-        flags.append(all(span.residual(row) == 0 for row in targets))
+        span.insert_rows(symbol_rows)
+        flags.append(span.spans(_file_target_rows(params, dset.demand[k - 1])))
     return flags
 
 
@@ -417,6 +423,8 @@ def identity_suite(
     index.  Every failure records its full index tuple.
     """
     if demands is None:
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
         demands = sample_fully_demanded(params, samples)
     demands = tuple(require_fully_demanded(params, d) for d in demands)
     index = segment_index(params)

@@ -21,11 +21,12 @@ Pipeline, per (N, K, r) system:
 
 Delivery and decoding work on int masks over the dense segment index
 (algebra.SegmentIndex), as (I mask, Q mask, e) terms whose MIX**e-weighted
-sum mix_sum forms.  Decoding compiles once per (demand, user) into a plan
-that lists, for each segment of the user's file, the terms over held items
-whose weighted sum is the segment's (I, Q) pair.  The symbolic check sums the
-terms on the items' masks and compares with the segment's unit masks; the
-byte-level check sums the same terms on payload values.
+sum mix_sum forms.  decode_rows walks a user's equations once per demand and
+yields, for each segment pair of the user's file, the terms over held items
+whose weighted sum is MIX**undo of the pair.  A verifier sums each row's
+terms once: mix_sum, given the payload values, sums the items' masks and
+their values in the same loop, and the sums are compared with MIX**undo of
+the segment's unit masks and of its own values.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
     CHANNELS,
@@ -226,17 +227,17 @@ def row_parity_pair(index: SegmentIndex, k: int, file: int, r_minus: tuple[int, 
     return mask, mask << 1
 
 
-def closure_terms(cache: CacheContent, file: int, r_minus: tuple[int, ...], e: int = 0) -> list[Term]:
-    """(I mask, Q mask, e) terms over the stored parities whose XOR is row
-    parity (file, r_minus) of the cache owner, each weighted by MIX**e."""
-    columns, rows = parity_combination(cache.params, cache.owner, file, tuple(r_minus))
+def closure_terms(cache: CacheContent, combination, e: int = 0) -> list[Term]:
+    """(I mask, Q mask, e) terms over the stored parities of a
+    parity_combination of the cache owner, each weighted by MIX**e."""
+    columns, rows = combination
     return [(*cache.column[r_set], e) for r_set in columns] + [(*cache.row[key], e) for key in rows]
 
 
 def closure_pair(cache: CacheContent, file: int, r_minus: tuple[int, ...]) -> tuple[int, int]:
     """(I, Q) masks of row parity (file, r_minus) of the cache owner, XORed
     together from stored parities only.  Stored inputs come back unchanged."""
-    return mix_sum(closure_terms(cache, file, r_minus))
+    return mix_sum(closure_terms(cache, parity_combination(cache.params, cache.owner, file, tuple(r_minus))))
 
 
 def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...], channel: str) -> SymbolVec:
@@ -275,30 +276,45 @@ def transform_exponents(params: SchemeParams, d: Demand) -> tuple[tuple[int, ...
     )
 
 
-def mix_sum(terms: Iterable[Term]) -> tuple[int, int]:
+def mix_sum(terms: Iterable[Term], values: Mapping[int, int] | None = None):
     """XOR of MIX**e (I, Q) over (I, Q, e) terms of ints, e in {0, 1, 2}.
 
     MIX maps (I, Q) to (I^Q, I) and generates a 3-cycle: MIX**2 maps (I, Q)
-    to (Q, I^Q) and MIX**3 is the identity.  This loop is the only place the
-    map is written out.
+    to (Q, I^Q) and MIX**3 is the identity.  With values, a map from the
+    terms' ints to payload values, the same loop also sums the terms'
+    values, and the result is ((I, Q) sum, (I, Q) value sum).  This loop is
+    the only place the map is written out.
     """
-    acc_i = acc_q = 0
+    acc_i = acc_q = val_i = val_q = 0
     for i_val, q_val, e in terms:
         if e == 0:
             acc_i ^= i_val
             acc_q ^= q_val
+            if values is not None:
+                val_i ^= values[i_val]
+                val_q ^= values[q_val]
         elif e == 1:
             acc_i ^= i_val ^ q_val
             acc_q ^= i_val
+            if values is not None:
+                i_v = values[i_val]
+                val_i ^= i_v ^ values[q_val]
+                val_q ^= i_v
         else:
             acc_i ^= q_val
             acc_q ^= i_val ^ q_val
-    return acc_i, acc_q
+            if values is not None:
+                q_v = values[q_val]
+                val_i ^= q_v
+                val_q ^= values[i_val] ^ q_v
+    if values is None:
+        return acc_i, acc_q
+    return (acc_i, acc_q), (val_i, val_q)
 
 
 def mix(e: int, i_val: int, q_val: int) -> tuple[int, int]:
-    """MIX**e applied to one (I, Q) pair of ints."""
-    return mix_sum([(i_val, q_val, e)])
+    """MIX**e applied to one (I, Q) pair of ints; the pair itself when e is 0."""
+    return (i_val, q_val) if e == 0 else mix_sum([(i_val, q_val, e)])
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +351,11 @@ class DeliverySet:
 
     def rate(self) -> Fraction:
         return Fraction(self.transmitted_count, segment_index(self.params).per_file)
+
+    @cached_property
+    def broadcast_terms(self) -> dict[tuple[int, tuple[int, ...]], tuple[Term, ...]]:
+        """_broadcast_terms of every symbol, built once per demand."""
+        return {key: tuple(_broadcast_terms(self, *key)) for key in self.pairs}
 
 
 @lru_cache(maxsize=None)
@@ -455,41 +476,14 @@ def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], chan
 
 
 # ---------------------------------------------------------------------------
-# decoding: one plan per (demand, user), evaluated on masks or on payloads
-
-
-@dataclass(frozen=True)
-class DecodePlan:
-    """One user's decoding of its whole file for one demand.
-
-    Row (t, terms) says that the segments at positions t (I) and t + 1 (Q)
-    of the dense segment index are the mix_sum of the terms.  Each term is
-    (I mask, Q mask, e) over something the user holds (an uncoded slot, a
-    cached column or row parity, or a transmitted symbol), its MIX exponent
-    already shifted to undo the target's transform.  Rows run in partition
-    order.
-    """
-
-    rows: tuple[tuple[int, tuple[Term, ...]], ...]
-
-    def recovers(self, value_of=None) -> bool:
-        """True iff every target's terms sum to its unit masks, or with
-        value_of, with both masks of every term and the unit masks mapped
-        through value_of (the segment's own payload)."""
-        for target, terms in self.rows:
-            unit = (1 << target, 2 << target)
-            if value_of is not None:
-                terms = [(value_of(i), value_of(q), e) for i, q, e in terms]
-                unit = (value_of(unit[0]), value_of(unit[1]))
-            if mix_sum(terms) != unit:
-                return False
-        return True
+# decoding: one pass of rows per (demand, user), read on masks or on payloads
 
 
 # The demand-independent part of one target's decoding equation:
 # (offset of the target within its file, excluded user s, class, data), with
 # data None for an uncoded hit, (r_plus, ((i, offset of W[., r_plus - i, s]), ...))
-# for class 1 and (r_set, ((t, r_set - t), ...), (r_set | {h}, ...)) for class 2.
+# for class 1 and (r_set, ((t, parity_combination of r_set - t for each file), ...),
+# (r_set | {h}, ...)) for class 2.
 Equation = tuple[int, int, int, tuple | None]
 
 
@@ -508,8 +502,12 @@ def _equation(index: SegmentIndex, k: int, r_set: tuple[int, ...], s: int) -> Eq
         r_plus = tuple(sorted(r_set + (k,)))
         held = tuple((i, index.slot(1, tuple(u for u in r_plus if u != i), s)) for i in r_set)
         return offset, s, 1, (r_plus, held)
-    closures = tuple((t, tuple(u for u in r_set if u != t)) for t in r_set)
-    others = (h for h in index.params.users if h != k and h not in r_set)
+    params = index.params
+    closures = tuple(
+        (t, tuple(parity_combination(params, k, f, tuple(u for u in r_set if u != t)) for f in params.files))
+        for t in r_set
+    )
+    others = (h for h in params.users if h != k and h not in r_set)
     return offset, s, 2, (r_set, closures, tuple(tuple(sorted(r_set + (h,))) for h in others))
 
 
@@ -525,51 +523,55 @@ def _equations(params: SchemeParams, k: int) -> tuple[Equation, ...]:
     )
 
 
-def decode_plan(dset: DeliverySet, cache: CacheContent, k: int) -> DecodePlan:
-    """Compile user k's decoding of its file for this demand.
+def decode_rows(dset: DeliverySet, cache: CacheContent, k: int) -> Iterator[tuple[int, int, list[Term]]]:
+    """User k's decoding of its file for this demand, one row per segment
+    pair, in partition order.
 
-    Filling in an equation gives (I mask, Q mask, e) terms whose weighted sum
-    is the transformed target, MIX**undo of it; the row shifts every e by
-    -undo.  Raises LookupError when an equation needs an item the user does
-    not hold.
+    Row (target, undo, terms) says that the mix_sum of the terms is MIX**undo
+    of the (I, Q) pair of the segments at positions target and target + 1
+    of the dense segment index: the target as user k's transform toward the
+    excluded user leaves it.  Each term is (I mask, Q mask, e) over something
+    the user holds (an uncoded slot, a cached column or row parity, or a
+    transmitted symbol).  Raises LookupError when an equation needs an item
+    the user does not hold.
     """
     params, demand, exponents = dset.params, dset.demand, dset.exponents
     index = segment_index(params)
-    per_file, units = index.per_file, index.units
+    per_file, units, uncoded = index.per_file, index.units, cache.uncoded
 
     def held(position: int, e: int) -> Term:
-        if position not in cache.uncoded or position + 1 not in cache.uncoded:
+        if position not in uncoded or position + 1 not in uncoded:
             raise LookupError(f"user {k} did not cache {index.segments[position].label()}")
         return units[position], units[position + 1], e
 
     base = (demand[k - 1] - 1) * per_file
-    rows = []
+    broadcast = dset.broadcast_terms
     for offset, s, kind, data in _equations(params, k):
         target = base + offset
+        if kind == 0:  # cached uncoded: the target itself, untransformed
+            yield target, 0, [held(target, 0)]
+            continue
         undo = exponents[k - 1][s - 1]
-        if kind == 0:
-            terms = [held(target, undo)]
-        elif kind == 1:
+        if kind == 1:
             r_plus, rests = data
-            terms = _broadcast_terms(dset, s, r_plus)
+            terms = list(broadcast[(s, r_plus)])
             for i, rest in rests:
                 terms.append(held((demand[i - 1] - 1) * per_file + rest, exponents[i - 1][s - 1]))
         else:
             r_set, closures, symbols = data
             terms = [(*cache.column[r_set], 0)]
-            for t, r_minus in closures:
-                terms += closure_terms(cache, demand[t - 1], r_minus, exponents[t - 1][k - 1])
+            for t, combinations in closures:
+                terms += closure_terms(cache, combinations[demand[t - 1] - 1], exponents[t - 1][k - 1])
             for r_plus in symbols:
-                terms += _broadcast_terms(dset, k, r_plus)
-        rows.append((target, tuple([(i, q, (e - undo) % 3) for i, q, e in terms])))
-    return DecodePlan(tuple(rows))
+                terms += broadcast[(k, r_plus)]
+        yield target, undo, terms
 
 
 class PayloadSource:
     """Byte values (as ints) user k holds after prefetch plus the broadcast.
 
     An item's value is the XOR of the source payload over its mask, encoded
-    once on first use as the server would; decoding evaluates the user's plan
+    once on first use as the server would; decode_file sums the user's rows
     on these values.
     """
 
@@ -593,18 +595,19 @@ class PayloadSource:
 
 
 def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadSource | None = None):
-    """decode_plan's rows evaluated and labelled, in canonical segment order.
+    """decode_rows evaluated, with each row's transform undone, and labelled,
+    in canonical segment order.
 
     Returns [(SegmentId, value)]: values are SymbolVec expansions (correct iff
     equal to the unit vector) or, with a PayloadSource, payload ints.
     """
     index = segment_index(dset.params)
     out = []
-    for target, terms in decode_plan(dset, cache, k).rows:
+    for target, undo, terms in decode_rows(dset, cache, k):
         if source is None:
-            pair = map(index.vector, mix_sum(terms))
+            pair = map(index.vector, mix(-undo % 3, *mix_sum(terms)))
         else:
-            pair = mix_sum((source.value(i), source.value(q), e) for i, q, e in terms)
+            pair = mix(-undo % 3, *mix_sum((source.value(i), source.value(q), e) for i, q, e in terms))
         out += zip(index.segments[target : target + 2], pair)
     return out
 

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
+from fdcache import algebra
 from fdcache.algebra import (
     MaskValues,
     Payload,
@@ -157,6 +158,24 @@ def test_rank_bounds(universe):
     assert basis.rank <= len(universe)
 
 
+@given(
+    st.lists(st.integers(0, 2**40), max_size=24),
+    st.lists(st.integers(0, 2**40), max_size=24),
+    st.lists(st.integers(0, 2**40), max_size=8),
+)
+def test_row_loops_match_row_by_row(base, rows, targets):
+    # insert_rows and spans are insert_row and residual over many rows at once
+    one_by_one = SpanBasis()
+    for row in base + rows:
+        one_by_one.insert_row(row)
+    at_once = SpanBasis()
+    at_once.insert_rows(base)
+    at_once.insert_rows(iter(rows))
+    assert at_once.pivots == one_by_one.pivots
+    assert at_once.spans(targets) == all(one_by_one.residual(row) == 0 for row in targets)
+    assert at_once.spans(base + rows)
+
+
 def test_span_basis_copy_is_independent():
     basis = SpanBasis()
     basis.insert_row(mask_of([X]))
@@ -193,6 +212,25 @@ def test_segment_index_is_partition_position():
                 assert index.size == len(segs)
                 assert [index[seg] for seg in segs] == list(range(len(segs)))
                 assert list(index.segments) == segs
+
+
+def test_segment_index_refuses_a_system_past_the_ceiling(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built a segment index")
+
+    monkeypatch.setattr(algebra.SegmentIndex, "__init__", no_build)
+    with pytest.raises(ValueError, match="411840 segments"):
+        segment_index(SchemeParams(2, 16, 8))  # 2 * 2(16 - 8) * C(16, 8)
+
+
+def test_segment_ceiling_is_inclusive(monkeypatch):
+    params = SchemeParams(2, 5, 2)  # 2 * 2(5 - 2) * C(5, 2) = 120 segments
+    build = segment_index.__wrapped__  # past the cache, so every call checks
+    monkeypatch.setattr(algebra, "MAX_SEGMENTS", 119)
+    with pytest.raises(ValueError, match="120 segments"):
+        build(params)
+    monkeypatch.setattr(algebra, "MAX_SEGMENTS", 120)
+    assert build(params).size == 120
 
 
 def test_segment_index_rejects_foreign_segments():

@@ -129,6 +129,14 @@ def test_verify_rejects_partial_demand(capsys):
     assert "unrequested" in err
 
 
+def test_verify_refuses_a_system_past_the_segment_ceiling(capsys):
+    demand = ",".join(["1", "2"] * 8)
+    code, out, err = run(capsys, "verify", "--n", "2", "--k", "16", "--r", "8", "--demand", demand)
+    assert code == 2
+    assert out == ""
+    assert "411840 segments" in err
+
+
 def test_verify_sweep_limit_exit(capsys):
     code, _, err = run(
         capsys, "verify", "--n", "3", "--k", "4", "--r", "1", "--all-fully-demanded", "--limit", "10"

@@ -296,6 +296,62 @@ def test_identity_suite_rejects_partial_demand():
         identity_suite(RUN, demands=[(1, 1, 1, 1, 2, 2)])
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_identity_suite_rejects_samples_below_one(monkeypatch, samples):
+    def no_sample(*args):
+        raise AssertionError("sampled demands")
+
+    monkeypatch.setattr(harness, "sample_fully_demanded", no_sample)
+    with pytest.raises(ValueError, match="samples"):
+        identity_suite(RUN, samples=samples)
+
+
+# one demand per system, with the number of pairs it transmits
+NEEDED_SYMBOL_CASES = [
+    ((3, 6, 1), (1, 1, 1, 1, 2, 3), 50),
+    ((4, 6, 2), (1, 1, 2, 2, 3, 4), 60),
+    ((3, 8, 1), (1, 1, 1, 2, 2, 2, 3, 3), 120),
+]
+
+
+@pytest.mark.parametrize("params,demand,sent", NEEDED_SYMBOL_CASES)
+def test_every_transmitted_symbol_is_needed(params, demand, sent):
+    # the skip rule drops exactly the redundant symbols: with any one more
+    # pair left out, some user can no longer span its file
+    params = SchemeParams(*params)
+    dset = scheme.delivery(params, demand)
+    transmitted = [key for key in dset.pairs if key not in dset.skipped]
+    assert len(transmitted) == sent
+    assert all(harness._oracle_flags(params, dset))
+    for key in transmitted:
+        fewer = dataclasses.replace(dset, skipped=dset.skipped | {key})
+        assert not all(harness._oracle_flags(params, fewer)), key
+
+
+def test_verify_demand_generates_each_users_rows_once(monkeypatch):
+    calls = []
+    real = harness.decode_rows
+
+    def counted(dset, cache, k):
+        calls.append(k)
+        return real(dset, cache, k)
+
+    monkeypatch.setattr(harness, "decode_rows", counted)
+    demands = [RUN_D, (3, 2, 1, 1, 2, 3), (1, 2, 3, 3, 3, 3)]
+    for d in demands:
+        assert verify_demand(RUN, d, engine="both").success
+    assert calls == list(RUN.users) * len(demands)
+
+
+def test_symbolic_engine_draws_no_payload(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a payload")
+
+    monkeypatch.setattr(MaskValues, "random", no_draw)
+    report = verify_demand(RUN, RUN_D, engine="symbolic")
+    assert report.success and report.oracle_ok
+
+
 def test_checks_build_no_labelled_vectors(monkeypatch):
     # verification, the identity suite and the golden check all work on
     # masks, from prefetch on; labels are only for reports

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from fdcache.algebra import CHANNELS, MaskValues, Payload, SymbolVec, segment, segment_index
 from fdcache.analysis import memory_point, type_operating_point
 from fdcache.core import SchemeParams, NotFullyDemandedError, demand_type, enumerate_demands
+from fdcache.harness import _decode_user_ok
 from fdcache.scheme import (
     PayloadSource,
     anchor_user,
     closure_pair,
     decode_file,
-    decode_plan,
+    decode_rows,
     delivery,
     file_segments,
     mix,
@@ -44,11 +45,12 @@ def unit_pair(file, users, excluded, params=RUN):
     return tuple(unit(file, users, excluded, channel, params) for channel in CHANNELS)
 
 
-def decoded_pair(plan, unit_i):
-    """The (I, Q) masks that the terms of the plan's row for the segment with I mask unit_i sum to."""
-    for target, terms in plan.rows:
+def decoded_pair(rows, unit_i):
+    """The (I, Q) masks that the terms of the row for the segment with I mask
+    unit_i sum to, with the row's transform undone."""
+    for target, undo, terms in rows:
         if 1 << target == unit_i:
-            return mix_sum(terms)
+            return mix(-undo % 3, *mix_sum(terms))
     raise KeyError(unit_i)
 
 
@@ -308,8 +310,8 @@ def test_reconstruction_full_sweep_four_six_r1():
 
 def test_decode_class1_worked_case(run_delivery, run_caches):
     target = unit_pair(1, (2,), 3)
-    plan = decode_plan(run_delivery, run_caches[1], 1)
-    assert decoded_pair(plan, target[0]) == target
+    rows = decode_rows(run_delivery, run_caches[1], 1)
+    assert decoded_pair(rows, target[0]) == target
     # the elimination identity behind it, on transformed masks
     exponents = run_delivery.exponents
     y_i = run_delivery.pairs[(3, (1, 2))][0]
@@ -324,7 +326,7 @@ def test_decode_class1_r0_boundary():
     dset = delivery(params, d)
     cache = prefetch(params, 2)
     target = unit_pair(2, (), 1, params)
-    assert decoded_pair(decode_plan(dset, cache, 2), target[0]) == target
+    assert decoded_pair(decode_rows(dset, cache, 2), target[0]) == target
     assert dset.pairs[(1, (2,))][0] == target[0]
 
 
@@ -337,7 +339,7 @@ def test_decode_class2_worked_equations(run_delivery, run_caches):
     rhs_q = reduce(operator.xor, [z_col[1], z_row[0]] + [pair[1] for pair in y.values()])
     target = unit_pair(1, (2,), 1)
     assert (rhs_i, rhs_q) == mix(run_delivery.exponents[1 - 1][1 - 1], *target)
-    assert decoded_pair(decode_plan(run_delivery, cache, 1), target[0]) == target
+    assert decoded_pair(decode_rows(run_delivery, cache, 1), target[0]) == target
 
 
 def test_decode_file_running_example(run_delivery, run_caches):
@@ -396,17 +398,22 @@ def _payload_values(width=8, seed="fault"):
     return MaskValues(index, [ints[seg] for seg in index.segments])
 
 
-def _reads(plan, mask):
-    return any(mask in (i, q) for _t, terms in plan.rows for i, q, _e in terms)
+def _reads(rows, mask):
+    return any(mask in (i, q) for _t, _undo, terms in rows for i, q, _e in terms)
 
 
 def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
     values = _payload_values()
     for k in RUN.users:
-        plan = decode_plan(run_delivery, run_caches[k], k)
-        assert len(plan.rows) == 30  # 60 segments of the file, one row per I/Q pair
-        assert plan.recovers()
-        assert plan.recovers(values.__getitem__)
+        rows = list(decode_rows(run_delivery, run_caches[k], k))
+        assert len(rows) == 30  # 60 segments of the file, one row per I/Q pair
+        assert [target for target, _undo, _terms in rows] == sorted(target for target, _undo, _terms in rows)
+        for target, undo, terms in rows:
+            unit = mix(undo, 1 << target, 2 << target)
+            assert mix_sum(terms) == unit
+            assert mix_sum(terms, values) == (unit, mix(undo, values[1 << target], values[2 << target]))
+        assert _decode_user_ok(run_delivery, run_caches[k], k, "symbolic", None)
+        assert _decode_user_ok(run_delivery, run_caches[k], k, "payload", values)
 
 
 def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches):
@@ -414,34 +421,33 @@ def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches
     key = (2, (1, 3))  # user 1 eliminates it for segment (1, {3}, 2)
     assert run_delivery.is_transmitted(*key)
     mask_i, mask_q = run_delivery.pairs[key]
-    assert _reads(decode_plan(run_delivery, run_caches[1], 1), mask_i)
+    assert _reads(decode_rows(run_delivery, run_caches[1], 1), mask_i)
     position = index[segment(3, (4,), 5, "I")]
     values = _payload_values()
     assert values.segment_values[position] != 0
     flipped = dataclasses.replace(run_delivery, pairs={**run_delivery.pairs, key: (mask_i ^ (1 << position), mask_q)})
-    plan = decode_plan(flipped, run_caches[1], 1)
-    assert not plan.recovers()
-    assert not plan.recovers(values.__getitem__)
+    assert not _decode_user_ok(flipped, run_caches[1], 1, "symbolic", None)
+    assert not _decode_user_ok(flipped, run_caches[1], 1, "payload", values)
 
 
 def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
     cache = run_caches[1]
     mask_i, mask_q = cache.column[(2,)]  # read by user 1's class-2 row for subset {2}
-    assert _reads(decode_plan(run_delivery, cache, 1), mask_i)
+    assert _reads(decode_rows(run_delivery, cache, 1), mask_i)
     stray = unit(2, (3,), 1, "I")
     corrupted = dataclasses.replace(cache, column={**cache.column, (2,): (mask_i ^ stray, mask_q)})
     values = _payload_values()
     assert values[stray] != 0
-    plan = decode_plan(run_delivery, corrupted, 1)
-    assert not plan.recovers()
-    assert not plan.recovers(values.__getitem__)
+    assert not _decode_user_ok(run_delivery, corrupted, 1, "symbolic", None)
+    assert not _decode_user_ok(run_delivery, corrupted, 1, "payload", values)
 
 
 def test_plan_needs_every_uncoded_slot(run_delivery, run_caches):
     cache = run_caches[1]
     missing = dataclasses.replace(cache, uncoded=cache.uncoded - {segment_index(RUN)[segment(1, (1,), 2, "Q")]})
     with pytest.raises(LookupError):
-        decode_plan(run_delivery, missing, 1)
+        list(decode_rows(run_delivery, missing, 1))
+    assert not _decode_user_ok(run_delivery, missing, 1, "both", _payload_values())
 
 
 # ---------------------------------------------------------------------------

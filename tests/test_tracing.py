@@ -43,3 +43,26 @@ def test_tracer_installs_and_uninstalls():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_tracer_round_trip_on_the_verify_path():
+    # one traced demand through both engines and the oracle: every wrapper
+    # still finds its target, and every binding comes back
+    before = _bindings()
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_demand()
+        report = harness.verify_demand(SchemeParams(3, 6, 1), (1, 1, 1, 1, 2, 3), engine="both", run_oracle=True)
+        tracer.end_demand(report)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert report.success and report.oracle_ok
+    assert metrics["scheme.delivery_ms"] > 0
+    assert metrics["scheme.sent_symbols"] == report.t_count
+    assert metrics["scheme.skip_combination_calls"] == 10  # the demand's ten skipped pairs
+    assert metrics["algebra.oracle_ms"] > 0
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
