@@ -13,6 +13,7 @@ import json
 import pathlib
 import time
 
+from fdcache.cli import at_least_one
 from fdcache.core import SchemeParams
 from fdcache.harness import (
     IDENTITY_SUITES,
@@ -29,8 +30,8 @@ from fdcache.harness import (
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", default="0")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--samples", type=int, default=10, help="demands per identity suite")
+    parser.add_argument("--jobs", type=at_least_one, default=1, help="worker processes, at least 1")
+    parser.add_argument("--samples", type=at_least_one, default=10, help="demands per identity suite, at least 1")
     parser.add_argument("--out", default="out/campaign.json")
     args = parser.parse_args()
 

@@ -161,18 +161,27 @@ class SegmentIndex:
 # ceiling on the segments of one system: the unit masks alone take about
 # size**2 / 16 bytes, 16 MiB here, and every mask of the scheme is size bits wide
 MAX_SEGMENTS = 2**14
+# ceiling on broadcast symbols x segments: each of the K C(K-1, r+1) symbols
+# is a pair of masks as wide as the index, so one delivery's time and memory
+# grow with the product ((2,400,0), at 2.6e8, takes about 20 s and 150 MiB)
+MAX_SYMBOL_SEGMENTS = 2**28
 
 
 @lru_cache(maxsize=None)
 def segment_index(params: SchemeParams) -> SegmentIndex:
     """The dense index of one system, built once per parameters.  Raises
     ValueError, before building anything, for a system of more than
-    MAX_SEGMENTS segments."""
+    MAX_SEGMENTS segments or more than MAX_SYMBOL_SEGMENTS broadcast symbols
+    times segments."""
+    system = f"(N, K, r) = ({params.n_files}, {params.n_users}, {params.r})"
     size = params.n_files * 2 * (params.n_users - params.r) * binom(params.n_users, params.r)
     if size > MAX_SEGMENTS:
+        raise ValueError(f"{system} has {size} segments, more than the ceiling of {MAX_SEGMENTS}")
+    symbols = params.n_users * binom(params.n_users - 1, params.r + 1)
+    if symbols * size > MAX_SYMBOL_SEGMENTS:
         raise ValueError(
-            f"(N, K, r) = ({params.n_files}, {params.n_users}, {params.r}) has {size} segments,"
-            f" more than the ceiling of {MAX_SEGMENTS}"
+            f"{system} has {symbols} broadcast symbols over {size} segments,"
+            f" more than the ceiling of {MAX_SYMBOL_SEGMENTS} symbols x segments"
         )
     return SegmentIndex(params)
 

@@ -65,68 +65,55 @@ class Halfspace:
 class RegionData33:
     """Outer facets and inner corner points for one (3,3) demand setting."""
 
-    setting: str
     outer_facets: tuple[Halfspace, ...]
     inner_corners: tuple[RatePoint, ...]
 
 
-def _hs(a, b, c) -> Halfspace:
-    return Halfspace(Fraction(a), Fraction(b), Fraction(c))
-
-
-def _pt(m, r) -> RatePoint:
-    return RatePoint(Fraction(m), Fraction(r))
-
-
 _REGIONS_33 = {
     "mixed": RegionData33(
-        setting="mixed",
         outer_facets=(
-            _hs(3, 1, 3),
-            _hs(6, 3, 8),
-            _hs(1, 1, 2),
-            _hs(2, 3, 5),
-            _hs(1, 3, 3),
+            Halfspace(3, 1, 3),
+            Halfspace(6, 3, 8),
+            Halfspace(1, 1, 2),
+            Halfspace(2, 3, 5),
+            Halfspace(1, 3, 3),
         ),
         inner_corners=(
-            _pt(0, 3),
-            _pt(Fraction(1, 3), 2),
-            _pt(Fraction(1, 2), Fraction(5, 3)),
-            _pt(Fraction(3, 5), Fraction(3, 2)),
-            _pt(1, 1),
-            _pt(2, Fraction(1, 3)),
-            _pt(3, 0),
+            RatePoint(0, 3),
+            RatePoint(Fraction(1, 3), 2),
+            RatePoint(Fraction(1, 2), Fraction(5, 3)),
+            RatePoint(Fraction(3, 5), Fraction(3, 2)),
+            RatePoint(1, 1),
+            RatePoint(2, Fraction(1, 3)),
+            RatePoint(3, 0),
         ),
     ),
     "type300": RegionData33(
-        setting="type300",
-        outer_facets=(_hs(1, 3, 3),),
-        inner_corners=(_pt(0, 1), _pt(3, 0)),
+        outer_facets=(Halfspace(1, 3, 3),),
+        inner_corners=(RatePoint(0, 1), RatePoint(3, 0)),
     ),
     "type210": RegionData33(
-        setting="type210",
-        outer_facets=(_hs(1, 1, 2), _hs(2, 3, 5), _hs(1, 3, 3)),
-        inner_corners=(_pt(0, 2), _pt(1, 1), _pt(2, Fraction(1, 3)), _pt(3, 0)),
+        outer_facets=(Halfspace(1, 1, 2), Halfspace(2, 3, 5), Halfspace(1, 3, 3)),
+        inner_corners=(RatePoint(0, 2), RatePoint(1, 1), RatePoint(2, Fraction(1, 3)), RatePoint(3, 0)),
     ),
     "type111": RegionData33(
-        setting="type111",
         outer_facets=(
-            _hs(3, 1, 3),
-            _hs(6, 3, 8),
-            _hs(1, 1, 2),
-            _hs(12, 18, 29),
-            _hs(3, 6, 8),
-            _hs(1, 3, 3),
+            Halfspace(3, 1, 3),
+            Halfspace(6, 3, 8),
+            Halfspace(1, 1, 2),
+            Halfspace(12, 18, 29),
+            Halfspace(3, 6, 8),
+            Halfspace(1, 3, 3),
         ),
         inner_corners=(
-            _pt(0, 3),
-            _pt(Fraction(1, 3), 2),
-            _pt(Fraction(1, 2), Fraction(5, 3)),
-            _pt(Fraction(3, 5), Fraction(3, 2)),
-            _pt(1, 1),
-            _pt(Fraction(5, 3), Fraction(1, 2)),
-            _pt(2, Fraction(1, 3)),
-            _pt(3, 0),
+            RatePoint(0, 3),
+            RatePoint(Fraction(1, 3), 2),
+            RatePoint(Fraction(1, 2), Fraction(5, 3)),
+            RatePoint(Fraction(3, 5), Fraction(3, 2)),
+            RatePoint(1, 1),
+            RatePoint(Fraction(5, 3), Fraction(1, 2)),
+            RatePoint(2, Fraction(1, 3)),
+            RatePoint(3, 0),
         ),
     ),
 }
@@ -281,7 +268,6 @@ class FacetCheck:
 @dataclass(frozen=True)
 class PointCheck:
     point: RatePoint
-    region: RegionData33
     facets: tuple[FacetCheck, ...]
 
     @property
@@ -299,4 +285,4 @@ def check_point(point: RatePoint, region: RegionData33) -> PointCheck:
         FacetCheck(facet=f, value=f.value(point), satisfied=f.satisfied(point))
         for f in region.outer_facets
     )
-    return PointCheck(point=point, region=region, facets=facets)
+    return PointCheck(point=point, facets=facets)

@@ -66,7 +66,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _at_least_one(text: str) -> int:
+def at_least_one(text: str) -> int:
     """A worker count, payload width or sample count: an int of at least 1."""
     try:
         value = int(text)
@@ -133,8 +133,6 @@ def cmd_verify(args) -> Output:
         jobs=args.jobs,
         payload_width=args.payload_bytes,
         run_oracle=not args.no_oracle,
-        limit=args.limit,
-        force=args.force,
     )
     text = [
         f"sweep {sweep.demand_class} at N={args.n} K={args.k} r={args.r}:"
@@ -244,12 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all-fully-demanded", action="store_true", help="sweep every fully demanded vector")
     p.add_argument("--engine", choices=ENGINES, default="both")
     p.add_argument("--seed", default="0")
-    p.add_argument("--jobs", type=_at_least_one, default=1, help="worker processes, at least 1")
-    p.add_argument("--payload-bytes", type=_at_least_one, default=1,
+    p.add_argument("--jobs", type=at_least_one, default=1, help="worker processes, at least 1")
+    p.add_argument("--payload-bytes", type=at_least_one, default=1,
                    help="bytes per segment value, at least 1; at most 256 MiB over all segments")
     p.add_argument("--no-oracle", action="store_true", help="skip the rank-oracle cross-check")
-    p.add_argument("--limit", type=int, default=SWEEP_LIMIT, help="refuse sweeps larger than this")
-    p.add_argument("--force", action="store_true", help="run even past the sweep limit")
     p.add_argument("--timing", action="store_true", help="include elapsed_ms in reports")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -265,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--demand", help="check one demand instead of sampling")
-    p.add_argument("--samples", type=_at_least_one, default=10,
+    p.add_argument("--samples", type=at_least_one, default=10,
                    help=f"fully demanded vectors to sample, 1 to {SWEEP_LIMIT}")
     _add_common(p)
     p.set_defaults(func=cmd_lemmas)

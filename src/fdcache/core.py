@@ -225,42 +225,17 @@ def enumerate_fully_demanded_types(n_files: int, n_users: int) -> list[DemandTyp
     return [DemandType(c) for c in parts(n_users, n_files, n_users)]
 
 
-@dataclass(frozen=True, eq=True)
-class LeaderInfo:
-    """Per-file leaders among the users other than one excluded user s.
-
-    The leader of a file is the lowest-indexed user outside s requesting it;
-    leader_set collects the leaders of every file requested outside s.
-    """
-
-    excluded: int
-    complement: tuple[int, ...]
-    per_file_leader: tuple[tuple[int, int], ...]  # (file, leader), file-ascending
-    leader_set: frozenset[int]
-
-    def leader_of(self, file: int) -> int:
-        for f, leader in self.per_file_leader:
-            if f == file:
-                return leader
-        raise KeyError(f"file {file} not requested outside user {self.excluded}")
-
-
-def leaders(params: SchemeParams, d: Sequence[int], s: int) -> LeaderInfo:
+def leaders(params: SchemeParams, d: Sequence[int], s: int) -> frozenset[int]:
+    """Leader set of the users other than s: for every file requested outside
+    s, its lowest-indexed requester outside s."""
     demand = require_fully_demanded(params, d)
     if s not in params.users:
         raise ValueError(f"user {s} outside 1..{params.n_users}")
-    complement = tuple(u for u in params.users if u != s)
-    per_file = []
-    for f in params.files:
-        outside = [u for u in requesters(demand, f) if u != s]
-        if outside:
-            per_file.append((f, outside[0]))
-    return LeaderInfo(
-        excluded=s,
-        complement=complement,
-        per_file_leader=tuple(per_file),
-        leader_set=frozenset(leader for _, leader in per_file),
-    )
+    first: dict[int, int] = {}
+    for u, f in enumerate(demand, start=1):
+        if u != s:
+            first.setdefault(f, u)
+    return frozenset(first.values())
 
 
 def parse_fraction(text: str) -> Fraction:

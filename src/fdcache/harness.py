@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .algebra import CHANNELS, MaskValues, SegmentId, SpanBasis, bit_positions, segment, segment_index
@@ -28,7 +28,6 @@ from .analysis import memory_point, type_operating_point
 from .core import (
     Demand,
     DemandClass,
-    DemandType,
     NotFullyDemandedError,
     SchemeParams,
     count_demands,
@@ -76,12 +75,12 @@ SWEEP_MATRIX = (
     (4, 6, 1), (4, 6, 2),
 )
 IDENTITY_SUITES = ((3, 6, 1), (4, 6, 2))
-# default ceiling on the demands of one sweep, and the ceiling on lemma samples
+# ceiling on the demands of one sweep, and on lemma samples
 SWEEP_LIMIT = 100_000
 
 
 class SweepLimitExceeded(ValueError):
-    """A sweep would enumerate more demands than the configured limit."""
+    """A sweep would enumerate more than SWEEP_LIMIT demands."""
 
 
 @lru_cache(maxsize=None)
@@ -244,19 +243,6 @@ def verify_demand(
     )
 
 
-def demand_class_label(demand_class: DemandClass) -> str:
-    if isinstance(demand_class, str):
-        return demand_class
-    if isinstance(demand_class, DemandType):
-        return f"type:{demand_class.label()}"
-    return f"type:{DemandType.of(demand_class).label()}"
-
-
-def _sweep_worker(job):
-    params, demand, engine, seed, payload_width, run_oracle = job
-    return verify_demand(params, demand, engine, seed, payload_width, run_oracle)
-
-
 @dataclass(frozen=True)
 class SweepReport:
     params: SchemeParams
@@ -318,33 +304,30 @@ def verify_sweep(
     jobs: int = 1,
     payload_width: int = 1,
     run_oracle: bool = True,
-    limit: int = SWEEP_LIMIT,
-    force: bool = False,
 ) -> SweepReport:
     if demand_class == "mixed":
         raise NotFullyDemandedError("verification sweeps cover fully demanded classes only")
+    label = demand_class
     if not isinstance(demand_class, str):
-        require_fully_demanded_type(params, demand_class)
+        label = f"type:{require_fully_demanded_type(params, demand_class).label()}"
+    segment_index(params)  # refuses an oversized system before the count
     count = count_demands(params, demand_class)
-    if count > limit and not force:
-        raise SweepLimitExceeded(
-            f"{count} demands exceed the limit of {limit}; pass force=True to run anyway"
-        )
+    if count > SWEEP_LIMIT:
+        raise SweepLimitExceeded(f"{count} demands exceed the limit of {SWEEP_LIMIT}")
     demands = enumerate_demands(params, demand_class)
+    verify = partial(verify_demand, params, engine=engine, seed=seed,
+                     payload_width=payload_width, run_oracle=run_oracle)
     # the pool forks every worker up front, so never ask for more than can run
     workers = min(jobs, os.cpu_count() or 1, len(demands))
     if workers <= 1:
-        reports = [
-            verify_demand(params, d, engine, seed, payload_width, run_oracle) for d in demands
-        ]
+        reports = list(map(verify, demands))
     else:
-        payloads = [(params, d, engine, seed, payload_width, run_oracle) for d in demands]
-        chunk = max(1, len(payloads) // (workers * 8))
+        chunk = max(1, len(demands) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_sweep_worker, payloads, chunksize=chunk))
+            reports = list(pool.map(verify, demands, chunksize=chunk))
     return SweepReport(
         params=params,
-        demand_class=demand_class_label(demand_class),
+        demand_class=label,
         engine=engine,
         seed=seed,
         reports=tuple(reports),
@@ -422,12 +405,12 @@ def identity_suite(
     sampled demand.  Every family compares int masks over the dense segment
     index.  Every failure records its full index tuple.
     """
+    index = segment_index(params)  # refuses an oversized system before sampling
     if demands is None:
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         demands = sample_fully_demanded(params, samples)
     demands = tuple(require_fully_demanded(params, d) for d in demands)
-    index = segment_index(params)
 
     closure_checked = 0
     closure_failures = []
@@ -453,11 +436,11 @@ def identity_suite(
         pairs = dset.pairs
         tag = "-".join(str(x) for x in d)
         for s in params.users:
-            info = dset.leader_infos[s]
-            free = [u for u in info.complement if u not in info.leader_set]
+            leader_set = dset.leaders[s]
+            free = [u for u in params.users if u != s and u not in leader_set]
             for extra in itertools.combinations(free, params.r + 1):
                 # weighted zero-sum over every one-requester-per-file selection
-                block = tuple(sorted(info.leader_set.union(extra)))
+                block = tuple(sorted(leader_set.union(extra)))
                 total = mix_sum(
                     (*pairs[(s, tuple(u for u in block if u not in chosen))], weight)
                     for chosen, weight in selection_weights(dset, s, block)

@@ -13,8 +13,9 @@ Pipeline, per (N, K, r) system:
                    (I^Q, I), chosen per (requesting user, excluded user) so
                    that even-multiplicity files still cancel in sums.
 4. delivery      - broadcast symbols XOR transformed segments over (r+1)-user
-                   subsets; symbols whose subset avoids every per-file leader
-                   are linearly dependent on the rest and are skipped.
+                   subsets; symbols whose subset avoids the leader set of the
+                   excluded user are linearly dependent on the rest and are
+                   skipped.
 5. decode        - each user recovers its file from the cache (uncoded hits),
                    by per-symbol elimination (s != k), or by aligning parities
                    against broadcast sums (s == k), then inverts the transform.
@@ -49,7 +50,6 @@ from .algebra import (
 )
 from .core import (
     Demand,
-    LeaderInfo,
     SchemeParams,
     leaders,
     require_fully_demanded,
@@ -326,7 +326,8 @@ class DeliverySet:
     """All broadcast symbols for one demand, with the skipped ones marked.
 
     pairs maps (excluded user, (r+1)-subset) to the symbol's (I, Q) masks over
-    the dense segment index.  exponents[t-1][s-1] is the e with MIX**e the
+    the dense segment index.  leaders[s] is the leader set of the users other
+    than s (core.leaders).  exponents[t-1][s-1] is the e with MIX**e the
     transform of user t toward s, and reconstruction maps each skipped pair
     to the transmitted subsets and MIX exponents that rebuild it.
     """
@@ -335,7 +336,7 @@ class DeliverySet:
     demand: Demand
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]]
     skipped: frozenset[tuple[int, tuple[int, ...]]]
-    leader_infos: dict[int, LeaderInfo]
+    leaders: dict[int, frozenset[int]]
     exponents: tuple[tuple[int, ...], ...]
     reconstruction: dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], int], ...]] = field(
         default_factory=dict
@@ -375,27 +376,27 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
     """Build every broadcast symbol for a fully demanded vector.
 
     Symbol (s, r_plus) XORs the transformed segments W_{d(t), r_plus - t, s}
-    over t in r_plus; it is skipped when r_plus avoids every leader of s.
+    over t in r_plus; it is skipped when r_plus avoids the leader set of s.
     """
     demand = require_fully_demanded(params, d)
     index = segment_index(params)
     base, units = [(f - 1) * index.per_file for f in demand], index.units
     exponents = transform_exponents(params, demand)
-    leader_infos = {s: leaders(params, demand, s) for s in params.users}
+    leader_sets = {s: leaders(params, demand, s) for s in params.users}
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     skipped: set[tuple[int, tuple[int, ...]]] = set()
     for s, r_plus, layout in _symbol_layout(params):
         pairs[(s, r_plus)] = mix_sum(
             [(units[base[t - 1] + at], units[base[t - 1] + at + 1], exponents[t - 1][s - 1]) for t, at in layout]
         )
-        if not leader_infos[s].leader_set.intersection(r_plus):
+        if not leader_sets[s].intersection(r_plus):
             skipped.add((s, r_plus))
     dset = DeliverySet(
         params=params,
         demand=demand,
         pairs=pairs,
         skipped=frozenset(skipped),
-        leader_infos=leader_infos,
+        leaders=leader_sets,
         exponents=exponents,
     )
     for s, r_plus in sorted(skipped):
@@ -413,10 +414,15 @@ def selection_weights(dset: DeliverySet, s: int, block: tuple[int, ...]):
     total exponents and cancel.  The unweighted per-channel XOR is the equal-
     weight special case (it fails once an even-multiplicity file other than
     d(s) puts its leader inside a selection).
+
+    Every block is the leader set of s and some other users outside s, so the
+    files requested inside it are exactly those requested outside s.
     """
     demand, exponents = dset.demand, dset.exponents
-    info = dset.leader_infos[s]
-    choices = [[u for u in block if demand[u - 1] == file] for file, _leader in info.per_file_leader]
+    by_file: dict[int, list[int]] = {}
+    for u in block:
+        by_file.setdefault(demand[u - 1], []).append(u)
+    choices = [by_file[f] for f in sorted(by_file)]
     out = []
     for pick in itertools.product(*choices):
         weight = sum(exponents[t - 1][s - 1] for t in pick) % 3
@@ -429,18 +435,18 @@ def skip_combination(
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Transmitted subsets and MIX exponents reconstructing a skipped symbol.
 
-    With B = leaders(s) | r_plus the skipped symbol is the leader selection's
+    With B = leaders[s] | r_plus the skipped symbol is the leader selection's
     term in the vanishing weighted sum over B, so it equals the weighted sum
     of the other selections' (transmitted) symbol pairs.
     """
     if dset.is_transmitted(s, r_plus):
         raise ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
-    info = dset.leader_infos[s]
-    block = tuple(sorted(info.leader_set.union(r_plus)))
+    leader_set = dset.leaders[s]
+    block = tuple(sorted(leader_set.union(r_plus)))
     leader_weight = None
     entries = []
     for chosen, weight in selection_weights(dset, s, block):
-        if chosen == info.leader_set:
+        if chosen == leader_set:
             leader_weight = weight
             continue
         rest = tuple(u for u in block if u not in chosen)
@@ -448,7 +454,7 @@ def skip_combination(
             raise RuntimeError(f"reconstruction referenced skipped symbol {rest}")
         entries.append((rest, weight))
     if leader_weight is None:  # cannot happen: the leaders form one selection
-        raise RuntimeError(f"leader set {sorted(info.leader_set)} is not a selection of block {block}")
+        raise RuntimeError(f"leader set {sorted(leader_set)} is not a selection of block {block}")
     return tuple((rest, (weight - leader_weight) % 3) for rest, weight in entries)
 
 

@@ -233,6 +233,27 @@ def test_segment_ceiling_is_inclusive(monkeypatch):
     assert build(params).size == 120
 
 
+@pytest.mark.parametrize("k,symbols", [(500, 249500), (2000, 3998000)])
+def test_segment_index_refuses_a_delivery_past_the_ceiling(monkeypatch, k, symbols):
+    def no_build(*args):
+        raise AssertionError("built a segment index")
+
+    monkeypatch.setattr(algebra.SegmentIndex, "__init__", no_build)
+    # (2, K, 0) has only 4K segments, within MAX_SEGMENTS, but K(K-1) symbols
+    with pytest.raises(ValueError, match=f"{symbols} broadcast symbols over {4 * k} segments"):
+        segment_index(SchemeParams(2, k, 0))
+
+
+def test_symbol_segment_ceiling_is_inclusive(monkeypatch):
+    params = SchemeParams(2, 5, 2)  # 120 segments, 5 * C(4, 3) = 20 symbols
+    build = segment_index.__wrapped__  # past the cache, so every call checks
+    monkeypatch.setattr(algebra, "MAX_SYMBOL_SEGMENTS", 2399)
+    with pytest.raises(ValueError, match="20 broadcast symbols over 120 segments"):
+        build(params)
+    monkeypatch.setattr(algebra, "MAX_SYMBOL_SEGMENTS", 2400)
+    assert build(params).size == 120
+
+
 def test_segment_index_rejects_foreign_segments():
     index = segment_index(SchemeParams(2, 3, 1))
     with pytest.raises(KeyError):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fdcache import cli, harness
+from fdcache import algebra, cli, harness
 from fdcache.cli import main
 from fdcache.harness import FamilyResult, GoldenCheck, GoldenReport, IdentityReport
 
@@ -137,12 +137,37 @@ def test_verify_refuses_a_system_past_the_segment_ceiling(capsys):
     assert "411840 segments" in err
 
 
-def test_verify_sweep_limit_exit(capsys):
-    code, _, err = run(
-        capsys, "verify", "--n", "3", "--k", "4", "--r", "1", "--all-fully-demanded", "--limit", "10"
-    )
+def test_verify_sweep_limit_exit(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "SWEEP_LIMIT", 10)
+    code, _, err = run(capsys, "verify", "--n", "3", "--k", "4", "--r", "1", "--all-fully-demanded")
     assert code == 2
-    assert "limit" in err
+    assert err == "error: 36 demands exceed the limit of 10\n"
+
+
+@pytest.mark.parametrize("flag", [("--limit", "10"), ("--force",)], ids=lambda flag: flag[0])
+def test_verify_has_no_sweep_limit_override(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "3", "--k", "4", "--r", "1", "--all-fully-demanded", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--n", "2", "--k", "10000000", "--r", "0", "--type", "9999999,1"), "40000000 segments"),
+    (("verify", "--n", "2", "--k", "2000", "--r", "0", "--demand", ",".join(["1"] * 1999 + ["2"])),
+     "3998000 broadcast symbols"),
+    (("lemmas", "--n", "2", "--k", "2000", "--r", "0"), "3998000 broadcast symbols"),
+], ids=["verify-type", "verify-demand", "lemmas"])
+def test_oversized_system_exits_2_before_building(capsys, monkeypatch, argv, message):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a segment index, counted demands or ran a delivery")
+
+    monkeypatch.setattr(algebra.SegmentIndex, "__init__", no_build)
+    for name in ("delivery", "count_demands", "sample_fully_demanded"):
+        monkeypatch.setattr(harness, name, no_build)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_verify_type_sweep_csv(capsys):
@@ -430,11 +455,19 @@ def test_failure_output(capsys, monkeypatch, argv):
     assert run(capsys, *argv) == (1, FAILING[argv], "")
 
 
-def test_export_script_writes_cli_csv(tmp_path, capsys, monkeypatch):
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "export_tradeoff_points.py"
-    spec = importlib.util.spec_from_file_location("export_tradeoff_points", path)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _load_script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return path, script
+
+
+def test_export_script_writes_cli_csv(tmp_path, capsys, monkeypatch):
+    path, script = _load_script("export_tradeoff_points")
     monkeypatch.setattr(sys, "argv", [str(path), "--outdir", str(tmp_path)])
     assert script.main() == 0
     capsys.readouterr()
@@ -449,3 +482,39 @@ def test_export_script_writes_cli_csv(tmp_path, capsys, monkeypatch):
         code, out, _ = run(capsys, "tradeoff", *args, "--format", "csv")
         assert code == 0
         assert (tmp_path / name).read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_campaign_script_rejects_counts_below_one(tmp_path, capsys, monkeypatch, flag, value):
+    path, script = _load_script("run_verification_campaign")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a sweep for an invalid count")
+
+    monkeypatch.setattr(script, "verify_sweep", no_run)
+    monkeypatch.setattr(sys, "argv", [str(path), flag, value, "--out", str(tmp_path / "c.json")])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    assert f"{flag}: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """Every `fdcache ...` line of the README's sh blocks, as an argv."""
+    commands, in_sh = [], False
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("fdcache "):
+            commands.append(line.split()[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 10
+    for i, argv in enumerate(commands):
+        code = main([*argv, "--output", str(tmp_path / f"{i}.out")])
+        assert code == 0, argv
+    assert capsys.readouterr().err == ""

@@ -194,23 +194,18 @@ def test_fully_demanded_types_enumeration():
 def test_leaders_running_example():
     params = SchemeParams(3, 6, 1)
     d = (1, 1, 1, 1, 2, 3)
-    info = leaders(params, d, 1)
-    assert info.complement == (2, 3, 4, 5, 6)
-    assert info.leader_set == frozenset({2, 5, 6})
-    assert info.leader_of(1) == 2
+    assert leaders(params, d, 1) == frozenset({2, 5, 6})
 
 
 def test_leaders_unique_file_requester():
     params = SchemeParams(3, 6, 1)
-    info = leaders(params, (1, 1, 1, 1, 2, 3), 5)
-    assert info.leader_set == frozenset({1, 6})
-    with pytest.raises(KeyError):
-        info.leader_of(2)  # only user 5 wanted file 2
+    # only user 5 wanted file 2, so file 2 has no leader outside user 5
+    assert leaders(params, (1, 1, 1, 1, 2, 3), 5) == frozenset({1, 6})
 
 
 def test_leaders_two_users():
     params = SchemeParams(2, 2, 0)
-    assert leaders(params, (1, 2), 1).leader_set == frozenset({2})
+    assert leaders(params, (1, 2), 1) == frozenset({2})
 
 
 def test_leaders_rejects_partial_demand():
@@ -224,9 +219,12 @@ def test_leader_set_size_dichotomy(n, k):
     params = SchemeParams(n, k, 0)
     for d in enumerate_demands(params, "fully_demanded"):
         for s in params.users:
-            info = leaders(params, d, s)
+            leader_set = leaders(params, d, s)
             unique = len(requesters(d, d[s - 1])) == 1
-            assert len(info.leader_set) == (n - 1 if unique else n)
+            assert len(leader_set) == (n - 1 if unique else n)
+            # brute force: the lowest requester outside s of every file
+            lowest = (min((u for u in requesters(d, f) if u != s), default=None) for f in params.files)
+            assert leader_set == frozenset(u for u in lowest if u is not None)
 
 
 def test_requesters():

@@ -114,11 +114,13 @@ def test_sweep_rejects_mixed_and_partial_types():
         verify_sweep(SchemeParams(3, 3, 1), (2, 1, 0))
 
 
-def test_sweep_limit_guard():
-    with pytest.raises(SweepLimitExceeded):
-        verify_sweep(SchemeParams(3, 4, 1), "fully_demanded", limit=10)
-    sweep = verify_sweep(SchemeParams(3, 4, 1), "fully_demanded", limit=10, force=True)
-    assert sweep.count == 36
+def test_sweep_limit_guard(monkeypatch):
+    # (3,4) r=1 has 36 fully demanded vectors: the ceiling is inclusive
+    monkeypatch.setattr(harness, "SWEEP_LIMIT", 36)
+    assert verify_sweep(SchemeParams(3, 4, 1), "fully_demanded").count == 36
+    monkeypatch.setattr(harness, "SWEEP_LIMIT", 35)
+    with pytest.raises(SweepLimitExceeded, match="36 demands exceed the limit of 35"):
+        verify_sweep(SchemeParams(3, 4, 1), "fully_demanded")
 
 
 def _package_caches():

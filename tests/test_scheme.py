@@ -476,15 +476,50 @@ def test_transformed_sum_full_sweep(params, d):
 
 
 def test_skip_count_formula_per_excluded_user(run_delivery):
-    from fdcache.core import binom, leaders, requesters
+    from fdcache.core import binom
 
     for params, d in ((RUN, RUN_D), (SchemeParams(4, 6, 1), (1, 1, 2, 2, 3, 4))):
         dset = delivery(params, d)
         for s in params.users:
-            info = leaders(params, d, s)
-            expected = binom(params.n_users - 1 - len(info.leader_set), params.r + 1)
+            expected = binom(params.n_users - 1 - len(dset.leaders[s]), params.r + 1)
             got = sum(1 for ss, _rp in dset.skipped if ss == s)
             assert got == expected
+
+
+def _reference_selection_weights(params, d, s, block):
+    """The definition: for each file, in ascending order, pick its requesters
+    inside the block; each pick is weighted by the sum of its members'
+    transform logs toward s mod 3.  Files are those requested outside s."""
+    exponents = transform_exponents(params, d)
+    files = sorted({d[u - 1] for u in params.users if u != s})
+    choices = [[u for u in block if d[u - 1] == f] for f in files]
+    return [
+        (frozenset(pick), sum(exponents[t - 1][s - 1] for t in pick) % 3)
+        for pick in itertools.product(*choices)
+    ]
+
+
+@pytest.mark.parametrize("params", [SchemeParams(3, 6, 1), SchemeParams(4, 10, 1)], ids=str)
+def test_selection_weights_match_their_definition(monkeypatch, params):
+    # every block that skip_combination (inside delivery) and identity_suite build
+    from fdcache import harness, scheme
+
+    original = scheme.selection_weights
+    blocks = {"skip_combination": 0, "identity_suite": 0}
+
+    def checked(caller):
+        def selection_weights(dset, s, block):
+            got = original(dset, s, block)
+            assert got == _reference_selection_weights(dset.params, dset.demand, s, block)
+            blocks[caller] += 1
+            return got
+
+        return selection_weights
+
+    monkeypatch.setattr(scheme, "selection_weights", checked("skip_combination"))
+    monkeypatch.setattr(harness, "selection_weights", checked("identity_suite"))
+    assert harness.identity_suite(params, samples=10).success
+    assert all(blocks.values())
 
 
 def test_cache_component_count_formulas():
