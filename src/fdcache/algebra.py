@@ -64,16 +64,19 @@ class SymbolVec:
         return " + ".join(seg.label() for seg in sorted(self.support))
 
 
-def _random_values(count: int, width: int, seed: str) -> list[int]:
+def _random_values(count: int, width: int, seed: str, units: Sequence[int] | None = None) -> list[int]:
     """count seeded segment values of width bytes each, drawn as ints: one
     getrandbits(8 * width) apiece from random.Random(f"payload:{seed}").
     Value v is the bytes v.to_bytes(width, "little"), which is what
-    Random.randbytes(width) draws from the same stream."""
+    Random.randbytes(width) draws from the same stream.  Given units, value
+    i is lifted above units[i] as it is drawn: v << count | units[i]."""
     if width < 1:
         raise ValueError("width must be >= 1")
     bits = 8 * width
     getrandbits = random.Random(f"payload:{seed}").getrandbits
-    return [getrandbits(bits) for _ in range(count)]
+    if units is None:
+        return [getrandbits(bits) for _ in range(count)]
+    return [getrandbits(bits) << count | unit for unit in units]
 
 
 @dataclass
@@ -188,20 +191,24 @@ def segment_index(params: SchemeParams) -> SegmentIndex:
 
 class MaskValues(dict):
     """Payload value of each mask over a segment index: the XOR of the
-    segment values on its bits.  Unit masks are filled in up front, every
-    other mask on first lookup."""
+    segment values on its bits, as the server encodes it.  Unit masks are
+    filled in up front, every other mask on first lookup."""
 
     def __init__(self, index: SegmentIndex, segment_values: Sequence[int]):
         super().__init__(zip(index.units, segment_values))
         self.segment_values = segment_values
 
     @classmethod
-    def random(cls, index: SegmentIndex, width: int, seed: str) -> "MaskValues":
+    def random(cls, index: SegmentIndex, width: int, seed: str, masks: bool = False) -> "MaskValues":
         """Seeded values of width bytes for every segment, drawn in index
         order, which is sorted segment order: segment i holds the bytes
         Payload.random(index.segments, width, seed) gives it, read as a
-        little-endian int."""
-        return cls(index, _random_values(index.size, width, seed))
+        little-endian int.  With masks, segment i holds that value lifted
+        above its unit mask, value << index.size | 1 << i; XOR never carries
+        across bits, so every item's int then holds its mask in the low
+        index.size bits and its value above them.  Each value is lifted as
+        it is drawn, so the payload is never held twice."""
+        return cls(index, _random_values(index.size, width, seed, index.units if masks else None))
 
     def __missing__(self, mask: int) -> int:
         values = self.segment_values

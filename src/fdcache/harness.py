@@ -41,12 +41,14 @@ from .core import (
 from .scheme import (
     CacheContent,
     DeliverySet,
+    Lift,
     PayloadSource,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     closure_pair,
     decode_file,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     decode_rows,
     delivery,
     file_segments,
+    lift,
     mix,
     mix_sum,
     prefetch,
@@ -151,28 +153,17 @@ class VerificationReport:
         return self.oracle_ok is None or self.oracle_ok == self.decode_ok
 
 
-def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, engine: str,
-                    encoded: MaskValues | None) -> bool:
-    """User k's rows recover every segment of its file: on masks (symbolic)
-    and, given the demand's payload encoding, on payload values.  Each row's
-    terms are summed once, in both domains together."""
+def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, lifted: Lift | None) -> bool:
+    """User k's rows recover every segment of its file: each row's terms sum
+    to its target pair as the row leaves it, over masks or, given the
+    demand's lift, over lifted ints, so one comparison checks whatever the
+    engine lifted."""
     try:
-        rows = list(decode_rows(dset, cache, k))
+        rows = list(decode_rows(dset, cache, k, lifted))
     except LookupError:  # the decoding needs an item the user does not hold
         return False
-    symbolic = engine != "payload"
-    for target, undo, terms in rows:
-        unit = mix(undo, 1 << target, 2 << target)  # the target as the row leaves it
-        if encoded is None:
-            if mix_sum(terms) != unit:
-                return False
-            continue
-        masks, values = mix_sum(terms, encoded)
-        if symbolic and masks != unit:
-            return False
-        if values != mix(undo, encoded[1 << target], encoded[2 << target]):
-            return False
-    return True
+    units = segment_index(dset.params).units if lifted is None else lifted.units
+    return all(mix_sum(terms) == mix(undo, units[target], units[target + 1]) for target, undo, terms in rows)
 
 
 def _oracle_flags(params: SchemeParams, dset: DeliverySet) -> list[bool]:
@@ -201,18 +192,19 @@ def verify_demand(
     started = time.perf_counter()
     caches = _prefetch_all(params)
     dset = delivery(params, demand)
-    encoded = None
+    # segment i lifts to its unit mask (symbolic: nothing is drawn and the rows
+    # stay on masks), its payload value (payload), or both, the mask below the value
+    lifted = None
     if engine in ("payload", "both"):
         index = segment_index(params)
         if payload_width * index.size > MAX_PAYLOAD_BYTES:
             raise ValueError(
                 f"payload of {index.size} segments x {payload_width} bytes exceeds {MAX_PAYLOAD_BYTES} bytes"
             )
-        # one encoding per demand: every user reads the same broadcast
-        encoded = MaskValues.random(index, payload_width, _payload_seed(seed, params, demand))
-    per_user = tuple(
-        _decode_user_ok(dset, caches[k - 1], k, engine, encoded) for k in params.users
-    )
+        seeded = _payload_seed(seed, params, demand)
+        values = MaskValues.random(index, payload_width, seeded, masks=engine == "both")
+        lifted = lift(dset, values)  # one encoding per demand: every user reads the same broadcast
+    per_user = tuple(_decode_user_ok(dset, caches[k - 1], k, lifted) for k in params.users)
     engine_seconds = time.perf_counter() - started
 
     oracle_ok: bool | None = None

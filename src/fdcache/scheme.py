@@ -24,10 +24,12 @@ Delivery and decoding work on int masks over the dense segment index
 (algebra.SegmentIndex), as (I mask, Q mask, e) terms whose MIX**e-weighted
 sum mix_sum forms.  decode_rows walks a user's equations once per demand and
 yields, for each segment pair of the user's file, the terms over held items
-whose weighted sum is MIX**undo of the pair.  A verifier sums each row's
-terms once: mix_sum, given the payload values, sums the items' masks and
-their values in the same loop, and the sums are compared with MIX**undo of
-the segment's unit masks and of its own values.
+whose weighted sum is MIX**undo of the pair.  Given the demand's Lift, the
+terms are lifted ints instead, one per held item: a payload value, or the
+item's mask in the low index.size bits with its value above them.  XOR never
+carries across bits, so a verifier checks a row on masks and payload at once
+with one plain mix_sum and one comparison with MIX**undo of the segment's
+lifted pair.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import (
     CHANNELS,
@@ -227,17 +229,19 @@ def row_parity_pair(index: SegmentIndex, k: int, file: int, r_minus: tuple[int, 
     return mask, mask << 1
 
 
-def closure_terms(cache: CacheContent, combination, e: int = 0) -> list[Term]:
-    """(I mask, Q mask, e) terms over the stored parities of a
-    parity_combination of the cache owner, each weighted by MIX**e."""
+def closure_terms(column: dict, row: dict, combination, e: int = 0) -> list[Term]:
+    """(I, Q, e) terms over the stored parities of a parity_combination,
+    each weighted by MIX**e; column and row hold the (I, Q) pair of each
+    stored parity, as CacheContent.column and CacheContent.row key them."""
     columns, rows = combination
-    return [(*cache.column[r_set], e) for r_set in columns] + [(*cache.row[key], e) for key in rows]
+    return [(*column[r_set], e) for r_set in columns] + [(*row[key], e) for key in rows]
 
 
 def closure_pair(cache: CacheContent, file: int, r_minus: tuple[int, ...]) -> tuple[int, int]:
     """(I, Q) masks of row parity (file, r_minus) of the cache owner, XORed
     together from stored parities only.  Stored inputs come back unchanged."""
-    return mix_sum(closure_terms(cache, parity_combination(cache.params, cache.owner, file, tuple(r_minus))))
+    combination = parity_combination(cache.params, cache.owner, file, tuple(r_minus))
+    return mix_sum(closure_terms(cache.column, cache.row, combination))
 
 
 def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...], channel: str) -> SymbolVec:
@@ -276,40 +280,26 @@ def transform_exponents(params: SchemeParams, d: Demand) -> tuple[tuple[int, ...
     )
 
 
-def mix_sum(terms: Iterable[Term], values: Mapping[int, int] | None = None):
+def mix_sum(terms: Iterable[Term]) -> tuple[int, int]:
     """XOR of MIX**e (I, Q) over (I, Q, e) terms of ints, e in {0, 1, 2}.
 
     MIX maps (I, Q) to (I^Q, I) and generates a 3-cycle: MIX**2 maps (I, Q)
-    to (Q, I^Q) and MIX**3 is the identity.  With values, a map from the
-    terms' ints to payload values, the same loop also sums the terms'
-    values, and the result is ((I, Q) sum, (I, Q) value sum).  This loop is
-    the only place the map is written out.
+    to (Q, I^Q) and MIX**3 is the identity.  The ints may be masks, payload
+    values or lifted ints carrying both: MIX acts on every bit alike.  This
+    loop is the only place the map is written out.
     """
-    acc_i = acc_q = val_i = val_q = 0
+    acc_i = acc_q = 0
     for i_val, q_val, e in terms:
         if e == 0:
             acc_i ^= i_val
             acc_q ^= q_val
-            if values is not None:
-                val_i ^= values[i_val]
-                val_q ^= values[q_val]
         elif e == 1:
             acc_i ^= i_val ^ q_val
             acc_q ^= i_val
-            if values is not None:
-                i_v = values[i_val]
-                val_i ^= i_v ^ values[q_val]
-                val_q ^= i_v
         else:
             acc_i ^= q_val
             acc_q ^= i_val ^ q_val
-            if values is not None:
-                q_v = values[q_val]
-                val_i ^= q_v
-                val_q ^= values[i_val] ^ q_v
-    if values is None:
-        return acc_i, acc_q
-    return (acc_i, acc_q), (val_i, val_q)
+    return acc_i, acc_q
 
 
 def mix(e: int, i_val: int, q_val: int) -> tuple[int, int]:
@@ -330,6 +320,7 @@ class DeliverySet:
     than s (core.leaders).  exponents[t-1][s-1] is the e with MIX**e the
     transform of user t toward s, and reconstruction maps each skipped pair
     to the transmitted subsets and MIX exponents that rebuild it.
+    selections memoises selection_weights by (s, block).
     """
 
     params: SchemeParams
@@ -341,6 +332,7 @@ class DeliverySet:
     reconstruction: dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], int], ...]] = field(
         default_factory=dict
     )
+    selections: dict[tuple[int, tuple[int, ...]], list[tuple[frozenset[int], int]]] = field(default_factory=dict)
 
     def is_transmitted(self, s: int, r_plus: tuple[int, ...]) -> bool:
         return (s, r_plus) not in self.skipped
@@ -416,8 +408,13 @@ def selection_weights(dset: DeliverySet, s: int, block: tuple[int, ...]):
     d(s) puts its leader inside a selection).
 
     Every block is the leader set of s and some other users outside s, so the
-    files requested inside it are exactly those requested outside s.
+    files requested inside it are exactly those requested outside s.  The
+    selections are computed once per (demand, s, block): skip_combination
+    and the identity suite's redundancy family build the same blocks.
     """
+    out = dset.selections.get((s, block))
+    if out is not None:
+        return out
     demand, exponents = dset.demand, dset.exponents
     by_file: dict[int, list[int]] = {}
     for u in block:
@@ -427,6 +424,7 @@ def selection_weights(dset: DeliverySet, s: int, block: tuple[int, ...]):
     for pick in itertools.product(*choices):
         weight = sum(exponents[t - 1][s - 1] for t in pick) % 3
         out.append((frozenset(pick), weight))
+    dset.selections[(s, block)] = out
     return out
 
 
@@ -482,7 +480,7 @@ def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], chan
 
 
 # ---------------------------------------------------------------------------
-# decoding: one pass of rows per (demand, user), read on masks or on payloads
+# decoding: one pass of rows per (demand, user), over masks or lifted ints
 
 
 # The demand-independent part of one target's decoding equation:
@@ -529,21 +527,52 @@ def _equations(params: SchemeParams, k: int) -> tuple[Equation, ...]:
     )
 
 
-def decode_rows(dset: DeliverySet, cache: CacheContent, k: int) -> Iterator[tuple[int, int, list[Term]]]:
+class Lift(NamedTuple):
+    """One demand's held items as lifted ints, built once and shared by all
+    its users.  units[i] is the lifted int of segment position i, as a user
+    holds it uncoded; values maps an item's mask to its lifted int as the
+    server encodes it, the XOR of the lifted segment ints on its bits
+    (algebra.MaskValues); broadcast is DeliverySet.broadcast_terms with every
+    mask so mapped."""
+
+    units: Sequence[int]
+    values: MaskValues
+    broadcast: dict[tuple[int, tuple[int, ...]], tuple[Term, ...]]
+
+
+def lift(dset: DeliverySet, values: MaskValues) -> Lift:
+    """The demand's lift through values: every broadcast symbol's terms,
+    reconstructions included, lifted once."""
+    broadcast = {
+        key: tuple((values[i], values[q], e) for i, q, e in terms) for key, terms in dset.broadcast_terms.items()
+    }
+    return Lift(values.segment_values, values, broadcast)
+
+
+def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
+                lifted: Lift | None = None) -> Iterator[tuple[int, int, list[Term]]]:
     """User k's decoding of its file for this demand, one row per segment
     pair, in partition order.
 
     Row (target, undo, terms) says that the mix_sum of the terms is MIX**undo
     of the (I, Q) pair of the segments at positions target and target + 1
     of the dense segment index: the target as user k's transform toward the
-    excluded user leaves it.  Each term is (I mask, Q mask, e) over something
-    the user holds (an uncoded slot, a cached column or row parity, or a
-    transmitted symbol).  Raises LookupError when an equation needs an item
-    the user does not hold.
+    excluded user leaves it.  Each term is (I, Q, e) over something the user
+    holds (an uncoded slot, a cached column or row parity, or a transmitted
+    symbol): its masks, or, given the demand's lift, its lifted ints, in
+    which case the row's sum is MIX**undo of lifted.units at target and
+    target + 1.  The user's parities are lifted once, here.
+    Raises LookupError when an equation needs an item the user does not hold.
     """
     params, demand, exponents = dset.params, dset.demand, dset.exponents
     index = segment_index(params)
-    per_file, units, uncoded = index.per_file, index.units, cache.uncoded
+    per_file, uncoded = index.per_file, cache.uncoded
+    if lifted is None:
+        units, broadcast, column, row = index.units, dset.broadcast_terms, cache.column, cache.row
+    else:
+        units, values, broadcast = lifted
+        column = {key: (values[i], values[q]) for key, (i, q) in cache.column.items()}
+        row = {key: (values[i], values[q]) for key, (i, q) in cache.row.items()}
 
     def held(position: int, e: int) -> Term:
         if position not in uncoded or position + 1 not in uncoded:
@@ -551,7 +580,6 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int) -> Iterator[tupl
         return units[position], units[position + 1], e
 
     base = (demand[k - 1] - 1) * per_file
-    broadcast = dset.broadcast_terms
     for offset, s, kind, data in _equations(params, k):
         target = base + offset
         if kind == 0:  # cached uncoded: the target itself, untransformed
@@ -565,9 +593,9 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int) -> Iterator[tupl
                 terms.append(held((demand[i - 1] - 1) * per_file + rest, exponents[i - 1][s - 1]))
         else:
             r_set, closures, symbols = data
-            terms = [(*cache.column[r_set], 0)]
+            terms = [(*column[r_set], 0)]
             for t, combinations in closures:
-                terms += closure_terms(cache, combinations[demand[t - 1] - 1], exponents[t - 1][k - 1])
+                terms += closure_terms(column, row, combinations[demand[t - 1] - 1], exponents[t - 1][k - 1])
             for r_plus in symbols:
                 terms += broadcast[(k, r_plus)]
         yield target, undo, terms

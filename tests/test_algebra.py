@@ -286,6 +286,9 @@ def test_mask_values_draw_the_payload_stream(width):
     assert [values[unit].to_bytes(width, "little") for unit in index.units] == [
         payload.data[s] for s in index.segments
     ]
+    # lifted, each value sits above its unit mask
+    lifted = MaskValues.random(index, width, "draw", masks=True)
+    assert lifted.segment_values == [values[unit] << index.size | unit for unit in index.units]
 
 
 def test_payload_random_bytes_pinned():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdcache import algebra, harness, scheme
-from fdcache.algebra import MaskValues, segment_index
+from fdcache.algebra import MaskValues, segment, segment_index
 from fdcache.analysis import type_operating_point
 from fdcache.core import (
     DemandType,
@@ -330,13 +330,36 @@ def test_every_transmitted_symbol_is_needed(params, demand, sent):
         assert not all(harness._oracle_flags(params, fewer)), key
 
 
+def test_oracle_cannot_see_a_corrupted_item(monkeypatch):
+    # a corrupted item is only a different vector, and the user's span can
+    # still hold its file: the fixed decoding plan is stricter than rank
+    # decodability, so the oracle passes where the decoder fails
+    index = segment_index(RUN)
+    dset = scheme.delivery(RUN, RUN_D)
+    key = (2, (1, 3))  # user 1 eliminates it for segment (1, {3}, 2)
+    mask_i, mask_q = dset.pairs[key]
+    stray = 1 << index[segment(3, (4,), 5, "I")]
+    flipped = dataclasses.replace(dset, pairs={**dset.pairs, key: (mask_i ^ stray, mask_q)})
+    assert harness._oracle_flags(RUN, flipped) == [True] * 6
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "delivery", lambda params, d: flipped)
+        report = verify_demand(RUN, RUN_D, engine="symbolic")
+    assert report.per_user == (False, False, False, False, True, True) and report.oracle_ok
+
+    _corrupt_column_parity(monkeypatch)
+    monkeypatch.setattr(harness, "_cache_spans", harness._cache_spans.__wrapped__)  # spans of the corrupted cache
+    assert harness._oracle_flags(RUN, dset) == [True] * 6
+    report = verify_demand(RUN, RUN_D, engine="symbolic")
+    assert report.per_user == (False, True, True, True, True, True) and report.oracle_ok
+
+
 def test_verify_demand_generates_each_users_rows_once(monkeypatch):
     calls = []
     real = harness.decode_rows
 
-    def counted(dset, cache, k):
+    def counted(dset, cache, k, lifted=None):
         calls.append(k)
-        return real(dset, cache, k)
+        return real(dset, cache, k, lifted)
 
     monkeypatch.setattr(harness, "decode_rows", counted)
     demands = [RUN_D, (3, 2, 1, 1, 2, 3), (1, 2, 3, 3, 3, 3)]
@@ -508,18 +531,25 @@ def test_verify_report_bytes_pinned(params, demand_class, kwargs, digest):
     assert hashlib.sha256(rendered.encode()).hexdigest() == digest
 
 
+def _flip_held_value(monkeypatch, position, width, shift=0):
+    """Flip the top bit of the value every user holds for the segment at
+    position, and not the value the server's encodings are made from, as if
+    the users had recovered different bytes.  The value starts at bit shift
+    of the lifted int."""
+    real = harness.lift
+
+    def flipped(dset, values):
+        lifted = real(dset, values)
+        units = list(lifted.units)
+        units[position] ^= 1 << (shift + 8 * width - 1)
+        return lifted._replace(units=units)
+
+    monkeypatch.setattr(harness, "lift", flipped)
+
+
 @pytest.mark.parametrize("position,width", [(67, 1), (0, 3), (123, 64)])
 def test_payload_check_catches_a_flipped_segment_value(monkeypatch, position, width):
-    # the segment's own value differs from the one its encodings were made
-    # from, as if the user had recovered different bytes
-    real = MaskValues.random.__func__
-
-    def flipped(cls, index, w, seed):
-        values = real(cls, index, w, seed)
-        values[index.units[position]] ^= 1 << (8 * w - 1)
-        return values
-
-    monkeypatch.setattr(MaskValues, "random", classmethod(flipped))
+    _flip_held_value(monkeypatch, position, width)
     file = segment_index(RUN).segments[position].file
     report = verify_demand(RUN, RUN_D, engine="payload", payload_width=width)
     assert not report.success
@@ -527,6 +557,56 @@ def test_payload_check_catches_a_flipped_segment_value(monkeypatch, position, wi
     if position == 67:  # W[2;(1);5;Q]: only user 5 reads it
         assert report.per_user == (True, True, True, True, False, True)
     assert verify_demand(RUN, RUN_D, engine="symbolic").per_user == (True,) * 6
+
+
+def _corrupt_column_parity(monkeypatch):
+    """User 1's column parity {2} with W^I[2;{3};1] added to its I mask."""
+    caches = harness._prefetch_all(RUN)
+    cache = caches[0]
+    mask_i, mask_q = cache.column[(2,)]
+    stray = 1 << segment_index(RUN)[segment(2, (3,), 1, "I")]
+    corrupted = dataclasses.replace(cache, column={**cache.column, (2,): (mask_i ^ stray, mask_q)})
+    monkeypatch.setattr(harness, "_prefetch_all", lambda params: (corrupted, *caches[1:]))
+
+
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_lift_keeps_the_mask_and_value_halves_apart(monkeypatch, width):
+    # the both engine lifts each segment to its value above its unit mask, so
+    # its one comparison per row is exactly the payload and symbolic checks
+    # together, whatever the width of the value
+    size = segment_index(RUN).size
+
+    def verdicts(value_fault, engine):
+        with monkeypatch.context() as patch:
+            if value_fault:  # W[2;(1);5;Q]: only user 5 reads it
+                _flip_held_value(patch, 67, width, size if engine == "both" else 0)
+            else:
+                _corrupt_column_parity(patch)
+            return verify_demand(RUN, RUN_D, engine=engine, payload_width=width, run_oracle=False).per_user
+
+    for value_fault in (True, False):
+        both, payload, symbolic = (verdicts(value_fault, engine) for engine in ("both", "payload", "symbolic"))
+        assert both == tuple(p and s for p, s in zip(payload, symbolic))
+        if value_fault:
+            assert both == payload == (True, True, True, True, False, True)
+            assert symbolic == (True,) * 6
+        else:
+            assert both == symbolic == (False, True, True, True, True, True)
+
+
+def test_lifting_holds_each_payload_value_once():
+    # the both engine lifts the drawn values where they are held, so it holds
+    # no more than the payload engine: the same values and encodings
+    verify_demand(RUN, RUN_D, engine="both", run_oracle=False)  # fills the per-system caches
+    peaks = {}
+    for engine in ("payload", "both"):
+        tracemalloc.start()
+        try:
+            verify_demand(RUN, RUN_D, engine=engine, payload_width=16384, run_oracle=False)
+            peaks[engine] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["both"] <= 1.1 * peaks["payload"]
 
 
 def test_verify_demand_refuses_a_payload_past_the_ceiling(monkeypatch):

@@ -19,6 +19,7 @@ from fdcache.scheme import (
     decode_rows,
     delivery,
     file_segments,
+    lift,
     mix,
     mix_sum,
     parity_combination,
@@ -392,10 +393,15 @@ def test_payload_source_guards_cache_boundary(run_delivery, run_caches):
 # fault injection: a corrupted item fails both checks of a user reading it
 
 
-def _payload_values(width=8, seed="fault"):
-    index = segment_index(RUN)
-    ints = Payload.random(index.segments, width=width, seed=seed).int_values()
-    return MaskValues(index, [ints[seg] for seg in index.segments])
+def _payload_values(masks=False):
+    """Seeded 8-byte segment values, each lifted above its unit mask when
+    masks is set, as the both engine draws them."""
+    return MaskValues.random(segment_index(RUN), 8, "fault", masks=masks)
+
+
+def _lifted(dset, masks=False):
+    """The demand's lift of _payload_values."""
+    return lift(dset, _payload_values(masks))
 
 
 def _reads(rows, mask):
@@ -404,16 +410,22 @@ def _reads(rows, mask):
 
 def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
     values = _payload_values()
+    both = _lifted(run_delivery, masks=True)
+    size = segment_index(RUN).size
     for k in RUN.users:
         rows = list(decode_rows(run_delivery, run_caches[k], k))
         assert len(rows) == 30  # 60 segments of the file, one row per I/Q pair
         assert [target for target, _undo, _terms in rows] == sorted(target for target, _undo, _terms in rows)
-        for target, undo, terms in rows:
+        lifted_rows = decode_rows(run_delivery, run_caches[k], k, both)
+        for (target, undo, terms), (_target, _undo, lifted_terms) in zip(rows, lifted_rows):
             unit = mix(undo, 1 << target, 2 << target)
             assert mix_sum(terms) == unit
-            assert mix_sum(terms, values) == (unit, mix(undo, values[1 << target], values[2 << target]))
-        assert _decode_user_ok(run_delivery, run_caches[k], k, "symbolic", None)
-        assert _decode_user_ok(run_delivery, run_caches[k], k, "payload", values)
+            # the lifted sum is the value sum above the mask sum
+            value_pair = mix(undo, values[1 << target], values[2 << target])
+            assert mix_sum(lifted_terms) == tuple(v << size | m for v, m in zip(value_pair, unit))
+        assert _decode_user_ok(run_delivery, run_caches[k], k, None)
+        assert _decode_user_ok(run_delivery, run_caches[k], k, _lifted(run_delivery))
+        assert _decode_user_ok(run_delivery, run_caches[k], k, both)
 
 
 def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches):
@@ -426,8 +438,8 @@ def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches
     values = _payload_values()
     assert values.segment_values[position] != 0
     flipped = dataclasses.replace(run_delivery, pairs={**run_delivery.pairs, key: (mask_i ^ (1 << position), mask_q)})
-    assert not _decode_user_ok(flipped, run_caches[1], 1, "symbolic", None)
-    assert not _decode_user_ok(flipped, run_caches[1], 1, "payload", values)
+    assert not _decode_user_ok(flipped, run_caches[1], 1, None)
+    assert not _decode_user_ok(flipped, run_caches[1], 1, _lifted(flipped))
 
 
 def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
@@ -438,8 +450,8 @@ def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
     corrupted = dataclasses.replace(cache, column={**cache.column, (2,): (mask_i ^ stray, mask_q)})
     values = _payload_values()
     assert values[stray] != 0
-    assert not _decode_user_ok(run_delivery, corrupted, 1, "symbolic", None)
-    assert not _decode_user_ok(run_delivery, corrupted, 1, "payload", values)
+    assert not _decode_user_ok(run_delivery, corrupted, 1, None)
+    assert not _decode_user_ok(run_delivery, corrupted, 1, _lifted(run_delivery))
 
 
 def test_plan_needs_every_uncoded_slot(run_delivery, run_caches):
@@ -447,7 +459,7 @@ def test_plan_needs_every_uncoded_slot(run_delivery, run_caches):
     missing = dataclasses.replace(cache, uncoded=cache.uncoded - {segment_index(RUN)[segment(1, (1,), 2, "Q")]})
     with pytest.raises(LookupError):
         list(decode_rows(run_delivery, missing, 1))
-    assert not _decode_user_ok(run_delivery, missing, 1, "both", _payload_values())
+    assert not _decode_user_ok(run_delivery, missing, 1, _lifted(run_delivery, masks=True))
 
 
 # ---------------------------------------------------------------------------
