@@ -99,7 +99,8 @@ class Payload:
             raise KeyError(f"no payload for segment {seg.label()}") from None
 
     def int_values(self) -> dict[SegmentId, int]:
-        return {seg: int.from_bytes(raw, "big") for seg, raw in self.data.items()}
+        """Each segment's bytes read as a little-endian int, as MaskValues.random draws them."""
+        return {seg: int.from_bytes(raw, "little") for seg, raw in self.data.items()}
 
 
 def bit_positions(mask: int) -> Iterator[int]:

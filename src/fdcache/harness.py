@@ -432,14 +432,10 @@ def identity_suite(
             free = [u for u in params.users if u != s and u not in leader_set]
             for extra in itertools.combinations(free, params.r + 1):
                 # weighted zero-sum over every one-requester-per-file selection
-                block = tuple(sorted(leader_set.union(extra)))
-                total = mix_sum(
-                    (*pairs[(s, tuple(u for u in block if u not in chosen))], weight)
-                    for chosen, weight in selection_weights(dset, s, block)
-                )
+                total = mix_sum((*pairs[(s, rest)], weight) for rest, weight in selection_weights(dset, s, extra))
                 redundancy_checked += 2
                 if total != (0, 0):
-                    redundancy_failures.append(f"d={tag} s={s} block={block}")
+                    redundancy_failures.append(f"d={tag} s={s} block={tuple(sorted(leader_set.union(extra)))}")
         for s, r_plus in sorted(dset.skipped):
             reconstruction_checked += _compare_pairs(
                 reconstructed_pair(dset, s, r_plus), pairs[(s, r_plus)],

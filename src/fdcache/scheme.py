@@ -15,7 +15,8 @@ Pipeline, per (N, K, r) system:
 4. delivery      - broadcast symbols XOR transformed segments over (r+1)-user
                    subsets; symbols whose subset avoids the leader set of the
                    excluded user are linearly dependent on the rest and are
-                   skipped.
+                   skipped, and rebuilt from the subsets that swap some of
+                   their members for the leaders of their files.
 5. decode        - each user recovers its file from the cache (uncoded hits),
                    by per-symbol elimination (s != k), or by aligning parities
                    against broadcast sums (s == k), then inverts the transform.
@@ -318,9 +319,11 @@ class DeliverySet:
     pairs maps (excluded user, (r+1)-subset) to the symbol's (I, Q) masks over
     the dense segment index.  leaders[s] is the leader set of the users other
     than s (core.leaders).  exponents[t-1][s-1] is the e with MIX**e the
-    transform of user t toward s, and reconstruction maps each skipped pair
-    to the transmitted subsets and MIX exponents that rebuild it.
-    selections memoises selection_weights by (s, block).
+    transform of user t toward s.  Toward s, leader_weights[s] is h(leaders),
+    the leaders' exponent sum mod 3, and swaps[s] maps each other user x to
+    (l, exponent change of swapping l for x mod 3, 1 << d(x)), l the leader
+    of d(x).  reconstruction maps each skipped pair to the transmitted subsets
+    and MIX exponents that rebuild it; selections memoises selection_weights.
     """
 
     params: SchemeParams
@@ -329,10 +332,12 @@ class DeliverySet:
     skipped: frozenset[tuple[int, tuple[int, ...]]]
     leaders: dict[int, frozenset[int]]
     exponents: tuple[tuple[int, ...], ...]
+    leader_weights: dict[int, int]
+    swaps: dict[int, dict[int, tuple[int, int, int]]]
     reconstruction: dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], int], ...]] = field(
         default_factory=dict
     )
-    selections: dict[tuple[int, tuple[int, ...]], list[tuple[frozenset[int], int]]] = field(default_factory=dict)
+    selections: dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], int]]] = field(default_factory=dict)
 
     def is_transmitted(self, s: int, r_plus: tuple[int, ...]) -> bool:
         return (s, r_plus) not in self.skipped
@@ -383,6 +388,13 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
         )
         if not leader_sets[s].intersection(r_plus):
             skipped.add((s, r_plus))
+    leader_weights, swaps = {}, {}
+    for s, leader_set in leader_sets.items():
+        toward = [row[s - 1] for row in exponents]
+        leader_of = {demand[lead - 1]: lead for lead in leader_set}
+        leader_weights[s] = sum(toward[lead - 1] for lead in leader_set) % 3
+        swaps[s] = {x: (leader_of[f], (toward[x - 1] - toward[leader_of[f] - 1]) % 3, 1 << f)
+                    for x, f in enumerate(demand, start=1) if x != s}
     dset = DeliverySet(
         params=params,
         demand=demand,
@@ -390,41 +402,43 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
         skipped=frozenset(skipped),
         leaders=leader_sets,
         exponents=exponents,
+        leader_weights=leader_weights,
+        swaps=swaps,
     )
     for s, r_plus in sorted(skipped):
         dset.reconstruction[(s, r_plus)] = skip_combination(dset, s, r_plus)
     return dset
 
 
-def selection_weights(dset: DeliverySet, s: int, block: tuple[int, ...]):
-    """One-requester-per-file selections V inside the block, each with the
-    MIX-power h(V) = sum of its members' transform logs mod 3.
+def selection_weights(dset: DeliverySet, s: int, extra: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """One-requester-per-file selections V inside the block
+    B = leaders[s] | extra, each as (B - V sorted, h(V)), h(V) the sum of its
+    members' transform logs toward s mod 3; extra is a sorted subset of the
+    users outside s and its leaders, and the leader selection comes first.
 
     For any such block the weighted sum of symbol pairs over all selections,
-    sum_V MIX^h(V) (Y^I, Y^Q)_{block - V}, vanishes: the two occurrences of a
+    sum_V MIX^h(V) (Y^I, Y^Q)_{B - V}, vanishes: the two occurrences of a
     segment across selections swapping one same-file requester carry equal
     total exponents and cancel.  The unweighted per-channel XOR is the equal-
     weight special case (it fails once an even-multiplicity file other than
     d(s) puts its leader inside a selection).
 
-    Every block is the leader set of s and some other users outside s, so the
-    files requested inside it are exactly those requested outside s.  The
-    selections are computed once per (demand, s, block): skip_combination
-    and the identity suite's redundancy family build the same blocks.
+    Every file requested inside B is requested outside s, so its leader is in
+    B: each selection swaps some members x of extra, at most one per file,
+    into the leader set for the leaders of their files (swaps[s]).  The list
+    is built once per (demand, s, extra), for skip_combination, and the
+    identity suite's redundancy family reads the same lists.
     """
-    out = dset.selections.get((s, block))
+    out = dset.selections.get((s, extra))
     if out is not None:
         return out
-    demand, exponents = dset.demand, dset.exponents
-    by_file: dict[int, list[int]] = {}
-    for u in block:
-        by_file.setdefault(demand[u - 1], []).append(u)
-    choices = [by_file[f] for f in sorted(by_file)]
-    out = []
-    for pick in itertools.product(*choices):
-        weight = sum(exponents[t - 1][s - 1] for t in pick) % 3
-        out.append((frozenset(pick), weight))
-    dset.selections[(s, block)] = out
+    swaps = dset.swaps[s]
+    grown = [((), dset.leader_weights[s], 0)]  # (subset left so far, weight, bits of the files swapped)
+    for x in extra:
+        leader, delta, bit = swaps[x]
+        grown = [(rest + (x,), weight, used) for rest, weight, used in grown] + [
+            (rest + (leader,), (weight + delta) % 3, used | bit) for rest, weight, used in grown if not used & bit]
+    dset.selections[(s, extra)] = out = [(tuple(sorted(rest)), weight) for rest, weight, _ in grown]
     return out
 
 
@@ -433,27 +447,17 @@ def skip_combination(
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Transmitted subsets and MIX exponents reconstructing a skipped symbol.
 
-    With B = leaders[s] | r_plus the skipped symbol is the leader selection's
-    term in the vanishing weighted sum over B, so it equals the weighted sum
-    of the other selections' (transmitted) symbol pairs.
+    It is the leader selection's term in the vanishing weighted sum of
+    selection_weights(dset, s, r_plus), so it is the sum of the other
+    (transmitted) terms, each weighted by h(V) - h(leaders).
     """
     if dset.is_transmitted(s, r_plus):
         raise ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
-    leader_set = dset.leaders[s]
-    block = tuple(sorted(leader_set.union(r_plus)))
-    leader_weight = None
-    entries = []
-    for chosen, weight in selection_weights(dset, s, block):
-        if chosen == leader_set:
-            leader_weight = weight
-            continue
-        rest = tuple(u for u in block if u not in chosen)
-        if not dset.is_transmitted(s, rest):  # cannot happen: rest meets a leader
+    (_, leader_weight), *others = selection_weights(dset, s, r_plus)
+    for rest, _ in others:
+        if (s, rest) in dset.skipped:  # cannot happen: rest meets a leader
             raise RuntimeError(f"reconstruction referenced skipped symbol {rest}")
-        entries.append((rest, weight))
-    if leader_weight is None:  # cannot happen: the leaders form one selection
-        raise RuntimeError(f"leader set {sorted(leader_set)} is not a selection of block {block}")
-    return tuple((rest, (weight - leader_weight) % 3) for rest, weight in entries)
+    return tuple((rest, (weight - leader_weight) % 3) for rest, weight in others)
 
 
 def _broadcast_terms(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> list[Term]:

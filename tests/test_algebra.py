@@ -291,6 +291,14 @@ def test_mask_values_draw_the_payload_stream(width):
     assert lifted.segment_values == [values[unit] << index.size | unit for unit in index.units]
 
 
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_payload_ints_are_the_mask_values_draw(width):
+    # one seeded payload is one set of ints on the labelled and the verify path
+    index = segment_index(SchemeParams(3, 6, 1))
+    ints = Payload.random(index.segments, width, "draw").int_values()
+    assert [ints[s] for s in index.segments] == MaskValues.random(index, width, "draw").segment_values
+
+
 def test_payload_random_bytes_pinned():
     # recorded before Payload.random drew its values as ints
     payload = Payload.random(segment_index(SchemeParams(3, 6, 1)).segments, width=5, seed="pin")

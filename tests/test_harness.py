@@ -308,6 +308,22 @@ def test_identity_suite_rejects_samples_below_one(monkeypatch, samples):
         identity_suite(RUN, samples=samples)
 
 
+def test_identity_suite_builds_one_selection_list_per_skipped_pair(monkeypatch):
+    # delivery builds one list per skipped pair, and the redundancy family,
+    # whose blocks are exactly the skipped pairs, reads them all from the memo
+    built = []
+
+    def captured(params, d):
+        built.append(scheme.delivery(params, d))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "delivery", captured)
+    suite = identity_suite(SchemeParams(4, 10, 1), samples=3)
+    assert suite.success and len(built) == 3
+    for dset in built:
+        assert dset.skipped and set(dset.selections) == dset.skipped
+
+
 # one demand per system, with the number of pairs it transmits
 NEEDED_SYMBOL_CASES = [
     ((3, 6, 1), (1, 1, 1, 1, 2, 3), 50),

@@ -375,7 +375,7 @@ def test_decode_payload_bit_exact(run_delivery, run_caches):
         source = PayloadSource(run_caches[k], run_delivery, payload)
         decoded = decode_file(run_delivery, run_caches[k], k, source)
         assert all(value == ints[seg] for seg, value in decoded)
-        got_file = b"".join(v.to_bytes(3, "big") for _seg, v in decoded)
+        got_file = b"".join(v.to_bytes(3, "little") for _seg, v in decoded)
         want_file = b"".join(payload.value(seg) for seg in file_segments(RUN, RUN_D[k - 1]))
         assert got_file == want_file
 
@@ -511,18 +511,31 @@ def _reference_selection_weights(params, d, s, block):
     ]
 
 
+def _reference_rests(dset, s, extra):
+    """The definition in selection_weights' form: each pick of the block
+    leaders[s] | extra as (block - pick, its weight)."""
+    block = tuple(sorted(dset.leaders[s].union(extra)))
+    return [
+        (tuple(u for u in block if u not in pick), weight)
+        for pick, weight in _reference_selection_weights(dset.params, dset.demand, s, block)
+    ]
+
+
 @pytest.mark.parametrize("params", [SchemeParams(3, 6, 1), SchemeParams(4, 10, 1)], ids=str)
 def test_selection_weights_match_their_definition(monkeypatch, params):
-    # every block that skip_combination (inside delivery) and identity_suite build
+    # every selection list that skip_combination (inside delivery) and
+    # identity_suite build; the leader pick leaves extra itself and comes first
     from fdcache import harness, scheme
 
     original = scheme.selection_weights
     blocks = {"skip_combination": 0, "identity_suite": 0}
 
     def checked(caller):
-        def selection_weights(dset, s, block):
-            got = original(dset, s, block)
-            assert got == _reference_selection_weights(dset.params, dset.demand, s, block)
+        def selection_weights(dset, s, extra):
+            got = original(dset, s, extra)
+            want = _reference_rests(dset, s, extra)
+            assert sorted(got) == sorted(want)
+            assert got[0] == next(entry for entry in want if entry[0] == extra)
             blocks[caller] += 1
             return got
 
@@ -532,6 +545,31 @@ def test_selection_weights_match_their_definition(monkeypatch, params):
     monkeypatch.setattr(harness, "selection_weights", checked("identity_suite"))
     assert harness.identity_suite(params, samples=10).success
     assert all(blocks.values())
+
+
+def test_skip_combination_matches_its_definition():
+    # sampled demands of every system up to K = 7 that has broadcast symbols:
+    # the other picks of leaders[s] | r_plus, weighted relative to the leader pick
+    from fdcache.harness import sample_fully_demanded
+
+    checked = shared = 0
+    for k_users in range(2, 8):
+        for n_files in range(1, k_users + 1):
+            for r in range(k_users - 1):
+                params = SchemeParams(n_files, k_users, r)
+                for d in sample_fully_demanded(params, 10):
+                    dset = delivery(params, d)
+                    for s, r_plus in dset.skipped:
+                        want = _reference_rests(dset, s, r_plus)
+                        leader_weight = next(weight for rest, weight in want if rest == r_plus)
+                        assert sorted(skip_combination(dset, s, r_plus)) == sorted(
+                            (rest, (weight - leader_weight) % 3) for rest, weight in want if rest != r_plus
+                        )
+                        assert reconstructed_pair(dset, s, r_plus) == dset.pairs[(s, r_plus)]
+                        checked += 1
+                        shared += len({d[u - 1] for u in r_plus}) < len(r_plus)
+    # two members on one file can swap only one of them for its leader
+    assert checked > 3000 and shared > 1000, (checked, shared)
 
 
 def test_cache_component_count_formulas():
