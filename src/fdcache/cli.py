@@ -2,10 +2,11 @@
 
 Each command returns one Output record holding its exit code and all three
 renderings, built in a single pass over its result.  main is the only place
-that picks the --format, writes to --output or stdout, and maps a ValueError
-to exit 2.
+that picks the --format, writes to --output or stdout, maps a ValueError to
+exit 2 and any other exception a command raises to exit 3.
 
-Exit codes: 0 success, 1 verification/identity failure, 2 usage error.
+Exit codes: 0 success, 1 verification/identity failure, 2 usage error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -280,6 +281,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad input, including NotFullyDemandedError and SweepLimitExceeded
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, never reported as a failed check or bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     rendered = to_json(out.json) if args.format == "json" else "\n".join(getattr(out, args.format)) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

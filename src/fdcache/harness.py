@@ -59,6 +59,7 @@ from .scheme import (
     selection_weights,
     transform_exponents,
     transformed_sum_identity,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
+    transformed_sum_layout,
     transformed_sum_residual,
 )
 
@@ -379,13 +380,13 @@ class IdentityReport:
         return all(result.ok for result in self.families.values())
 
 
-def _compare_pairs(got: tuple[int, int], want: tuple[int, int], failures: list[str], label: str) -> int:
-    """Compare two (I, Q) mask pairs channel by channel, recording one failure
-    per differing channel; returns the number of checks made."""
+def _compare_pairs(got: tuple[int, int], want: tuple[int, int], failures: list[str], label: str) -> None:
+    """Record one failure per differing channel of two (I, Q) mask pairs.
+    Callers pass differing pairs only, so a label is formatted only for a
+    failure."""
     for channel, got_mask, want_mask in zip(CHANNELS, got, want):
         if got_mask != want_mask:
             failures.append(f"{label} ch={channel}")
-    return len(CHANNELS)
 
 
 def identity_suite(
@@ -395,14 +396,19 @@ def identity_suite(
 
     parity_closure is demand-independent; the delivery families run per
     sampled demand.  Every family compares int masks over the dense segment
-    index.  Every failure records its full index tuple.
+    index, two checks (I and Q) per pair.  Every failure records its full
+    index tuple.  The transformed-sum family makes one wide
+    transformed_sum_residual per demand and reads each (s, r_set) block of
+    it only when the residual is nonzero.
     """
-    index = segment_index(params)  # refuses an oversized system before sampling
+    segment_index(params)  # refuses an oversized system before sampling
     if demands is None:
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         demands = sample_fully_demanded(params, samples)
     demands = tuple(require_fully_demanded(params, d) for d in demands)
+    if not demands:
+        raise ValueError("no demands to check")
 
     closure_checked = 0
     closure_failures = []
@@ -412,10 +418,10 @@ def identity_suite(
             others = [u for u in params.users if u != k]
             for f in params.files:
                 for r_minus in itertools.combinations(others, params.r - 1):
-                    closure_checked += _compare_pairs(
-                        closure_pair(cache, f, r_minus), row_parity_pair(index, k, f, r_minus),
-                        closure_failures, f"k={k} f={f} subset={r_minus}",
-                    )
+                    got, want = closure_pair(cache, f, r_minus), row_parity_pair(params, k, f, r_minus)
+                    closure_checked += 2
+                    if got != want:
+                        _compare_pairs(got, want, closure_failures, f"k={k} f={f} subset={r_minus}")
 
     redundancy_checked = 0
     redundancy_failures = []
@@ -423,6 +429,7 @@ def identity_suite(
     reconstruction_failures = []
     sum_checked = 0
     sum_failures = []
+    blocks = transformed_sum_layout(params)[1]
     for d in demands:
         dset = delivery(params, d)
         pairs = dset.pairs
@@ -437,17 +444,17 @@ def identity_suite(
                 if total != (0, 0):
                     redundancy_failures.append(f"d={tag} s={s} block={tuple(sorted(leader_set.union(extra)))}")
         for s, r_plus in sorted(dset.skipped):
-            reconstruction_checked += _compare_pairs(
-                reconstructed_pair(dset, s, r_plus), pairs[(s, r_plus)],
-                reconstruction_failures, f"d={tag} s={s} subset={r_plus}",
-            )
-        for s in params.users:
-            others = [u for u in params.users if u != s]
-            for r_set in itertools.combinations(others, params.r):
-                sum_checked += _compare_pairs(
-                    transformed_sum_residual(index, d, dset.exponents, s, r_set), (0, 0),
-                    sum_failures, f"d={tag} s={s} subset={r_set}",
-                )
+            got, want = reconstructed_pair(dset, s, r_plus), pairs[(s, r_plus)]
+            reconstruction_checked += 2
+            if got != want:
+                _compare_pairs(got, want, reconstruction_failures, f"d={tag} s={s} subset={r_plus}")
+        residual_i, residual_q = transformed_sum_residual(params, d, dset.exponents)
+        sum_checked += 2 * len(blocks)
+        if residual_i or residual_q:
+            for (s, r_set), block in blocks.items():
+                got = (residual_i & block, residual_q & block)
+                if got != (0, 0):
+                    _compare_pairs(got, (0, 0), sum_failures, f"d={tag} s={s} subset={r_set}")
 
     return IdentityReport(
         params=params,

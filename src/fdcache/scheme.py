@@ -163,7 +163,7 @@ def prefetch(params: SchemeParams, k: int) -> CacheContent:
             if f == 1:
                 continue
             for r_minus in itertools.combinations(others, params.r - 1):
-                row[(f, r_minus)] = row_parity_pair(index, k, f, r_minus)
+                row[(f, r_minus)] = row_parity_pair(params, k, f, r_minus)
 
     return CacheContent(params=params, owner=k, uncoded=frozenset(uncoded), column=column, row=row)
 
@@ -220,11 +220,13 @@ def parity_combination(
     return frozenset(columns), frozenset(rows)
 
 
-def row_parity_pair(index: SegmentIndex, k: int, file: int, r_minus: tuple[int, ...]) -> tuple[int, int]:
+@lru_cache(maxsize=None)
+def row_parity_pair(params: SchemeParams, k: int, file: int, r_minus: tuple[int, ...]) -> tuple[int, int]:
     """(I, Q) masks of row parity (file, r_minus) of user k: the XOR over
     completions u of the file's segments tagged ({u} | r_minus, k)."""
+    index = segment_index(params)
     mask = 0
-    for u in index.params.users:
+    for u in params.users:
         if u != k and u not in r_minus:
             mask |= 1 << index.slot(file, tuple(sorted((*r_minus, u))), k)
     return mask, mask << 1
@@ -654,24 +656,56 @@ def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadS
 # whole-demand identity
 
 
-def transformed_sum_residual(index: SegmentIndex, demand: Demand, exponents: Sequence[Sequence[int]],
-                             s: int, r_set: tuple[int, ...]) -> tuple[int, int]:
-    """(I, Q) masks of the XOR of the transformed (d(t), r_set, s) segments
-    over ALL users t and the column parity (r_set, s) over files, with
-    exponents[t-1][s-1] the transform of user t toward s.  The identity says
-    this is zero: per file, the special/mix split cancels."""
-    params = index.params
-    unit = {f: 1 << index.slot(f, r_set, s) for f in params.files}
-    terms = [(unit[demand[t - 1]], unit[demand[t - 1]] << 1, exponents[t - 1][s - 1]) for t in params.users]
-    return mix_sum(terms + [(unit[f], unit[f] << 1, 0) for f in params.files])
+@lru_cache(maxsize=None)
+def transformed_sum_layout(
+    params: SchemeParams,
+) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, tuple[int, ...]], int]]:
+    """The demand-independent part of the transformed-sum identity: (columns,
+    blocks).  columns[s-1][f-1] holds the I bit of segment (f, r_set, s) for
+    every r-subset r_set avoiding s.  blocks maps each such (s, r_set), s
+    ascending and r_set in combination order, to the I and Q bits of its
+    segments over all files; no two blocks share a bit."""
+    index = segment_index(params)
+    columns, blocks = [], {}
+    for s in params.users:
+        column = [0] * params.n_files
+        for r_set in itertools.combinations([u for u in params.users if u != s], params.r):
+            block = 0
+            for f in params.files:
+                slot = index.slot(f, r_set, s)
+                column[f - 1] |= 1 << slot
+                block |= 3 << slot
+            blocks[(s, r_set)] = block
+        columns.append(tuple(column))
+    return tuple(columns), blocks
+
+
+def transformed_sum_residual(params: SchemeParams, demand: Demand,
+                             exponents: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(I, Q) masks of the transformed-sum identity of every (s, r_set) at
+    once, with exponents[t-1][s-1] the transform of user t toward s.
+
+    Restricted to the block of (s, r_set) (transformed_sum_layout) it is the
+    XOR of the transformed (d(t), r_set, s) segments over ALL users t and the
+    column parity (r_set, s) over files, which the identity says is zero: per
+    file, the special/mix split cancels.  Each term's bits lie in the I/Q
+    pairs of its own blocks, MIX acts inside each pair and blocks never
+    overlap, so one mix_sum of K(K+N) wide terms checks every block.
+    """
+    columns, _ = transformed_sum_layout(params)
+    terms = [(mask, mask << 1, 0) for column in columns for mask in column]
+    for s, column in enumerate(columns):
+        for t, f in enumerate(demand):
+            terms.append((column[f - 1], column[f - 1] << 1, exponents[t][s]))
+    return mix_sum(terms)
 
 
 def transformed_sum_identity(params: SchemeParams, d: Sequence[int], s: int, r_set: tuple[int, ...], channel: str) -> bool:
-    """One channel of the transformed-sum identity for demand d: its
-    transformed_sum_residual is zero."""
+    """One channel of the transformed-sum identity for demand d: the block of
+    (s, r_set) in its transformed_sum_residual is zero."""
     demand = require_fully_demanded(params, d)
     idx = CHANNELS.index(channel)
     if s in r_set:
         raise ValueError(f"excluded user {s} inside subset {r_set}")
-    exponents = transform_exponents(params, demand)
-    return transformed_sum_residual(segment_index(params), demand, exponents, s, tuple(sorted(r_set)))[idx] == 0
+    block = transformed_sum_layout(params)[1][(s, tuple(sorted(r_set)))]
+    return transformed_sum_residual(params, demand, transform_exponents(params, demand))[idx] & block == 0

@@ -455,6 +455,15 @@ def test_failure_output(capsys, monkeypatch, argv):
     assert run(capsys, *argv) == (1, FAILING[argv], "")
 
 
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("lost a symbol")
+
+    monkeypatch.setattr(cli, "identity_suite", broken)
+    code, out, err = run(capsys, "lemmas", "--n", "3", "--k", "6", "--r", "1", "--samples", "2")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: lost a symbol\n")
+
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -298,6 +299,11 @@ def test_identity_suite_rejects_partial_demand():
         identity_suite(RUN, demands=[(1, 1, 1, 1, 2, 2)])
 
 
+def test_identity_suite_rejects_an_empty_demand_list():
+    with pytest.raises(ValueError, match="no demands"):
+        identity_suite(RUN, demands=[])
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_identity_suite_rejects_samples_below_one(monkeypatch, samples):
     def no_sample(*args):
@@ -485,13 +491,7 @@ def _patch_delivery(monkeypatch, change):
 def test_identity_suite_catches_a_corrupted_symbol(monkeypatch, s, r_plus):
     # (1,(3,4)) and (5,(2,3)) are skipped, (1,(2,3)) is transmitted and
     # rebuilds (1,(3,4)); every one of them sits in a redundancy block of s
-    def flip(dset):
-        pairs = dict(dset.pairs)
-        mask_i, mask_q = pairs[(s, r_plus)]
-        pairs[(s, r_plus)] = (mask_i ^ 1 << 7, mask_q)
-        return dataclasses.replace(dset, pairs=pairs)
-
-    _patch_delivery(monkeypatch, flip)
+    _patch_delivery(monkeypatch, _flip_symbol(s, r_plus))
     suite = identity_suite(RUN, demands=[RUN_D])
     assert _failing_families(suite) == {"delivery_redundancy", "skip_reconstruction"}
     for family in ("delivery_redundancy", "skip_reconstruction"):
@@ -499,15 +499,37 @@ def test_identity_suite_catches_a_corrupted_symbol(monkeypatch, s, r_plus):
         assert failures and all(f" s={s} " in failure for failure in failures)
 
 
-@pytest.mark.parametrize("params,kind", [(RUN, "row"), (RUN, "column"), (SchemeParams(3, 4, 2), "row")])
-def test_identity_suite_catches_a_corrupted_parity(monkeypatch, params, kind):
-    owner = 3
+def _flip_symbol(s, r_plus):
+    def flip(dset):
+        pairs = dict(dset.pairs)
+        mask_i, mask_q = pairs[(s, r_plus)]
+        pairs[(s, r_plus)] = (mask_i ^ 1 << 7, mask_q)
+        return dataclasses.replace(dset, pairs=pairs)
+
+    return flip
+
+
+def _corrupt_parity(monkeypatch, params, kind, owner=3):
+    """Flip one Q bit of the owner's last stored parity of the kind."""
     caches = list(harness._prefetch_all(params))
     stored = getattr(caches[owner - 1], kind)
     key = sorted(stored)[-1]
     mask_i, mask_q = stored[key]
     caches[owner - 1] = dataclasses.replace(caches[owner - 1], **{kind: {**stored, key: (mask_i, mask_q ^ 1)}})
     monkeypatch.setattr(harness, "_prefetch_all", lambda p: tuple(caches))
+
+
+def _bump_exponent(dset):
+    # user 5 alone asks for file 2, so its transform toward user 2 is the identity
+    rows = [list(row) for row in dset.exponents]
+    rows[5 - 1][2 - 1] = 1
+    return dataclasses.replace(dset, exponents=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("params,kind", [(RUN, "row"), (RUN, "column"), (SchemeParams(3, 4, 2), "row")])
+def test_identity_suite_catches_a_corrupted_parity(monkeypatch, params, kind):
+    owner = 3
+    _corrupt_parity(monkeypatch, params, kind, owner)
     suite = identity_suite(params, samples=2)
     assert _failing_families(suite) == {"parity_closure"}
     failures = suite.families["parity_closure"].failures
@@ -515,17 +537,83 @@ def test_identity_suite_catches_a_corrupted_parity(monkeypatch, params, kind):
 
 
 def test_identity_suite_catches_a_corrupted_exponent(monkeypatch):
-    # user 5 alone asks for file 2, so its transform toward user 2 is the identity
-    def bump(dset):
-        rows = [list(row) for row in dset.exponents]
-        rows[5 - 1][2 - 1] = 1
-        return dataclasses.replace(dset, exponents=tuple(map(tuple, rows)))
-
-    _patch_delivery(monkeypatch, bump)
+    _patch_delivery(monkeypatch, _bump_exponent)
     suite = identity_suite(RUN, demands=[RUN_D])
     failures = suite.families["transformed_sum"].failures
     assert failures and all(" s=2 " in failure for failure in failures)
     assert suite.families["parity_closure"].ok
+
+
+# SHA-256 of to_json(identity_json_dict(...)) on RUN/RUN_D under one
+# corruption each, recorded before the transformed-sum family became one wide
+# residual per demand and before labels were formatted only on failure: they
+# pin the order and format of every failure string
+PINNED_FAILURE_REPORTS = [
+    ("exponent", "86272629b404f4c442680ccf0f0ff93f3c56d5885eb807fe0d0fe867775baba1"),
+    ("symbol", "2bf66f4256f2561475b59db397fdf2277a86167d9b340d66efb2a529f246459f"),
+    ("row_parity", "ef8a684534d8b9c28bff280ef0ba1f9eeeb3c3b6f567f703e1835821eaa33862"),
+]
+
+
+@pytest.mark.parametrize("corruption,digest", PINNED_FAILURE_REPORTS)
+def test_identity_failure_report_bytes_pinned(monkeypatch, corruption, digest):
+    if corruption == "exponent":
+        _patch_delivery(monkeypatch, _bump_exponent)
+    elif corruption == "symbol":
+        _patch_delivery(monkeypatch, _flip_symbol(1, (3, 4)))
+    else:
+        _corrupt_parity(monkeypatch, RUN, "row")
+    report = identity_suite(RUN, demands=[RUN_D])
+    assert not report.success
+    assert hashlib.sha256(to_json(identity_json_dict(report)).encode()).hexdigest() == digest
+
+
+def _reference_transformed_sum(params, demand, exponents):
+    """The transformed-sum family by its definition: for each (s, r_set), the
+    XOR of the transformed (d(t), r_set, s) segments over all users t and the
+    column parity (r_set, s), compared with zero channel by channel."""
+    index = segment_index(params)
+    tag = "-".join(map(str, demand))
+    checked, failures = 0, []
+    for s in params.users:
+        for r_set in itertools.combinations([u for u in params.users if u != s], params.r):
+            unit = {f: 1 << index.slot(f, r_set, s) for f in params.files}
+            terms = [(unit[demand[t - 1]], unit[demand[t - 1]] << 1, exponents[t - 1][s - 1]) for t in params.users]
+            residual = scheme.mix_sum(terms + [(unit[f], unit[f] << 1, 0) for f in params.files])
+            checked += 2
+            failures += [f"d={tag} s={s} subset={r_set} ch={ch}" for ch, mask in zip(algebra.CHANNELS, residual) if mask]
+    return checked, tuple(failures)
+
+
+def test_wide_transformed_sum_matches_the_per_block_reference(monkeypatch):
+    # sampled demands of every system up to K = 7, with the real exponent
+    # table and with one seeded corrupted entry per demand per round
+    rng = random.Random(12)
+    tables = {}
+    real = harness.delivery
+    monkeypatch.setattr(harness, "delivery", lambda p, d: dataclasses.replace(real(p, d), exponents=tables[d]))
+    failed = 0
+    for k_users in range(2, 8):
+        for n_files in range(1, k_users + 1):
+            for r in range(k_users):
+                params = SchemeParams(n_files, k_users, r)
+                demands = sample_fully_demanded(params, 2)
+                for round_ in range(3):
+                    for d in demands:
+                        rows = [list(row) for row in scheme.transform_exponents(params, d)]
+                        if round_:
+                            t, s = rng.randrange(k_users), rng.randrange(k_users)
+                            rows[t][s] = rng.choice([e for e in range(3) if e != rows[t][s]])
+                        tables[d] = tuple(map(tuple, rows))
+                    family = identity_suite(params, demands=demands).families["transformed_sum"]
+                    checked, failures = 0, ()
+                    for d in demands:
+                        more, bad = _reference_transformed_sum(params, d, tables[d])
+                        checked, failures = checked + more, failures + bad
+                    assert (family.checked, family.failures) == (checked, failures)
+                    assert bool(failures) == bool(round_)
+                    failed += len(failures)
+    assert failed
 
 
 # SHA-256 of to_json([report_json_dict(r) for r in sweep.reports]), recorded
