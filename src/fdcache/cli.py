@@ -2,8 +2,9 @@
 
 Each command returns one Output record holding its exit code and all three
 renderings, built in a single pass over its result.  main is the only place
-that picks the --format, writes to --output or stdout, maps a ValueError to
-exit 2 and any other exception a command raises to exit 3.
+that picks the --format, writes to --output or stdout, maps a ValueError or
+an unwritable --output to exit 2 and any other exception a command raises
+to exit 3.
 
 Exit codes: 0 success, 1 verification/identity failure, 2 usage error,
 3 internal error.
@@ -286,8 +287,12 @@ def main(argv=None) -> int:
         return 3
     rendered = to_json(out.json) if args.format == "json" else "\n".join(getattr(out, args.format)) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:  # an unwritable --output is bad input
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return out.code

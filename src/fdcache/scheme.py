@@ -324,8 +324,11 @@ class DeliverySet:
     transform of user t toward s.  Toward s, leader_weights[s] is h(leaders),
     the leaders' exponent sum mod 3, and swaps[s] maps each other user x to
     (l, exponent change of swapping l for x mod 3, 1 << d(x)), l the leader
-    of d(x).  reconstruction maps each skipped pair to the transmitted subsets
-    and MIX exponents that rebuild it; selections memoises selection_weights.
+    of d(x).  subsets maps the user bitmask sum(1 << u) of every
+    (r+1)-subset to the subset (_subsets_by_bits), so selection_weights
+    grows its selections on bits.  reconstruction maps each skipped pair to
+    the transmitted subsets and MIX exponents that rebuild it; selections
+    memoises selection_weights.
     """
 
     params: SchemeParams
@@ -336,6 +339,7 @@ class DeliverySet:
     exponents: tuple[tuple[int, ...], ...]
     leader_weights: dict[int, int]
     swaps: dict[int, dict[int, tuple[int, int, int]]]
+    subsets: dict[int, tuple[int, ...]]
     reconstruction: dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], int], ...]] = field(
         default_factory=dict
     )
@@ -358,17 +362,33 @@ class DeliverySet:
         return {key: tuple(_broadcast_terms(self, *key)) for key in self.pairs}
 
 
+# MIX**e of the unit pair (I, Q) = (1, 2): shifted left by a segment pair's
+# position p, it is MIX**e of that pair's unit masks (1 << p, 1 << p + 1)
+_MIXED_UNIT = tuple(mix(e, 1, 2) for e in range(3))
+
+
 @lru_cache(maxsize=None)
-def _symbol_layout(params: SchemeParams) -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+def _symbol_layout(
+    params: SchemeParams,
+) -> tuple[tuple[int, tuple[int, ...], int, tuple[tuple[int, int], ...]], ...]:
     """The demand-independent part of every broadcast symbol, in delivery
-    order: (s, r_plus, ((t, position of W^I[1; r_plus - t; s]), ...)).  A
-    demand moves each position to file d(t) by adding (d(t) - 1) * per_file."""
+    order: (s, r_plus, user bits of r_plus, ((t, position of
+    W^I[1; r_plus - t; s]), ...)), the user bits sum(1 << u) over u in
+    r_plus.  A demand moves each position to file d(t) by adding
+    (d(t) - 1) * per_file."""
     index = segment_index(params)
     return tuple(
-        (s, r_plus, tuple((t, index.slot(1, tuple(u for u in r_plus if u != t), s)) for t in r_plus))
+        (s, r_plus, sum(1 << u for u in r_plus),
+         tuple((t, index.slot(1, tuple(u for u in r_plus if u != t), s)) for t in r_plus))
         for s in params.users
         for r_plus in itertools.combinations([u for u in params.users if u != s], params.r + 1)
     )
+
+
+@lru_cache(maxsize=None)
+def _subsets_by_bits(params: SchemeParams) -> dict[int, tuple[int, ...]]:
+    """Every (r+1)-subset of users, sorted, keyed by its user bits sum(1 << u)."""
+    return {sum(1 << u for u in r_plus): r_plus for r_plus in itertools.combinations(params.users, params.r + 1)}
 
 
 def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
@@ -376,20 +396,30 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
 
     Symbol (s, r_plus) XORs the transformed segments W_{d(t), r_plus - t, s}
     over t in r_plus; it is skipped when r_plus avoids the leader set of s.
+    The r+1 terms of a symbol lie on distinct segment pairs and MIX acts
+    inside each pair, so each term is XORed in as the mixed unit pair
+    _MIXED_UNIT[e] shifted to its segment's position, with no mix_sum per
+    symbol.  The skip test is one AND of the leader set's user bits with the
+    symbol's (_symbol_layout).
     """
     demand = require_fully_demanded(params, d)
-    index = segment_index(params)
-    base, units = [(f - 1) * index.per_file for f in demand], index.units
+    per_file = segment_index(params).per_file
+    base = [(f - 1) * per_file for f in demand]
     exponents = transform_exponents(params, demand)
     leader_sets = {s: leaders(params, demand, s) for s in params.users}
+    leader_bits = {s: sum(1 << u for u in leader_set) for s, leader_set in leader_sets.items()}
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
-    skipped: set[tuple[int, tuple[int, ...]]] = set()
-    for s, r_plus, layout in _symbol_layout(params):
-        pairs[(s, r_plus)] = mix_sum(
-            [(units[base[t - 1] + at], units[base[t - 1] + at + 1], exponents[t - 1][s - 1]) for t, at in layout]
-        )
-        if not leader_sets[s].intersection(r_plus):
-            skipped.add((s, r_plus))
+    skipped: list[tuple[int, tuple[int, ...]]] = []  # in layout order, which is sorted order
+    for s, r_plus, bits, layout in _symbol_layout(params):
+        acc_i = acc_q = 0
+        for t, at in layout:
+            unit_i, unit_q = _MIXED_UNIT[exponents[t - 1][s - 1]]
+            at += base[t - 1]
+            acc_i ^= unit_i << at
+            acc_q ^= unit_q << at
+        pairs[(s, r_plus)] = acc_i, acc_q
+        if not leader_bits[s] & bits:
+            skipped.append((s, r_plus))
     leader_weights, swaps = {}, {}
     for s, leader_set in leader_sets.items():
         toward = [row[s - 1] for row in exponents]
@@ -406,8 +436,9 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
         exponents=exponents,
         leader_weights=leader_weights,
         swaps=swaps,
+        subsets=_subsets_by_bits(params),
     )
-    for s, r_plus in sorted(skipped):
+    for s, r_plus in skipped:
         dset.reconstruction[(s, r_plus)] = skip_combination(dset, s, r_plus)
     return dset
 
@@ -415,8 +446,9 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
 def selection_weights(dset: DeliverySet, s: int, extra: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     """One-requester-per-file selections V inside the block
     B = leaders[s] | extra, each as (B - V sorted, h(V)), h(V) the sum of its
-    members' transform logs toward s mod 3; extra is a sorted subset of the
-    users outside s and its leaders, and the leader selection comes first.
+    members' transform logs toward s mod 3; extra is a sorted (r+1)-subset
+    of the users outside s and its leaders, and the leader selection comes
+    first.
 
     For any such block the weighted sum of symbol pairs over all selections,
     sum_V MIX^h(V) (Y^I, Y^Q)_{B - V}, vanishes: the two occurrences of a
@@ -427,20 +459,23 @@ def selection_weights(dset: DeliverySet, s: int, extra: tuple[int, ...]) -> list
 
     Every file requested inside B is requested outside s, so its leader is in
     B: each selection swaps some members x of extra, at most one per file,
-    into the leader set for the leaders of their files (swaps[s]).  The list
-    is built once per (demand, s, extra), for skip_combination, and the
+    into the leader set for the leaders of their files (swaps[s]).  Each
+    B - V grows as user bits, one 1 << x or 1 << leader per member of extra,
+    and is read back as a sorted subset from dset.subsets at the end.  The
+    list is built once per (demand, s, extra), for skip_combination, and the
     identity suite's redundancy family reads the same lists.
     """
     out = dset.selections.get((s, extra))
     if out is not None:
         return out
     swaps = dset.swaps[s]
-    grown = [((), dset.leader_weights[s], 0)]  # (subset left so far, weight, bits of the files swapped)
+    grown = [(0, dset.leader_weights[s], 0)]  # (user bits left so far, weight, bits of the files swapped)
     for x in extra:
         leader, delta, bit = swaps[x]
-        grown = [(rest + (x,), weight, used) for rest, weight, used in grown] + [
-            (rest + (leader,), (weight + delta) % 3, used | bit) for rest, weight, used in grown if not used & bit]
-    dset.selections[(s, extra)] = out = [(tuple(sorted(rest)), weight) for rest, weight, _ in grown]
+        grown = [(rest | 1 << x, weight, used) for rest, weight, used in grown] + [
+            (rest | 1 << leader, (weight + delta) % 3, used | bit) for rest, weight, used in grown if not used & bit]
+    subsets = dset.subsets
+    dset.selections[(s, extra)] = out = [(subsets[rest], weight) for rest, weight, _ in grown]
     return out
 
 

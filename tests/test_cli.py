@@ -464,6 +464,14 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "internal error: RuntimeError: lost a symbol\n")
 
 
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "golden", "--format", "json", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
