@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import SchemeParams, binom
+from .core import SchemeParams, UsageError, binom
 
 CHANNELS = ("I", "Q")
 
@@ -174,16 +174,16 @@ MAX_SYMBOL_SEGMENTS = 2**28
 @lru_cache(maxsize=None)
 def segment_index(params: SchemeParams) -> SegmentIndex:
     """The dense index of one system, built once per parameters.  Raises
-    ValueError, before building anything, for a system of more than
+    UsageError, before building anything, for a system of more than
     MAX_SEGMENTS segments or more than MAX_SYMBOL_SEGMENTS broadcast symbols
     times segments."""
     system = f"(N, K, r) = ({params.n_files}, {params.n_users}, {params.r})"
     size = params.n_files * 2 * (params.n_users - params.r) * binom(params.n_users, params.r)
     if size > MAX_SEGMENTS:
-        raise ValueError(f"{system} has {size} segments, more than the ceiling of {MAX_SEGMENTS}")
+        raise UsageError(f"{system} has {size} segments, more than the ceiling of {MAX_SEGMENTS}")
     symbols = params.n_users * binom(params.n_users - 1, params.r + 1)
     if symbols * size > MAX_SYMBOL_SEGMENTS:
-        raise ValueError(
+        raise UsageError(
             f"{system} has {symbols} broadcast symbols over {size} segments,"
             f" more than the ceiling of {MAX_SYMBOL_SEGMENTS} symbols x segments"
         )

@@ -14,6 +14,7 @@ from typing import Iterable
 from .core import (
     DemandType,
     SchemeParams,
+    UsageError,
     binom,
     require_fully_demanded_type,
 )
@@ -30,7 +31,7 @@ class RatePoint:
         object.__setattr__(self, "memory", Fraction(self.memory))
         object.__setattr__(self, "rate", Fraction(self.rate))
         if self.memory < 0 or self.rate < 0:
-            raise ValueError(f"negative coordinate in ({self.memory}, {self.rate})")
+            raise UsageError(f"negative coordinate in ({self.memory}, {self.rate})")
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def region_33(setting: str) -> RegionData33:
     try:
         return _REGIONS_33[setting]
     except KeyError:
-        raise ValueError(f"unknown setting {setting!r}, expected one of {REGION_SETTINGS}") from None
+        raise UsageError(f"unknown setting {setting!r}, expected one of {REGION_SETTINGS}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +171,8 @@ def worst_case_ones_count(n_files: int, n_users: int) -> int:
 
 
 def worst_case_type(n_files: int, n_users: int) -> DemandType:
-    """A witness type attaining the worst-case ones count."""
+    """A witness type attaining the worst-case ones count: its p is
+    worst_case_ones_count."""
     ones = worst_case_ones_count(n_files, n_users)
     counts = [1] * ones + [2] * (n_files - ones)
     counts[-1] += n_users - sum(counts)
@@ -179,9 +181,7 @@ def worst_case_type(n_files: int, n_users: int) -> DemandType:
 
 def worst_case_operating_point(params: SchemeParams) -> RatePoint:
     """Achievable (M, R) valid for every fully demanded demand type."""
-    ones = worst_case_ones_count(params.n_files, params.n_users)
-    saving = saving_factor_from_ones(params, ones)
-    return RatePoint(memory_point(params), base_rate(params) - saving)
+    return type_operating_point(params, worst_case_type(params.n_files, params.n_users))
 
 
 def fallback_extra_rate_bound(params: SchemeParams) -> Fraction:
@@ -207,19 +207,15 @@ def tradeoff_curve(
     worst: bool = False,
     hull: bool = False,
 ) -> list[TradeoffRow]:
-    """Curve rows for r = 0..K-1 plus the (0, N) endpoint, sorted by memory."""
+    """Curve rows for r = 0..K-1 plus the (0, N) endpoint, sorted by memory;
+    worst=True takes the type worst_case_type(N, K)."""
     if (dtype is None) == (not worst):
         raise ValueError("provide exactly one of dtype or worst=True")
     rows = [TradeoffRow(None, RatePoint(Fraction(0), Fraction(n_files)), None)]
     for r in range(n_users):
-        params = SchemeParams(n_files, n_users, r)
-        if worst:
-            point = worst_case_operating_point(params)
-            saving = saving_factor_from_ones(params, worst_case_ones_count(n_files, n_users))
-        else:
-            point = type_operating_point(params, dtype)
-            saving = saving_factor(params, dtype)
-        rows.append(TradeoffRow(r, point, saving))
+        params = SchemeParams(n_files, n_users, r)  # checks (N, K) before worst_case_type reads them
+        saving = saving_factor(params, worst_case_type(n_files, n_users) if worst else dtype)
+        rows.append(TradeoffRow(r, RatePoint(memory_point(params), base_rate(params) - saving), saving))
     rows.sort(key=lambda row: (row.point.memory, row.point.rate))
     if hull:
         keep = set(lower_convex_hull(row.point for row in rows))

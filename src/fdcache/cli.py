@@ -2,9 +2,9 @@
 
 Each command returns one Output record holding its exit code and all three
 renderings, built in a single pass over its result.  main is the only place
-that picks the --format, writes to --output or stdout, maps a ValueError or
-an unwritable --output to exit 2 and any other exception a command raises
-to exit 3.
+that picks the --format, writes to --output or stdout, maps a UsageError
+(a failed check on input) or an unwritable --output to exit 2 and any other
+exception a command raises, a bare ValueError included, to exit 3.
 
 Exit codes: 0 success, 1 verification/identity failure, 2 usage error,
 3 internal error.
@@ -26,6 +26,7 @@ from .analysis import (
 from .core import (
     DemandType,
     SchemeParams,
+    UsageError,
     format_fraction,
     parse_fraction,
 )
@@ -38,7 +39,6 @@ from .harness import (
     identity_suite,
     report_json_dict,
     reports_csv_rows,
-    sweep_csv_rows,
     sweep_json_dict,
     to_json,
     verify_demand,
@@ -65,7 +65,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def at_least_one(text: str) -> int:
@@ -146,7 +146,8 @@ def cmd_verify(args) -> Output:
             f" {row['demands']} demands, T={row['T']}, rate={row['rate']}"
         )
     text.extend(f"  FAILED demand {failed.demand}" for failed in sweep.failures)
-    return Output(0 if sweep.success else 1, sweep_json_dict(sweep, timing=args.timing), sweep_csv_rows(sweep), text)
+    return Output(0 if sweep.success else 1, sweep_json_dict(sweep, timing=args.timing),
+                  reports_csv_rows(sweep.reports), text)
 
 
 def cmd_bounds(args) -> Output:
@@ -155,7 +156,7 @@ def cmd_bounds(args) -> Output:
     if args.check:
         parts = args.check.split(",")
         if len(parts) != 2:
-            raise ValueError(f"--check expects M,R got {args.check!r}")
+            raise UsageError(f"--check expects M,R got {args.check!r}")
         check = check_point(RatePoint(parse_fraction(parts[0]), parse_fraction(parts[1])), region)
     facets = [f.label() for f in region.outer_facets]
     payload = {"setting": args.setting, "facets": facets, "inner_corners": []}
@@ -190,7 +191,7 @@ def cmd_bounds(args) -> Output:
 def cmd_lemmas(args) -> Output:
     params = SchemeParams(args.n, args.k, args.r)
     if args.samples > SWEEP_LIMIT:
-        raise ValueError(f"--samples {args.samples} exceeds the limit of {SWEEP_LIMIT}")
+        raise UsageError(f"--samples {args.samples} exceeds the limit of {SWEEP_LIMIT}")
     demands = [_parse_ints(args.demand)] if args.demand else None
     report = identity_suite(params, demands=demands, samples=args.samples)
     csv = ["family,checked,failed"]
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = args.func(args)
-    except ValueError as exc:  # bad input, including NotFullyDemandedError and SweepLimitExceeded
+    except UsageError as exc:  # bad input, including NotFullyDemandedError and SweepLimitExceeded
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, never reported as a failed check or bad input

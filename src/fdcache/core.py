@@ -16,7 +16,12 @@ from typing import Iterable, Sequence, Union
 Demand = tuple[int, ...]
 
 
-class NotFullyDemandedError(ValueError):
+class UsageError(ValueError):
+    """Input from outside the program failed a check; the CLI exits 2 on it
+    and on nothing else, so a ValueError raised by a bug is not bad input."""
+
+
+class NotFullyDemandedError(UsageError):
     """An operation required every file to be requested by at least one user."""
 
 
@@ -41,11 +46,11 @@ class SchemeParams:
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_files <= self.n_users:
-            raise ValueError(
+            raise UsageError(
                 f"need 1 <= n_files <= n_users, got N={self.n_files} K={self.n_users}"
             )
         if not 0 <= self.r <= self.n_users - 1:
-            raise ValueError(f"need 0 <= r <= K-1, got r={self.r} K={self.n_users}")
+            raise UsageError(f"need 0 <= r <= K-1, got r={self.r} K={self.n_users}")
 
     @property
     def users(self) -> range:
@@ -65,9 +70,9 @@ class DemandType:
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(self.counts))
         if not self.counts or any(c < 0 for c in self.counts):
-            raise ValueError(f"counts must be nonempty and nonnegative: {self.counts}")
+            raise UsageError(f"counts must be nonempty and nonnegative: {self.counts}")
         if any(a < b for a, b in zip(self.counts, self.counts[1:])):
-            raise ValueError(
+            raise UsageError(
                 f"counts must be nonincreasing: {self.counts}; use DemandType.of()"
             )
 
@@ -96,10 +101,10 @@ def validate_demand(params: SchemeParams, d: Sequence[int]) -> Demand:
     """Return d as a tuple after checking length and file-index range."""
     demand = tuple(d)
     if len(demand) != params.n_users:
-        raise ValueError(f"demand length {len(demand)} != K={params.n_users}")
+        raise UsageError(f"demand length {len(demand)} != K={params.n_users}")
     for entry in demand:
         if not 1 <= entry <= params.n_files:
-            raise ValueError(f"file index {entry} outside 1..{params.n_files}")
+            raise UsageError(f"file index {entry} outside 1..{params.n_files}")
     return demand
 
 
@@ -132,9 +137,9 @@ def as_demand_type(params: SchemeParams, value: DemandClass) -> DemandType:
     """Coerce a type-like value and validate it against (N, K)."""
     dtype = value if isinstance(value, DemandType) else DemandType.of(value)
     if len(dtype.counts) != params.n_files:
-        raise ValueError(f"type {dtype.counts} has {len(dtype.counts)} entries, need N={params.n_files}")
+        raise UsageError(f"type {dtype.counts} has {len(dtype.counts)} entries, need N={params.n_files}")
     if sum(dtype.counts) != params.n_users:
-        raise ValueError(f"type {dtype.counts} entries sum to {sum(dtype.counts)}, need K={params.n_users}")
+        raise UsageError(f"type {dtype.counts} entries sum to {sum(dtype.counts)}, need K={params.n_users}")
     return dtype
 
 
@@ -243,7 +248,7 @@ def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a fraction: {text!r}") from exc
+        raise UsageError(f"not a fraction: {text!r}") from exc
 
 
 def format_fraction(value) -> str:

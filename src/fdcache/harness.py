@@ -30,6 +30,7 @@ from .core import (
     DemandClass,
     NotFullyDemandedError,
     SchemeParams,
+    UsageError,
     count_demands,
     covering_count,
     demand_type,
@@ -56,7 +57,6 @@ from .scheme import (
     reconstructed_pair,
     row_parity_closure,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     row_parity_pair,
-    selection_weights,
     transform_exponents,
     transformed_sum_identity,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     transformed_sum_layout,
@@ -82,7 +82,7 @@ IDENTITY_SUITES = ((3, 6, 1), (4, 6, 2))
 SWEEP_LIMIT = 100_000
 
 
-class SweepLimitExceeded(ValueError):
+class SweepLimitExceeded(UsageError):
     """A sweep would enumerate more than SWEEP_LIMIT demands."""
 
 
@@ -188,7 +188,7 @@ def verify_demand(
     run_oracle: bool = True,
 ) -> VerificationReport:
     if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}")
+        raise UsageError(f"engine must be one of {ENGINES}")
     demand = require_fully_demanded(params, d)
     started = time.perf_counter()
     caches = _prefetch_all(params)
@@ -199,7 +199,7 @@ def verify_demand(
     if engine in ("payload", "both"):
         index = segment_index(params)
         if payload_width * index.size > MAX_PAYLOAD_BYTES:
-            raise ValueError(
+            raise UsageError(
                 f"payload of {index.size} segments x {payload_width} bytes exceeds {MAX_PAYLOAD_BYTES} bytes"
             )
         seeded = _payload_seed(seed, params, demand)
@@ -397,18 +397,22 @@ def identity_suite(
     parity_closure is demand-independent; the delivery families run per
     sampled demand.  Every family compares int masks over the dense segment
     index, two checks (I and Q) per pair.  Every failure records its full
-    index tuple.  The transformed-sum family makes one wide
+    index tuple.  Both skip families read one rebuilt pair per skipped
+    symbol: skip_reconstruction compares it with the skipped pair, and
+    delivery_redundancy checks the block's weighted zero-sum, MIX**h(leaders)
+    of their difference, so one fails iff the other does; both stay so that
+    reports keep their shape.  The transformed-sum family makes one wide
     transformed_sum_residual per demand and reads each (s, r_set) block of
     it only when the residual is nonzero.
     """
     segment_index(params)  # refuses an oversized system before sampling
     if demands is None:
         if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
+            raise UsageError(f"samples must be >= 1, got {samples}")
         demands = sample_fully_demanded(params, samples)
     demands = tuple(require_fully_demanded(params, d) for d in demands)
     if not demands:
-        raise ValueError("no demands to check")
+        raise UsageError("no demands to check")
 
     closure_checked = 0
     closure_failures = []
@@ -423,9 +427,8 @@ def identity_suite(
                     if got != want:
                         _compare_pairs(got, want, closure_failures, f"k={k} f={f} subset={r_minus}")
 
-    redundancy_checked = 0
+    skip_checked = 0
     redundancy_failures = []
-    reconstruction_checked = 0
     reconstruction_failures = []
     sum_checked = 0
     sum_failures = []
@@ -434,18 +437,13 @@ def identity_suite(
         dset = delivery(params, d)
         pairs = dset.pairs
         tag = "-".join(str(x) for x in d)
-        for s in params.users:
-            leader_set = dset.leaders[s]
-            free = [u for u in params.users if u != s and u not in leader_set]
-            for extra in itertools.combinations(free, params.r + 1):
-                # weighted zero-sum over every one-requester-per-file selection
-                total = mix_sum((*pairs[(s, rest)], weight) for rest, weight in selection_weights(dset, s, extra))
-                redundancy_checked += 2
-                if total != (0, 0):
-                    redundancy_failures.append(f"d={tag} s={s} block={tuple(sorted(leader_set.union(extra)))}")
         for s, r_plus in sorted(dset.skipped):
             got, want = reconstructed_pair(dset, s, r_plus), pairs[(s, r_plus)]
-            reconstruction_checked += 2
+            skip_checked += 2
+            # the weighted zero-sum over the selections of the block
+            # leaders[s] | r_plus is MIX**h(leaders) of got - want
+            if mix(dset.leader_weights[s], got[0] ^ want[0], got[1] ^ want[1]) != (0, 0):
+                redundancy_failures.append(f"d={tag} s={s} block={tuple(sorted(dset.leaders[s].union(r_plus)))}")
             if got != want:
                 _compare_pairs(got, want, reconstruction_failures, f"d={tag} s={s} subset={r_plus}")
         residual_i, residual_q = transformed_sum_residual(params, d, dset.exponents)
@@ -461,8 +459,8 @@ def identity_suite(
         demands=demands,
         families={
             "parity_closure": FamilyResult(closure_checked, tuple(closure_failures)),
-            "delivery_redundancy": FamilyResult(redundancy_checked, tuple(redundancy_failures)),
-            "skip_reconstruction": FamilyResult(reconstruction_checked, tuple(reconstruction_failures)),
+            "delivery_redundancy": FamilyResult(skip_checked, tuple(redundancy_failures)),
+            "skip_reconstruction": FamilyResult(skip_checked, tuple(reconstruction_failures)),
             "transformed_sum": FamilyResult(sum_checked, tuple(sum_failures)),
         },
     )
@@ -671,10 +669,6 @@ def reports_csv_rows(reports: Sequence[VerificationReport]) -> list[str]:
             )
         )
     return rows
-
-
-def sweep_csv_rows(sweep: SweepReport) -> list[str]:
-    return reports_csv_rows(sweep.reports)
 
 
 def identity_json_dict(report: IdentityReport) -> dict:

@@ -326,9 +326,11 @@ class DeliverySet:
     (l, exponent change of swapping l for x mod 3, 1 << d(x)), l the leader
     of d(x).  subsets maps the user bitmask sum(1 << u) of every
     (r+1)-subset to the subset (_subsets_by_bits), so selection_weights
-    grows its selections on bits.  reconstruction maps each skipped pair to
-    the transmitted subsets and MIX exponents that rebuild it; selections
-    memoises selection_weights.
+    grows its selections on bits.  reconstruction, the one skip table, maps
+    each skipped pair to (rest, e) references to the transmitted
+    pairs[(s, rest)] whose MIX**e-weighted sum rebuilds it.  They are read at
+    each rebuild, never copied, so a corrupted pair reaches every rebuild,
+    and both skip families of the identity suite read one rebuilt pair.
     """
 
     params: SchemeParams
@@ -343,7 +345,6 @@ class DeliverySet:
     reconstruction: dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], int], ...]] = field(
         default_factory=dict
     )
-    selections: dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], int]]] = field(default_factory=dict)
 
     def is_transmitted(self, s: int, r_plus: tuple[int, ...]) -> bool:
         return (s, r_plus) not in self.skipped
@@ -358,8 +359,13 @@ class DeliverySet:
 
     @cached_property
     def broadcast_terms(self) -> dict[tuple[int, tuple[int, ...]], tuple[Term, ...]]:
-        """_broadcast_terms of every symbol, built once per demand."""
-        return {key: tuple(_broadcast_terms(self, *key)) for key in self.pairs}
+        """Each symbol's (I mask, Q mask, MIX exponent) terms, built once per
+        demand for decoding: the symbol itself, or a skipped one's rebuild."""
+        pairs = self.pairs
+        terms = {key: ((*pair, 0),) for key, pair in pairs.items()}
+        for (s, r_plus), combo in self.reconstruction.items():
+            terms[(s, r_plus)] = tuple((*pairs[(s, rest)], e) for rest, e in combo)
+        return terms
 
 
 # MIX**e of the unit pair (I, Q) = (1, 2): shifted left by a segment pair's
@@ -461,13 +467,9 @@ def selection_weights(dset: DeliverySet, s: int, extra: tuple[int, ...]) -> list
     B: each selection swaps some members x of extra, at most one per file,
     into the leader set for the leaders of their files (swaps[s]).  Each
     B - V grows as user bits, one 1 << x or 1 << leader per member of extra,
-    and is read back as a sorted subset from dset.subsets at the end.  The
-    list is built once per (demand, s, extra), for skip_combination, and the
-    identity suite's redundancy family reads the same lists.
+    and is read back as a sorted subset from dset.subsets at the end.  Its
+    one caller is skip_combination, once per skipped pair.
     """
-    out = dset.selections.get((s, extra))
-    if out is not None:
-        return out
     swaps = dset.swaps[s]
     grown = [(0, dset.leader_weights[s], 0)]  # (user bits left so far, weight, bits of the files swapped)
     for x in extra:
@@ -475,8 +477,7 @@ def selection_weights(dset: DeliverySet, s: int, extra: tuple[int, ...]) -> list
         grown = [(rest | 1 << x, weight, used) for rest, weight, used in grown] + [
             (rest | 1 << leader, (weight + delta) % 3, used | bit) for rest, weight, used in grown if not used & bit]
     subsets = dset.subsets
-    dset.selections[(s, extra)] = out = [(subsets[rest], weight) for rest, weight, _ in grown]
-    return out
+    return [(subsets[rest], weight) for rest, weight, _ in grown]
 
 
 def skip_combination(
@@ -497,21 +498,12 @@ def skip_combination(
     return tuple((rest, (weight - leader_weight) % 3) for rest, weight in others)
 
 
-def _broadcast_terms(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> list[Term]:
-    """(I mask, Q mask, MIX exponent) terms whose transformed sum is symbol
-    (s, r_plus): the symbol itself when transmitted, else its reconstruction
-    from transmitted ones."""
-    combo = dset.reconstruction.get((s, r_plus))
-    if combo is None:
-        return [(*dset.pairs[(s, r_plus)], 0)]
-    return [(*dset.pairs[(s, rest)], e) for rest, e in combo]
-
-
 def reconstructed_pair(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> tuple[int, int]:
-    """(I, Q) masks of a skipped symbol, rebuilt from transmitted ones."""
+    """(I, Q) masks of a skipped symbol, summed from the transmitted pairs
+    that its reconstruction references."""
     if dset.is_transmitted(s, r_plus):
         raise ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
-    return mix_sum(_broadcast_terms(dset, s, r_plus))
+    return mix_sum((*dset.pairs[(s, rest)], e) for rest, e in dset.reconstruction[(s, r_plus)])
 
 
 def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], channel: str) -> SymbolVec:

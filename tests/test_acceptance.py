@@ -25,7 +25,7 @@ from fdcache.harness import (
     golden_json_dict,
     identity_json_dict,
     identity_suite,
-    sweep_csv_rows,
+    reports_csv_rows,
     sweep_json_dict,
     to_json,
     verify_sweep,
@@ -176,7 +176,7 @@ def test_criterion_10_determinism(sweep_matrix, capsys):
     for (n, k, r), (sweep, _wall) in sweep_matrix.items():
         rerun = verify_sweep(SchemeParams(n, k, r), "fully_demanded", engine="both", seed="0", jobs=2)
         assert to_json(sweep_json_dict(sweep)) == to_json(sweep_json_dict(rerun)), (n, k, r)
-        assert sweep_csv_rows(sweep) == sweep_csv_rows(rerun), (n, k, r)
+        assert reports_csv_rows(sweep.reports) == reports_csv_rows(rerun.reports), (n, k, r)
 
     # the analytic and identity reports must reproduce byte for byte
     for argv in (

@@ -464,6 +464,38 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "internal error: RuntimeError: lost a symbol\n")
 
 
+def test_bare_value_error_exits_three(capsys, monkeypatch):
+    # only a UsageError is bad input: a ValueError raised by a bug is internal
+    def broken(*args, **kwargs):
+        raise ValueError("subset (1, 1) has a repeated user")
+
+    monkeypatch.setattr(cli, "identity_suite", broken)
+    code, out, err = run(capsys, "lemmas", "--n", "3", "--k", "6", "--r", "1", "--samples", "2")
+    assert (code, out, err) == (3, "", "internal error: ValueError: subset (1, 1) has a repeated user\n")
+
+
+# one argv per check on outside input that the CLI reaches, with its message
+BAD_INPUT = [
+    (("tradeoff", "--n", "4", "--k", "3", "--type", "1,1,1,0"), "need 1 <= n_files <= n_users"),
+    (("tradeoff", "--n", "3", "--k", "6", "--type", "5,2,-1"), "nonnegative"),
+    (("tradeoff", "--n", "3", "--k", "6", "--type", "4,1"), "need N=3"),
+    (("tradeoff", "--n", "3", "--k", "6", "--type", "a,b"), "comma-separated integers"),
+    (("verify", "--n", "3", "--k", "3", "--r", "3", "--demand", "1,2,3"), "need 0 <= r <= K-1"),
+    (("verify", "--n", "3", "--k", "3", "--r", "1", "--demand", "1,2"), "demand length 2 != K=3"),
+    (("verify", "--n", "3", "--k", "3", "--r", "1", "--demand", "1,2,4"), "file index 4 outside 1..3"),
+    (("verify", "--n", "3", "--k", "6", "--r", "1", "--type", "4,2"), "need N=3"),
+    (("bounds", "--setting", "210", "--check", "1/2"), "--check expects M,R"),
+    (("bounds", "--setting", "210", "--check=-1,2"), "negative coordinate"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_INPUT, ids=[" ".join(argv) for argv, _ in BAD_INPUT])
+def test_bad_input_exits_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "golden", "--format", "json", "--output", str(target))

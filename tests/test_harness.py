@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import itertools
@@ -26,8 +27,8 @@ from fdcache.harness import (
     identity_json_dict,
     identity_suite,
     report_json_dict,
+    reports_csv_rows,
     sample_fully_demanded,
-    sweep_csv_rows,
     sweep_json_dict,
     to_json,
     verify_demand,
@@ -200,7 +201,7 @@ def test_sweep_clamps_worker_count(monkeypatch, jobs, cpus, workers):
     params = SchemeParams(3, 3, 1)
     sweep = verify_sweep(params, "fully_demanded", jobs=jobs)
     assert _SerialPool.created == ([] if workers is None else [workers])
-    assert sweep_csv_rows(sweep) == sweep_csv_rows(verify_sweep(params, "fully_demanded", jobs=1))
+    assert reports_csv_rows(sweep.reports) == reports_csv_rows(verify_sweep(params, "fully_demanded", jobs=1).reports)
 
 
 def test_sweep_parallel_matches_serial_bytes():
@@ -208,7 +209,7 @@ def test_sweep_parallel_matches_serial_bytes():
     serial = verify_sweep(params, "fully_demanded", jobs=1)
     parallel = verify_sweep(params, "fully_demanded", jobs=2)
     assert to_json(sweep_json_dict(serial)) == to_json(sweep_json_dict(parallel))
-    assert sweep_csv_rows(serial) == sweep_csv_rows(parallel)
+    assert reports_csv_rows(serial.reports) == reports_csv_rows(parallel.reports)
 
 
 def test_report_serialization_stable():
@@ -230,7 +231,7 @@ def test_payload_seed_changes_bytes_not_outcome():
 
 def test_sweep_csv_shape():
     sweep = verify_sweep(SchemeParams(2, 2, 0), "fully_demanded")
-    rows = sweep_csv_rows(sweep)
+    rows = reports_csv_rows(sweep.reports)
     assert rows[0].startswith("n_files,n_users,r,demand,")
     assert rows[1] == "2,2,0,1 2,true,4,1,1,1/2,1/2,true"
     assert len(rows) == 3
@@ -315,19 +316,24 @@ def test_identity_suite_rejects_samples_below_one(monkeypatch, samples):
 
 
 def test_identity_suite_builds_one_selection_list_per_skipped_pair(monkeypatch):
-    # delivery builds one list per skipped pair, and the redundancy family,
-    # whose blocks are exactly the skipped pairs, reads them all from the memo
-    built = []
+    # skip_combination, inside delivery, builds one list per skipped pair, and
+    # both skip families read the rebuilt pair instead of building more
+    built, calls = [], []
+    real = scheme.selection_weights
 
     def captured(params, d):
         built.append(scheme.delivery(params, d))
         return built[-1]
 
+    def counted(dset, s, extra):
+        calls.append((dset.demand, s, extra))
+        return real(dset, s, extra)
+
     monkeypatch.setattr(harness, "delivery", captured)
+    monkeypatch.setattr(scheme, "selection_weights", counted)
     suite = identity_suite(SchemeParams(4, 10, 1), samples=3)
     assert suite.success and len(built) == 3
-    for dset in built:
-        assert dset.skipped and set(dset.selections) == dset.skipped
+    assert sorted(calls) == sorted((dset.demand, *key) for dset in built for key in dset.skipped)
 
 
 # one demand per system, with the number of pairs it transmits
@@ -487,16 +493,60 @@ def _patch_delivery(monkeypatch, change):
     monkeypatch.setattr(harness, "delivery", corrupted)
 
 
-@pytest.mark.parametrize("s,r_plus", [(1, (3, 4)), (5, (2, 3)), (1, (2, 3))])
+def _read_by_reconstructions():
+    """Every transmitted pair of RUN/RUN_D that some reconstruction reads."""
+    dset = scheme.delivery(RUN, RUN_D)
+    return sorted({(s, rest) for (s, _), combo in dset.reconstruction.items() for rest, _ in combo})
+
+
+# (1,(3,4)) and (5,(2,3)) are skipped, (1,(2,3)) is transmitted and rebuilds
+# (1,(3,4)); then every other transmitted pair that a rebuild reads
+CORRUPTED_SYMBOLS = [(1, (3, 4)), (5, (2, 3)), (1, (2, 3))]
+CORRUPTED_SYMBOLS += [key for key in _read_by_reconstructions() if key not in CORRUPTED_SYMBOLS]
+
+
+def _skip_failures(suite):
+    """(s, subset) named by each skip family's failures; a redundancy block
+    is the skipped subset with the leaders of s added."""
+    leaders = scheme.delivery(RUN, RUN_D).leaders
+    named = {}
+    for family, tag in (("delivery_redundancy", "block="), ("skip_reconstruction", "subset=")):
+        named[family] = set()
+        for failure in suite.families[family].failures:
+            s = int(failure.split(" s=")[1].split()[0])
+            users = ast.literal_eval(failure.split(tag)[1].split(" ch=")[0])
+            named[family].add((s, tuple(u for u in users if u not in leaders[s])))
+    return named
+
+
+@pytest.mark.parametrize("s,r_plus", CORRUPTED_SYMBOLS)
 def test_identity_suite_catches_a_corrupted_symbol(monkeypatch, s, r_plus):
-    # (1,(3,4)) and (5,(2,3)) are skipped, (1,(2,3)) is transmitted and
-    # rebuilds (1,(3,4)); every one of them sits in a redundancy block of s
+    # every one of them sits in a redundancy block of s, and both skip
+    # families name the same skipped pairs
     _patch_delivery(monkeypatch, _flip_symbol(s, r_plus))
     suite = identity_suite(RUN, demands=[RUN_D])
     assert _failing_families(suite) == {"delivery_redundancy", "skip_reconstruction"}
     for family in ("delivery_redundancy", "skip_reconstruction"):
         failures = suite.families[family].failures
         assert failures and all(f" s={s} " in failure for failure in failures)
+    named = _skip_failures(suite)
+    assert named["delivery_redundancy"] == named["skip_reconstruction"]
+
+
+def test_identity_suite_catches_a_corrupted_reconstruction(monkeypatch):
+    # one wrong exponent in the skip table fails both skip families, at the
+    # same skipped pair
+    key = (1, (3, 4))
+
+    def bump(dset):
+        (rest, e), *others = dset.reconstruction[key]
+        return dataclasses.replace(dset, reconstruction={**dset.reconstruction, key: ((rest, (e + 1) % 3), *others)})
+
+    _patch_delivery(monkeypatch, bump)
+    suite = identity_suite(RUN, demands=[RUN_D])
+    assert _failing_families(suite) == {"delivery_redundancy", "skip_reconstruction"}
+    named = _skip_failures(suite)
+    assert named["delivery_redundancy"] == named["skip_reconstruction"] == {key}
 
 
 def _flip_symbol(s, r_plus):

@@ -560,28 +560,24 @@ def _reference_rests(dset, s, extra):
 
 @pytest.mark.parametrize("params", [SchemeParams(3, 6, 1), SchemeParams(4, 10, 1)], ids=str)
 def test_selection_weights_match_their_definition(monkeypatch, params):
-    # every selection list that skip_combination (inside delivery) and
-    # identity_suite build; the leader pick leaves extra itself and comes first
+    # every selection list that skip_combination, its one caller, builds
+    # inside delivery; the leader pick leaves extra itself and comes first
     from fdcache import harness, scheme
 
     original = scheme.selection_weights
-    blocks = {"skip_combination": 0, "identity_suite": 0}
+    blocks = []
 
-    def checked(caller):
-        def selection_weights(dset, s, extra):
-            got = original(dset, s, extra)
-            want = _reference_rests(dset, s, extra)
-            assert sorted(got) == sorted(want)
-            assert got[0] == next(entry for entry in want if entry[0] == extra)
-            blocks[caller] += 1
-            return got
+    def selection_weights(dset, s, extra):
+        got = original(dset, s, extra)
+        want = _reference_rests(dset, s, extra)
+        assert sorted(got) == sorted(want)
+        assert got[0] == next(entry for entry in want if entry[0] == extra)
+        blocks.append((s, extra))
+        return got
 
-        return selection_weights
-
-    monkeypatch.setattr(scheme, "selection_weights", checked("skip_combination"))
-    monkeypatch.setattr(harness, "selection_weights", checked("identity_suite"))
+    monkeypatch.setattr(scheme, "selection_weights", selection_weights)
     assert harness.identity_suite(params, samples=10).success
-    assert all(blocks.values())
+    assert blocks
 
 
 def test_skip_combination_matches_its_definition():

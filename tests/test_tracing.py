@@ -1,13 +1,16 @@
 """The benchmark's tracer wraps fdcache functions by name: it must still find
 every one of them, and put the originals back."""
 
+import ast
 import importlib.util
+import re
 from pathlib import Path
 
 from fdcache import algebra, harness, scheme
 from fdcache.core import SchemeParams
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -66,3 +69,19 @@ def test_tracer_round_trip_on_the_verify_path():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_harness_reexports_only_what_the_tracer_patches():
+    # a `# noqa: F401` re-export in harness exists only for the tracer to
+    # rebind; once the tracer stops patching a name, its re-export must go
+    patched = {
+        node.elts[1].value
+        for node in ast.walk(ast.parse(TRACING.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Tuple) and len(node.elts) == 3
+        and isinstance(node.elts[0], ast.Name) and node.elts[0].id == "harness"
+        and isinstance(node.elts[1], ast.Constant)
+    }
+    source = (ROOT / "src" / "fdcache" / "harness.py").read_text(encoding="utf-8")
+    reexported = set(re.findall(r"^\s*(\w+),\s*# noqa: F401", source, flags=re.MULTILINE))
+    assert patched and reexported
+    assert reexported <= patched, sorted(reexported - patched)
