@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import SchemeParams, UsageError, binom
@@ -193,7 +194,9 @@ def segment_index(params: SchemeParams) -> SegmentIndex:
 class MaskValues(dict):
     """Payload value of each mask over a segment index: the XOR of the
     segment values on its bits, as the server encodes it.  Unit masks are
-    filled in up front, every other mask on first lookup."""
+    filled in up front, every other mask on first lookup.  xor_at gives the
+    value of a mask from its support, the positions of its bits, without
+    keeping it."""
 
     def __init__(self, index: SegmentIndex, segment_values: Sequence[int]):
         super().__init__(zip(index.units, segment_values))
@@ -220,6 +223,12 @@ class MaskValues(dict):
             rest ^= low
         self[mask] = acc
         return acc
+
+    def xor_at(self, support: Sequence[int]) -> int:
+        """XOR of the segment values at the positions in support, the value
+        of the mask with those bits: one reduce at C speed, with no 0-seeded
+        copy of the first value; 0 for an empty support."""
+        return reduce(xor, map(self.segment_values.__getitem__, support)) if support else 0
 
 
 class SpanBasis:

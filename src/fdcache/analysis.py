@@ -211,9 +211,10 @@ def tradeoff_curve(
     worst=True takes the type worst_case_type(N, K)."""
     if (dtype is None) == (not worst):
         raise ValueError("provide exactly one of dtype or worst=True")
+    SchemeParams(n_files, n_users, 0)  # checks (N, K) up front: the r loop is empty when K <= 0
     rows = [TradeoffRow(None, RatePoint(Fraction(0), Fraction(n_files)), None)]
     for r in range(n_users):
-        params = SchemeParams(n_files, n_users, r)  # checks (N, K) before worst_case_type reads them
+        params = SchemeParams(n_files, n_users, r)
         saving = saving_factor(params, worst_case_type(n_files, n_users) if worst else dtype)
         rows.append(TradeoffRow(r, RatePoint(memory_point(params), base_rate(params) - saving), saving))
     rows.sort(key=lambda row: (row.point.memory, row.point.rate))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -243,12 +244,22 @@ def leaders(params: SchemeParams, d: Sequence[int], s: int) -> frozenset[int]:
     return frozenset(first.values())
 
 
+# ceiling on the decimal exponent parse_fraction accepts: "1e400" alone
+# builds a 401-digit int, and the int grows with the exponent
+MAX_DECIMAL_EXPONENT = 100
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q" (or a plain integer) into an exact Fraction."""
+    """Parse "p/q" (or a plain integer or decimal) into an exact Fraction.
+    Raises UsageError, before building its power of ten, for a decimal
+    exponent of magnitude past MAX_DECIMAL_EXPONENT."""
+    exponent = re.search(r"[eE]([-+]?[0-9_]+)\s*$", text)
     try:
-        return Fraction(text.strip())
+        if exponent is None or abs(int(exponent[1])) <= MAX_DECIMAL_EXPONENT:
+            return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a fraction: {text!r}") from exc
+    raise UsageError(f"decimal exponent of {text!r} is past the ceiling of {MAX_DECIMAL_EXPONENT}")
 
 
 def format_fraction(value) -> str:

@@ -155,16 +155,17 @@ class VerificationReport:
 
 
 def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, lifted: Lift | None) -> bool:
-    """User k's rows recover every segment of its file: each row's terms sum
-    to its target pair as the row leaves it, over masks or, given the
-    demand's lift, over lifted ints, so one comparison checks whatever the
-    engine lifted."""
+    """User k holds its uncoded hits and its rows recover every other
+    segment of its file: each row's terms sum to its target pair as the row
+    leaves it, over masks or, given the demand's lift, over lifted ints, so
+    one comparison checks whatever the engine lifted.  Each row is checked
+    as decode_rows makes it, up to the first that fails."""
+    units = segment_index(dset.params).units if lifted is None else lifted.units
     try:
-        rows = list(decode_rows(dset, cache, k, lifted))
+        return all(mix_sum(terms) == mix(undo, units[target], units[target + 1])
+                   for target, undo, terms in decode_rows(dset, cache, k, lifted))
     except LookupError:  # the decoding needs an item the user does not hold
         return False
-    units = segment_index(dset.params).units if lifted is None else lifted.units
-    return all(mix_sum(terms) == mix(undo, units[target], units[target + 1]) for target, undo, terms in rows)
 
 
 def _oracle_flags(params: SchemeParams, dset: DeliverySet) -> list[bool]:

@@ -23,14 +23,17 @@ Pipeline, per (N, K, r) system:
 
 Delivery and decoding work on int masks over the dense segment index
 (algebra.SegmentIndex), as (I mask, Q mask, e) terms whose MIX**e-weighted
-sum mix_sum forms.  decode_rows walks a user's equations once per demand and
-yields, for each segment pair of the user's file, the terms over held items
-whose weighted sum is MIX**undo of the pair.  Given the demand's Lift, the
-terms are lifted ints instead, one per held item: a payload value, or the
-item's mask in the low index.size bits with its value above them.  XOR never
-carries across bits, so a verifier checks a row on masks and payload at once
-with one plain mix_sum and one comparison with MIX**undo of the segment's
-lifted pair.
+sum mix_sum forms.  decode_rows walks a user's equations once per demand.
+The segment pairs of the user's file that it caches uncoded (its uncoded
+hits) are a membership test on the cache; for each other pair it yields the
+terms over held items whose weighted sum is MIX**undo of the pair.  Given
+the demand's Lift, the terms are lifted ints instead, one per held item: a
+payload value, or the item's mask in the low index.size bits with its value
+above them.  lift encodes each transmitted symbol once per demand, and each
+user's parities are lifted from their supports, the bit positions
+CacheContent keeps.  XOR never carries across bits, so a verifier checks a
+row on masks and payload at once with one plain mix_sum and one comparison
+with MIX**undo of the segment's lifted pair.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .algebra import (
     SegmentId,
     SegmentIndex,
     SymbolVec,
+    bit_positions,
     segment,
     segment_index,
 )
@@ -102,7 +106,10 @@ def anchor_user(k: int) -> int:
 @dataclass(frozen=True)
 class CacheContent:
     """Everything user `owner` prefetches, over the dense segment index:
-    uncoded segment positions plus (I mask, Q mask) pairs of parities."""
+    uncoded segment positions plus (I mask, Q mask) pairs of parities.
+    supports holds each stored parity's I and Q support, read once per cache
+    from its own masks, so a demand's decoding lifts every parity from the
+    segment values without scanning its bits again."""
 
     params: SchemeParams
     owner: int
@@ -129,6 +136,15 @@ class CacheContent:
     def memory(self) -> Fraction:
         """Cache size normalized by the per-file segment count."""
         return Fraction(self.size, segment_index(self.params).per_file)
+
+    @cached_property
+    def supports(self) -> tuple[dict, dict]:
+        """(column, row): the positions of the I bits and of the Q bits of
+        each stored parity, keyed as column and row key it."""
+        return tuple(
+            {key: (tuple(bit_positions(i)), tuple(bit_positions(q))) for key, (i, q) in parities.items()}
+            for parities in (self.column, self.row)
+        )
 
 
 def prefetch(params: SchemeParams, k: int) -> CacheContent:
@@ -360,7 +376,8 @@ class DeliverySet:
     @cached_property
     def broadcast_terms(self) -> dict[tuple[int, tuple[int, ...]], tuple[Term, ...]]:
         """Each symbol's (I mask, Q mask, MIX exponent) terms, built once per
-        demand for decoding: the symbol itself, or a skipped one's rebuild."""
+        demand for decoding on masks: the symbol itself, or a skipped one's
+        rebuild.  lift builds the same terms on lifted ints directly."""
         pairs = self.pairs
         terms = {key: ((*pair, 0),) for key, pair in pairs.items()}
         for (s, r_plus), combo in self.reconstruction.items():
@@ -516,25 +533,23 @@ def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], chan
 # decoding: one pass of rows per (demand, user), over masks or lifted ints
 
 
-# The demand-independent part of one target's decoding equation:
+# The demand-independent part of one coded target's decoding equation:
 # (offset of the target within its file, excluded user s, class, data), with
-# data None for an uncoded hit, (r_plus, ((i, offset of W[., r_plus - i, s]), ...))
-# for class 1 and (r_set, ((t, parity_combination of r_set - t for each file), ...),
+# data (r_plus, ((i, offset of W[., r_plus - i, s]), ...)) for class 1 and
+# (r_set, ((t, parity_combination of r_set - t for each file), ...),
 # (r_set | {h}, ...)) for class 2.
-Equation = tuple[int, int, int, tuple | None]
+Equation = tuple[int, int, int, tuple]
 
 
 def _equation(index: SegmentIndex, k: int, r_set: tuple[int, ...], s: int) -> Equation:
-    """How user k recovers (d(k), r_set, s), whatever the demand.
+    """How user k recovers (d(k), r_set, s), k not in r_set, whatever the demand.
 
-    Class 1 (s != k, k not in r_set): the broadcast symbol over r_set | {k}
-    minus the transformed segments of it that user k caches uncoded.  Class 2
+    Class 1 (s != k): the broadcast symbol over r_set | {k} minus the
+    transformed segments of it that user k caches uncoded.  Class 2
     (s == k): the column parity, the transformed row-parity closures of the
     files requested inside r_set, and every broadcast symbol over r_set | {h}.
     """
     offset = index.slot(1, r_set, s)
-    if k in r_set:
-        return offset, s, 0, None
     if s != k:
         r_plus = tuple(sorted(r_set + (k,)))
         held = tuple((i, index.slot(1, tuple(u for u in r_plus if u != i), s)) for i in r_set)
@@ -549,15 +564,16 @@ def _equation(index: SegmentIndex, k: int, r_set: tuple[int, ...], s: int) -> Eq
 
 
 @lru_cache(maxsize=None)
-def _equations(params: SchemeParams, k: int) -> tuple[Equation, ...]:
-    """User k's equations for every segment of a file, in partition order."""
+def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[Equation, ...]]:
+    """User k's decoding of every segment pair of a file, in partition order,
+    as (hits, equations): hits holds the offsets of the pairs (., r_set, s)
+    with k in r_set, which user k caches uncoded, and equations the Equation
+    of every other pair."""
     index = segment_index(params)
-    return tuple(
-        _equation(index, k, r_set, s)
-        for r_set in itertools.combinations(params.users, params.r)
-        for s in params.users
-        if s not in r_set
-    )
+    pairs = [(r_set, s) for r_set in itertools.combinations(params.users, params.r)
+             for s in params.users if s not in r_set]
+    hits = tuple(index.slot(1, r_set, s) for r_set, s in pairs if k in r_set)
+    return hits, tuple(_equation(index, k, r_set, s) for r_set, s in pairs if k not in r_set)
 
 
 class Lift(NamedTuple):
@@ -574,27 +590,33 @@ class Lift(NamedTuple):
 
 
 def lift(dset: DeliverySet, values: MaskValues) -> Lift:
-    """The demand's lift through values: every broadcast symbol's terms,
-    reconstructions included, lifted once."""
-    broadcast = {
-        key: tuple((values[i], values[q], e) for i, q, e in terms) for key, terms in dset.broadcast_terms.items()
-    }
+    """The demand's lift through values, in one pass: each transmitted pair
+    is encoded once, and each skipped symbol's terms are the lifted pairs
+    its reconstruction references."""
+    skipped = dset.skipped
+    pairs = {key: (values[i], values[q]) for key, (i, q) in dset.pairs.items() if key not in skipped}
+    broadcast = {key: ((*pair, 0),) for key, pair in pairs.items()}
+    for (s, r_plus), combo in dset.reconstruction.items():
+        broadcast[(s, r_plus)] = tuple((*pairs[(s, rest)], e) for rest, e in combo)
     return Lift(values.segment_values, values, broadcast)
 
 
 def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
                 lifted: Lift | None = None) -> Iterator[tuple[int, int, list[Term]]]:
-    """User k's decoding of its file for this demand, one row per segment
-    pair, in partition order.
+    """User k's decoding of its file for this demand, one row per coded
+    segment pair, in partition order.
 
-    Row (target, undo, terms) says that the mix_sum of the terms is MIX**undo
-    of the (I, Q) pair of the segments at positions target and target + 1
-    of the dense segment index: the target as user k's transform toward the
-    excluded user leaves it.  Each term is (I, Q, e) over something the user
-    holds (an uncoded slot, a cached column or row parity, or a transmitted
-    symbol): its masks, or, given the demand's lift, its lifted ints, in
-    which case the row's sum is MIX**undo of lifted.units at target and
-    target + 1.  The user's parities are lifted once, here.
+    The pairs of the file that user k caches uncoded (its uncoded hits) are
+    not rows: they are a membership test against cache.uncoded, made before
+    the first row.  Row (target, undo, terms) says that the mix_sum of the
+    terms is MIX**undo of the (I, Q) pair of the segments at positions
+    target and target + 1 of the dense segment index: the target as user
+    k's transform toward the excluded user leaves it.  Each term is (I, Q, e)
+    over something the user holds (an uncoded slot, a cached column or row
+    parity, or a transmitted symbol): its masks, or, given the demand's
+    lift, its lifted ints, in which case the row's sum is MIX**undo of
+    lifted.units at target and target + 1.  The user's parities are lifted
+    once, here, each from its support (CacheContent.supports).
     Raises LookupError when an equation needs an item the user does not hold.
     """
     params, demand, exponents = dset.params, dset.demand, dset.exponents
@@ -604,8 +626,9 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
         units, broadcast, column, row = index.units, dset.broadcast_terms, cache.column, cache.row
     else:
         units, values, broadcast = lifted
-        column = {key: (values[i], values[q]) for key, (i, q) in cache.column.items()}
-        row = {key: (values[i], values[q]) for key, (i, q) in cache.row.items()}
+        xor_at = values.xor_at
+        column, row = ({key: (xor_at(i), xor_at(q)) for key, (i, q) in supports.items()}
+                       for supports in cache.supports)
 
     def held(position: int, e: int) -> Term:
         if position not in uncoded or position + 1 not in uncoded:
@@ -613,11 +636,11 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
         return units[position], units[position + 1], e
 
     base = (demand[k - 1] - 1) * per_file
-    for offset, s, kind, data in _equations(params, k):
+    hits, equations = _equations(params, k)
+    for offset in hits:  # held as they are, so holding them is the whole check
+        held(base + offset, 0)
+    for offset, s, kind, data in equations:
         target = base + offset
-        if kind == 0:  # cached uncoded: the target itself, untransformed
-            yield target, 0, [held(target, 0)]
-            continue
         undo = exponents[k - 1][s - 1]
         if kind == 1:
             r_plus, rests = data
@@ -663,14 +686,19 @@ class PayloadSource:
 
 def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadSource | None = None):
     """decode_rows evaluated, with each row's transform undone, and labelled,
-    in canonical segment order.
+    in canonical segment order; each uncoded hit is the held pair itself.
 
-    Returns [(SegmentId, value)]: values are SymbolVec expansions (correct iff
-    equal to the unit vector) or, with a PayloadSource, payload ints.
+    Returns [(SegmentId, value)] over every segment of the file: values are
+    SymbolVec expansions (correct iff equal to the unit vector) or, with a
+    PayloadSource, payload ints.
     """
     index = segment_index(dset.params)
+    units = index.units
+    rows = {target: (undo, terms) for target, undo, terms in decode_rows(dset, cache, k)}
+    base = (dset.demand[k - 1] - 1) * index.per_file
     out = []
-    for target, undo, terms in decode_rows(dset, cache, k):
+    for target in range(base, base + index.per_file, 2):
+        undo, terms = rows.get(target, (0, [(units[target], units[target + 1], 0)]))
         if source is None:
             pair = map(index.vector, mix(-undo % 3, *mix_sum(terms)))
         else:

@@ -480,12 +480,15 @@ BAD_INPUT = [
     (("tradeoff", "--n", "3", "--k", "6", "--type", "5,2,-1"), "nonnegative"),
     (("tradeoff", "--n", "3", "--k", "6", "--type", "4,1"), "need N=3"),
     (("tradeoff", "--n", "3", "--k", "6", "--type", "a,b"), "comma-separated integers"),
+    (("tradeoff", "--n", "3", "--k", "0", "--type", "3"), "need 1 <= n_files <= n_users"),
+    (("tradeoff", "--n", "3", "--k", "-2", "--worst"), "need 1 <= n_files <= n_users"),
     (("verify", "--n", "3", "--k", "3", "--r", "3", "--demand", "1,2,3"), "need 0 <= r <= K-1"),
     (("verify", "--n", "3", "--k", "3", "--r", "1", "--demand", "1,2"), "demand length 2 != K=3"),
     (("verify", "--n", "3", "--k", "3", "--r", "1", "--demand", "1,2,4"), "file index 4 outside 1..3"),
     (("verify", "--n", "3", "--k", "6", "--r", "1", "--type", "4,2"), "need N=3"),
     (("bounds", "--setting", "210", "--check", "1/2"), "--check expects M,R"),
     (("bounds", "--setting", "210", "--check=-1,2"), "negative coordinate"),
+    (("bounds", "--setting", "210", "--check", "1e400,1"), "past the ceiling of 100"),
 ]
 
 
@@ -494,6 +497,12 @@ def test_bad_input_exits_two(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+def test_bounds_check_takes_an_exponent_at_the_ceiling(capsys):
+    code, out, _ = run(capsys, "bounds", "--setting", "210", "--check", "1e100,1e-100", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["check"]["point"] == [str(10**100), f"1/{10**100}"]
 
 
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):

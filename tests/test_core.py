@@ -8,6 +8,7 @@ from fdcache.core import (
     DemandType,
     NotFullyDemandedError,
     SchemeParams,
+    UsageError,
     binom,
     count_demands,
     covering_count,
@@ -252,6 +253,16 @@ def test_fraction_round_trip():
         parse_fraction("nope")
     with pytest.raises(ValueError):
         parse_fraction("1/0")
+
+
+def test_fraction_exponent_ceiling():
+    # inside the ceiling either way, the exact value; past it, a usage error
+    # raised before the power of ten is built
+    assert parse_fraction("1e100") == 10**100
+    assert parse_fraction("25E-100") == Fraction(25, 10**100)
+    for text in ("1e101", "1e400", "1e-400", "3.5e+4_00", "1e" + "9" * 30):
+        with pytest.raises(UsageError, match="past the ceiling"):
+            parse_fraction(text)
 
 
 @given(st.integers(-100, 100), st.integers(1, 40))

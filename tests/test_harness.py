@@ -396,6 +396,27 @@ def test_verify_demand_generates_each_users_rows_once(monkeypatch):
     assert calls == list(RUN.users) * len(demands)
 
 
+def test_rows_are_checked_as_they_are_made(monkeypatch):
+    # user 1's check stops at its first failing row: the rows after it are
+    # never made
+    made = []
+    real = harness.decode_rows
+
+    def counted(*args):
+        for row in real(*args):
+            made.append(row)
+            yield row
+
+    monkeypatch.setattr(harness, "decode_rows", counted)
+    dset = scheme.delivery(RUN, RUN_D)
+    key = (2, (1, 3))  # user 1 eliminates it for segment (1, {3}, 2)
+    mask_i, mask_q = dset.pairs[key]
+    flipped = dataclasses.replace(dset, pairs={**dset.pairs, key: (mask_i ^ 1, mask_q)})
+    assert not harness._decode_user_ok(flipped, harness._prefetch_all(RUN)[0], 1, None)
+    assert 0 < len(made) < 25
+    assert any(mask_i ^ 1 == i for i, _q, _e in made[-1][2])
+
+
 def test_symbolic_engine_draws_no_payload(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew a payload")
@@ -761,6 +782,44 @@ def test_lifting_holds_each_payload_value_once():
         finally:
             tracemalloc.stop()
     assert peaks["both"] <= 1.1 * peaks["payload"]
+
+
+def test_payload_value_xors_pinned(monkeypatch):
+    # every XOR a 64 KiB payload value takes part in is a 64 KiB copy: count
+    # them for one demand, with counting ints as the segment values, in the
+    # lift and in the users' row checks.  Uncoded hits are no rows and
+    # parities are lifted with no 0-seeded copy; the rows still count the
+    # 0-seeded start of each mix_sum and MIX**undo of each target's values
+    xors = {"lift": 0, "rows": 0}
+    phase = []
+
+    class Counting(int):
+        def __xor__(self, other):
+            xors[phase[-1]] += 1
+            return Counting(int.__xor__(self, other))
+
+        __rxor__ = __xor__
+
+    draw, lift, decode_user_ok = MaskValues.random.__func__, harness.lift, harness._decode_user_ok
+
+    def counted(name, call):
+        def wrapped(*args):
+            phase.append(name)
+            try:
+                return call(*args)
+            finally:
+                phase.pop()
+
+        return wrapped
+
+    def counting_values(cls, index, width, seed, masks=False):
+        return cls(index, [Counting(v) for v in draw(cls, index, width, seed, masks).segment_values])
+
+    monkeypatch.setattr(MaskValues, "random", classmethod(counting_values))
+    monkeypatch.setattr(harness, "lift", counted("lift", lift))
+    monkeypatch.setattr(harness, "_decode_user_ok", counted("rows", decode_user_ok))
+    assert verify_demand(RUN, RUN_D, engine="payload", run_oracle=False).success
+    assert xors == {"lift": 260, "rows": 1944}
 
 
 def test_verify_demand_refuses_a_payload_past_the_ceiling(monkeypatch):

@@ -448,11 +448,18 @@ def _reads(rows, mask):
 def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
     values = _payload_values()
     both = _lifted(run_delivery, masks=True)
-    size = segment_index(RUN).size
+    index = segment_index(RUN)
+    size = index.size
     for k in RUN.users:
         rows = list(decode_rows(run_delivery, run_caches[k], k))
-        assert len(rows) == 30  # 60 segments of the file, one row per I/Q pair
-        assert [target for target, _undo, _terms in rows] == sorted(target for target, _undo, _terms in rows)
+        targets = [target for target, _undo, _terms in rows]
+        assert targets == sorted(targets)
+        # 60 segments of the file, 30 I/Q pairs: a row for each coded pair,
+        # and the user's uncoded hits, which are no rows
+        pairs = range((RUN_D[k - 1] - 1) * index.per_file, RUN_D[k - 1] * index.per_file, 2)
+        hits = [target for target in pairs if target in run_caches[k].uncoded]
+        assert (len(rows), len(hits)) == (25, 5)
+        assert sorted(targets + hits) == list(pairs)
         lifted_rows = decode_rows(run_delivery, run_caches[k], k, both)
         for (target, undo, terms), (_target, _undo, lifted_terms) in zip(rows, lifted_rows):
             unit = mix(undo, 1 << target, 2 << target)
@@ -491,12 +498,56 @@ def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
     assert not _decode_user_ok(run_delivery, corrupted, 1, _lifted(run_delivery))
 
 
+@pytest.mark.parametrize("masks", [False, True])
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_parities_lift_from_their_supports(run_caches, width, masks):
+    values = MaskValues.random(segment_index(RUN), width, "supports", masks=masks)
+    for cache in run_caches.values():
+        for parities, supports in zip((cache.column, cache.row), cache.supports):
+            assert supports.keys() == parities.keys()
+            for key, pair in parities.items():
+                assert tuple(map(values.xor_at, supports[key])) == tuple(values[mask] for mask in pair)
+    assert values.xor_at(()) == 0
+
+
+def test_lift_matches_the_broadcast_terms():
+    # sampled demands of every system up to K = 6: the one-pass lift is
+    # DeliverySet.broadcast_terms with each mask mapped through the values,
+    # skipped symbols' reconstructions included
+    from fdcache.harness import sample_fully_demanded
+
+    skipped = 0
+    for k_users in range(2, 7):
+        for n_files in range(1, k_users + 1):
+            for r in range(k_users):
+                params = SchemeParams(n_files, k_users, r)
+                for d in sample_fully_demanded(params, 3):
+                    dset = delivery(params, d)
+                    values = MaskValues.random(segment_index(params), 2, "lift", masks=True)
+                    want = {key: tuple((values[i], values[q], e) for i, q, e in terms)
+                            for key, terms in dset.broadcast_terms.items()}
+                    assert lift(dset, values).broadcast == want
+                    skipped += len(dset.skipped)
+    assert skipped > 0
+
+
 def test_plan_needs_every_uncoded_slot(run_delivery, run_caches):
     cache = run_caches[1]
     missing = dataclasses.replace(cache, uncoded=cache.uncoded - {segment_index(RUN)[segment(1, (1,), 2, "Q")]})
     with pytest.raises(LookupError):
         list(decode_rows(run_delivery, missing, 1))
     assert not _decode_user_ok(run_delivery, missing, 1, _lifted(run_delivery, masks=True))
+
+
+def test_plan_needs_every_uncoded_hit(run_delivery, run_caches):
+    # user 5 alone requests file 2, so no row reads its uncoded hit
+    # (2, {5}, 1): only the membership test sees it missing
+    cache = run_caches[5]
+    missing = dataclasses.replace(cache, uncoded=cache.uncoded - {segment_index(RUN)[segment(2, (5,), 1, "Q")]})
+    with pytest.raises(LookupError):
+        next(decode_rows(run_delivery, missing, 5))
+    assert not _decode_user_ok(run_delivery, missing, 5, None)
+    assert not _decode_user_ok(run_delivery, missing, 5, _lifted(run_delivery, masks=True))
 
 
 # ---------------------------------------------------------------------------
