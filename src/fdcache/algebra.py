@@ -1,11 +1,10 @@
-"""Segment ids, their dense index, labels, payloads, and a rank oracle.
+"""Segment ids, their dense index, payloads, and a rank oracle.
 
 SegmentIndex gives each segment of a system a dense position, so a GF(2)
 vector over the file-segment basis is an int mask with bit i set for the
 segment at position i.  Every cached parity, broadcast symbol, and
 transformed segment in the scheme is such a mask, and XOR of masks is the
-vector sum.  SymbolVec, the support-set view of a mask, only labels masks
-for reports.  SpanBasis implements incremental Gaussian elimination on int
+vector sum.  SpanBasis implements incremental Gaussian elimination on int
 masks and backs the decodability oracle, which shares only the segment index
 with the decoder.
 """
@@ -49,22 +48,6 @@ def segment(file: int, users: Iterable[int], excluded: int, channel: str) -> Seg
     return SegmentId(file, subset, excluded, channel)
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolVec:
-    """Label of a GF(2) linear form over segments: the 1-coefficients."""
-
-    support: frozenset[SegmentId] = frozenset()
-
-    @classmethod
-    def unit(cls, seg: SegmentId) -> "SymbolVec":
-        return cls(frozenset((seg,)))
-
-    def describe(self) -> str:
-        if not self.support:
-            return "0"
-        return " + ".join(seg.label() for seg in sorted(self.support))
-
-
 def _random_values(count: int, width: int, seed: str, units: Sequence[int] | None = None) -> list[int]:
     """count seeded segment values of width bytes each, drawn as ints: one
     getrandbits(8 * width) apiece from random.Random(f"payload:{seed}").
@@ -92,12 +75,6 @@ class Payload:
         ordered = sorted(set(segments))  # fixes the draw order: index order on a full system
         values = _random_values(len(ordered), width, seed)
         return cls(width=width, data={seg: v.to_bytes(width, "little") for seg, v in zip(ordered, values)})
-
-    def value(self, seg: SegmentId) -> bytes:
-        try:
-            return self.data[seg]
-        except KeyError:
-            raise KeyError(f"no payload for segment {seg.label()}") from None
 
     def int_values(self) -> dict[SegmentId, int]:
         """Each segment's bytes read as a little-endian int, as MaskValues.random draws them."""
@@ -157,11 +134,6 @@ class SegmentIndex:
         """The unit mask 1 << i of every position i."""
         return tuple(1 << i for i in range(self.size))
 
-    def vector(self, mask: int) -> SymbolVec:
-        """The label of a mask."""
-        segments = self.segments
-        return SymbolVec(frozenset(segments[i] for i in bit_positions(mask)))
-
 
 # ceiling on the segments of one system: the unit masks alone take about
 # size**2 / 16 bytes, 16 MiB here, and every mask of the scheme is size bits wide
@@ -191,15 +163,13 @@ def segment_index(params: SchemeParams) -> SegmentIndex:
     return SegmentIndex(params)
 
 
-class MaskValues(dict):
+class MaskValues:
     """Payload value of each mask over a segment index: the XOR of the
-    segment values on its bits, as the server encodes it.  Unit masks are
-    filled in up front, every other mask on first lookup.  xor_at gives the
-    value of a mask from its support, the positions of its bits, without
-    keeping it."""
+    segment values on its bits, as the server encodes it.  Nothing is kept
+    per mask: lift reads each transmitted mask once per demand.  xor_at
+    gives the value of a mask from its support, the positions of its bits."""
 
-    def __init__(self, index: SegmentIndex, segment_values: Sequence[int]):
-        super().__init__(zip(index.units, segment_values))
+    def __init__(self, segment_values: Sequence[int]):
         self.segment_values = segment_values
 
     @classmethod
@@ -212,16 +182,15 @@ class MaskValues(dict):
         across bits, so every item's int then holds its mask in the low
         index.size bits and its value above them.  Each value is lifted as
         it is drawn, so the payload is never held twice."""
-        return cls(index, _random_values(index.size, width, seed, index.units if masks else None))
+        return cls(_random_values(index.size, width, seed, index.units if masks else None))
 
-    def __missing__(self, mask: int) -> int:
+    def __getitem__(self, mask: int) -> int:
         values = self.segment_values
         acc, rest = 0, mask
-        while rest:  # bit_positions, inlined: this runs once per held item and demand
+        while rest:  # bit_positions, inlined: this runs once per transmitted mask and demand
             low = rest & -rest
             acc ^= values[low.bit_length() - 1]
             rest ^= low
-        self[mask] = acc
         return acc
 
     def xor_at(self, support: Sequence[int]) -> int:

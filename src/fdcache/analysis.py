@@ -20,6 +20,12 @@ from .core import (
 )
 
 
+# ceiling on K of one tradeoff curve: its K rows take time superlinear in K
+# (the worst case at N = 3 takes about 0.1 s at K = 1000 and 1.5 s at K = 3000
+# on a 2-core VM)
+MAX_TRADEOFF_USERS = 1000
+
+
 @dataclass(frozen=True, order=True)
 class RatePoint:
     """Normalized (memory, broadcast rate) pair, in units of files."""
@@ -208,10 +214,13 @@ def tradeoff_curve(
     hull: bool = False,
 ) -> list[TradeoffRow]:
     """Curve rows for r = 0..K-1 plus the (0, N) endpoint, sorted by memory;
-    worst=True takes the type worst_case_type(N, K)."""
+    worst=True takes the type worst_case_type(N, K).  Raises UsageError for
+    K past MAX_TRADEOFF_USERS."""
     if (dtype is None) == (not worst):
         raise ValueError("provide exactly one of dtype or worst=True")
     SchemeParams(n_files, n_users, 0)  # checks (N, K) up front: the r loop is empty when K <= 0
+    if n_users > MAX_TRADEOFF_USERS:
+        raise UsageError(f"K={n_users} users exceed the tradeoff ceiling of {MAX_TRADEOFF_USERS}")
     rows = [TradeoffRow(None, RatePoint(Fraction(0), Fraction(n_files)), None)]
     for r in range(n_users):
         params = SchemeParams(n_files, n_users, r)

@@ -50,7 +50,6 @@ from .algebra import (
     Payload,
     SegmentId,
     SegmentIndex,
-    SymbolVec,
     bit_positions,
     segment,
     segment_index,
@@ -263,9 +262,9 @@ def closure_pair(cache: CacheContent, file: int, r_minus: tuple[int, ...]) -> tu
     return mix_sum(closure_terms(cache.column, cache.row, combination))
 
 
-def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...], channel: str) -> SymbolVec:
-    """closure_pair's channel as a labelled vector."""
-    return segment_index(cache.params).vector(closure_pair(cache, file, r_minus)[CHANNELS.index(channel)])
+def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...], channel: str) -> int:
+    """The mask of closure_pair's channel."""
+    return closure_pair(cache, file, r_minus)[CHANNELS.index(channel)]
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +522,9 @@ def reconstructed_pair(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> tu
     return mix_sum((*dset.pairs[(s, rest)], e) for rest, e in dset.reconstruction[(s, r_plus)])
 
 
-def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], channel: str) -> SymbolVec:
-    """One channel of reconstructed_pair as a labelled vector."""
-    pair = reconstructed_pair(dset, s, r_plus)
-    return segment_index(dset.params).vector(pair[CHANNELS.index(channel)])
+def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], channel: str) -> int:
+    """The mask of one channel of reconstructed_pair."""
+    return reconstructed_pair(dset, s, r_plus)[CHANNELS.index(channel)]
 
 
 # ---------------------------------------------------------------------------
@@ -658,39 +656,23 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
 
 
 class PayloadSource:
-    """Byte values (as ints) user k holds after prefetch plus the broadcast.
-
-    An item's value is the XOR of the source payload over its mask, encoded
-    once on first use as the server would; decode_file sums the user's rows
-    on these values.
-    """
+    """The payload encoder decode_file reads: value(mask) is the XOR of the
+    source payload over the mask, as the server encodes it; decode_file sums
+    the user's rows on these values.  Only cache.params is read: the
+    arguments stay those that perfbench/tracing.py times the class with."""
 
     def __init__(self, cache: CacheContent, dset: DeliverySet, payload: Payload):
         ints = payload.int_values()
-        self.cache = cache
-        self.dset = dset
-        self.index = segment_index(cache.params)
-        self.value = MaskValues(self.index, [ints[seg] for seg in self.index.segments]).__getitem__
-
-    def held_segment(self, seg: SegmentId) -> int:
-        position = self.index[seg]
-        if position not in self.cache.uncoded:
-            raise LookupError(f"user {self.cache.owner} did not cache {seg.label()}")
-        return self.value(self.index.units[position])
-
-    def delivered(self, s: int, r_plus: tuple[int, ...], channel: str) -> int:
-        if not self.dset.is_transmitted(s, r_plus):
-            raise KeyError(f"symbol (s={s}, subset={r_plus}) was skipped, never broadcast")
-        return self.value(self.dset.pairs[(s, r_plus)][CHANNELS.index(channel)])
+        self.value = MaskValues([ints[seg] for seg in segment_index(cache.params).segments]).__getitem__
 
 
 def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadSource | None = None):
-    """decode_rows evaluated, with each row's transform undone, and labelled,
-    in canonical segment order; each uncoded hit is the held pair itself.
+    """decode_rows evaluated, with each row's transform undone, in canonical
+    segment order; each uncoded hit is the held pair itself.
 
-    Returns [(SegmentId, value)] over every segment of the file: values are
-    SymbolVec expansions (correct iff equal to the unit vector) or, with a
-    PayloadSource, payload ints.
+    Returns [(SegmentId, int)] over every segment of the file: each int is
+    the decoded mask, correct iff it is 1 << index[seg], or, with a
+    PayloadSource, the decoded payload value.
     """
     index = segment_index(dset.params)
     units = index.units
@@ -699,10 +681,9 @@ def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadS
     out = []
     for target in range(base, base + index.per_file, 2):
         undo, terms = rows.get(target, (0, [(units[target], units[target + 1], 0)]))
-        if source is None:
-            pair = map(index.vector, mix(-undo % 3, *mix_sum(terms)))
-        else:
-            pair = mix(-undo % 3, *mix_sum((source.value(i), source.value(q), e) for i, q, e in terms))
+        if source is not None:
+            terms = ((source.value(i), source.value(q), e) for i, q, e in terms)
+        pair = mix(-undo % 3, *mix_sum(terms))
         out += zip(index.segments[target : target + 2], pair)
     return out
 

@@ -51,6 +51,12 @@ def test_tradeoff_worst_two_two(capsys):
     assert rows[1]["M"] == "2" and rows[1]["R"] == "0"
 
 
+def test_tradeoff_runs_at_the_user_ceiling(capsys):
+    code, out, _ = run(capsys, "tradeoff", "--n", "3", "--k", "1000", "--worst", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 1 + 1000  # header, the (0, N) endpoint, r = 0..999
+
+
 def test_tradeoff_requires_type_or_worst(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tradeoff", "--n", "3", "--k", "3"])
@@ -482,6 +488,8 @@ BAD_INPUT = [
     (("tradeoff", "--n", "3", "--k", "6", "--type", "a,b"), "comma-separated integers"),
     (("tradeoff", "--n", "3", "--k", "0", "--type", "3"), "need 1 <= n_files <= n_users"),
     (("tradeoff", "--n", "3", "--k", "-2", "--worst"), "need 1 <= n_files <= n_users"),
+    (("tradeoff", "--n", "3", "--k", "1001", "--worst"), "tradeoff ceiling of 1000"),
+    (("tradeoff", "--n", "3", "--k", "100000", "--worst"), "tradeoff ceiling of 1000"),
     (("verify", "--n", "3", "--k", "3", "--r", "3", "--demand", "1,2,3"), "need 0 <= r <= K-1"),
     (("verify", "--n", "3", "--k", "3", "--r", "1", "--demand", "1,2"), "demand length 2 != K=3"),
     (("verify", "--n", "3", "--k", "3", "--r", "1", "--demand", "1,2,4"), "file index 4 outside 1..3"),

@@ -428,13 +428,13 @@ def test_symbolic_engine_draws_no_payload(monkeypatch):
 
 def test_checks_build_no_labelled_vectors(monkeypatch):
     # verification, the identity suite and the golden check all work on
-    # masks, from prefetch on; labels are only for reports
+    # masks, from prefetch on; a segment label is only for a failure message
     def no_labels(*args, **kwargs):
-        raise AssertionError("built a SymbolVec")
+        raise AssertionError("formatted a segment label")
 
     harness._prefetch_all.cache_clear()
     harness._cache_spans.cache_clear()
-    monkeypatch.setattr(algebra.SymbolVec, "__init__", no_labels)
+    monkeypatch.setattr(algebra.SegmentId, "label", no_labels)
     sweep = verify_sweep(SchemeParams(3, 5, 1), "fully_demanded", engine="both", run_oracle=True)
     assert sweep.count == 150 and sweep.success and sweep.oracle_ok
     assert identity_suite(RUN, samples=3).success
@@ -813,7 +813,7 @@ def test_payload_value_xors_pinned(monkeypatch):
         return wrapped
 
     def counting_values(cls, index, width, seed, masks=False):
-        return cls(index, [Counting(v) for v in draw(cls, index, width, seed, masks).segment_values])
+        return cls([Counting(v) for v in draw(cls, index, width, seed, masks).segment_values])
 
     monkeypatch.setattr(MaskValues, "random", classmethod(counting_values))
     monkeypatch.setattr(harness, "lift", counted("lift", lift))

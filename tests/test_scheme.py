@@ -7,10 +7,10 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdcache.algebra import CHANNELS, MaskValues, Payload, SymbolVec, segment, segment_index
+from fdcache.algebra import CHANNELS, MaskValues, Payload, segment, segment_index
 from fdcache.analysis import memory_point, type_operating_point
 from fdcache.core import SchemeParams, NotFullyDemandedError, demand_type, enumerate_demands
-from fdcache.harness import _decode_user_ok
+from fdcache.harness import _decode_user_ok, _oracle_flags
 from fdcache.scheme import (
     PayloadSource,
     anchor_user,
@@ -163,8 +163,8 @@ def test_closure_expansion_matches_definition(params):
             for r_minus in itertools.combinations(others, params.r - 1):
                 completions = [u for u in others if u not in r_minus]
                 for channel in CHANNELS:
-                    want = {segment(f, r_minus + (u,), k, channel) for u in completions}
-                    assert row_parity_closure(cache, f, r_minus, channel).support == want
+                    want = sum(unit(f, r_minus + (u,), k, channel, params) for u in completions)
+                    assert row_parity_closure(cache, f, r_minus, channel) == want
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +312,8 @@ def test_reconstruction_running_example(run_delivery):
     got = reconstructed_pair(run_delivery, 1, (3, 4))
     assert got == tuple(a ^ b for a, b in zip(pairs[(1, (2, 3))], pairs[(1, (2, 4))]))
     assert got == pairs[(1, (3, 4))]
-    index = segment_index(RUN)
     for channel, mask in zip(CHANNELS, got):
-        assert reconstruct_skipped(run_delivery, 1, (3, 4), channel) == index.vector(mask)
+        assert reconstruct_skipped(run_delivery, 1, (3, 4), channel) == mask
 
 
 def test_reconstruction_mixes_channels_when_weights_differ(run_delivery):
@@ -380,11 +379,17 @@ def test_decode_class2_worked_equations(run_delivery, run_caches):
     assert decoded_pair(decode_rows(run_delivery, cache, 1), target[0]) == target
 
 
+def decodes_to_units(decoded, params=RUN):
+    """Each decoded mask is the unit mask of its segment."""
+    index = segment_index(params)
+    return all(mask == 1 << index[seg] for seg, mask in decoded)
+
+
 def test_decode_file_running_example(run_delivery, run_caches):
     decoded = decode_file(run_delivery, run_caches[1], 1)
     assert len(decoded) == 60
-    assert [seg for seg, _vec in decoded] == file_segments(RUN, 1)
-    assert all(vec == SymbolVec.unit(seg) for seg, vec in decoded)
+    assert [seg for seg, _mask in decoded] == file_segments(RUN, 1)
+    assert decodes_to_units(decoded)
 
 
 def test_decode_file_all_users_all_types():
@@ -393,15 +398,14 @@ def test_decode_file_all_users_all_types():
         dset = delivery(params, d)
         for k in params.users:
             cache = prefetch(params, k)
-            assert all(vec == SymbolVec.unit(seg) for seg, vec in decode_file(dset, cache, k))
+            assert decodes_to_units(decode_file(dset, cache, k), params)
 
 
 def test_decode_smallest_instance():
     params = SchemeParams(2, 2, 0)
     dset = delivery(params, (1, 2))
     cache = prefetch(params, 2)
-    decoded = decode_file(dset, cache, 2)
-    assert all(vec == SymbolVec.unit(seg) for seg, vec in decoded)
+    assert decodes_to_units(decode_file(dset, cache, 2), params)
     assert dset.rate() == Fraction(1)
 
 
@@ -413,17 +417,8 @@ def test_decode_payload_bit_exact(run_delivery, run_caches):
         decoded = decode_file(run_delivery, run_caches[k], k, source)
         assert all(value == ints[seg] for seg, value in decoded)
         got_file = b"".join(v.to_bytes(3, "little") for _seg, v in decoded)
-        want_file = b"".join(payload.value(seg) for seg in file_segments(RUN, RUN_D[k - 1]))
+        want_file = b"".join(payload.data[seg] for seg in file_segments(RUN, RUN_D[k - 1]))
         assert got_file == want_file
-
-
-def test_payload_source_guards_cache_boundary(run_delivery, run_caches):
-    payload = Payload.random(partition(RUN), width=1, seed="guard")
-    source = PayloadSource(run_caches[1], run_delivery, payload)
-    with pytest.raises(LookupError):
-        source.held_segment(segment(1, (2,), 3, "I"))  # user 1 never cached it
-    with pytest.raises(KeyError):
-        source.delivered(1, (3, 4), "I")  # skipped, never broadcast
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +491,20 @@ def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
     assert values[stray] != 0
     assert not _decode_user_ok(run_delivery, corrupted, 1, None)
     assert not _decode_user_ok(run_delivery, corrupted, 1, _lifted(run_delivery))
+
+
+def test_corrupted_skipped_symbol_is_never_read(run_delivery, run_caches):
+    # a skipped pair is never broadcast: decoding rebuilds it from the
+    # transmitted pairs and the oracle spans only those, so corrupting it
+    # changes no verdict on masks, on payload or on both
+    key = (1, (3, 4))
+    assert not run_delivery.is_transmitted(*key)
+    mask_i, mask_q = run_delivery.pairs[key]
+    stray = unit(3, (4,), 5, "I")
+    flipped = dataclasses.replace(run_delivery, pairs={**run_delivery.pairs, key: (mask_i ^ stray, mask_q)})
+    for lifted in (None, _lifted(flipped), _lifted(flipped, masks=True)):
+        assert all(_decode_user_ok(flipped, run_caches[k], k, lifted) for k in RUN.users)
+    assert _oracle_flags(RUN, flipped) == [True] * 6
 
 
 @pytest.mark.parametrize("masks", [False, True])

@@ -4,6 +4,7 @@ every one of them, and put the originals back."""
 import ast
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 from fdcache import algebra, harness, scheme
@@ -66,6 +67,46 @@ def test_tracer_round_trip_on_the_verify_path():
     assert metrics["scheme.sent_symbols"] == report.t_count
     assert metrics["scheme.skip_combination_calls"] == 10  # the demand's ten skipped pairs
     assert metrics["algebra.oracle_ms"] > 0
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
+def test_tracer_calls_every_wrapped_view():
+    # each view the tracer wraps, called once through its traced binding
+    # with the signature the tracer forwards, records its span and returns
+    # what the view itself returns
+    params, demand = SchemeParams(3, 6, 1), (1, 1, 1, 1, 2, 3)
+    dset, cache = scheme.delivery(params, demand), scheme.prefetch(params, 1)
+    index = algebra.segment_index(params)
+    before = _bindings()
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_demand()
+        payload = algebra.Payload.random(index.segments, width=2, seed="smoke")
+        ints = payload.int_values()
+        masks = harness.decode_file(dset, cache, 1)
+        values = harness.decode_file(dset, cache, 1, harness.PayloadSource(cache, dset, payload))
+        closure = harness.row_parity_closure(cache, 2, (), "Q")
+        rebuilt = harness.reconstruct_skipped(dset, 1, (3, 4), "I")
+        identity = harness.transformed_sum_identity(params, demand, 1, (2,), "I")
+    finally:
+        tracer.uninstall()
+    assert Counter(span[0] for span in tracer.spans) == {
+        "algebra.payload_gen": 3,  # Payload.random, int_values, and int_values inside PayloadSource
+        "scheme.decode_symbolic": 1,
+        "scheme.payload_encode": 1,
+        "scheme.decode_payload": 1,
+        "scheme.closure": 1,
+        "scheme.reconstruct": 1,
+        "scheme.transformed_sum": 1,
+    }
+    assert all(mask == 1 << index[seg] for seg, mask in masks)
+    assert all(value == ints[seg] for seg, value in values)
+    assert closure == cache.row[(2, ())][1]
+    assert rebuilt == dset.pairs[(1, (3, 4))][0]
+    assert identity
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
