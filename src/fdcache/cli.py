@@ -80,7 +80,7 @@ def at_least_one(text: str) -> int:
 
 
 def cmd_tradeoff(args) -> Output:
-    dtype = DemandType.of(_parse_ints(args.type)) if args.type else None
+    dtype = DemandType.of(_parse_ints(args.type)) if args.type is not None else None
     label = "worst case" if args.worst else f"type ({dtype.label()})"
     rows = []
     csv = ["r,M_frac,M_dec,R_frac,R_dec,S_frac"]
@@ -105,7 +105,7 @@ def cmd_tradeoff(args) -> Output:
 
 def cmd_verify(args) -> Output:
     params = SchemeParams(args.n, args.k, args.r)
-    if args.demand:
+    if args.demand is not None:
         report = verify_demand(
             params,
             _parse_ints(args.demand),
@@ -153,7 +153,7 @@ def cmd_verify(args) -> Output:
 def cmd_bounds(args) -> Output:
     region = region_33(SETTINGS[args.setting])
     check = None
-    if args.check:
+    if args.check is not None:
         parts = args.check.split(",")
         if len(parts) != 2:
             raise UsageError(f"--check expects M,R got {args.check!r}")
@@ -192,7 +192,7 @@ def cmd_lemmas(args) -> Output:
     params = SchemeParams(args.n, args.k, args.r)
     if args.samples > SWEEP_LIMIT:
         raise UsageError(f"--samples {args.samples} exceeds the limit of {SWEEP_LIMIT}")
-    demands = [_parse_ints(args.demand)] if args.demand else None
+    demands = [_parse_ints(args.demand)] if args.demand is not None else None
     report = identity_suite(params, demands=demands, samples=args.samples)
     csv = ["family,checked,failed"]
     text = [f"identity suite at N={args.n} K={args.k} r={args.r} over {len(report.demands)} demand(s)"]

@@ -154,13 +154,13 @@ class VerificationReport:
         return self.oracle_ok is None or self.oracle_ok == self.decode_ok
 
 
-def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, lifted: Lift | None) -> bool:
+def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, lifted: Lift) -> bool:
     """User k holds its uncoded hits and its rows recover every other
     segment of its file: each row's terms sum to its target pair as the row
-    leaves it, over masks or, given the demand's lift, over lifted ints, so
-    one comparison checks whatever the engine lifted.  Each row is checked
-    as decode_rows makes it, up to the first that fails."""
-    units = segment_index(dset.params).units if lifted is None else lifted.units
+    leaves it, read through the Lift, so one comparison checks whatever the
+    engine lifted.  Each row is checked as decode_rows makes it, up to the
+    first that fails."""
+    units = lifted.units
     try:
         return all(mix_sum(terms) == mix(undo, units[target], units[target + 1])
                    for target, undo, terms in decode_rows(dset, cache, k, lifted))
@@ -194,10 +194,10 @@ def verify_demand(
     started = time.perf_counter()
     caches = _prefetch_all(params)
     dset = delivery(params, demand)
-    # segment i lifts to its unit mask (symbolic: nothing is drawn and the rows
-    # stay on masks), its payload value (payload), or both, the mask below the value
-    lifted = None
-    if engine in ("payload", "both"):
+    # segment i lifts to its unit mask (symbolic: nothing is drawn or encoded),
+    # its payload value (payload), or both, the mask below the value
+    values = None
+    if engine != "symbolic":
         index = segment_index(params)
         if payload_width * index.size > MAX_PAYLOAD_BYTES:
             raise UsageError(
@@ -205,7 +205,7 @@ def verify_demand(
             )
         seeded = _payload_seed(seed, params, demand)
         values = MaskValues.random(index, payload_width, seeded, masks=engine == "both")
-        lifted = lift(dset, values)  # one encoding per demand: every user reads the same broadcast
+    lifted = lift(dset, values)  # one per demand: every user reads the same broadcast
     per_user = tuple(_decode_user_ok(dset, caches[k - 1], k, lifted) for k in params.users)
     engine_seconds = time.perf_counter() - started
 
@@ -400,9 +400,9 @@ def identity_suite(
     index, two checks (I and Q) per pair.  Every failure records its full
     index tuple.  Both skip families read one rebuilt pair per skipped
     symbol: skip_reconstruction compares it with the skipped pair, and
-    delivery_redundancy checks the block's weighted zero-sum, MIX**h(leaders)
-    of their difference, so one fails iff the other does; both stay so that
-    reports keep their shape.  The transformed-sum family makes one wide
+    delivery_redundancy's weighted zero-sum is MIX**h(leaders) of their
+    difference, so one comparison decides both; both stay so that reports
+    keep their shape.  The transformed-sum family makes one wide
     transformed_sum_residual per demand and reads each (s, r_set) block of
     it only when the residual is nonzero.
     """
@@ -441,11 +441,10 @@ def identity_suite(
         for s, r_plus in sorted(dset.skipped):
             got, want = reconstructed_pair(dset, s, r_plus), pairs[(s, r_plus)]
             skip_checked += 2
-            # the weighted zero-sum over the selections of the block
-            # leaders[s] | r_plus is MIX**h(leaders) of got - want
-            if mix(dset.leader_weights[s], got[0] ^ want[0], got[1] ^ want[1]) != (0, 0):
-                redundancy_failures.append(f"d={tag} s={s} block={tuple(sorted(dset.leaders[s].union(r_plus)))}")
+            # the block's weighted zero-sum is MIX**h(leaders) of got - want,
+            # and MIX is invertible, so it fails exactly when got != want
             if got != want:
+                redundancy_failures.append(f"d={tag} s={s} block={tuple(sorted(dset.leaders[s].union(r_plus)))}")
                 _compare_pairs(got, want, reconstruction_failures, f"d={tag} s={s} subset={r_plus}")
         residual_i, residual_q = transformed_sum_residual(params, d, dset.exponents)
         sum_checked += 2 * len(blocks)

@@ -26,14 +26,15 @@ Delivery and decoding work on int masks over the dense segment index
 sum mix_sum forms.  decode_rows walks a user's equations once per demand.
 The segment pairs of the user's file that it caches uncoded (its uncoded
 hits) are a membership test on the cache; for each other pair it yields the
-terms over held items whose weighted sum is MIX**undo of the pair.  Given
-the demand's Lift, the terms are lifted ints instead, one per held item: a
-payload value, or the item's mask in the low index.size bits with its value
-above them.  lift encodes each transmitted symbol once per demand, and each
-user's parities are lifted from their supports, the bit positions
-CacheContent keeps.  XOR never carries across bits, so a verifier checks a
-row on masks and payload at once with one plain mix_sum and one comparison
-with MIX**undo of the segment's lifted pair.
+terms over held items whose weighted sum is MIX**undo of the pair, read
+through the demand's Lift.  The identity lift reads each item as its mask
+and encodes nothing.  A lift through drawn values reads it as a payload
+value, or as its mask in the low index.size bits with its value above
+them: lift encodes each transmitted symbol once per demand, and each user's
+parities are lifted from their supports, the bit positions CacheContent
+keeps.  XOR never carries across bits, so a verifier checks a row on masks,
+payload or both with one plain mix_sum and one comparison with MIX**undo of
+the segment's lifted pair.
 """
 
 from __future__ import annotations
@@ -372,17 +373,6 @@ class DeliverySet:
     def rate(self) -> Fraction:
         return Fraction(self.transmitted_count, segment_index(self.params).per_file)
 
-    @cached_property
-    def broadcast_terms(self) -> dict[tuple[int, tuple[int, ...]], tuple[Term, ...]]:
-        """Each symbol's (I mask, Q mask, MIX exponent) terms, built once per
-        demand for decoding on masks: the symbol itself, or a skipped one's
-        rebuild.  lift builds the same terms on lifted ints directly."""
-        pairs = self.pairs
-        terms = {key: ((*pair, 0),) for key, pair in pairs.items()}
-        for (s, r_plus), combo in self.reconstruction.items():
-            terms[(s, r_plus)] = tuple((*pairs[(s, rest)], e) for rest, e in combo)
-        return terms
-
 
 # MIX**e of the unit pair (I, Q) = (1, 2): shifted left by a segment pair's
 # position p, it is MIX**e of that pair's unit masks (1 << p, 1 << p + 1)
@@ -528,7 +518,7 @@ def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], chan
 
 
 # ---------------------------------------------------------------------------
-# decoding: one pass of rows per (demand, user), over masks or lifted ints
+# decoding: one pass of rows per (demand, user), through the demand's Lift
 
 
 # The demand-independent part of one coded target's decoding equation:
@@ -578,29 +568,32 @@ class Lift(NamedTuple):
     """One demand's held items as lifted ints, built once and shared by all
     its users.  units[i] is the lifted int of segment position i, as a user
     holds it uncoded; values maps an item's mask to its lifted int as the
-    server encodes it, the XOR of the lifted segment ints on its bits
-    (algebra.MaskValues); broadcast is DeliverySet.broadcast_terms with every
-    mask so mapped."""
+    server encodes it (algebra.MaskValues), or is None for the identity
+    lift, under which each item's int is its mask; broadcast maps each symbol
+    to its lifted (I, Q, e) terms, a skipped one's rebuilt by reconstruction."""
 
     units: Sequence[int]
-    values: MaskValues
+    values: MaskValues | None
     broadcast: dict[tuple[int, tuple[int, ...]], tuple[Term, ...]]
 
 
-def lift(dset: DeliverySet, values: MaskValues) -> Lift:
+def lift(dset: DeliverySet, values: MaskValues | None = None) -> Lift:
     """The demand's lift through values, in one pass: each transmitted pair
-    is encoded once, and each skipped symbol's terms are the lifted pairs
-    its reconstruction references."""
+    is encoded once.  With no values it is the identity lift: segment i
+    lifts to 1 << i, so the pairs are read as they are."""
     skipped = dset.skipped
-    pairs = {key: (values[i], values[q]) for key, (i, q) in dset.pairs.items() if key not in skipped}
-    broadcast = {key: ((*pair, 0),) for key, pair in pairs.items()}
+    units, pairs = segment_index(dset.params).units, dset.pairs
+    if values is not None:
+        units = values.segment_values
+        pairs = {key: (values[i], values[q]) for key, (i, q) in dset.pairs.items() if key not in skipped}
+    broadcast = {key: ((*pair, 0),) for key, pair in pairs.items() if key not in skipped}
     for (s, r_plus), combo in dset.reconstruction.items():
         broadcast[(s, r_plus)] = tuple((*pairs[(s, rest)], e) for rest, e in combo)
-    return Lift(values.segment_values, values, broadcast)
+    return Lift(units, values, broadcast)
 
 
 def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
-                lifted: Lift | None = None) -> Iterator[tuple[int, int, list[Term]]]:
+                lifted: Lift) -> Iterator[tuple[int, int, list[Term]]]:
     """User k's decoding of its file for this demand, one row per coded
     segment pair, in partition order.
 
@@ -609,21 +602,21 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
     the first row.  Row (target, undo, terms) says that the mix_sum of the
     terms is MIX**undo of the (I, Q) pair of the segments at positions
     target and target + 1 of the dense segment index: the target as user
-    k's transform toward the excluded user leaves it.  Each term is (I, Q, e)
-    over something the user holds (an uncoded slot, a cached column or row
-    parity, or a transmitted symbol): its masks, or, given the demand's
-    lift, its lifted ints, in which case the row's sum is MIX**undo of
-    lifted.units at target and target + 1.  The user's parities are lifted
-    once, here, each from its support (CacheContent.supports).
+    k's transform toward the excluded user leaves it, each segment read as
+    lifted.units reads it.  Each term is (I, Q, e) over something the user
+    holds (an uncoded slot, a cached column or row parity, or a transmitted
+    symbol), read through the Lift.  Unless the Lift is the identity, the
+    user's parities are lifted once, here, each from its support
+    (CacheContent.supports).
     Raises LookupError when an equation needs an item the user does not hold.
     """
     params, demand, exponents = dset.params, dset.demand, dset.exponents
     index = segment_index(params)
     per_file, uncoded = index.per_file, cache.uncoded
-    if lifted is None:
-        units, broadcast, column, row = index.units, dset.broadcast_terms, cache.column, cache.row
+    units, values, broadcast = lifted
+    if values is None:
+        column, row = cache.column, cache.row
     else:
-        units, values, broadcast = lifted
         xor_at = values.xor_at
         column, row = ({key: (xor_at(i), xor_at(q)) for key, (i, q) in supports.items()}
                        for supports in cache.supports)
@@ -656,33 +649,31 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
 
 
 class PayloadSource:
-    """The payload encoder decode_file reads: value(mask) is the XOR of the
-    source payload over the mask, as the server encodes it; decode_file sums
-    the user's rows on these values.  Only cache.params is read: the
-    arguments stay those that perfbench/tracing.py times the class with."""
+    """The payload values decode_file lifts through: values (MaskValues)
+    maps a mask to the XOR of the source payload over it, as the server
+    encodes it.  Only cache.params is read: the arguments stay those that
+    perfbench/tracing.py times the class with."""
 
     def __init__(self, cache: CacheContent, dset: DeliverySet, payload: Payload):
         ints = payload.int_values()
-        self.value = MaskValues([ints[seg] for seg in segment_index(cache.params).segments]).__getitem__
+        self.values = MaskValues([ints[seg] for seg in segment_index(cache.params).segments])
 
 
 def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadSource | None = None):
-    """decode_rows evaluated, with each row's transform undone, in canonical
-    segment order; each uncoded hit is the held pair itself.
+    """decode_rows on the identity lift or on source.values, transforms
+    undone, in canonical segment order; each uncoded hit is the held pair.
 
     Returns [(SegmentId, int)] over every segment of the file: each int is
     the decoded mask, correct iff it is 1 << index[seg], or, with a
     PayloadSource, the decoded payload value.
     """
     index = segment_index(dset.params)
-    units = index.units
-    rows = {target: (undo, terms) for target, undo, terms in decode_rows(dset, cache, k)}
+    lifted = lift(dset, None if source is None else source.values)
+    rows = {target: (undo, terms) for target, undo, terms in decode_rows(dset, cache, k, lifted)}
     base = (dset.demand[k - 1] - 1) * index.per_file
     out = []
     for target in range(base, base + index.per_file, 2):
-        undo, terms = rows.get(target, (0, [(units[target], units[target + 1], 0)]))
-        if source is not None:
-            terms = ((source.value(i), source.value(q), e) for i, q, e in terms)
+        undo, terms = rows.get(target, (0, [(*lifted.units[target : target + 2], 0)]))
         pair = mix(-undo % 3, *mix_sum(terms))
         out += zip(index.segments[target : target + 2], pair)
     return out

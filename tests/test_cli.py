@@ -486,6 +486,7 @@ BAD_INPUT = [
     (("tradeoff", "--n", "3", "--k", "6", "--type", "5,2,-1"), "nonnegative"),
     (("tradeoff", "--n", "3", "--k", "6", "--type", "4,1"), "need N=3"),
     (("tradeoff", "--n", "3", "--k", "6", "--type", "a,b"), "comma-separated integers"),
+    (("tradeoff", "--n", "3", "--k", "3", "--type", ""), "comma-separated integers"),
     (("tradeoff", "--n", "3", "--k", "0", "--type", "3"), "need 1 <= n_files <= n_users"),
     (("tradeoff", "--n", "3", "--k", "-2", "--worst"), "need 1 <= n_files <= n_users"),
     (("tradeoff", "--n", "3", "--k", "1001", "--worst"), "tradeoff ceiling of 1000"),
@@ -494,7 +495,10 @@ BAD_INPUT = [
     (("verify", "--n", "3", "--k", "3", "--r", "1", "--demand", "1,2"), "demand length 2 != K=3"),
     (("verify", "--n", "3", "--k", "3", "--r", "1", "--demand", "1,2,4"), "file index 4 outside 1..3"),
     (("verify", "--n", "3", "--k", "6", "--r", "1", "--type", "4,2"), "need N=3"),
+    (("verify", "--n", "3", "--k", "3", "--r", "1", "--demand", ""), "comma-separated integers"),
+    (("lemmas", "--n", "3", "--k", "3", "--r", "1", "--demand", ""), "comma-separated integers"),
     (("bounds", "--setting", "210", "--check", "1/2"), "--check expects M,R"),
+    (("bounds", "--setting", "210", "--check", ""), "--check expects M,R"),
     (("bounds", "--setting", "210", "--check=-1,2"), "negative coordinate"),
     (("bounds", "--setting", "210", "--check", "1e400,1"), "past the ceiling of 100"),
 ]

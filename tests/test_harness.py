@@ -385,7 +385,7 @@ def test_verify_demand_generates_each_users_rows_once(monkeypatch):
     calls = []
     real = harness.decode_rows
 
-    def counted(dset, cache, k, lifted=None):
+    def counted(dset, cache, k, lifted):
         calls.append(k)
         return real(dset, cache, k, lifted)
 
@@ -412,18 +412,38 @@ def test_rows_are_checked_as_they_are_made(monkeypatch):
     key = (2, (1, 3))  # user 1 eliminates it for segment (1, {3}, 2)
     mask_i, mask_q = dset.pairs[key]
     flipped = dataclasses.replace(dset, pairs={**dset.pairs, key: (mask_i ^ 1, mask_q)})
-    assert not harness._decode_user_ok(flipped, harness._prefetch_all(RUN)[0], 1, None)
+    assert not harness._decode_user_ok(flipped, harness._prefetch_all(RUN)[0], 1, scheme.lift(flipped))
     assert 0 < len(made) < 25
     assert any(mask_i ^ 1 == i for i, _q, _e in made[-1][2])
 
 
 def test_symbolic_engine_draws_no_payload(monkeypatch):
+    # the identity lift reads every item as its mask: it draws nothing and
+    # encodes nothing, neither a transmitted symbol nor a cached parity
     def no_draw(*args):
-        raise AssertionError("drew a payload")
+        raise AssertionError("drew or encoded a payload")
 
-    monkeypatch.setattr(MaskValues, "random", no_draw)
+    for name in ("random", "__getitem__", "xor_at"):
+        monkeypatch.setattr(MaskValues, name, no_draw)
     report = verify_demand(RUN, RUN_D, engine="symbolic")
     assert report.success and report.oracle_ok
+
+
+@pytest.mark.parametrize("engine", harness.ENGINES)
+def test_every_engine_lifts_each_demand_once(monkeypatch, engine):
+    # every engine decodes through one Lift per demand, shared by its users
+    lifts = []
+    real = harness.lift
+
+    def counted(dset, values=None):
+        lifts.append(dset.demand)
+        return real(dset, values)
+
+    monkeypatch.setattr(harness, "lift", counted)
+    demands = [RUN_D, (3, 2, 1, 1, 2, 3), (1, 2, 3, 3, 3, 3)]
+    for d in demands:
+        assert verify_demand(RUN, d, engine=engine, run_oracle=False).success
+    assert lifts == demands
 
 
 def test_checks_build_no_labelled_vectors(monkeypatch):
@@ -713,8 +733,10 @@ def _flip_held_value(monkeypatch, position, width, shift=0):
     of the lifted int."""
     real = harness.lift
 
-    def flipped(dset, values):
+    def flipped(dset, values=None):
         lifted = real(dset, values)
+        if values is None:  # the identity lift holds no drawn value to flip
+            return lifted
         units = list(lifted.units)
         units[position] ^= 1 << (shift + 8 * width - 1)
         return lifted._replace(units=units)

@@ -347,7 +347,7 @@ def test_reconstruction_full_sweep_four_six_r1():
 
 def test_decode_class1_worked_case(run_delivery, run_caches):
     target = unit_pair(1, (2,), 3)
-    rows = decode_rows(run_delivery, run_caches[1], 1)
+    rows = decode_rows(run_delivery, run_caches[1], 1, lift(run_delivery))
     assert decoded_pair(rows, target[0]) == target
     # the elimination identity behind it, on transformed masks
     exponents = run_delivery.exponents
@@ -363,7 +363,7 @@ def test_decode_class1_r0_boundary():
     dset = delivery(params, d)
     cache = prefetch(params, 2)
     target = unit_pair(2, (), 1, params)
-    assert decoded_pair(decode_rows(dset, cache, 2), target[0]) == target
+    assert decoded_pair(decode_rows(dset, cache, 2, lift(dset)), target[0]) == target
     assert dset.pairs[(1, (2,))][0] == target[0]
 
 
@@ -376,7 +376,7 @@ def test_decode_class2_worked_equations(run_delivery, run_caches):
     rhs_q = reduce(operator.xor, [z_col[1], z_row[0]] + [pair[1] for pair in y.values()])
     target = unit_pair(1, (2,), 1)
     assert (rhs_i, rhs_q) == mix(run_delivery.exponents[1 - 1][1 - 1], *target)
-    assert decoded_pair(decode_rows(run_delivery, cache, 1), target[0]) == target
+    assert decoded_pair(decode_rows(run_delivery, cache, 1, lift(run_delivery)), target[0]) == target
 
 
 def decodes_to_units(decoded, params=RUN):
@@ -446,7 +446,7 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
     index = segment_index(RUN)
     size = index.size
     for k in RUN.users:
-        rows = list(decode_rows(run_delivery, run_caches[k], k))
+        rows = list(decode_rows(run_delivery, run_caches[k], k, lift(run_delivery)))
         targets = [target for target, _undo, _terms in rows]
         assert targets == sorted(targets)
         # 60 segments of the file, 30 I/Q pairs: a row for each coded pair,
@@ -462,7 +462,7 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
             # the lifted sum is the value sum above the mask sum
             value_pair = mix(undo, values[1 << target], values[2 << target])
             assert mix_sum(lifted_terms) == tuple(v << size | m for v, m in zip(value_pair, unit))
-        assert _decode_user_ok(run_delivery, run_caches[k], k, None)
+        assert _decode_user_ok(run_delivery, run_caches[k], k, lift(run_delivery))
         assert _decode_user_ok(run_delivery, run_caches[k], k, _lifted(run_delivery))
         assert _decode_user_ok(run_delivery, run_caches[k], k, both)
 
@@ -472,24 +472,24 @@ def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches
     key = (2, (1, 3))  # user 1 eliminates it for segment (1, {3}, 2)
     assert run_delivery.is_transmitted(*key)
     mask_i, mask_q = run_delivery.pairs[key]
-    assert _reads(decode_rows(run_delivery, run_caches[1], 1), mask_i)
+    assert _reads(decode_rows(run_delivery, run_caches[1], 1, lift(run_delivery)), mask_i)
     position = index[segment(3, (4,), 5, "I")]
     values = _payload_values()
     assert values.segment_values[position] != 0
     flipped = dataclasses.replace(run_delivery, pairs={**run_delivery.pairs, key: (mask_i ^ (1 << position), mask_q)})
-    assert not _decode_user_ok(flipped, run_caches[1], 1, None)
+    assert not _decode_user_ok(flipped, run_caches[1], 1, lift(flipped))
     assert not _decode_user_ok(flipped, run_caches[1], 1, _lifted(flipped))
 
 
 def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
     cache = run_caches[1]
     mask_i, mask_q = cache.column[(2,)]  # read by user 1's class-2 row for subset {2}
-    assert _reads(decode_rows(run_delivery, cache, 1), mask_i)
+    assert _reads(decode_rows(run_delivery, cache, 1, lift(run_delivery)), mask_i)
     stray = unit(2, (3,), 1, "I")
     corrupted = dataclasses.replace(cache, column={**cache.column, (2,): (mask_i ^ stray, mask_q)})
     values = _payload_values()
     assert values[stray] != 0
-    assert not _decode_user_ok(run_delivery, corrupted, 1, None)
+    assert not _decode_user_ok(run_delivery, corrupted, 1, lift(run_delivery))
     assert not _decode_user_ok(run_delivery, corrupted, 1, _lifted(run_delivery))
 
 
@@ -502,7 +502,7 @@ def test_corrupted_skipped_symbol_is_never_read(run_delivery, run_caches):
     mask_i, mask_q = run_delivery.pairs[key]
     stray = unit(3, (4,), 5, "I")
     flipped = dataclasses.replace(run_delivery, pairs={**run_delivery.pairs, key: (mask_i ^ stray, mask_q)})
-    for lifted in (None, _lifted(flipped), _lifted(flipped, masks=True)):
+    for lifted in (lift(flipped), _lifted(flipped), _lifted(flipped, masks=True)):
         assert all(_decode_user_ok(flipped, run_caches[k], k, lifted) for k in RUN.users)
     assert _oracle_flags(RUN, flipped) == [True] * 6
 
@@ -520,8 +520,8 @@ def test_parities_lift_from_their_supports(run_caches, width, masks):
 
 
 def test_lift_matches_the_broadcast_terms():
-    # sampled demands of every system up to K = 6: the one-pass lift is
-    # DeliverySet.broadcast_terms with each mask mapped through the values,
+    # sampled demands of every system up to K = 6: the lift through drawn
+    # values is the identity lift with each mask mapped through the values,
     # skipped symbols' reconstructions included
     from fdcache.harness import sample_fully_demanded
 
@@ -534,7 +534,7 @@ def test_lift_matches_the_broadcast_terms():
                     dset = delivery(params, d)
                     values = MaskValues.random(segment_index(params), 2, "lift", masks=True)
                     want = {key: tuple((values[i], values[q], e) for i, q, e in terms)
-                            for key, terms in dset.broadcast_terms.items()}
+                            for key, terms in lift(dset).broadcast.items()}
                     assert lift(dset, values).broadcast == want
                     skipped += len(dset.skipped)
     assert skipped > 0
@@ -544,7 +544,7 @@ def test_plan_needs_every_uncoded_slot(run_delivery, run_caches):
     cache = run_caches[1]
     missing = dataclasses.replace(cache, uncoded=cache.uncoded - {segment_index(RUN)[segment(1, (1,), 2, "Q")]})
     with pytest.raises(LookupError):
-        list(decode_rows(run_delivery, missing, 1))
+        list(decode_rows(run_delivery, missing, 1, lift(run_delivery)))
     assert not _decode_user_ok(run_delivery, missing, 1, _lifted(run_delivery, masks=True))
 
 
@@ -554,8 +554,8 @@ def test_plan_needs_every_uncoded_hit(run_delivery, run_caches):
     cache = run_caches[5]
     missing = dataclasses.replace(cache, uncoded=cache.uncoded - {segment_index(RUN)[segment(2, (5,), 1, "Q")]})
     with pytest.raises(LookupError):
-        next(decode_rows(run_delivery, missing, 5))
-    assert not _decode_user_ok(run_delivery, missing, 5, None)
+        next(decode_rows(run_delivery, missing, 5, lift(run_delivery)))
+    assert not _decode_user_ok(run_delivery, missing, 5, lift(run_delivery))
     assert not _decode_user_ok(run_delivery, missing, 5, _lifted(run_delivery, masks=True))
 
 
