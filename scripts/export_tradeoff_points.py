@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import sys
 
 from fdcache import cli
 
@@ -26,7 +27,11 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", default="out", help="directory for the CSV files")
     args = parser.parse_args(argv)
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # as cli.main treats an unwritable --output
+        print(f"error: cannot write {outdir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     for name, curve in CURVES:
         path = outdir / name
         code = cli.main(["tradeoff", *curve.split(), "--format", "csv", "--output", str(path)])

@@ -2,8 +2,9 @@
 """Run the full verification campaign and write a JSON summary.
 
 Covers the exhaustive decode sweeps (both engines plus the rank oracle), the
-XOR identity suites, and the golden worked-example check.  Exits nonzero on
-any failure.
+XOR identity suites, and the golden worked-example check.  Exits 1 on any
+failed check, and 2 on bad input, such as an --out path that cannot be
+written, which is refused before the first sweep.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import sys
 import time
 
 from fdcache.cli import at_least_one
@@ -34,6 +36,14 @@ def main() -> int:
     parser.add_argument("--samples", type=at_least_one, default=10, help="demands per identity suite, at least 1")
     parser.add_argument("--out", default="out/campaign.json")
     args = parser.parse_args()
+    out = pathlib.Path(args.out)
+    try:  # an unwritable --out is bad input: refuse it before the first sweep
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with open(out, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     ok = True
     summary = {"seed": args.seed, "sweeps": [], "identity_suites": [], "golden": None}
@@ -63,8 +73,6 @@ def main() -> int:
     summary["golden"] = golden_json_dict(golden)
     print(f"golden example: {'ok' if golden.success else 'FAILED'}")
 
-    out = pathlib.Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0 if ok else 1

@@ -15,8 +15,10 @@ Pipeline, per (N, K, r) system:
 4. delivery      - broadcast symbols XOR transformed segments over (r+1)-user
                    subsets; symbols whose subset avoids the leader set of the
                    excluded user are linearly dependent on the rest and are
-                   skipped, and rebuilt from the subsets that swap some of
-                   their members for the leaders of their files.
+                   skipped.  Each is rebuilt from the subsets that swap some
+                   of its members, at most one per file, for the leaders of
+                   their files, each weighted by MIX to the sum of its swaps'
+                   exponent changes.
 5. decode        - each user recovers its file from the cache (uncoded hits),
                    by per-symbol elimination (s != k), or by aligning parities
                    against broadcast sums (s == k), then inverts the transform.
@@ -337,16 +339,16 @@ class DeliverySet:
     pairs maps (excluded user, (r+1)-subset) to the symbol's (I, Q) masks over
     the dense segment index.  leaders[s] is the leader set of the users other
     than s (core.leaders).  exponents[t-1][s-1] is the e with MIX**e the
-    transform of user t toward s.  Toward s, leader_weights[s] is h(leaders),
-    the leaders' exponent sum mod 3, and swaps[s] maps each other user x to
-    (l, exponent change of swapping l for x mod 3, 1 << d(x)), l the leader
-    of d(x).  subsets maps the user bitmask sum(1 << u) of every
-    (r+1)-subset to the subset (_subsets_by_bits), so selection_weights
-    grows its selections on bits.  reconstruction, the one skip table, maps
-    each skipped pair to (rest, e) references to the transmitted
-    pairs[(s, rest)] whose MIX**e-weighted sum rebuilds it.  They are read at
-    each rebuild, never copied, so a corrupted pair reaches every rebuild,
-    and both skip families of the identity suite read one rebuilt pair.
+    transform of user t toward s.  swaps[s] maps each user x other than s to
+    (l, exponent change toward s of swapping l for x mod 3, 1 << d(x)), l
+    the leader of d(x).  subsets maps the user bitmask sum(1 << u) of every
+    (r+1)-subset to the subset (_subsets_by_bits), so skip_combination grows
+    its swap sets on bits.  reconstruction, the one skip table, maps each
+    skipped pair to (rest, e) references to the transmitted pairs[(s, rest)]
+    whose MIX**e-weighted sum rebuilds it: one rest per set of swaps, e the
+    sum of their exponent changes.  They are read at each rebuild, never
+    copied, so a corrupted pair reaches every rebuild, and both skip
+    families of the identity suite read one rebuilt pair.
     """
 
     params: SchemeParams
@@ -355,7 +357,6 @@ class DeliverySet:
     skipped: frozenset[tuple[int, tuple[int, ...]]]
     leaders: dict[int, frozenset[int]]
     exponents: tuple[tuple[int, ...], ...]
-    leader_weights: dict[int, int]
     swaps: dict[int, dict[int, tuple[int, int, int]]]
     subsets: dict[int, tuple[int, ...]]
     reconstruction: dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], int], ...]] = field(
@@ -432,11 +433,10 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
         pairs[(s, r_plus)] = acc_i, acc_q
         if not leader_bits[s] & bits:
             skipped.append((s, r_plus))
-    leader_weights, swaps = {}, {}
+    swaps = {}
     for s, leader_set in leader_sets.items():
         toward = [row[s - 1] for row in exponents]
         leader_of = {demand[lead - 1]: lead for lead in leader_set}
-        leader_weights[s] = sum(toward[lead - 1] for lead in leader_set) % 3
         swaps[s] = {x: (leader_of[f], (toward[x - 1] - toward[leader_of[f] - 1]) % 3, 1 << f)
                     for x, f in enumerate(demand, start=1) if x != s}
     dset = DeliverySet(
@@ -446,7 +446,6 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
         skipped=frozenset(skipped),
         leaders=leader_sets,
         exponents=exponents,
-        leader_weights=leader_weights,
         swaps=swaps,
         subsets=_subsets_by_bits(params),
     )
@@ -455,53 +454,40 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
     return dset
 
 
-def selection_weights(dset: DeliverySet, s: int, extra: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """One-requester-per-file selections V inside the block
-    B = leaders[s] | extra, each as (B - V sorted, h(V)), h(V) the sum of its
-    members' transform logs toward s mod 3; extra is a sorted (r+1)-subset
-    of the users outside s and its leaders, and the leader selection comes
-    first.
-
-    For any such block the weighted sum of symbol pairs over all selections,
-    sum_V MIX^h(V) (Y^I, Y^Q)_{B - V}, vanishes: the two occurrences of a
-    segment across selections swapping one same-file requester carry equal
-    total exponents and cancel.  The unweighted per-channel XOR is the equal-
-    weight special case (it fails once an even-multiplicity file other than
-    d(s) puts its leader inside a selection).
-
-    Every file requested inside B is requested outside s, so its leader is in
-    B: each selection swaps some members x of extra, at most one per file,
-    into the leader set for the leaders of their files (swaps[s]).  Each
-    B - V grows as user bits, one 1 << x or 1 << leader per member of extra,
-    and is read back as a sorted subset from dset.subsets at the end.  Its
-    one caller is skip_combination, once per skipped pair.
-    """
-    swaps = dset.swaps[s]
-    grown = [(0, dset.leader_weights[s], 0)]  # (user bits left so far, weight, bits of the files swapped)
-    for x in extra:
-        leader, delta, bit = swaps[x]
-        grown = [(rest | 1 << x, weight, used) for rest, weight, used in grown] + [
-            (rest | 1 << leader, (weight + delta) % 3, used | bit) for rest, weight, used in grown if not used & bit]
-    subsets = dset.subsets
-    return [(subsets[rest], weight) for rest, weight, _ in grown]
-
-
 def skip_combination(
     dset: DeliverySet, s: int, r_plus: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Transmitted subsets and MIX exponents reconstructing a skipped symbol.
 
-    It is the leader selection's term in the vanishing weighted sum of
-    selection_weights(dset, s, r_plus), so it is the sum of the other
-    (transmitted) terms, each weighted by h(V) - h(leaders).
+    Over the block B = leaders[s] | r_plus, the symbol pairs (Y^I, Y^Q)_{B - V}
+    of the one-requester-per-file selections V sum to zero once each is
+    weighted by MIX^h(V), h(V) the sum of its members' transform logs toward
+    s mod 3: the two occurrences of a segment across selections swapping one
+    same-file requester carry equal total exponents and cancel.  (Unweighted
+    XOR fails once an even-multiplicity file other than d(s) puts its leader
+    inside a selection.)  The leader selection leaves r_plus itself, so the
+    skipped pair is the sum of the other terms, each weighted by
+    h(V) - h(leaders).  Every file requested inside B has its leader in B,
+    so each other V swaps some members x of r_plus, at most one per file,
+    for the leaders of their files (swaps[s]), and that weight is the sum of
+    those swaps' exponent changes.  Each B - V grows as user bits from
+    exponent 0 and is read back from dset.subsets; the entry with no swap,
+    grown first, is r_plus and is dropped.
     """
     if dset.is_transmitted(s, r_plus):
         raise ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
-    (_, leader_weight), *others = selection_weights(dset, s, r_plus)
-    for rest, _ in others:
+    swaps = dset.swaps[s]
+    grown = [(0, 0, 0)]  # (user bits left so far, exponent, bits of the files swapped)
+    for x in r_plus:
+        leader, delta, bit = swaps[x]
+        grown = [(rest | 1 << x, e, used) for rest, e, used in grown] + [
+            (rest | 1 << leader, (e + delta) % 3, used | bit) for rest, e, used in grown if not used & bit]
+    subsets = dset.subsets
+    combination = tuple((subsets[rest], e) for rest, e, _ in grown[1:])
+    for rest, _ in combination:
         if (s, rest) in dset.skipped:  # cannot happen: rest meets a leader
             raise RuntimeError(f"reconstruction referenced skipped symbol {rest}")
-    return tuple((rest, (weight - leader_weight) % 3) for rest, weight in others)
+    return combination
 
 
 def reconstructed_pair(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> tuple[int, int]:

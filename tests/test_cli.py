@@ -570,6 +570,32 @@ def test_campaign_script_rejects_counts_below_one(tmp_path, capsys, monkeypatch,
     assert f"{flag}: must be at least 1, got {value}" in capsys.readouterr().err
 
 
+def test_campaign_script_refuses_an_unwritable_out_before_any_sweep(tmp_path, capsys, monkeypatch):
+    path, script = _load_script("run_verification_campaign")
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    target = blocker / "c.json"
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a sweep for an unwritable --out")
+
+    monkeypatch.setattr(script, "verify_sweep", no_run)
+    monkeypatch.setattr(sys, "argv", [str(path), "--out", str(target)])
+    assert script.main() == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {target}: File exists\n")
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_export_script_refuses_a_file_as_outdir(tmp_path, capsys, monkeypatch):
+    path, script = _load_script("export_tradeoff_points")
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", [str(path), "--outdir", str(blocker)])
+    assert script.main() == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {blocker}: File exists\n")
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
 def _readme_commands():
     """Every `fdcache ...` line of the README's sh blocks, as an argv."""
     commands, in_sh = [], False

@@ -316,21 +316,21 @@ def test_identity_suite_rejects_samples_below_one(monkeypatch, samples):
 
 
 def test_identity_suite_builds_one_selection_list_per_skipped_pair(monkeypatch):
-    # skip_combination, inside delivery, builds one list per skipped pair, and
-    # both skip families read the rebuilt pair instead of building more
+    # delivery calls skip_combination once per skipped pair, and both skip
+    # families read the rebuilt pair instead of building more
     built, calls = [], []
-    real = scheme.selection_weights
+    real = scheme.skip_combination
 
     def captured(params, d):
         built.append(scheme.delivery(params, d))
         return built[-1]
 
-    def counted(dset, s, extra):
-        calls.append((dset.demand, s, extra))
-        return real(dset, s, extra)
+    def counted(dset, s, r_plus):
+        calls.append((dset.demand, s, r_plus))
+        return real(dset, s, r_plus)
 
     monkeypatch.setattr(harness, "delivery", captured)
-    monkeypatch.setattr(scheme, "selection_weights", counted)
+    monkeypatch.setattr(scheme, "skip_combination", counted)
     suite = identity_suite(SchemeParams(4, 10, 1), samples=3)
     assert suite.success and len(built) == 3
     assert sorted(calls) == sorted((dset.demand, *key) for dset in built for key in dset.skipped)

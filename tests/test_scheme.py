@@ -595,7 +595,7 @@ def test_skip_count_formula_per_excluded_user(run_delivery):
             assert got == expected
 
 
-def _reference_selection_weights(params, d, s, block):
+def _reference_picks(params, d, s, block):
     """The definition: for each file, in ascending order, pick its requesters
     inside the block; each pick is weighted by the sum of its members'
     transform logs toward s mod 3.  Files are those requested outside s."""
@@ -609,58 +609,60 @@ def _reference_selection_weights(params, d, s, block):
 
 
 def _reference_rests(dset, s, extra):
-    """The definition in selection_weights' form: each pick of the block
-    leaders[s] | extra as (block - pick, its weight)."""
+    """The definition over subsets: each pick of the block leaders[s] | extra
+    as (block - pick, its weight)."""
     block = tuple(sorted(dset.leaders[s].union(extra)))
     return [
         (tuple(u for u in block if u not in pick), weight)
-        for pick, weight in _reference_selection_weights(dset.params, dset.demand, s, block)
+        for pick, weight in _reference_picks(dset.params, dset.demand, s, block)
     ]
 
 
+def _assert_matches_definition(combination, dset, s, r_plus):
+    """combination holds the other picks of leaders[s] | r_plus, each as
+    (block - pick, its weight relative to the leader pick's)."""
+    want = _reference_rests(dset, s, r_plus)
+    leader_weight = next(weight for rest, weight in want if rest == r_plus)
+    assert sorted(combination) == sorted(
+        (rest, (weight - leader_weight) % 3) for rest, weight in want if rest != r_plus
+    )
+
+
 @pytest.mark.parametrize("params", [SchemeParams(3, 6, 1), SchemeParams(4, 10, 1)], ids=str)
-def test_selection_weights_match_their_definition(monkeypatch, params):
-    # every selection list that skip_combination, its one caller, builds
-    # inside delivery; the leader pick leaves extra itself and comes first
+def test_identity_suite_skip_combinations_match_their_definition(monkeypatch, params):
+    # every combination that delivery builds while the identity suite runs
     from fdcache import harness, scheme
 
-    original = scheme.selection_weights
+    original = scheme.skip_combination
     blocks = []
 
-    def selection_weights(dset, s, extra):
-        got = original(dset, s, extra)
-        want = _reference_rests(dset, s, extra)
-        assert sorted(got) == sorted(want)
-        assert got[0] == next(entry for entry in want if entry[0] == extra)
-        blocks.append((s, extra))
+    def skip_combination(dset, s, r_plus):
+        got = original(dset, s, r_plus)
+        _assert_matches_definition(got, dset, s, r_plus)
+        blocks.append((s, r_plus))
         return got
 
-    monkeypatch.setattr(scheme, "selection_weights", selection_weights)
+    monkeypatch.setattr(scheme, "skip_combination", skip_combination)
     assert harness.identity_suite(params, samples=10).success
     assert blocks
 
 
 def test_skip_combination_matches_its_definition():
-    # sampled demands of every system up to K = 7 that has broadcast symbols:
-    # the other picks of leaders[s] | r_plus, weighted relative to the leader pick
+    # sampled demands of every system up to K = 7 that has broadcast symbols,
+    # and of (3,8) r=1, the system of the verify-3x8r1 benchmark workload
     from fdcache.harness import sample_fully_demanded
 
+    systems = [SchemeParams(n_files, k_users, r) for k_users in range(2, 8)
+               for n_files in range(1, k_users + 1) for r in range(k_users - 1)]
     checked = shared = 0
-    for k_users in range(2, 8):
-        for n_files in range(1, k_users + 1):
-            for r in range(k_users - 1):
-                params = SchemeParams(n_files, k_users, r)
-                for d in sample_fully_demanded(params, 10):
-                    dset = delivery(params, d)
-                    for s, r_plus in dset.skipped:
-                        want = _reference_rests(dset, s, r_plus)
-                        leader_weight = next(weight for rest, weight in want if rest == r_plus)
-                        assert sorted(skip_combination(dset, s, r_plus)) == sorted(
-                            (rest, (weight - leader_weight) % 3) for rest, weight in want if rest != r_plus
-                        )
-                        assert reconstructed_pair(dset, s, r_plus) == dset.pairs[(s, r_plus)]
-                        checked += 1
-                        shared += len({d[u - 1] for u in r_plus}) < len(r_plus)
+    for params in systems + [SchemeParams(3, 8, 1)]:
+        for d in sample_fully_demanded(params, 10):
+            dset = delivery(params, d)
+            for s, r_plus in dset.skipped:
+                _assert_matches_definition(skip_combination(dset, s, r_plus), dset, s, r_plus)
+                assert reconstructed_pair(dset, s, r_plus) == dset.pairs[(s, r_plus)]
+                checked += 1
+                shared += len({d[u - 1] for u in r_plus}) < len(r_plus)
     # two members on one file can swap only one of them for its leader
     assert checked > 3000 and shared > 1000, (checked, shared)
 
