@@ -629,8 +629,9 @@ def _assert_matches_definition(combination, dset, s, r_plus):
 
 
 @pytest.mark.parametrize("params", [SchemeParams(3, 6, 1), SchemeParams(4, 10, 1)], ids=str)
-def test_identity_suite_skip_combinations_match_their_definition(monkeypatch, params):
-    # every combination that delivery builds while the identity suite runs
+def test_selection_weights_match_their_definition(monkeypatch, params):
+    # every selection list (skip_combination's weighted picks) that delivery
+    # builds while the identity suite runs
     from fdcache import harness, scheme
 
     original = scheme.skip_combination
