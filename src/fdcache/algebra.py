@@ -95,7 +95,10 @@ class SegmentIndex:
     Positions are a mixed radix over (file, r-subset, excluded user,
     channel): each file owns per_file consecutive positions, each r-subset
     2(K-r) of them in lexicographic subset order, each excluded user outside
-    the subset two in ascending order, and Q follows I.
+    the subset two in ascending order, and Q follows I.  offsets keys each
+    (r-subset, excluded user) pair in that order; segments, and scheme's
+    prefetch, decoding equations and transformed-sum layout, walk the
+    segment pairs of a file through it instead of enumerating them.
     """
 
     def __init__(self, params: SchemeParams):
@@ -103,16 +106,16 @@ class SegmentIndex:
         width = 2 * (params.n_users - params.r)
         self.per_file = width * binom(params.n_users, params.r)
         self.size = params.n_files * self.per_file
-        # (r-subset, excluded user) -> position of the I segment within a file
-        self._offsets: dict[tuple[tuple[int, ...], int], int] = {}
+        # (r-subset, excluded user) -> I position within a file: the one enumeration of segment pairs
+        self.offsets: dict[tuple[tuple[int, ...], int], int] = {}
         for rank, r_set in enumerate(itertools.combinations(params.users, params.r)):
             outside = (s for s in params.users if s not in r_set)
             for place, s in enumerate(outside):
-                self._offsets[(r_set, s)] = rank * width + 2 * place
+                self.offsets[(r_set, s)] = rank * width + 2 * place
 
     def slot(self, file: int, r_set: tuple[int, ...], excluded: int) -> int:
         """Position of W^I[file; r_set; excluded]; W^Q sits at the next one."""
-        return (file - 1) * self.per_file + self._offsets[(r_set, excluded)]
+        return (file - 1) * self.per_file + self.offsets[(r_set, excluded)]
 
     def __getitem__(self, seg: SegmentId) -> int:
         if not 1 <= seg.file <= self.params.n_files or seg.channel not in CHANNELS:
@@ -125,7 +128,7 @@ class SegmentIndex:
         return tuple(
             SegmentId(file, r_set, s, channel)
             for file in self.params.files
-            for r_set, s in self._offsets
+            for r_set, s in self.offsets
             for channel in CHANNELS
         )
 
@@ -140,17 +143,29 @@ class SegmentIndex:
 MAX_SEGMENTS = 2**14
 # ceiling on broadcast symbols x segments: each of the K C(K-1, r+1) symbols
 # is a pair of masks as wide as the index, so one delivery's time and memory
-# grow with the product ((2,400,0), at 2.6e8, takes about 20 s and 150 MiB)
+# grow with the product ((2,400,0), at 2.6e8, builds and verifies its first
+# demand in about 4 s and 270 MiB)
 MAX_SYMBOL_SEGMENTS = 2**28
+# ceiling on segments x users x (r+1), which per-system set-up grows with:
+# every user's decoding equations and row-parity closures take about r steps
+# per segment pair, so near r = K-1 set-up grows like N K^3 while the segments
+# grow like N K ((1,25,22), at 7.9e6, builds and verifies its first demand in
+# about 7.5 s, the slowest system inside the three ceilings)
+MAX_SETUP_STEPS = 2**23
 
 
 @lru_cache(maxsize=None)
 def segment_index(params: SchemeParams) -> SegmentIndex:
     """The dense index of one system, built once per parameters.  Raises
     UsageError, before building anything, for a system of more than
-    MAX_SEGMENTS segments or more than MAX_SYMBOL_SEGMENTS broadcast symbols
-    times segments."""
+    MAX_SEGMENTS segments, more than MAX_SYMBOL_SEGMENTS broadcast symbols
+    times segments, or more than MAX_SETUP_STEPS set-up steps."""
     system = f"(N, K, r) = ({params.n_files}, {params.n_users}, {params.r})"
+    # size = 2NK C(K-1, r) >= 2NK: refused on that bound first, the binomials
+    # below are only taken with K <= MAX_SEGMENTS / 2, so every size prints
+    low = 2 * params.n_files * params.n_users
+    if low > MAX_SEGMENTS:
+        raise UsageError(f"{system} has at least {low} segments, more than the ceiling of {MAX_SEGMENTS}")
     size = params.n_files * 2 * (params.n_users - params.r) * binom(params.n_users, params.r)
     if size > MAX_SEGMENTS:
         raise UsageError(f"{system} has {size} segments, more than the ceiling of {MAX_SEGMENTS}")
@@ -159,6 +174,12 @@ def segment_index(params: SchemeParams) -> SegmentIndex:
         raise UsageError(
             f"{system} has {symbols} broadcast symbols over {size} segments,"
             f" more than the ceiling of {MAX_SYMBOL_SEGMENTS} symbols x segments"
+        )
+    steps = size * params.n_users * (params.r + 1)
+    if steps > MAX_SETUP_STEPS:
+        raise UsageError(
+            f"{system} needs {steps} set-up steps (segments x users x (r+1)),"
+            f" more than the ceiling of {MAX_SETUP_STEPS}"
         )
     return SegmentIndex(params)
 

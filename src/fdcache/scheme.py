@@ -7,7 +7,9 @@ Pipeline, per (N, K, r) system:
 2. prefetch      - user k caches an uncoded slice plus product-code parities
                    (column parities across files, a pruned set of row parities
                    along each file).  The pruned row parities are linearly
-                   dependent on stored ones and recoverable via the closure.
+                   dependent on stored ones: parity_combination reaches the
+                   stored set in two exact rewrites, one swapping out the
+                   anchor peer and one expanding file 1 into column parities.
 3. transform     - once demands are known, (I, Q) pairs are mixed by powers
                    MIX**e, e in {0, 1, 2}, of the GF(2) map MIX: (I, Q) ->
                    (I^Q, I), chosen per (requesting user, excluded user) so
@@ -25,12 +27,14 @@ Pipeline, per (N, K, r) system:
 
 Delivery and decoding work on int masks over the dense segment index
 (algebra.SegmentIndex), as (I mask, Q mask, e) terms whose MIX**e-weighted
-sum mix_sum forms.  decode_rows walks a user's equations once per demand.
-The segment pairs of the user's file that it caches uncoded (its uncoded
-hits) are a membership test on the cache; for each other pair it yields the
-terms over held items whose weighted sum is MIX**undo of the pair, read
-through the demand's Lift.  The identity lift reads each item as its mask
-and encodes nothing.  A lift through drawn values reads it as a payload
+sum mix_sum forms.  Per-system set-up (prefetch, _equations,
+transformed_sum_layout) walks the segment pairs of a file through
+SegmentIndex.offsets, their one enumeration.  decode_rows walks a user's
+equations once per demand.  The segment pairs of the user's file that it
+caches uncoded (its uncoded hits) are a membership test on the cache; for
+each other pair it yields the terms over held items whose weighted sum is
+MIX**undo of the pair, read through the demand's Lift.  The identity lift
+reads each item as its mask and encodes nothing.  A lift through drawn values reads it as a payload
 value, or as its mask in the low index.size bits with its value above
 them: lift encodes each transmitted symbol once per demand, and each user's
 parities are lifted from their supports, the bit positions CacheContent
@@ -160,14 +164,12 @@ def prefetch(params: SchemeParams, k: int) -> CacheContent:
     index = segment_index(params)
     uncoded = set()
     column = {}
-    for r_set in itertools.combinations(params.users, params.r):
+    for r_set, s in index.offsets:
         if k in r_set:
             for f in params.files:
-                for s in params.users:
-                    if s not in r_set:
-                        slot = index.slot(f, r_set, s)
-                        uncoded.update((slot, slot + 1))  # W^I and W^Q
-        else:
+                slot = index.slot(f, r_set, s)
+                uncoded.update((slot, slot + 1))  # W^I and W^Q
+        elif s == k:
             mask = 0
             for f in params.files:
                 mask |= 1 << index.slot(f, r_set, k)
@@ -193,11 +195,15 @@ def parity_combination(
     """Stored parities whose XOR equals row parity (file, r_minus) of user k.
 
     Returns (column subsets, (file, subset) row keys), channel-independent.
-    Two rewrites drive the recursion: a subset containing the anchor peer is
-    replaced by the subsets swapping the peer for each outside user, and a
-    file-1 parity is replaced by the covering column parities plus the other
-    files' row parities on the same subset.  Each rewrite strictly approaches
-    the stored set, so recursion depth is at most two.
+    User k stores every column parity C(r_set) and the row parities R(f, m)
+    (row_parity_pair) with f >= 2 and m avoiding the anchor peer.  Two exact
+    rewrites reach that set.  Anchor: for m = r_minus minus the anchor, the
+    sum of R(f, m | {h}) over h outside m | {k} is zero, as each r-subset
+    through m is reached twice; so R(f, r_minus) is the sum over the subsets
+    that swap the anchor for each user outside r_minus | {k}.  File 1: the
+    sum over f of R(f, m) is the sum of C(m | {u}) over u outside m | {k}, as
+    each side holds every W[f; m | {u}; k] once; so R(1, m) is those column
+    parities plus the other files' R(f, m).
     """
     if params.r == 0:
         raise ValueError("no row parities exist when r == 0")
@@ -209,32 +215,18 @@ def parity_combination(
         raise ValueError(f"file {file} outside 1..{params.n_files}")
 
     anchor = anchor_user(k)
-    if file != 1 and anchor not in r_minus:
-        return frozenset(), frozenset({(file, r_minus)})
-
-    columns: set[tuple[int, ...]] = set()
-    rows: set[tuple[int, tuple[int, ...]]] = set()
-
-    def fold(cols2, rows2):
-        nonlocal columns, rows
-        columns ^= cols2
-        rows ^= rows2
-
+    subsets = [r_minus]
     if anchor in r_minus:
-        stripped = tuple(u for u in r_minus if u != anchor)
-        for h in params.users:
-            if h == k or h in r_minus:
-                continue
-            fold(*parity_combination(params, k, file, tuple(sorted(stripped + (h,)))))
-    else:  # file == 1, anchor outside the subset
-        for h in params.users:
-            if h == k or h in r_minus:
-                continue
-            columns ^= {tuple(sorted(r_minus + (h,)))}
-        for other in params.files:
-            if other == 1:
-                continue
-            fold(*parity_combination(params, k, other, r_minus))
+        taken = {k, *r_minus}
+        subsets = [tuple(sorted(h if u == anchor else u for u in r_minus)) for h in params.users if h not in taken]
+    columns, rows = set(), set()
+    for m in subsets:
+        if file != 1:
+            rows ^= {(file, m)}
+        else:
+            taken = {k, *m}
+            columns ^= {tuple(sorted((*m, u))) for u in params.users if u not in taken}
+            rows ^= {(other, m) for other in params.files if other != 1}
     return frozenset(columns), frozenset(rows)
 
 
@@ -243,9 +235,10 @@ def row_parity_pair(params: SchemeParams, k: int, file: int, r_minus: tuple[int,
     """(I, Q) masks of row parity (file, r_minus) of user k: the XOR over
     completions u of the file's segments tagged ({u} | r_minus, k)."""
     index = segment_index(params)
+    taken = {k, *r_minus}
     mask = 0
     for u in params.users:
-        if u != k and u not in r_minus:
+        if u not in taken:
             mask |= 1 << index.slot(file, tuple(sorted((*r_minus, u))), k)
     return mask, mask << 1
 
@@ -544,10 +537,8 @@ def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[Equ
     with k in r_set, which user k caches uncoded, and equations the Equation
     of every other pair."""
     index = segment_index(params)
-    pairs = [(r_set, s) for r_set in itertools.combinations(params.users, params.r)
-             for s in params.users if s not in r_set]
-    hits = tuple(index.slot(1, r_set, s) for r_set, s in pairs if k in r_set)
-    return hits, tuple(_equation(index, k, r_set, s) for r_set, s in pairs if k not in r_set)
+    hits = tuple(offset for (r_set, _), offset in index.offsets.items() if k in r_set)
+    return hits, tuple(_equation(index, k, r_set, s) for r_set, s in index.offsets if k not in r_set)
 
 
 class Lift(NamedTuple):
@@ -679,18 +670,16 @@ def transformed_sum_layout(
     ascending and r_set in combination order, to the I and Q bits of its
     segments over all files; no two blocks share a bit."""
     index = segment_index(params)
-    columns, blocks = [], {}
-    for s in params.users:
-        column = [0] * params.n_files
-        for r_set in itertools.combinations([u for u in params.users if u != s], params.r):
-            block = 0
-            for f in params.files:
-                slot = index.slot(f, r_set, s)
-                column[f - 1] |= 1 << slot
-                block |= 3 << slot
-            blocks[(s, r_set)] = block
-        columns.append(tuple(column))
-    return tuple(columns), blocks
+    columns = [[0] * params.n_files for _ in params.users]
+    blocks = {}
+    for r_set, s in sorted(index.offsets, key=lambda pair: pair[1]):  # stable: r_set order kept
+        block = 0
+        for f in params.files:
+            slot = index.slot(f, r_set, s)
+            columns[s - 1][f - 1] |= 1 << slot
+            block |= 3 << slot
+        blocks[(s, r_set)] = block
+    return tuple(map(tuple, columns)), blocks
 
 
 def transformed_sum_residual(params: SchemeParams, demand: Demand,

@@ -259,6 +259,16 @@ def test_symbol_segment_ceiling_is_inclusive(monkeypatch):
     assert build(params).size == 120
 
 
+def test_setup_step_ceiling_is_inclusive(monkeypatch):
+    params = SchemeParams(2, 5, 2)  # 120 segments x 5 users x (2 + 1) = 1800 set-up steps
+    build = segment_index.__wrapped__  # past the cache, so every call checks
+    monkeypatch.setattr(algebra, "MAX_SETUP_STEPS", 1799)
+    with pytest.raises(ValueError, match="1800 set-up steps"):
+        build(params)
+    monkeypatch.setattr(algebra, "MAX_SETUP_STEPS", 1800)
+    assert build(params).size == 120
+
+
 def test_segment_index_rejects_foreign_segments():
     index = segment_index(SchemeParams(2, 3, 1))
     with pytest.raises(KeyError):

@@ -163,7 +163,13 @@ def test_verify_has_no_sweep_limit_override(capsys, flag):
     (("verify", "--n", "2", "--k", "2000", "--r", "0", "--demand", ",".join(["1"] * 1999 + ["2"])),
      "3998000 broadcast symbols"),
     (("lemmas", "--n", "2", "--k", "2000", "--r", "0"), "3998000 broadcast symbols"),
-], ids=["verify-type", "verify-demand", "lemmas"])
+    # 2NK alone is past the segment ceiling: refused before any binomial of K
+    (("lemmas", "--n", "2", "--k", "15000", "--r", "7500"), "at least 60000 segments"),
+    (("verify", "--n", "2", "--k", "1000000", "--r", "500000", "--all-fully-demanded"),
+     "at least 4000000 segments"),
+    # 10000 segments and no symbol, but set-up near r = K-1 grows like N K^3
+    (("lemmas", "--n", "1", "--k", "5000", "--r", "4999"), "250000000000 set-up steps"),
+], ids=["verify-type", "verify-demand", "lemmas", "lemmas-huge-k", "verify-huge-k", "lemmas-setup"])
 def test_oversized_system_exits_2_before_building(capsys, monkeypatch, argv, message):
     def no_build(*args, **kwargs):
         raise AssertionError("built a segment index, counted demands or ran a delivery")

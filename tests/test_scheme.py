@@ -153,7 +153,9 @@ def test_closure_requires_row_parities():
         parity_combination(SchemeParams(3, 3, 0), 1, 1, ())
 
 
-@pytest.mark.parametrize("params", [RUN, SchemeParams(4, 6, 2)])
+# (3,6,3), (2,7,4): the anchor rewrite leaves a non-empty subset; (1,6,5): r = K-1
+@pytest.mark.parametrize("params", [RUN, SchemeParams(4, 6, 2), SchemeParams(3, 6, 3),
+                                    SchemeParams(2, 7, 4), SchemeParams(1, 6, 5)])
 def test_closure_expansion_matches_definition(params):
     # row parity (f, r_minus) of user k XORs the segments tagged ({u} | r_minus, k)
     for k in params.users:

@@ -35,3 +35,22 @@ def test_no_module_level_cache_is_keyed_by_a_demand():
     ]
     assert cached  # the scan sees the per-parameters caches
     assert [name for name, params in cached if params & {"d", "demand", "dset"}] == []
+
+
+def test_library_imports_are_used():
+    # no linter runs here, so an import whose last reader was deleted would stay
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text, filename=str(path))
+        lines = text.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unread.append(f"{path.relative_to(PACKAGE)}:{alias.lineno}:{name}")
+    assert unread == []
