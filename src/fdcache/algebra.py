@@ -150,7 +150,7 @@ MAX_SYMBOL_SEGMENTS = 2**28
 # every user's decoding equations and row-parity closures take about r steps
 # per segment pair, so near r = K-1 set-up grows like N K^3 while the segments
 # grow like N K ((1,25,22), at 7.9e6, builds and verifies its first demand in
-# about 7.5 s, the slowest system inside the three ceilings)
+# about 6 s, the slowest system inside the three ceilings)
 MAX_SETUP_STEPS = 2**23
 
 

@@ -48,6 +48,7 @@ from .scheme import (
     decode_file,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     decode_rows,
     delivery,
+    failing_symbols,
     file_segments,
     lift,
     mix,
@@ -97,7 +98,7 @@ def _cache_spans(params: SchemeParams) -> tuple[SpanBasis, ...]:
     spans = []
     for cache in _prefetch_all(params):
         span = SpanBasis()
-        span.insert_rows(1 << position for position in sorted(cache.uncoded))
+        span.insert_rows(1 << position for position in bit_positions(cache.uncoded))
         for parities in (cache.column, cache.row):
             span.insert_rows(mask for key in sorted(parities) for mask in parities[key])
         spans.append(span)
@@ -154,12 +155,17 @@ class VerificationReport:
         return self.oracle_ok is None or self.oracle_ok == self.decode_ok
 
 
-def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, lifted: Lift) -> bool:
-    """User k holds its uncoded hits and its rows recover every other
-    segment of its file: each row's terms sum to its target pair as the row
-    leaves it, read through the Lift, so one comparison checks whatever the
-    engine lifted.  Each row is checked as decode_rows makes it, up to the
-    first that fails."""
+def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, lifted: Lift,
+                    failing: Sequence[tuple[int, tuple[int, ...]]]) -> bool:
+    """User k recovers every segment of its file.  Its class-1 rows are the
+    identities of the symbols over subsets holding k, failing ones listed in
+    failing (failing_symbols, one pass per demand); decode_rows checks that
+    it holds every segment it reads uncoded, and each class-2 row's terms
+    must sum to its target pair as the row leaves it, read through the Lift,
+    so one comparison checks whatever the engine lifted.  Each row is
+    checked as decode_rows makes it, up to the first that fails."""
+    if any(k in r_plus for _, r_plus in failing):
+        return False
     units = lifted.units
     try:
         return all(mix_sum(terms) == mix(undo, units[target], units[target + 1])
@@ -206,7 +212,8 @@ def verify_demand(
         seeded = _payload_seed(seed, params, demand)
         values = MaskValues.random(index, payload_width, seeded, masks=engine == "both")
     lifted = lift(dset, values)  # one per demand: every user reads the same broadcast
-    per_user = tuple(_decode_user_ok(dset, caches[k - 1], k, lifted) for k in params.users)
+    failing = failing_symbols(dset, lifted)  # every user's class-1 rows, one check per symbol
+    per_user = tuple(_decode_user_ok(dset, caches[k - 1], k, lifted, failing) for k in params.users)
     engine_seconds = time.perf_counter() - started
 
     oracle_ok: bool | None = None
@@ -515,17 +522,8 @@ def golden_example_check() -> GoldenReport:
     record("partition_roster_60_per_file", roster_ok)
 
     cache1 = prefetch(params, 1)
-    expect_uncoded = frozenset(
-        index[segment(f, (1,), s, a)]
-        for f in params.files
-        for s in range(2, 7)
-        for a in CHANNELS
-    )
-    record(
-        "user1_uncoded_slice",
-        cache1.uncoded == expect_uncoded,
-        f"got {[index.segments[i] for i in sorted(cache1.uncoded)]}",
-    )
+    expect_uncoded = mask(segment(f, (1,), s, a) for f in params.files for s in range(2, 7) for a in CHANNELS)
+    record("user1_uncoded_slice", cache1.uncoded == expect_uncoded, f"got {labels(cache1.uncoded)}")
 
     expect_columns = {
         (t,): tuple(mask(w(f, t, a) for f in params.files) for a in CHANNELS) for t in range(2, 7)

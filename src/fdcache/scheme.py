@@ -22,25 +22,33 @@ Pipeline, per (N, K, r) system:
                    their files, each weighted by MIX to the sum of its swaps'
                    exponent changes.
 5. decode        - each user recovers its file from the cache (uncoded hits),
-                   by per-symbol elimination (s != k), or by aligning parities
-                   against broadcast sums (s == k), then inverts the transform.
+                   by per-symbol elimination (class 1, s != k), or by aligning
+                   parities against broadcast sums (class 2, s == k), then
+                   inverts the transform.
 
 Delivery and decoding work on int masks over the dense segment index
 (algebra.SegmentIndex), as (I mask, Q mask, e) terms whose MIX**e-weighted
-sum mix_sum forms.  Per-system set-up (prefetch, _equations,
-transformed_sum_layout) walks the segment pairs of a file through
-SegmentIndex.offsets, their one enumeration.  decode_rows walks a user's
-equations once per demand.  The segment pairs of the user's file that it
-caches uncoded (its uncoded hits) are a membership test on the cache; for
-each other pair it yields the terms over held items whose weighted sum is
-MIX**undo of the pair, read through the demand's Lift.  The identity lift
-reads each item as its mask and encodes nothing.  A lift through drawn values reads it as a payload
-value, or as its mask in the low index.size bits with its value above
-them: lift encodes each transmitted symbol once per demand, and each user's
-parities are lifted from their supports, the bit positions CacheContent
-keeps.  XOR never carries across bits, so a verifier checks a row on masks,
-payload or both with one plain mix_sum and one comparison with MIX**undo of
-the segment's lifted pair.
+sum mix_sum forms; a cache's uncoded segments are one mask too.  Per-system
+set-up (prefetch, _equations, transformed_sum_layout) walks the segment
+pairs of a file through SegmentIndex.offsets, their one enumeration.  A
+verifier reads every item through the demand's Lift.  The identity lift
+reads each item as its mask and encodes nothing.  A lift through drawn
+values reads it as a payload value, or as its mask in the low index.size
+bits with its value above them: lift encodes each transmitted symbol once
+per demand, and each user's parities are lifted from their supports, the
+bit positions CacheContent keeps.  Each symbol (s, r_plus) carries one
+class-1 row (s != k) for each member k of r_plus, and moved to one side
+every such row is the same identity: the symbol's lifted broadcast terms
+and its r+1 lifted member segments, each under MIX**e(t, s), sum to zero.
+failing_symbols checks each identity once per demand, for all its members
+(symbol_identities, the one definition of a class-1 row).  Per user,
+decode_rows then ANDs the segments the user reads uncoded (its uncoded
+hits, held as they are, and the other members' segments of its class-1
+rows) once with what its cache lacks, and yields its class-2 rows (s == k),
+each the terms over cached parities and broadcast symbols whose weighted
+sum is MIX**undo of the target pair.  XOR never carries across bits, so a
+verifier checks an identity or a row on masks, payload or both with one
+plain mix_sum and one comparison.
 """
 
 from __future__ import annotations
@@ -56,7 +64,6 @@ from .algebra import (
     MaskValues,
     Payload,
     SegmentId,
-    SegmentIndex,
     bit_positions,
     segment,
     segment_index,
@@ -112,20 +119,20 @@ def anchor_user(k: int) -> int:
 @dataclass(frozen=True)
 class CacheContent:
     """Everything user `owner` prefetches, over the dense segment index:
-    uncoded segment positions plus (I mask, Q mask) pairs of parities.
+    the mask of its uncoded segments plus (I mask, Q mask) pairs of parities.
     supports holds each stored parity's I and Q support, read once per cache
     from its own masks, so a demand's decoding lifts every parity from the
     segment values without scanning its bits again."""
 
     params: SchemeParams
     owner: int
-    uncoded: frozenset[int]
+    uncoded: int  # mask of the segments cached uncoded
     column: dict[tuple[int, ...], tuple[int, int]]  # r_set -> column parity pair
     row: dict[tuple[int, tuple[int, ...]], tuple[int, int]]  # (file, r_minus) -> row parity pair
 
     @property
     def m1(self) -> int:
-        return len(self.uncoded)
+        return self.uncoded.bit_count()
 
     @property
     def m2(self) -> int:
@@ -162,13 +169,12 @@ def prefetch(params: SchemeParams, k: int) -> CacheContent:
     if k not in params.users:
         raise ValueError(f"user {k} outside 1..{params.n_users}")
     index = segment_index(params)
-    uncoded = set()
+    uncoded = 0
     column = {}
     for r_set, s in index.offsets:
         if k in r_set:
             for f in params.files:
-                slot = index.slot(f, r_set, s)
-                uncoded.update((slot, slot + 1))  # W^I and W^Q
+                uncoded |= 3 << index.slot(f, r_set, s)  # W^I and W^Q
         elif s == k:
             mask = 0
             for f in params.files:
@@ -185,7 +191,7 @@ def prefetch(params: SchemeParams, k: int) -> CacheContent:
             for r_minus in itertools.combinations(others, params.r - 1):
                 row[(f, r_minus)] = row_parity_pair(params, k, f, r_minus)
 
-    return CacheContent(params=params, owner=k, uncoded=frozenset(uncoded), column=column, row=row)
+    return CacheContent(params=params, owner=k, uncoded=uncoded, column=column, row=row)
 
 
 @lru_cache(maxsize=None)
@@ -299,10 +305,17 @@ def mix_sum(terms: Iterable[Term]) -> tuple[int, int]:
 
     MIX maps (I, Q) to (I^Q, I) and generates a 3-cycle: MIX**2 maps (I, Q)
     to (Q, I^Q) and MIX**3 is the identity.  The ints may be masks, payload
-    values or lifted ints carrying both: MIX acts on every bit alike.  This
-    loop is the only place the map is written out.
+    values or lifted ints carrying both: MIX acts on every bit alike.  The
+    accumulators start from the first term, mixed, so no value is copied
+    into a 0 to start a sum; an empty sum is (0, 0).  This function is the
+    only place the map is written out.
     """
-    acc_i = acc_q = 0
+    terms = iter(terms)
+    acc_i, acc_q, e = next(terms, (0, 0, 0))
+    if e == 1:
+        acc_i, acc_q = acc_i ^ acc_q, acc_i
+    elif e == 2:
+        acc_i, acc_q = acc_q, acc_i ^ acc_q
     for i_val, q_val, e in terms:
         if e == 0:
             acc_i ^= i_val
@@ -497,48 +510,59 @@ def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], chan
 
 
 # ---------------------------------------------------------------------------
-# decoding: one pass of rows per (demand, user), through the demand's Lift
-
-
-# The demand-independent part of one coded target's decoding equation:
-# (offset of the target within its file, excluded user s, class, data), with
-# data (r_plus, ((i, offset of W[., r_plus - i, s]), ...)) for class 1 and
-# (r_set, ((t, parity_combination of r_set - t for each file), ...),
-# (r_set | {h}, ...)) for class 2.
-Equation = tuple[int, int, int, tuple]
-
-
-def _equation(index: SegmentIndex, k: int, r_set: tuple[int, ...], s: int) -> Equation:
-    """How user k recovers (d(k), r_set, s), k not in r_set, whatever the demand.
-
-    Class 1 (s != k): the broadcast symbol over r_set | {k} minus the
-    transformed segments of it that user k caches uncoded.  Class 2
-    (s == k): the column parity, the transformed row-parity closures of the
-    files requested inside r_set, and every broadcast symbol over r_set | {h}.
-    """
-    offset = index.slot(1, r_set, s)
-    if s != k:
-        r_plus = tuple(sorted(r_set + (k,)))
-        held = tuple((i, index.slot(1, tuple(u for u in r_plus if u != i), s)) for i in r_set)
-        return offset, s, 1, (r_plus, held)
-    params = index.params
-    closures = tuple(
-        (t, tuple(parity_combination(params, k, f, tuple(u for u in r_set if u != t)) for f in params.files))
-        for t in r_set
-    )
-    others = (h for h in params.users if h != k and h not in r_set)
-    return offset, s, 2, (r_set, closures, tuple(tuple(sorted(r_set + (h,))) for h in others))
+# decoding: one symbol pass per demand, then one pass of rows per user,
+# both through the demand's Lift
 
 
 @lru_cache(maxsize=None)
-def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[Equation, ...]]:
-    """User k's decoding of every segment pair of a file, in partition order,
-    as (hits, equations): hits holds the offsets of the pairs (., r_set, s)
-    with k in r_set, which user k caches uncoded, and equations the Equation
-    of every other pair."""
-    index = segment_index(params)
-    hits = tuple(offset for (r_set, _), offset in index.offsets.items() if k in r_set)
-    return hits, tuple(_equation(index, k, r_set, s) for r_set, s in index.offsets if k not in r_set)
+def _pair_masks(params: SchemeParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(inside, excluded) over the segment pairs of file 1: inside[u-1]
+    masks the pairs (r_set, s) with u in r_set, excluded[u-1] those with
+    s == u, both bits of each pair set."""
+    inside = [0] * params.n_users
+    excluded = [0] * params.n_users
+    for (r_set, s), offset in segment_index(params).offsets.items():
+        pair = 3 << offset
+        excluded[s - 1] |= pair
+        for u in r_set:
+            inside[u - 1] |= pair
+    return tuple(inside), tuple(excluded)
+
+
+@lru_cache(maxsize=None)
+def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """User k's decoding of a file whatever the demand, as (held, rows), in
+    file-1 coordinates: a demand moves a mask or an offset to file f by
+    shifting it (f - 1) * per_file.
+
+    held[i-1] masks the segment pairs of file d(i) that user k must cache
+    uncoded.  For i == k they are its uncoded hits, the pairs (r_set, s)
+    with k in r_set, held as they are.  For i != k they are what its class-1
+    rows (s != k, k outside r_set) read as member i's term, W[d(i);
+    r_plus - i; s] with r_plus = r_set | {k} and i in r_set: the hits whose
+    subset and excluded user both avoid i (_pair_masks).  A class-1 row is
+    its symbol's identity (failing_symbols), so holding is all it leaves per
+    user.  rows holds the class-2 row (s == k) of each r_set avoiding k, in
+    partition order, as (offset, r_set, ((t, parity_combination of r_set - t
+    for each file), ...), (r_set | {h}, ...)): the column parity, the
+    transformed row-parity closures of the files requested inside r_set, and
+    every broadcast symbol over r_set | {h}.
+    """
+    inside, excluded = _pair_masks(params)
+    hits = inside[k - 1]
+    held = tuple(hits if i == k else hits & ~(inside[i - 1] | excluded[i - 1]) for i in params.users)
+    subsets = _subsets_by_bits(params)
+    rows = []
+    for (r_set, s), offset in segment_index(params).offsets.items():
+        if s == k:
+            closures = []
+            for t in r_set:
+                r_minus = tuple(u for u in r_set if u != t)
+                closures.append((t, tuple(parity_combination(params, k, f, r_minus) for f in params.files)))
+            bits = sum(1 << u for u in r_set)
+            symbols = tuple(subsets[bits | 1 << h] for h in params.users if h != k and not bits >> h & 1)
+            rows.append((offset, r_set, tuple(closures), symbols))
+    return held, tuple(rows)
 
 
 class Lift(NamedTuple):
@@ -569,27 +593,63 @@ def lift(dset: DeliverySet, values: MaskValues | None = None) -> Lift:
     return Lift(units, values, broadcast)
 
 
+def symbol_identities(dset: DeliverySet, lifted: Lift) -> Iterator[tuple[tuple[int, tuple[int, ...]], list[Term]]]:
+    """Each broadcast symbol's identity, in delivery order, as (key, terms):
+    the symbol's lifted broadcast terms (a skipped symbol's rebuilt ones),
+    then one term MIX**e(t, s) W[d(t); r_plus - t; s] per member t of
+    r_plus, in order, each segment read as lifted.units reads it.  The terms
+    sum to zero exactly when every member's class-1 row of the symbol holds:
+    user t's row says that the other terms sum to MIX**e(t, s) of its own
+    segment pair."""
+    per_file = segment_index(dset.params).per_file
+    base = [(f - 1) * per_file for f in dset.demand]
+    exponents = dset.exponents
+    units, _, broadcast = lifted
+    for s, r_plus, _bits, layout in _symbol_layout(dset.params):
+        key = (s, r_plus)
+        terms = list(broadcast[key])
+        for t, at in layout:
+            at += base[t - 1]
+            terms.append((units[at], units[at + 1], exponents[t - 1][s - 1]))
+        yield key, terms
+
+
+def failing_symbols(dset: DeliverySet, lifted: Lift) -> list[tuple[int, tuple[int, ...]]]:
+    """The keys (s, r_plus) whose symbol identity does not sum to zero, in
+    delivery order: one check per symbol and demand decides the class-1 row
+    of the symbol of every member of r_plus."""
+    return [key for key, terms in symbol_identities(dset, lifted) if mix_sum(terms) != (0, 0)]
+
+
 def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
                 lifted: Lift) -> Iterator[tuple[int, int, list[Term]]]:
-    """User k's decoding of its file for this demand, one row per coded
-    segment pair, in partition order.
+    """User k's class-2 rows (excluded user k) for this demand, in partition
+    order, after one check that it holds every segment it reads uncoded.
 
-    The pairs of the file that user k caches uncoded (its uncoded hits) are
-    not rows: they are a membership test against cache.uncoded, made before
-    the first row.  Row (target, undo, terms) says that the mix_sum of the
-    terms is MIX**undo of the (I, Q) pair of the segments at positions
-    target and target + 1 of the dense segment index: the target as user
-    k's transform toward the excluded user leaves it, each segment read as
-    lifted.units reads it.  Each term is (I, Q, e) over something the user
-    holds (an uncoded slot, a cached column or row parity, or a transmitted
-    symbol), read through the Lift.  Unless the Lift is the identity, the
-    user's parities are lifted once, here, each from its support
-    (CacheContent.supports).
-    Raises LookupError when an equation needs an item the user does not hold.
+    Its uncoded hits and the members its class-1 rows read (_equations'
+    held masks, shifted to their files) are ANDed once with what the cache
+    lacks; a class-1 row itself is its symbol's identity, which
+    failing_symbols checks once for all users.  Row (target, undo, terms)
+    says that the mix_sum of the terms is MIX**undo of the (I, Q) pair of
+    the segments at positions target and target + 1 of the dense segment
+    index: the target as user k's transform toward itself leaves it, each
+    segment read as lifted.units reads it.  Each term is (I, Q, e) over a
+    cached column or row parity or a broadcast symbol, read through the
+    Lift.  Unless the Lift is the identity, the user's parities are lifted
+    once, here, each from its support (CacheContent.supports).
+    Raises LookupError, naming the first missing segment, when the user does
+    not hold a segment that its decoding reads uncoded.
     """
     params, demand, exponents = dset.params, dset.demand, dset.exponents
     index = segment_index(params)
-    per_file, uncoded = index.per_file, cache.uncoded
+    per_file = index.per_file
+    held, rows = _equations(params, k)
+    needed = 0
+    for mask, f in zip(held, demand):
+        needed |= mask << (f - 1) * per_file
+    missing = needed & ~cache.uncoded
+    if missing:
+        raise LookupError(f"user {k} did not cache {index.segments[(missing & -missing).bit_length() - 1].label()}")
     units, values, broadcast = lifted
     if values is None:
         column, row = cache.column, cache.row
@@ -597,32 +657,15 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
         xor_at = values.xor_at
         column, row = ({key: (xor_at(i), xor_at(q)) for key, (i, q) in supports.items()}
                        for supports in cache.supports)
-
-    def held(position: int, e: int) -> Term:
-        if position not in uncoded or position + 1 not in uncoded:
-            raise LookupError(f"user {k} did not cache {index.segments[position].label()}")
-        return units[position], units[position + 1], e
-
     base = (demand[k - 1] - 1) * per_file
-    hits, equations = _equations(params, k)
-    for offset in hits:  # held as they are, so holding them is the whole check
-        held(base + offset, 0)
-    for offset, s, kind, data in equations:
-        target = base + offset
-        undo = exponents[k - 1][s - 1]
-        if kind == 1:
-            r_plus, rests = data
-            terms = list(broadcast[(s, r_plus)])
-            for i, rest in rests:
-                terms.append(held((demand[i - 1] - 1) * per_file + rest, exponents[i - 1][s - 1]))
-        else:
-            r_set, closures, symbols = data
-            terms = [(*column[r_set], 0)]
-            for t, combinations in closures:
-                terms += closure_terms(column, row, combinations[demand[t - 1] - 1], exponents[t - 1][k - 1])
-            for r_plus in symbols:
-                terms += broadcast[(k, r_plus)]
-        yield target, undo, terms
+    undo = exponents[k - 1][k - 1]
+    for offset, r_set, closures, symbols in rows:
+        terms = [(*column[r_set], 0)]
+        for t, combinations in closures:
+            terms += closure_terms(column, row, combinations[demand[t - 1] - 1], exponents[t - 1][k - 1])
+        for r_plus in symbols:
+            terms += broadcast[(k, r_plus)]
+        yield base + offset, undo, terms
 
 
 class PayloadSource:
@@ -637,22 +680,29 @@ class PayloadSource:
 
 
 def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadSource | None = None):
-    """decode_rows on the identity lift or on source.values, transforms
-    undone, in canonical segment order; each uncoded hit is the held pair.
+    """User k's file decoded on the identity lift or on source.values,
+    transforms undone, in canonical segment order.  Each uncoded hit is the
+    held pair, each class-2 target its decode_rows row, and each class-1
+    target the identity of its symbol (symbol_identities) with user k's own
+    member term dropped.
 
     Returns [(SegmentId, int)] over every segment of the file: each int is
     the decoded mask, correct iff it is 1 << index[seg], or, with a
     PayloadSource, the decoded payload value.
+    Raises LookupError when the user does not hold what its decoding reads.
     """
     index = segment_index(dset.params)
     lifted = lift(dset, None if source is None else source.values)
-    rows = {target: (undo, terms) for target, undo, terms in decode_rows(dset, cache, k, lifted)}
     base = (dset.demand[k - 1] - 1) * index.per_file
+    pairs = {target: mix(-undo % 3, *mix_sum(terms)) for target, undo, terms in decode_rows(dset, cache, k, lifted)}
+    for (s, r_plus), terms in symbol_identities(dset, lifted):
+        if k in r_plus:
+            mine = len(terms) - len(r_plus) + r_plus.index(k)
+            target = base + index.offsets[(tuple(u for u in r_plus if u != k), s)]
+            pairs[target] = mix(-terms[mine][2] % 3, *mix_sum(terms[:mine] + terms[mine + 1:]))
     out = []
     for target in range(base, base + index.per_file, 2):
-        undo, terms = rows.get(target, (0, [(*lifted.units[target : target + 2], 0)]))
-        pair = mix(-undo % 3, *mix_sum(terms))
-        out += zip(index.segments[target : target + 2], pair)
+        out += zip(index.segments[target : target + 2], pairs.get(target, lifted.units[target : target + 2]))
     return out
 
 

@@ -198,7 +198,7 @@ def test_span_oracle_running_example_end_to_end():
     params = SchemeParams(3, 6, 1)
     cache = prefetch(params, 1)
     dset = delivery(params, (1, 1, 1, 1, 2, 3))
-    cache_rows = [1 << i for i in sorted(cache.uncoded)]
+    cache_rows = [1 << i for i in bit_positions(cache.uncoded)]
     for parities in (cache.column, cache.row):
         cache_rows += [mask for key in sorted(parities) for mask in parities[key]]
     received = [mask for key, pair in dset.pairs.items() if dset.is_transmitted(*key) for mask in pair]

@@ -16,6 +16,7 @@ from fdcache.core import (
     DemandType,
     NotFullyDemandedError,
     SchemeParams,
+    binom,
     count_demands,
     demand_type,
     enumerate_demands,
@@ -397,8 +398,9 @@ def test_verify_demand_generates_each_users_rows_once(monkeypatch):
 
 
 def test_rows_are_checked_as_they_are_made(monkeypatch):
-    # user 1's check stops at its first failing row: the rows after it are
-    # never made
+    # user 1's check stops at its first failing class-2 row: the rows after
+    # it are never made.  Symbol (1, {2, 3}) excludes user 1, so no class-1
+    # row of user 1 reads it, and the first of its five class-2 rows does
     made = []
     real = harness.decode_rows
 
@@ -409,12 +411,152 @@ def test_rows_are_checked_as_they_are_made(monkeypatch):
 
     monkeypatch.setattr(harness, "decode_rows", counted)
     dset = scheme.delivery(RUN, RUN_D)
-    key = (2, (1, 3))  # user 1 eliminates it for segment (1, {3}, 2)
+    key = (1, (2, 3))
     mask_i, mask_q = dset.pairs[key]
     flipped = dataclasses.replace(dset, pairs={**dset.pairs, key: (mask_i ^ 1, mask_q)})
-    assert not harness._decode_user_ok(flipped, harness._prefetch_all(RUN)[0], 1, scheme.lift(flipped))
-    assert 0 < len(made) < 25
+    lifted = scheme.lift(flipped)
+    failing = scheme.failing_symbols(flipped, lifted)
+    assert key in failing and not any(1 in r_plus for _, r_plus in failing)
+    assert not harness._decode_user_ok(flipped, harness._prefetch_all(RUN)[0], 1, lifted, failing)
+    assert len(made) == 1
     assert any(mask_i ^ 1 == i for i, _q, _e in made[-1][2])
+
+
+@pytest.mark.parametrize("engine", harness.ENGINES)
+def test_each_symbol_identity_is_summed_once_per_demand(monkeypatch, engine):
+    # every user's class-1 rows read one shared identity per symbol, so a
+    # demand sums K C(K-1, r+1) of them, 60 at (3,6) r=1, whatever the
+    # engine, and still makes each user's class-2 rows once
+    sums, rows = [], []
+    real_pass, real_sum, real_rows = harness.failing_symbols, scheme.mix_sum, harness.decode_rows
+
+    def counted_sum(terms):
+        sums.append(len(terms))
+        return real_sum(terms)
+
+    def counted_pass(dset, lifted):
+        with monkeypatch.context() as patch:
+            patch.setattr(scheme, "mix_sum", counted_sum)
+            return real_pass(dset, lifted)
+
+    def counted_rows(dset, cache, k, lifted):
+        rows.append(k)
+        return real_rows(dset, cache, k, lifted)
+
+    monkeypatch.setattr(harness, "failing_symbols", counted_pass)
+    monkeypatch.setattr(harness, "decode_rows", counted_rows)
+    demands = [RUN_D, (3, 2, 1, 1, 2, 3), (1, 2, 3, 3, 3, 3)]
+    for d in demands:
+        assert verify_demand(RUN, d, engine=engine, run_oracle=False).success
+    assert len(sums) == RUN.n_users * binom(RUN.n_users - 1, RUN.r + 1) * len(demands) == 60 * len(demands)
+    assert rows == list(RUN.users) * len(demands)
+
+
+def _reference_user_ok(dset, cache, k, lifted):
+    """The per-row check: user k holds each of its uncoded hits, and each
+    class-1 row (s != k), the broadcast symbol over r_set | {k} and the
+    member segments user k caches uncoded, each membership tested on
+    cache.uncoded, sums to MIX**undo of its target pair.  Class-2 rows are
+    read from decode_rows on a copy of the cache that holds every segment,
+    so holding is decided here alone."""
+    params, demand, exponents = dset.params, dset.demand, dset.exponents
+    index = segment_index(params)
+    units = lifted.units
+
+    def held(file, r_set, s):
+        return cache.uncoded >> index.slot(file, r_set, s) & 3 == 3
+
+    for r_set, s in index.offsets:
+        if k in r_set:
+            if not held(demand[k - 1], r_set, s):
+                return False
+        elif s != k:
+            r_plus = tuple(sorted(r_set + (k,)))
+            terms = list(lifted.broadcast[(s, r_plus)])
+            for i in r_set:
+                rest = tuple(u for u in r_plus if u != i)
+                if not held(demand[i - 1], rest, s):
+                    return False
+                position = index.slot(demand[i - 1], rest, s)
+                terms.append((units[position], units[position + 1], exponents[i - 1][s - 1]))
+            target = index.slot(demand[k - 1], r_set, s)
+            if scheme.mix_sum(terms) != scheme.mix(exponents[k - 1][s - 1], units[target], units[target + 1]):
+                return False
+    everything = dataclasses.replace(cache, uncoded=(1 << index.size) - 1)
+    return all(scheme.mix_sum(terms) == scheme.mix(undo, units[target], units[target + 1])
+               for target, undo, terms in scheme.decode_rows(dset, everything, k, lifted))
+
+
+def _lifts(params, dset):
+    """The identity lift, a lift through payload values, and one through
+    payload values above the masks, as the three engines lift."""
+    index = segment_index(params)
+    return (scheme.lift(dset), scheme.lift(dset, MaskValues.random(index, 4, "reference")),
+            scheme.lift(dset, MaskValues.random(index, 4, "reference", masks=True)))
+
+
+def _assert_verdicts_match_reference(params, dset, caches):
+    """The verdicts of the caches' owners, from the symbol pass and class-2
+    rows, equal _reference_user_ok's on every lift; returns how many failed."""
+    failed = 0
+    for lifted in _lifts(params, dset):
+        failing = scheme.failing_symbols(dset, lifted)
+        got = [harness._decode_user_ok(dset, cache, cache.owner, lifted, failing) for cache in caches]
+        assert got == [_reference_user_ok(dset, cache, cache.owner, lifted) for cache in caches]
+        failed += got.count(False)
+    return failed
+
+
+def test_verdicts_equal_the_per_row_reference():
+    # sampled demands of every system of the sweeps and of (3,8) r=1
+    for system in harness.SWEEP_MATRIX + ((3, 8, 1),):
+        params = SchemeParams(*system)
+        caches = harness._prefetch_all(params)
+        for d in sample_fully_demanded(params, 10):
+            assert _assert_verdicts_match_reference(params, scheme.delivery(params, d), caches) == 0
+
+
+def _faulty_caches(params, cache):
+    """Copies of a cache with one uncoded position removed, for each of its
+    positions, and with a stray bit in one channel of one cached parity, for
+    each channel of each parity."""
+    top = segment_index(params).size - 1
+    faulty = [dataclasses.replace(cache, uncoded=cache.uncoded & ~(1 << position))
+              for position in algebra.bit_positions(cache.uncoded)]
+    for field in ("column", "row"):
+        parities = getattr(cache, field)
+        for key, pair in parities.items():
+            for channel in range(2):
+                bad = list(pair)
+                bad[channel] ^= 1 << (top - channel)
+                faulty.append(dataclasses.replace(cache, **{field: {**parities, key: tuple(bad)}}))
+    assert len(faulty) == cache.size
+    return faulty
+
+
+def test_faulty_verdicts_equal_the_per_row_reference():
+    # (3,6) r=1: a stray bit in each channel of each transmitted pair; then
+    # (3,6) r=1 and (4,6) r=2, where a hit's subset can hold a second user:
+    # user 1's cache with each uncoded position removed and with each channel
+    # of each cached parity given a stray bit
+    index = segment_index(RUN)
+    dset = scheme.delivery(RUN, RUN_D)
+    caches = harness._prefetch_all(RUN)
+    stray = 1 << index[segment(3, (4,), 5, "I")]
+    failed = 0
+    for key in dset.pairs:
+        if dset.is_transmitted(*key):
+            for channel in range(2):
+                pair = list(dset.pairs[key])
+                pair[channel] ^= stray << channel
+                flipped = dataclasses.replace(dset, pairs={**dset.pairs, key: tuple(pair)})
+                failed += _assert_verdicts_match_reference(RUN, flipped, caches)
+    for params, d in ((RUN, RUN_D), (SchemeParams(4, 6, 2), (1, 1, 2, 2, 3, 4))):
+        dset = scheme.delivery(params, d)
+        caches = harness._prefetch_all(params)
+        for cache in _faulty_caches(params, caches[0]):  # no other user reads user 1's cache
+            failed += _assert_verdicts_match_reference(params, dset, (cache,))
+    assert failed > 500
 
 
 def test_symbolic_engine_draws_no_payload(monkeypatch):
@@ -809,10 +951,11 @@ def test_lifting_holds_each_payload_value_once():
 def test_payload_value_xors_pinned(monkeypatch):
     # every XOR a 64 KiB payload value takes part in is a 64 KiB copy: count
     # them for one demand, with counting ints as the segment values, in the
-    # lift and in the users' row checks.  Uncoded hits are no rows and
-    # parities are lifted with no 0-seeded copy; the rows still count the
-    # 0-seeded start of each mix_sum and MIX**undo of each target's values
-    xors = {"lift": 0, "rows": 0}
+    # lift, in the one symbol pass and in the users' class-2 rows.  Uncoded
+    # hits are no rows, parities are lifted with no 0-seeded copy, and each
+    # mix_sum starts from its first term; the rows still count MIX**undo of
+    # each target's values
+    xors = {"lift": 0, "symbols": 0, "rows": 0}
     phase = []
 
     class Counting(int):
@@ -822,7 +965,8 @@ def test_payload_value_xors_pinned(monkeypatch):
 
         __rxor__ = __xor__
 
-    draw, lift, decode_user_ok = MaskValues.random.__func__, harness.lift, harness._decode_user_ok
+    draw, lift, symbols = MaskValues.random.__func__, harness.lift, harness.failing_symbols
+    decode_user_ok = harness._decode_user_ok
 
     def counted(name, call):
         def wrapped(*args):
@@ -839,9 +983,10 @@ def test_payload_value_xors_pinned(monkeypatch):
 
     monkeypatch.setattr(MaskValues, "random", classmethod(counting_values))
     monkeypatch.setattr(harness, "lift", counted("lift", lift))
+    monkeypatch.setattr(harness, "failing_symbols", counted("symbols", symbols))
     monkeypatch.setattr(harness, "_decode_user_ok", counted("rows", decode_user_ok))
     assert verify_demand(RUN, RUN_D, engine="payload", run_oracle=False).success
-    assert xors == {"lift": 260, "rows": 1944}
+    assert xors == {"lift": 260, "symbols": 352, "rows": 980}
 
 
 def test_verify_demand_refuses_a_payload_past_the_ceiling(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import operator
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -18,6 +19,7 @@ from fdcache.scheme import (
     decode_file,
     decode_rows,
     delivery,
+    failing_symbols,
     file_segments,
     lift,
     mix,
@@ -29,6 +31,7 @@ from fdcache.scheme import (
     reconstructed_pair,
     row_parity_closure,
     skip_combination,
+    symbol_identities,
     transform_exponents,
     transformed_sum_identity,
 )
@@ -53,6 +56,11 @@ def decoded_pair(rows, unit_i):
         if 1 << target == unit_i:
             return mix(-undo % 3, *mix_sum(terms))
     raise KeyError(unit_i)
+
+
+def user_ok(dset, cache, k, lifted):
+    """User k's verdict on the lift, after the demand's one symbol pass."""
+    return _decode_user_ok(dset, cache, k, lifted, failing_symbols(dset, lifted))
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +194,16 @@ def test_mix_group_law(e1, e2, i, q):
     # delivery, skip reconstruction and plan compilation add exponents mod 3
     assert mix(0, i, q) == (i, q)
     assert mix(e2, *mix(e1, i, q)) == mix((e1 + e2) % 3, i, q)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**70), st.integers(0, 2**70), st.integers(0, 2)), max_size=6))
+def test_mix_sum_is_the_xor_of_mixed_terms(terms):
+    # MIX**e as its matrix over GF(2): e = 1 maps (I, Q) to (I^Q, I), e = 2 to (Q, I^Q)
+    want_i = want_q = 0
+    for i, q, e in terms:
+        want_i ^= (i, i ^ q, q)[e]
+        want_q ^= (q, i, i ^ q)[e]
+    assert mix_sum(terms) == mix_sum(iter(terms)) == (want_i, want_q)
 
 
 def test_mix_matrices_are_mutual_inverses():
@@ -348,11 +366,17 @@ def test_reconstruction_full_sweep_four_six_r1():
 
 
 def test_decode_class1_worked_case(run_delivery, run_caches):
+    # user 1's class-1 row for (1, {2}, 3) is the identity of symbol
+    # (3, {1, 2}): its broadcast pair, then the transformed member segments
     target = unit_pair(1, (2,), 3)
-    rows = decode_rows(run_delivery, run_caches[1], 1, lift(run_delivery))
-    assert decoded_pair(rows, target[0]) == target
-    # the elimination identity behind it, on transformed masks
     exponents = run_delivery.exponents
+    terms = dict(symbol_identities(run_delivery, lift(run_delivery)))[(3, (1, 2))]
+    assert terms == [(*run_delivery.pairs[(3, (1, 2))], 0),
+                     (*target, exponents[1 - 1][3 - 1]), (*unit_pair(1, (1,), 3), exponents[2 - 1][3 - 1])]
+    assert mix_sum(terms) == (0, 0)
+    decoded = dict(decode_file(run_delivery, run_caches[1], 1))
+    assert tuple(decoded[segment(1, (2,), 3, channel)] for channel in CHANNELS) == target
+    # the elimination identity behind it, on transformed masks
     y_i = run_delivery.pairs[(3, (1, 2))][0]
     cached_i = mix(exponents[2 - 1][3 - 1], *unit_pair(1, (1,), 3))[0]
     target_i = mix(exponents[1 - 1][3 - 1], *target)[0]
@@ -360,12 +384,18 @@ def test_decode_class1_worked_case(run_delivery, run_caches):
 
 
 def test_decode_class1_r0_boundary():
+    # with r = 0 a symbol carries one segment, so its identity has no member
+    # but the target's
     params = SchemeParams(2, 2, 0)
     d = (1, 2)
     dset = delivery(params, d)
     cache = prefetch(params, 2)
     target = unit_pair(2, (), 1, params)
-    assert decoded_pair(decode_rows(dset, cache, 2, lift(dset)), target[0]) == target
+    terms = dict(symbol_identities(dset, lift(dset)))[(1, (2,))]
+    assert terms == [(*dset.pairs[(1, (2,))], 0), (*target, dset.exponents[2 - 1][1 - 1])]
+    assert mix_sum(terms) == (0, 0)
+    decoded = dict(decode_file(dset, cache, 2))
+    assert tuple(decoded[segment(2, (), 1, channel)] for channel in CHANNELS) == target
     assert dset.pairs[(1, (2,))][0] == target[0]
 
 
@@ -447,16 +477,23 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
     both = _lifted(run_delivery, masks=True)
     index = segment_index(RUN)
     size = index.size
+    lifts = (lift(run_delivery), _lifted(run_delivery), both)
+    for lifted in lifts:  # 60 symbols, one identity each, shared by their members
+        identities = dict(symbol_identities(run_delivery, lifted))
+        assert len(identities) == 60 and all(mix_sum(terms) == (0, 0) for terms in identities.values())
     for k in RUN.users:
         rows = list(decode_rows(run_delivery, run_caches[k], k, lift(run_delivery)))
         targets = [target for target, _undo, _terms in rows]
         assert targets == sorted(targets)
-        # 60 segments of the file, 30 I/Q pairs: a row for each coded pair,
-        # and the user's uncoded hits, which are no rows
+        # 60 segments of the file, 30 I/Q pairs: a class-2 row for each pair
+        # whose excluded user is k, a symbol identity for each other coded
+        # pair, and the user's uncoded hits, which are neither
         pairs = range((RUN_D[k - 1] - 1) * index.per_file, RUN_D[k - 1] * index.per_file, 2)
-        hits = [target for target in pairs if target in run_caches[k].uncoded]
-        assert (len(rows), len(hits)) == (25, 5)
-        assert sorted(targets + hits) == list(pairs)
+        hits = [target for target in pairs if run_caches[k].uncoded >> target & 3 == 3]
+        class1 = [index.slot(RUN_D[k - 1], tuple(u for u in r_plus if u != k), s)
+                  for s, r_plus in run_delivery.pairs if k in r_plus]
+        assert (len(rows), len(class1), len(hits)) == (5, 20, 5)
+        assert sorted(targets + class1 + hits) == list(pairs)
         lifted_rows = decode_rows(run_delivery, run_caches[k], k, both)
         for (target, undo, terms), (_target, _undo, lifted_terms) in zip(rows, lifted_rows):
             unit = mix(undo, 1 << target, 2 << target)
@@ -464,9 +501,8 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
             # the lifted sum is the value sum above the mask sum
             value_pair = mix(undo, values[1 << target], values[2 << target])
             assert mix_sum(lifted_terms) == tuple(v << size | m for v, m in zip(value_pair, unit))
-        assert _decode_user_ok(run_delivery, run_caches[k], k, lift(run_delivery))
-        assert _decode_user_ok(run_delivery, run_caches[k], k, _lifted(run_delivery))
-        assert _decode_user_ok(run_delivery, run_caches[k], k, both)
+        for lifted in lifts:
+            assert user_ok(run_delivery, run_caches[k], k, lifted)
 
 
 def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches):
@@ -474,13 +510,16 @@ def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches
     key = (2, (1, 3))  # user 1 eliminates it for segment (1, {3}, 2)
     assert run_delivery.is_transmitted(*key)
     mask_i, mask_q = run_delivery.pairs[key]
-    assert _reads(decode_rows(run_delivery, run_caches[1], 1, lift(run_delivery)), mask_i)
     position = index[segment(3, (4,), 5, "I")]
     values = _payload_values()
     assert values.segment_values[position] != 0
     flipped = dataclasses.replace(run_delivery, pairs={**run_delivery.pairs, key: (mask_i ^ (1 << position), mask_q)})
-    assert not _decode_user_ok(flipped, run_caches[1], 1, lift(flipped))
-    assert not _decode_user_ok(flipped, run_caches[1], 1, _lifted(flipped))
+    for lifted in (lift(flipped), _lifted(flipped)):
+        # the skipped (2, {3, 4}) is rebuilt from it, so its identity fails too
+        failing = failing_symbols(flipped, lifted)
+        assert failing == [key, (2, (3, 4))]
+        assert [bad for bad in failing if 1 in bad[1]] == [key]
+        assert not _decode_user_ok(flipped, run_caches[1], 1, lifted, failing)
 
 
 def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
@@ -491,8 +530,8 @@ def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
     corrupted = dataclasses.replace(cache, column={**cache.column, (2,): (mask_i ^ stray, mask_q)})
     values = _payload_values()
     assert values[stray] != 0
-    assert not _decode_user_ok(run_delivery, corrupted, 1, lift(run_delivery))
-    assert not _decode_user_ok(run_delivery, corrupted, 1, _lifted(run_delivery))
+    assert not user_ok(run_delivery, corrupted, 1, lift(run_delivery))
+    assert not user_ok(run_delivery, corrupted, 1, _lifted(run_delivery))
 
 
 def test_corrupted_skipped_symbol_is_never_read(run_delivery, run_caches):
@@ -505,7 +544,8 @@ def test_corrupted_skipped_symbol_is_never_read(run_delivery, run_caches):
     stray = unit(3, (4,), 5, "I")
     flipped = dataclasses.replace(run_delivery, pairs={**run_delivery.pairs, key: (mask_i ^ stray, mask_q)})
     for lifted in (lift(flipped), _lifted(flipped), _lifted(flipped, masks=True)):
-        assert all(_decode_user_ok(flipped, run_caches[k], k, lifted) for k in RUN.users)
+        assert failing_symbols(flipped, lifted) == []
+        assert all(user_ok(flipped, run_caches[k], k, lifted) for k in RUN.users)
     assert _oracle_flags(RUN, flipped) == [True] * 6
 
 
@@ -543,22 +583,29 @@ def test_lift_matches_the_broadcast_terms():
 
 
 def test_plan_needs_every_uncoded_slot(run_delivery, run_caches):
-    cache = run_caches[1]
-    missing = dataclasses.replace(cache, uncoded=cache.uncoded - {segment_index(RUN)[segment(1, (1,), 2, "Q")]})
-    with pytest.raises(LookupError):
-        list(decode_rows(run_delivery, missing, 1, lift(run_delivery)))
-    assert not _decode_user_ok(run_delivery, missing, 1, _lifted(run_delivery, masks=True))
+    # W^Q[1; {1}; 2] is one of user 1's uncoded hits; W^Q[1; {5}; 2] is no
+    # hit of user 5, who requests file 2: only its class-1 rows read it, as
+    # the member term of a file-1 user u in symbol (2, {u, 5})
+    index = segment_index(RUN)
+    for k, seg in ((1, segment(1, (1,), 2, "Q")), (5, segment(1, (5,), 2, "Q"))):
+        cache = run_caches[k]
+        missing = dataclasses.replace(cache, uncoded=cache.uncoded & ~(1 << index[seg]))
+        with pytest.raises(LookupError, match=re.escape(seg.label())):
+            list(decode_rows(run_delivery, missing, k, lift(run_delivery)))
+        with pytest.raises(LookupError):
+            decode_file(run_delivery, missing, k)
+        assert not user_ok(run_delivery, missing, k, _lifted(run_delivery, masks=True))
 
 
 def test_plan_needs_every_uncoded_hit(run_delivery, run_caches):
     # user 5 alone requests file 2, so no row reads its uncoded hit
-    # (2, {5}, 1): only the membership test sees it missing
+    # (2, {5}, 1): only the holding check sees it missing
     cache = run_caches[5]
-    missing = dataclasses.replace(cache, uncoded=cache.uncoded - {segment_index(RUN)[segment(2, (5,), 1, "Q")]})
+    missing = dataclasses.replace(cache, uncoded=cache.uncoded & ~(1 << segment_index(RUN)[segment(2, (5,), 1, "Q")]))
     with pytest.raises(LookupError):
         next(decode_rows(run_delivery, missing, 5, lift(run_delivery)))
-    assert not _decode_user_ok(run_delivery, missing, 5, lift(run_delivery))
-    assert not _decode_user_ok(run_delivery, missing, 5, _lifted(run_delivery, masks=True))
+    assert not user_ok(run_delivery, missing, 5, lift(run_delivery))
+    assert not user_ok(run_delivery, missing, 5, _lifted(run_delivery, masks=True))
 
 
 # ---------------------------------------------------------------------------
