@@ -96,9 +96,12 @@ class SegmentIndex:
     channel): each file owns per_file consecutive positions, each r-subset
     2(K-r) of them in lexicographic subset order, each excluded user outside
     the subset two in ascending order, and Q follows I.  offsets keys each
-    (r-subset, excluded user) pair in that order; segments, and scheme's
-    prefetch, decoding equations and transformed-sum layout, walk the
-    segment pairs of a file through it instead of enumerating them.
+    (r-subset, excluded user) pair in that order, the one enumeration of
+    segment pairs, and the same walk builds inside and excluded: per user,
+    the pairs of file 1 whose subset holds it and those that exclude it.
+    Every cache mask and the transformed-sum family of scheme are ANDs of
+    them, kept to i_bits where one channel is meant and moved to other files
+    by a shift or by in_every_file.
     """
 
     def __init__(self, params: SchemeParams):
@@ -106,12 +109,21 @@ class SegmentIndex:
         width = 2 * (params.n_users - params.r)
         self.per_file = width * binom(params.n_users, params.r)
         self.size = params.n_files * self.per_file
+        self.i_bits = ((1 << self.per_file) - 1) // 3  # the I bit of every pair of file 1: 0b0101...01
+        self._file_starts = ((1 << self.size) - 1) // ((1 << self.per_file) - 1)  # bit (f - 1) * per_file per file
         # (r-subset, excluded user) -> I position within a file: the one enumeration of segment pairs
         self.offsets: dict[tuple[tuple[int, ...], int], int] = {}
+        # inside[u-1] and excluded[u-1] mask the pairs (r_set, s) of file 1 with u in r_set and with
+        # s == u, both bits of each pair
+        inside, excluded = [0] * params.n_users, [0] * params.n_users
         for rank, r_set in enumerate(itertools.combinations(params.users, params.r)):
             outside = (s for s in params.users if s not in r_set)
             for place, s in enumerate(outside):
-                self.offsets[(r_set, s)] = rank * width + 2 * place
+                offset = self.offsets[(r_set, s)] = rank * width + 2 * place
+                excluded[s - 1] |= 3 << offset
+                for u in r_set:
+                    inside[u - 1] |= 3 << offset
+        self.inside, self.excluded = tuple(inside), tuple(excluded)
 
     def slot(self, file: int, r_set: tuple[int, ...], excluded: int) -> int:
         """Position of W^I[file; r_set; excluded]; W^Q sits at the next one."""
@@ -137,6 +149,11 @@ class SegmentIndex:
         """The unit mask 1 << i of every position i."""
         return tuple(1 << i for i in range(self.size))
 
+    def in_every_file(self, mask: int) -> int:
+        """A file-1 mask placed in every file: the product with one bit per
+        file start copies it per_file apart, and the copies never carry."""
+        return mask * self._file_starts
+
 
 # ceiling on the segments of one system: the unit masks alone take about
 # size**2 / 16 bytes, 16 MiB here, and every mask of the scheme is size bits wide
@@ -150,7 +167,10 @@ MAX_SYMBOL_SEGMENTS = 2**28
 # every user's decoding equations and row-parity closures take about r steps
 # per segment pair, so near r = K-1 set-up grows like N K^3 while the segments
 # grow like N K ((1,25,22), at 7.9e6, builds and verifies its first demand in
-# about 6 s, the slowest system inside the three ceilings)
+# about 6 s, the slowest system inside the three ceilings).  The oracle keeps
+# one pre-eliminated cache basis per user for the process (harness._cache_spans),
+# up to about K size^2 / 8 bytes: one symbolic verify with the oracle peaks at
+# 584 MiB RSS at (16,23,21) and 460 MiB at (1,25,22), bounded by these ceilings
 MAX_SETUP_STEPS = 2**23
 
 

@@ -60,7 +60,6 @@ from .scheme import (
     row_parity_pair,
     transform_exponents,
     transformed_sum_identity,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
-    transformed_sum_layout,
     transformed_sum_residual,
 )
 
@@ -410,10 +409,11 @@ def identity_suite(
     delivery_redundancy's weighted zero-sum is MIX**h(leaders) of their
     difference, so one comparison decides both; both stay so that reports
     keep their shape.  The transformed-sum family makes one wide
-    transformed_sum_residual per demand and reads each (s, r_set) block of
-    it only when the residual is nonzero.
+    transformed_sum_residual per demand, two checks per segment pair, and
+    reads each (s, r_set) block of it, the pair's bits in every file, only
+    when the residual is nonzero.
     """
-    segment_index(params)  # refuses an oversized system before sampling
+    index = segment_index(params)  # refuses an oversized system before sampling
     if demands is None:
         if samples < 1:
             raise UsageError(f"samples must be >= 1, got {samples}")
@@ -440,7 +440,6 @@ def identity_suite(
     reconstruction_failures = []
     sum_checked = 0
     sum_failures = []
-    blocks = transformed_sum_layout(params)[1]
     for d in demands:
         dset = delivery(params, d)
         pairs = dset.pairs
@@ -454,9 +453,11 @@ def identity_suite(
                 redundancy_failures.append(f"d={tag} s={s} block={tuple(sorted(dset.leaders[s].union(r_plus)))}")
                 _compare_pairs(got, want, reconstruction_failures, f"d={tag} s={s} subset={r_plus}")
         residual_i, residual_q = transformed_sum_residual(params, d, dset.exponents)
-        sum_checked += 2 * len(blocks)
+        sum_checked += 2 * len(index.offsets)
         if residual_i or residual_q:
-            for (s, r_set), block in blocks.items():
+            # stable: r_set order kept within each excluded user s
+            for (r_set, s), offset in sorted(index.offsets.items(), key=lambda item: item[0][1]):
+                block = index.in_every_file(3 << offset)
                 got = (residual_i & block, residual_q & block)
                 if got != (0, 0):
                     _compare_pairs(got, (0, 0), sum_failures, f"d={tag} s={s} subset={r_set}")

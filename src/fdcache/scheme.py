@@ -28,9 +28,11 @@ Pipeline, per (N, K, r) system:
 
 Delivery and decoding work on int masks over the dense segment index
 (algebra.SegmentIndex), as (I mask, Q mask, e) terms whose MIX**e-weighted
-sum mix_sum forms; a cache's uncoded segments are one mask too.  Per-system
-set-up (prefetch, _equations, transformed_sum_layout) walks the segment
-pairs of a file through SegmentIndex.offsets, their one enumeration.  A
+sum mix_sum forms; a cache's uncoded segments are one mask too.  The
+segment layout lives in SegmentIndex: offsets is the one enumeration of a
+file's segment pairs, and every cache mask (prefetch, row_parity_pair),
+held mask (_equations) and the transformed-sum residual is built from its
+per-user pair masks inside and excluded, with no walk per file.  A
 verifier reads every item through the demand's Lift.  The identity lift
 reads each item as its mask and encodes nothing.  A lift through drawn
 values reads it as a payload value, or as its mask in the low index.size
@@ -163,22 +165,19 @@ class CacheContent:
 def prefetch(params: SchemeParams, k: int) -> CacheContent:
     """Build user k's cache: uncoded slice, column parities, pruned row parities.
 
+    The uncoded slice is every pair whose subset holds k, in every file.
     Column parity r_set XORs the segments tagged (r_set, excluded=k) over all
-    files; row parity (file, r_minus) is row_parity_pair.
+    files: that pair's I bit in every file.  Row parity (file, r_minus) is
+    row_parity_pair.
     """
     if k not in params.users:
         raise ValueError(f"user {k} outside 1..{params.n_users}")
     index = segment_index(params)
-    uncoded = 0
+    uncoded = index.in_every_file(index.inside[k - 1])
     column = {}
-    for r_set, s in index.offsets:
-        if k in r_set:
-            for f in params.files:
-                uncoded |= 3 << index.slot(f, r_set, s)  # W^I and W^Q
-        elif s == k:
-            mask = 0
-            for f in params.files:
-                mask |= 1 << index.slot(f, r_set, k)
+    for (r_set, s), offset in index.offsets.items():
+        if s == k:
+            mask = index.in_every_file(1 << offset)
             column[r_set] = (mask, mask << 1)
 
     # only files >= 2 and subsets avoiding the anchor peer are stored
@@ -239,13 +238,13 @@ def parity_combination(
 @lru_cache(maxsize=None)
 def row_parity_pair(params: SchemeParams, k: int, file: int, r_minus: tuple[int, ...]) -> tuple[int, int]:
     """(I, Q) masks of row parity (file, r_minus) of user k: the XOR over
-    completions u of the file's segments tagged ({u} | r_minus, k)."""
+    completions u of the file's segments tagged ({u} | r_minus, k).  Those
+    are the pairs that exclude k and whose subset holds all of r_minus."""
     index = segment_index(params)
-    taken = {k, *r_minus}
-    mask = 0
-    for u in params.users:
-        if u not in taken:
-            mask |= 1 << index.slot(file, tuple(sorted((*r_minus, u))), k)
+    mask = index.excluded[k - 1] & index.i_bits
+    for u in r_minus:
+        mask &= index.inside[u - 1]
+    mask <<= (file - 1) * index.per_file
     return mask, mask << 1
 
 
@@ -395,12 +394,12 @@ def _symbol_layout(
     W^I[1; r_plus - t; s]), ...)), the user bits sum(1 << u) over u in
     r_plus.  A demand moves each position to file d(t) by adding
     (d(t) - 1) * per_file."""
-    index = segment_index(params)
+    offsets = segment_index(params).offsets
+    # the subsets of all users that avoid s are those of the others, in order
     return tuple(
-        (s, r_plus, sum(1 << u for u in r_plus),
-         tuple((t, index.slot(1, tuple(u for u in r_plus if u != t), s)) for t in r_plus))
+        (s, r_plus, bits, tuple((t, offsets[(tuple(u for u in r_plus if u != t), s)]) for t in r_plus))
         for s in params.users
-        for r_plus in itertools.combinations([u for u in params.users if u != s], params.r + 1)
+        for bits, r_plus in _subsets_by_bits(params).items() if not bits >> s & 1
     )
 
 
@@ -515,21 +514,6 @@ def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], chan
 
 
 @lru_cache(maxsize=None)
-def _pair_masks(params: SchemeParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(inside, excluded) over the segment pairs of file 1: inside[u-1]
-    masks the pairs (r_set, s) with u in r_set, excluded[u-1] those with
-    s == u, both bits of each pair set."""
-    inside = [0] * params.n_users
-    excluded = [0] * params.n_users
-    for (r_set, s), offset in segment_index(params).offsets.items():
-        pair = 3 << offset
-        excluded[s - 1] |= pair
-        for u in r_set:
-            inside[u - 1] |= pair
-    return tuple(inside), tuple(excluded)
-
-
-@lru_cache(maxsize=None)
 def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
     """User k's decoding of a file whatever the demand, as (held, rows), in
     file-1 coordinates: a demand moves a mask or an offset to file f by
@@ -540,7 +524,7 @@ def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[tup
     with k in r_set, held as they are.  For i != k they are what its class-1
     rows (s != k, k outside r_set) read as member i's term, W[d(i);
     r_plus - i; s] with r_plus = r_set | {k} and i in r_set: the hits whose
-    subset and excluded user both avoid i (_pair_masks).  A class-1 row is
+    subset and excluded user both avoid i (index pair masks).  A class-1 row is
     its symbol's identity (failing_symbols), so holding is all it leaves per
     user.  rows holds the class-2 row (s == k) of each r_set avoiding k, in
     partition order, as (offset, r_set, ((t, parity_combination of r_set - t
@@ -548,12 +532,13 @@ def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[tup
     transformed row-parity closures of the files requested inside r_set, and
     every broadcast symbol over r_set | {h}.
     """
-    inside, excluded = _pair_masks(params)
+    index = segment_index(params)
+    inside, excluded = index.inside, index.excluded
     hits = inside[k - 1]
     held = tuple(hits if i == k else hits & ~(inside[i - 1] | excluded[i - 1]) for i in params.users)
     subsets = _subsets_by_bits(params)
     rows = []
-    for (r_set, s), offset in segment_index(params).offsets.items():
+    for (r_set, s), offset in index.offsets.items():
         if s == k:
             closures = []
             for t in r_set:
@@ -710,45 +695,28 @@ def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadS
 # whole-demand identity
 
 
-@lru_cache(maxsize=None)
-def transformed_sum_layout(
-    params: SchemeParams,
-) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, tuple[int, ...]], int]]:
-    """The demand-independent part of the transformed-sum identity: (columns,
-    blocks).  columns[s-1][f-1] holds the I bit of segment (f, r_set, s) for
-    every r-subset r_set avoiding s.  blocks maps each such (s, r_set), s
-    ascending and r_set in combination order, to the I and Q bits of its
-    segments over all files; no two blocks share a bit."""
-    index = segment_index(params)
-    columns = [[0] * params.n_files for _ in params.users]
-    blocks = {}
-    for r_set, s in sorted(index.offsets, key=lambda pair: pair[1]):  # stable: r_set order kept
-        block = 0
-        for f in params.files:
-            slot = index.slot(f, r_set, s)
-            columns[s - 1][f - 1] |= 1 << slot
-            block |= 3 << slot
-        blocks[(s, r_set)] = block
-    return tuple(map(tuple, columns)), blocks
-
-
 def transformed_sum_residual(params: SchemeParams, demand: Demand,
                              exponents: Sequence[Sequence[int]]) -> tuple[int, int]:
     """(I, Q) masks of the transformed-sum identity of every (s, r_set) at
     once, with exponents[t-1][s-1] the transform of user t toward s.
 
-    Restricted to the block of (s, r_set) (transformed_sum_layout) it is the
-    XOR of the transformed (d(t), r_set, s) segments over ALL users t and the
-    column parity (r_set, s) over files, which the identity says is zero: per
-    file, the special/mix split cancels.  Each term's bits lie in the I/Q
-    pairs of its own blocks, MIX acts inside each pair and blocks never
-    overlap, so one mix_sum of K(K+N) wide terms checks every block.
+    Restricted to the block of (s, r_set), its pair's I and Q bits in every
+    file, it is the XOR of the transformed (d(t), r_set, s) segments over
+    ALL users t and the column parity (r_set, s) over files, which the
+    identity says is zero: per file, the special/mix split cancels.  Blocks
+    never overlap and MIX acts inside each pair, so one mix_sum of K*K+1
+    wide terms checks every block: every I bit, the column parities of all
+    blocks (each pair excludes one user), and per (t, s) the I bits of
+    SegmentIndex.excluded[s-1] in file d(t).
     """
-    columns, _ = transformed_sum_layout(params)
-    terms = [(mask, mask << 1, 0) for column in columns for mask in column]
-    for s, column in enumerate(columns):
+    index = segment_index(params)
+    every_i = index.in_every_file(index.i_bits)
+    terms = [(every_i, every_i << 1, 0)]
+    for s, excluded in enumerate(index.excluded):
+        column = excluded & index.i_bits
         for t, f in enumerate(demand):
-            terms.append((column[f - 1], column[f - 1] << 1, exponents[t][s]))
+            mask = column << (f - 1) * index.per_file
+            terms.append((mask, mask << 1, exponents[t][s]))
     return mix_sum(terms)
 
 
@@ -759,5 +727,6 @@ def transformed_sum_identity(params: SchemeParams, d: Sequence[int], s: int, r_s
     idx = CHANNELS.index(channel)
     if s in r_set:
         raise ValueError(f"excluded user {s} inside subset {r_set}")
-    block = transformed_sum_layout(params)[1][(s, tuple(sorted(r_set)))]
+    index = segment_index(params)
+    block = index.in_every_file(3 << index.offsets[(tuple(sorted(r_set)), s)])
     return transformed_sum_residual(params, demand, transform_exponents(params, demand))[idx] & block == 0

@@ -30,6 +30,7 @@ from fdcache.scheme import (
     reconstruct_skipped,
     reconstructed_pair,
     row_parity_closure,
+    row_parity_pair,
     skip_combination,
     symbol_identities,
     transform_exponents,
@@ -728,3 +729,51 @@ def test_cache_component_count_formulas():
                 assert cache.m1 == 2 * n_files * binom(k_users - 1, r - 1) * (k_users - r)
                 assert cache.m2 == 2 * binom(k_users - 1, r)
                 assert cache.m3 == 2 * (n_files - 1) * binom(k_users - 2, r - 1)
+
+
+def _reference_cache_masks(params, k):
+    """User k's cache masks built segment by segment through segment() and
+    the index: (uncoded mask, {r_set: column I mask}, {(file, r_minus): row
+    I mask}), the rows over every file and every (r-1)-subset avoiding k,
+    stored or not."""
+    index = segment_index(params)
+    uncoded, column, row = 0, {}, {}
+    for r_set in itertools.combinations(params.users, params.r):
+        for s in params.users:
+            if s in r_set:
+                continue
+            if k in r_set:
+                for f in params.files:
+                    for channel in CHANNELS:
+                        uncoded |= 1 << index[segment(f, r_set, s, channel)]
+            elif s == k:
+                column[r_set] = sum(1 << index[segment(f, r_set, k, "I")] for f in params.files)
+    if params.r:
+        others = [u for u in params.users if u != k]
+        for f in params.files:
+            for r_minus in itertools.combinations(others, params.r - 1):
+                completions = [u for u in others if u not in r_minus]
+                row[(f, r_minus)] = sum(1 << index[segment(f, (*r_minus, u), k, "I")] for u in completions)
+    return uncoded, column, row
+
+
+def test_cache_masks_match_the_per_segment_reference():
+    # every system with K <= 6 and every user: the masks prefetch and
+    # row_parity_pair build from the index's pair masks, against masks
+    # built one segment at a time
+    rows = 0
+    for k_users in range(1, 7):
+        for n_files in range(1, k_users + 1):
+            for r in range(k_users):
+                params = SchemeParams(n_files, k_users, r)
+                for k in params.users:
+                    uncoded, column, row = _reference_cache_masks(params, k)
+                    cache = prefetch(params, k)
+                    assert cache.uncoded == uncoded
+                    assert list(cache.column.items()) == [(r_set, (i, i << 1)) for r_set, i in column.items()]
+                    pairs = {key: (i, i << 1) for key, i in row.items()}
+                    assert {key: row_parity_pair(params, k, *key) for key in pairs} == pairs
+                    assert cache.row.keys() <= pairs.keys()
+                    assert cache.row == {key: pairs[key] for key in cache.row}
+                    rows += len(pairs)
+    assert rows > 1000, rows

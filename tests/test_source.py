@@ -1,9 +1,13 @@
 """Checks on the library's source text."""
 
 import ast
+import importlib
 import pathlib
+import re
+from functools import reduce
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fdcache"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def test_library_has_no_assert():
@@ -54,3 +58,20 @@ def test_library_imports_are_used():
                     if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                         unread.append(f"{path.relative_to(PACKAGE)}:{alias.lineno}:{name}")
     assert unread == []
+
+
+def test_readme_names_resolve():
+    # a backticked module-qualified name, such as `scheme.lift` or
+    # `harness.SWEEP_LIMIT`, must name something the package has, so a
+    # deleted name cannot stay quoted; a file name such as `scheme.py` is no name
+    modules = "|".join(path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__")
+    names = set(re.findall(rf"`((?:{modules})(?:\.\w+)+)", README.read_text(encoding="utf-8")))
+    assert names
+    unresolved = []
+    for name in sorted(name for name in names if not name.endswith(".py")):
+        module, *attributes = name.split(".")
+        try:
+            reduce(getattr, attributes, importlib.import_module(f"fdcache.{module}"))
+        except AttributeError:
+            unresolved.append(name)
+    assert unresolved == []
