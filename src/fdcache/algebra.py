@@ -167,7 +167,7 @@ MAX_SYMBOL_SEGMENTS = 2**28
 # every user's decoding equations and row-parity closures take about r steps
 # per segment pair, so near r = K-1 set-up grows like N K^3 while the segments
 # grow like N K ((1,25,22), at 7.9e6, builds and verifies its first demand in
-# about 6 s, the slowest system inside the three ceilings).  The oracle keeps
+# about 4.5 s, the slowest system inside the three ceilings).  The oracle keeps
 # one pre-eliminated cache basis per user for the process (harness._cache_spans),
 # up to about K size^2 / 8 bytes: one symbolic verify with the oracle peaks at
 # 584 MiB RSS at (16,23,21) and 460 MiB at (1,25,22), bounded by these ceilings

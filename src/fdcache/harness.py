@@ -88,7 +88,11 @@ class SweepLimitExceeded(UsageError):
 
 @lru_cache(maxsize=None)
 def _prefetch_all(params: SchemeParams) -> tuple[CacheContent, ...]:
-    return tuple(prefetch(params, k) for k in params.users)
+    caches = tuple(prefetch(params, k) for k in params.users)
+    sizes = {cache.size for cache in caches}
+    if len(sizes) != 1:  # prefetching is symmetric by construction
+        raise RuntimeError(f"users cache different amounts: {sorted(sizes)}")
+    return caches
 
 
 @lru_cache(maxsize=None)
@@ -222,9 +226,6 @@ def verify_demand(
         oracle_ok = all(_oracle_flags(params, dset))
         oracle_seconds = time.perf_counter() - started
 
-    sizes = {cache.size for cache in caches}
-    if len(sizes) != 1:  # prefetching is symmetric by construction
-        raise RuntimeError(f"users cache different amounts: {sorted(sizes)}")
     return VerificationReport(
         params=params,
         demand=demand,

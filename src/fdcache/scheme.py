@@ -7,9 +7,9 @@ Pipeline, per (N, K, r) system:
 2. prefetch      - user k caches an uncoded slice plus product-code parities
                    (column parities across files, a pruned set of row parities
                    along each file).  The pruned row parities are linearly
-                   dependent on stored ones: parity_combination reaches the
-                   stored set in two exact rewrites, one swapping out the
-                   anchor peer and one expanding file 1 into column parities.
+                   dependent on stored ones: parity_combination expands
+                   file 1 into column parities, all stored, and other files'
+                   rows, then swaps the anchor peer out of the row parities.
 3. transform     - once demands are known, (I, Q) pairs are mixed by powers
                    MIX**e, e in {0, 1, 2}, of the GF(2) map MIX: (I, Q) ->
                    (I^Q, I), chosen per (requesting user, excluded user) so
@@ -200,15 +200,17 @@ def parity_combination(
     """Stored parities whose XOR equals row parity (file, r_minus) of user k.
 
     Returns (column subsets, (file, subset) row keys), channel-independent.
-    User k stores every column parity C(r_set) and the row parities R(f, m)
-    (row_parity_pair) with f >= 2 and m avoiding the anchor peer.  Two exact
-    rewrites reach that set.  Anchor: for m = r_minus minus the anchor, the
-    sum of R(f, m | {h}) over h outside m | {k} is zero, as each r-subset
-    through m is reached twice; so R(f, r_minus) is the sum over the subsets
-    that swap the anchor for each user outside r_minus | {k}.  File 1: the
-    sum over f of R(f, m) is the sum of C(m | {u}) over u outside m | {k}, as
-    each side holds every W[f; m | {u}; k] once; so R(1, m) is those column
-    parities plus the other files' R(f, m).
+    User k stores every column parity C(S) and the row parities R(f, m)
+    (row_parity_pair) with f >= 2 and m avoiding the anchor peer a.  With O
+    the users outside r_minus | {k}, two exact rewrites reach that set, and
+    column parities are never rewritten.  File 1 first: R(1, m) is the XOR
+    of C(m | {u}) over u in O and of R(f, m) over f >= 2, as both sides hold
+    every W[f; m | {u}; k] once.  Anchor second, on rows: the R(f, m - a | {h})
+    over h outside m - a | {k} XOR to zero, as each r-subset through m - a
+    is reached twice; so if a is in m, R(f, m) is their XOR over h in O.
+    Every key comes out once.  The other order, anchor first, reaches each
+    column key (r_minus - a) | {h, u}, h != u in O, twice; those cancelled,
+    the keys through the anchor left are r_minus | {u}, the same set.
     """
     if params.r == 0:
         raise ValueError("no row parities exist when r == 0")
@@ -219,20 +221,15 @@ def parity_combination(
     if file not in params.files:
         raise ValueError(f"file {file} outside 1..{params.n_files}")
 
+    taken = {k, *r_minus}
+    outside = [u for u in params.users if u not in taken]
+    columns = frozenset(tuple(sorted((*r_minus, u))) for u in outside) if file == 1 else frozenset()
+    row_files = params.files[1:] if file == 1 else [file]
     anchor = anchor_user(k)
     subsets = [r_minus]
-    if anchor in r_minus:
-        taken = {k, *r_minus}
-        subsets = [tuple(sorted(h if u == anchor else u for u in r_minus)) for h in params.users if h not in taken]
-    columns, rows = set(), set()
-    for m in subsets:
-        if file != 1:
-            rows ^= {(file, m)}
-        else:
-            taken = {k, *m}
-            columns ^= {tuple(sorted((*m, u))) for u in params.users if u not in taken}
-            rows ^= {(other, m) for other in params.files if other != 1}
-    return frozenset(columns), frozenset(rows)
+    if anchor in r_minus and row_files:  # with one file, file 1 leaves no row
+        subsets = [tuple(sorted(h if u == anchor else u for u in r_minus)) for h in outside]
+    return columns, frozenset((f, m) for f in row_files for m in subsets)
 
 
 @lru_cache(maxsize=None)
@@ -541,8 +538,8 @@ def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[tup
     for (r_set, s), offset in index.offsets.items():
         if s == k:
             closures = []
-            for t in r_set:
-                r_minus = tuple(u for u in r_set if u != t)
+            for i, t in enumerate(r_set):
+                r_minus = r_set[:i] + r_set[i + 1:]
                 closures.append((t, tuple(parity_combination(params, k, f, r_minus) for f in params.files)))
             bits = sum(1 << u for u in r_set)
             symbols = tuple(subsets[bits | 1 << h] for h in params.users if h != k and not bits >> h & 1)

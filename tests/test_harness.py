@@ -81,6 +81,19 @@ def test_verify_rejects_partial_demand():
         verify_demand(RUN, (1, 1, 1, 1, 2, 2))
 
 
+def test_prefetch_all_refuses_caches_of_different_sizes(monkeypatch):
+    # symmetry is a per-system fact, checked once where the caches are made
+    prefetch = harness.prefetch
+
+    def short_of_one_row(params, k):
+        cache = prefetch(params, k)
+        return dataclasses.replace(cache, row=dict(list(cache.row.items())[1:])) if k == 2 else cache
+
+    monkeypatch.setattr(harness, "prefetch", short_of_one_row)
+    with pytest.raises(RuntimeError, match="users cache different amounts"):
+        harness._prefetch_all.__wrapped__(RUN)
+
+
 def test_verify_engine_choices():
     for engine in ("symbolic", "payload", "both"):
         report = verify_demand(SchemeParams(3, 3, 1), (1, 2, 3), engine=engine, run_oracle=False)

@@ -162,6 +162,41 @@ def test_closure_requires_row_parities():
         parity_combination(SchemeParams(3, 3, 0), 1, 1, ())
 
 
+def _reference_parity_combination(params, k, file, r_minus):
+    # the other order: swap the anchor out first, then expand file 1 on every
+    # swapped subset, cancelling the column keys reached twice by set XOR
+    anchor = anchor_user(k)
+    subsets = [r_minus]
+    if anchor in r_minus:
+        taken = {k, *r_minus}
+        subsets = [tuple(sorted(h if u == anchor else u for u in r_minus)) for h in params.users if h not in taken]
+    columns, rows = set(), set()
+    for m in subsets:
+        if file != 1:
+            rows ^= {(file, m)}
+        else:
+            taken = {k, *m}
+            columns ^= {tuple(sorted((*m, u))) for u in params.users if u not in taken}
+            rows ^= {(other, m) for other in params.files if other != 1}
+    return frozenset(columns), frozenset(rows)
+
+
+def test_closure_keys_match_the_anchor_first_reference():
+    checked = 0
+    for k_users in range(2, 8):
+        for n_files in range(1, min(4, k_users) + 1):
+            for r in range(1, k_users):
+                params = SchemeParams(n_files, k_users, r)
+                for k in params.users:
+                    others = [u for u in params.users if u != k]
+                    for f in params.files:
+                        for r_minus in itertools.combinations(others, r - 1):
+                            want = _reference_parity_combination(params, k, f, r_minus)
+                            assert parity_combination(params, k, f, r_minus) == want, (params, k, f, r_minus)
+                            checked += 1
+    assert checked == 7360
+
+
 # (3,6,3), (2,7,4): the anchor rewrite leaves a non-empty subset; (1,6,5): r = K-1
 @pytest.mark.parametrize("params", [RUN, SchemeParams(4, 6, 2), SchemeParams(3, 6, 3),
                                     SchemeParams(2, 7, 4), SchemeParams(1, 6, 5)])

@@ -75,3 +75,29 @@ def test_readme_names_resolve():
         except AttributeError:
             unresolved.append(name)
     assert unresolved == []
+
+
+# each ceiling README.md quotes with its value: a pattern whose group is the
+# quoted value, the constant it quotes, and how the value reads as an int
+README_CEILINGS = (
+    (r"`MAX_SEGMENTS` = 2\^(\d+)", "algebra.MAX_SEGMENTS", lambda value: 2 ** int(value)),
+    (r"`MAX_SYMBOL_SEGMENTS` = 2\^(\d+)", "algebra.MAX_SYMBOL_SEGMENTS", lambda value: 2 ** int(value)),
+    (r"`MAX_SETUP_STEPS` = 2\^(\d+)", "algebra.MAX_SETUP_STEPS", lambda value: 2 ** int(value)),
+    (r"(\d+) demands \(`harness\.SWEEP_LIMIT`", "harness.SWEEP_LIMIT", int),
+    (r"(\d+) MiB \(`harness\.MAX_PAYLOAD_BYTES`\)", "harness.MAX_PAYLOAD_BYTES", lambda value: int(value) * 2**20),
+    (r"(\d+) \(`analysis\.MAX_TRADEOFF_USERS`\)", "analysis.MAX_TRADEOFF_USERS", int),
+    (r"(\d+) either way \(`core\.MAX_DECIMAL_EXPONENT`\)", "core.MAX_DECIMAL_EXPONENT", int),
+)
+
+
+def test_readme_ceilings_match_the_code():
+    # a ceiling changed in the code must not stay quoted with its old value
+    text = " ".join(README.read_text(encoding="utf-8").split())  # sentences may wrap anywhere
+    stale = []
+    for pattern, name, read in README_CEILINGS:
+        module, attribute = name.split(".")
+        want = getattr(importlib.import_module(f"fdcache.{module}"), attribute)
+        quoted = [read(value) for value in re.findall(pattern, text)]
+        if not quoted or any(value != want for value in quoted):
+            stale.append((name, want, quoted))
+    assert stale == []
