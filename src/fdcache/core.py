@@ -231,17 +231,31 @@ def enumerate_fully_demanded_types(n_files: int, n_users: int) -> list[DemandTyp
     return [DemandType(c) for c in parts(n_users, n_files, n_users)]
 
 
+def leader_sets(params: SchemeParams, d: Sequence[int]) -> dict[int, frozenset[int]]:
+    """leaders(params, d, s) for every user s, from one walk of the demand.
+
+    The walk keeps each file's two lowest-indexed requesters.  Every user
+    but the lowest requester of its own file sees the lowest requester of
+    each file; that one sees its file's second requester instead, or none.
+    """
+    demand = require_fully_demanded(params, d)
+    lowest: dict[int, list[int]] = {}
+    for u, f in enumerate(demand, start=1):
+        two = lowest.setdefault(f, [])
+        if len(two) < 2:
+            two.append(u)
+    common = frozenset(two[0] for two in lowest.values())
+    return {s: common if lowest[f][0] != s else common.difference([s]).union(lowest[f][1:])
+            for s, f in enumerate(demand, start=1)}
+
+
 def leaders(params: SchemeParams, d: Sequence[int], s: int) -> frozenset[int]:
     """Leader set of the users other than s: for every file requested outside
     s, its lowest-indexed requester outside s."""
-    demand = require_fully_demanded(params, d)
+    sets = leader_sets(params, d)
     if s not in params.users:
         raise ValueError(f"user {s} outside 1..{params.n_users}")
-    first: dict[int, int] = {}
-    for u, f in enumerate(demand, start=1):
-        if u != s:
-            first.setdefault(f, u)
-    return frozenset(first.values())
+    return sets[s]
 
 
 # ceiling on the decimal exponent parse_fraction accepts: "1e400" alone

@@ -17,7 +17,6 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -180,7 +179,7 @@ def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, lifted: Lift
 def _oracle_flags(params: SchemeParams, dset: DeliverySet) -> list[bool]:
     """Per-user decodability by rank only: cache rows + transmitted symbols."""
     spans = _cache_spans(params)
-    symbol_rows = [mask for key, pair in dset.pairs.items() if key not in dset.skipped for mask in pair]
+    symbol_rows = [mask for pair in dset.pairs.values() for mask in pair]
     flags = []
     for k in params.users:
         span = spans[k - 1].copy()
@@ -323,6 +322,9 @@ def verify_sweep(
     if workers <= 1:
         reports = list(map(verify, demands))
     else:
+        # imported here: it loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(demands) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(verify, demands, chunksize=chunk))
@@ -443,10 +445,9 @@ def identity_suite(
     sum_failures = []
     for d in demands:
         dset = delivery(params, d)
-        pairs = dset.pairs
         tag = "-".join(str(x) for x in d)
-        for s, r_plus in sorted(dset.skipped):
-            got, want = reconstructed_pair(dset, s, r_plus), pairs[(s, r_plus)]
+        for (s, r_plus), want in dset.skipped.items():  # in sorted order
+            got = reconstructed_pair(dset, s, r_plus)
             skip_checked += 2
             # the block's weighted zero-sum is MIX**h(leaders) of got - want,
             # and MIX is invertible, so it fails exactly when got != want
@@ -557,6 +558,7 @@ def golden_example_check() -> GoldenReport:
     record("s1_transformed_segments", exponent_ok and pair_ok)
 
     dset = delivery(params, demand)
+    symbols = {**dset.pairs, **dset.skipped}
     expected_delivery = {
         (2, 3): ({w(1, 3, "I"), w(1, 3, "Q"), w(1, 2, "I"), w(1, 2, "Q")}, {w(1, 3, "I"), w(1, 2, "I")}),
         (2, 4): ({w(1, 4, "I"), w(1, 4, "Q"), w(1, 2, "I"), w(1, 2, "Q")}, {w(1, 4, "I"), w(1, 2, "I")}),
@@ -572,7 +574,7 @@ def golden_example_check() -> GoldenReport:
     delivery_ok = True
     detail = ""
     for r_plus, (want_i, want_q) in expected_delivery.items():
-        got_i, got_q = dset.pairs[(1, r_plus)]
+        got_i, got_q = symbols[(1, r_plus)]
         if (got_i, got_q) != (mask(want_i), mask(want_q)):
             delivery_ok = False
             detail = f"subset {r_plus}: I={labels(got_i)} Q={labels(got_q)}"

@@ -16,11 +16,11 @@ Pipeline, per (N, K, r) system:
                    that even-multiplicity files still cancel in sums.
 4. delivery      - broadcast symbols XOR transformed segments over (r+1)-user
                    subsets; symbols whose subset avoids the leader set of the
-                   excluded user are linearly dependent on the rest and are
-                   skipped.  Each is rebuilt from the subsets that swap some
-                   of its members, at most one per file, for the leaders of
-                   their files, each weighted by MIX to the sum of its swaps'
-                   exponent changes.
+                   excluded user are linearly dependent on the rest: they go
+                   to DeliverySet.skipped, not to pairs, the broadcast.  Each
+                   is rebuilt from the subsets that swap some of its members,
+                   at most one per file, for the leaders of their files, each
+                   under MIX to the sum of its swaps' exponent changes.
 5. decode        - each user recovers its file from the cache (uncoded hits),
                    by per-symbol elimination (class 1, s != k), or by aligning
                    parities against broadcast sums (class 2, s == k), then
@@ -73,7 +73,7 @@ from .algebra import (
 from .core import (
     Demand,
     SchemeParams,
-    leaders,
+    leader_sets,
     require_fully_demanded,
     requesters,
 )
@@ -336,27 +336,29 @@ def mix(e: int, i_val: int, q_val: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class DeliverySet:
-    """All broadcast symbols for one demand, with the skipped ones marked.
+    """The broadcast of one demand, and the symbols it leaves out.
 
-    pairs maps (excluded user, (r+1)-subset) to the symbol's (I, Q) masks over
-    the dense segment index.  leaders[s] is the leader set of the users other
-    than s (core.leaders).  exponents[t-1][s-1] is the e with MIX**e the
-    transform of user t toward s.  swaps[s] maps each user x other than s to
-    (l, exponent change toward s of swapping l for x mod 3, 1 << d(x)), l
-    the leader of d(x).  subsets maps the user bitmask sum(1 << u) of every
-    (r+1)-subset to the subset (_subsets_by_bits), so skip_combination grows
-    its swap sets on bits.  reconstruction, the one skip table, maps each
-    skipped pair to (rest, e) references to the transmitted pairs[(s, rest)]
-    whose MIX**e-weighted sum rebuilds it: one rest per set of swaps, e the
-    sum of their exponent changes.  They are read at each rebuild, never
-    copied, so a corrupted pair reaches every rebuild, and both skip
-    families of the identity suite read one rebuilt pair.
+    pairs, the broadcast, maps each transmitted symbol (excluded user,
+    (r+1)-subset) to its (I, Q) masks over the dense segment index; skipped
+    maps each other symbol to the masks it would carry, which only checks
+    read.  leaders[s] is the leader set of the users other than s
+    (core.leaders).  exponents[t-1][s-1] is the e with MIX**e the transform
+    of user t toward s.  swaps[s], for each s that skips a symbol, maps each
+    user x other than s to (l, exponent change toward s of swapping l for x
+    mod 3, 1 << d(x)), l the leader of d(x).  subsets maps the user bitmask
+    sum(1 << u) of every (r+1)-subset to the subset (_subsets_by_bits), so
+    skip_combination grows its swap sets on bits.  reconstruction, the one
+    skip table, maps each skipped symbol to (rest, e) references to the
+    pairs[(s, rest)] whose MIX**e-weighted sum rebuilds it: one rest per set
+    of swaps, e the sum of their exponent changes.  They are read at each
+    rebuild, never copied, so a corrupted pair reaches every rebuild, and
+    both skip families of the identity suite read one rebuilt pair.
     """
 
     params: SchemeParams
     demand: Demand
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]]
-    skipped: frozenset[tuple[int, tuple[int, ...]]]
+    skipped: dict[tuple[int, tuple[int, ...]], tuple[int, int]]
     leaders: dict[int, frozenset[int]]
     exponents: tuple[tuple[int, ...], ...]
     swaps: dict[int, dict[int, tuple[int, int, int]]]
@@ -365,13 +367,10 @@ class DeliverySet:
         default_factory=dict
     )
 
-    def is_transmitted(self, s: int, r_plus: tuple[int, ...]) -> bool:
-        return (s, r_plus) not in self.skipped
-
     @property
     def transmitted_count(self) -> int:
         """Symbols actually sent, counting both channels."""
-        return 2 * (len(self.pairs) - len(self.skipped))
+        return 2 * len(self.pairs)
 
     def rate(self) -> Fraction:
         return Fraction(self.transmitted_count, segment_index(self.params).per_file)
@@ -421,10 +420,10 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
     per_file = segment_index(params).per_file
     base = [(f - 1) * per_file for f in demand]
     exponents = transform_exponents(params, demand)
-    leader_sets = {s: leaders(params, demand, s) for s in params.users}
-    leader_bits = {s: sum(1 << u for u in leader_set) for s, leader_set in leader_sets.items()}
+    sets = leader_sets(params, demand)
+    leader_bits = {s: sum(1 << u for u in leader_set) for s, leader_set in sets.items()}
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
-    skipped: list[tuple[int, tuple[int, ...]]] = []  # in layout order, which is sorted order
+    skipped: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}  # in layout order, which is sorted order
     for s, r_plus, bits, layout in _symbol_layout(params):
         acc_i = acc_q = 0
         for t, at in layout:
@@ -432,21 +431,19 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
             at += base[t - 1]
             acc_i ^= unit_i << at
             acc_q ^= unit_q << at
-        pairs[(s, r_plus)] = acc_i, acc_q
-        if not leader_bits[s] & bits:
-            skipped.append((s, r_plus))
+        (pairs if leader_bits[s] & bits else skipped)[(s, r_plus)] = acc_i, acc_q
     swaps = {}
-    for s, leader_set in leader_sets.items():
+    for s in dict.fromkeys(s for s, _ in skipped):  # only skip_combination reads them
         toward = [row[s - 1] for row in exponents]
-        leader_of = {demand[lead - 1]: lead for lead in leader_set}
+        leader_of = {demand[lead - 1]: lead for lead in sets[s]}
         swaps[s] = {x: (leader_of[f], (toward[x - 1] - toward[leader_of[f] - 1]) % 3, 1 << f)
                     for x, f in enumerate(demand, start=1) if x != s}
     dset = DeliverySet(
         params=params,
         demand=demand,
         pairs=pairs,
-        skipped=frozenset(skipped),
-        leaders=leader_sets,
+        skipped=skipped,
+        leaders=sets,
         exponents=exponents,
         swaps=swaps,
         subsets=_subsets_by_bits(params),
@@ -476,7 +473,7 @@ def skip_combination(
     exponent 0 and is read back from dset.subsets; the entry with no swap,
     grown first, is r_plus and is dropped.
     """
-    if dset.is_transmitted(s, r_plus):
+    if (s, r_plus) in dset.pairs:
         raise ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
     swaps = dset.swaps[s]
     grown = [(0, 0, 0)]  # (user bits left so far, exponent, bits of the files swapped)
@@ -495,7 +492,7 @@ def skip_combination(
 def reconstructed_pair(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> tuple[int, int]:
     """(I, Q) masks of a skipped symbol, summed from the transmitted pairs
     that its reconstruction references."""
-    if dset.is_transmitted(s, r_plus):
+    if (s, r_plus) in dset.pairs:
         raise ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
     return mix_sum((*dset.pairs[(s, rest)], e) for rest, e in dset.reconstruction[(s, r_plus)])
 
@@ -564,12 +561,11 @@ def lift(dset: DeliverySet, values: MaskValues | None = None) -> Lift:
     """The demand's lift through values, in one pass: each transmitted pair
     is encoded once.  With no values it is the identity lift: segment i
     lifts to 1 << i, so the pairs are read as they are."""
-    skipped = dset.skipped
     units, pairs = segment_index(dset.params).units, dset.pairs
     if values is not None:
         units = values.segment_values
-        pairs = {key: (values[i], values[q]) for key, (i, q) in dset.pairs.items() if key not in skipped}
-    broadcast = {key: ((*pair, 0),) for key, pair in pairs.items() if key not in skipped}
+        pairs = {key: (values[i], values[q]) for key, (i, q) in pairs.items()}
+    broadcast = {key: ((*pair, 0),) for key, pair in pairs.items()}
     for (s, r_plus), combo in dset.reconstruction.items():
         broadcast[(s, r_plus)] = tuple((*pairs[(s, rest)], e) for rest, e in combo)
     return Lift(units, values, broadcast)

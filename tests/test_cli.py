@@ -1,7 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -620,3 +622,14 @@ def test_readme_commands_run(tmp_path, capsys):
         code = main([*argv, "--output", str(tmp_path / f"{i}.out")])
         assert code == 0, argv
     assert capsys.readouterr().err == ""
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a parallel sweep starts worker processes, so importing the CLI
+    # loads neither multiprocessing nor the process pool
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = ("import fdcache.cli, sys; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys()))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -17,6 +17,7 @@ from fdcache.core import (
     enumerate_fully_demanded_types,
     format_fraction,
     is_fully_demanded,
+    leader_sets,
     leaders,
     parse_fraction,
     requesters,
@@ -226,6 +227,38 @@ def test_leader_set_size_dichotomy(n, k):
             # brute force: the lowest requester outside s of every file
             lowest = (min((u for u in requesters(d, f) if u != s), default=None) for f in params.files)
             assert leader_set == frozenset(u for u in lowest if u is not None)
+
+
+def test_leader_sets_match_the_per_user_definition():
+    # one walk of the demand gives every user's leader set: the lowest
+    # requester outside s of every file requested outside s
+    from fdcache.harness import sample_fully_demanded
+
+    checked = 0
+    for k in range(1, 8):
+        for n in range(1, k + 1):
+            for r in range(k):
+                params = SchemeParams(n, k, r)
+                for d in sample_fully_demanded(params, 10):
+                    sets = leader_sets(params, d)
+                    assert list(sets) == list(params.users)
+                    for s in params.users:
+                        lowest = (min((u for u in requesters(d, f) if u != s), default=None) for f in params.files)
+                        assert sets[s] == leaders(params, d, s) == frozenset(u for u in lowest if u is not None)
+                        checked += 1
+    assert checked > 5000, checked
+
+
+def test_leaders_checks_the_demand_before_the_user():
+    params = SchemeParams(3, 3, 0)
+    with pytest.raises(NotFullyDemandedError):
+        leaders(params, (1, 1, 2), 4)
+    with pytest.raises(UsageError, match="demand length"):
+        leaders(params, (1, 2), 4)
+    with pytest.raises(ValueError, match="user 4 outside"):
+        leaders(params, (1, 2, 3), 4)
+    with pytest.raises(NotFullyDemandedError):
+        leader_sets(params, (1, 1, 2))
 
 
 def test_requesters():

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -209,7 +210,7 @@ class _SerialPool:
 )
 def test_sweep_clamps_worker_count(monkeypatch, jobs, cpus, workers):
     # (3,3) r=1 has 6 fully demanded vectors; None means no pool is started
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "created", [])
     params = SchemeParams(3, 3, 1)
@@ -364,11 +365,11 @@ def test_every_transmitted_symbol_is_needed(params, demand, sent):
     # pair left out, some user can no longer span its file
     params = SchemeParams(*params)
     dset = scheme.delivery(params, demand)
-    transmitted = [key for key in dset.pairs if key not in dset.skipped]
-    assert len(transmitted) == sent
+    assert len(dset.pairs) == sent
     assert all(harness._oracle_flags(params, dset))
-    for key in transmitted:
-        fewer = dataclasses.replace(dset, skipped=dset.skipped | {key})
+    for key, pair in dset.pairs.items():
+        pairs = {other: kept for other, kept in dset.pairs.items() if other != key}
+        fewer = dataclasses.replace(dset, pairs=pairs, skipped={**dset.skipped, key: pair})
         assert not all(harness._oracle_flags(params, fewer)), key
 
 
@@ -558,12 +559,11 @@ def test_faulty_verdicts_equal_the_per_row_reference():
     stray = 1 << index[segment(3, (4,), 5, "I")]
     failed = 0
     for key in dset.pairs:
-        if dset.is_transmitted(*key):
-            for channel in range(2):
-                pair = list(dset.pairs[key])
-                pair[channel] ^= stray << channel
-                flipped = dataclasses.replace(dset, pairs={**dset.pairs, key: tuple(pair)})
-                failed += _assert_verdicts_match_reference(RUN, flipped, caches)
+        for channel in range(2):
+            pair = list(dset.pairs[key])
+            pair[channel] ^= stray << channel
+            flipped = dataclasses.replace(dset, pairs={**dset.pairs, key: tuple(pair)})
+            failed += _assert_verdicts_match_reference(RUN, flipped, caches)
     for params, d in ((RUN, RUN_D), (SchemeParams(4, 6, 2), (1, 1, 2, 2, 3, 4))):
         dset = scheme.delivery(params, d)
         caches = harness._prefetch_all(params)
@@ -747,10 +747,11 @@ def test_identity_suite_catches_a_corrupted_reconstruction(monkeypatch):
 
 def _flip_symbol(s, r_plus):
     def flip(dset):
-        pairs = dict(dset.pairs)
-        mask_i, mask_q = pairs[(s, r_plus)]
-        pairs[(s, r_plus)] = (mask_i ^ 1 << 7, mask_q)
-        return dataclasses.replace(dset, pairs=pairs)
+        field = "skipped" if (s, r_plus) in dset.skipped else "pairs"
+        symbols = dict(getattr(dset, field))
+        mask_i, mask_q = symbols[(s, r_plus)]
+        symbols[(s, r_plus)] = (mask_i ^ 1 << 7, mask_q)
+        return dataclasses.replace(dset, **{field: symbols})
 
     return flip
 

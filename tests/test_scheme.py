@@ -325,8 +325,9 @@ def test_no_skips_when_all_files_covered_narrowly():
 def test_delivery_matches_its_definition():
     # sampled demands of every system up to K = 7: symbol (s, r_plus) is the
     # mix_sum over t in r_plus of segment (d(t), r_plus - t, s) under
-    # MIX**e[t][s], built from labelled segments, and it is skipped exactly
-    # when r_plus avoids the leader set of s
+    # MIX**e[t][s], built from labelled segments; pairs and skipped split the
+    # symbols in delivery order, skipped holding exactly those whose r_plus
+    # avoids the leader set of s
     from fdcache.core import leaders
     from fdcache.harness import sample_fully_demanded
 
@@ -350,13 +351,24 @@ def test_delivery_matches_its_definition():
                                 for t in r_plus
                             )
                     dset = delivery(params, d)
-                    assert list(dset.pairs.items()) == list(want.items())
-                    assert dset.skipped == {
-                        (s, r_plus) for s, r_plus in want if not leaders(params, d, s).intersection(r_plus)
-                    }
+                    skip = {(s, r_plus) for s, r_plus in want if not leaders(params, d, s).intersection(r_plus)}
+                    assert list(dset.pairs.items()) == [item for item in want.items() if item[0] not in skip]
+                    assert list(dset.skipped.items()) == [item for item in want.items() if item[0] in skip]
                     symbols += len(want)
                     skips += len(dset.skipped)
     assert symbols > 10000 and skips > 1000, (symbols, skips)
+
+
+def test_swap_tables_only_for_users_that_skip(run_delivery):
+    # only skip_combination reads the swap tables: (4,6) r=2 never skips, so
+    # its demands build none
+    from fdcache.harness import sample_fully_demanded
+
+    params = SchemeParams(4, 6, 2)
+    for d in sample_fully_demanded(params, 10):
+        dset = delivery(params, d)
+        assert not dset.skipped and dset.swaps == {}
+    assert run_delivery.swaps.keys() == {s for s, _ in run_delivery.skipped}
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +379,7 @@ def test_reconstruction_running_example(run_delivery):
     pairs = run_delivery.pairs
     got = reconstructed_pair(run_delivery, 1, (3, 4))
     assert got == tuple(a ^ b for a, b in zip(pairs[(1, (2, 3))], pairs[(1, (2, 4))]))
-    assert got == pairs[(1, (3, 4))]
+    assert got == run_delivery.skipped[(1, (3, 4))]
     for channel, mask in zip(CHANNELS, got):
         assert reconstruct_skipped(run_delivery, 1, (3, 4), channel) == mask
 
@@ -377,7 +389,7 @@ def test_reconstruction_mixes_channels_when_weights_differ(run_delivery):
     # puts its leader inside the selections, so the exponents are not 0
     combo = dict(skip_combination(run_delivery, 5, (2, 3)))
     assert combo == {(1, 2): 2, (1, 3): 2}
-    assert reconstructed_pair(run_delivery, 5, (2, 3)) == run_delivery.pairs[(5, (2, 3))]
+    assert reconstructed_pair(run_delivery, 5, (2, 3)) == run_delivery.skipped[(5, (2, 3))]
 
 
 def test_reconstruction_rejects_transmitted(run_delivery):
@@ -393,8 +405,8 @@ def test_reconstruction_full_sweep_four_six_r1():
         dset = delivery(params, d)
         for s, r_plus in sorted(dset.skipped):
             for rest, e in skip_combination(dset, s, r_plus):
-                assert dset.is_transmitted(s, rest) and e in (0, 1, 2)
-            assert reconstructed_pair(dset, s, r_plus) == dset.pairs[(s, r_plus)]
+                assert (s, rest) in dset.pairs and e in (0, 1, 2)
+            assert reconstructed_pair(dset, s, r_plus) == dset.skipped[(s, r_plus)]
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +539,7 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
         pairs = range((RUN_D[k - 1] - 1) * index.per_file, RUN_D[k - 1] * index.per_file, 2)
         hits = [target for target in pairs if run_caches[k].uncoded >> target & 3 == 3]
         class1 = [index.slot(RUN_D[k - 1], tuple(u for u in r_plus if u != k), s)
-                  for s, r_plus in run_delivery.pairs if k in r_plus]
+                  for s, r_plus in [*run_delivery.pairs, *run_delivery.skipped] if k in r_plus]
         assert (len(rows), len(class1), len(hits)) == (5, 20, 5)
         assert sorted(targets + class1 + hits) == list(pairs)
         lifted_rows = decode_rows(run_delivery, run_caches[k], k, both)
@@ -544,7 +556,7 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
 def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches):
     index = segment_index(RUN)
     key = (2, (1, 3))  # user 1 eliminates it for segment (1, {3}, 2)
-    assert run_delivery.is_transmitted(*key)
+    assert key in run_delivery.pairs
     mask_i, mask_q = run_delivery.pairs[key]
     position = index[segment(3, (4,), 5, "I")]
     values = _payload_values()
@@ -575,10 +587,9 @@ def test_corrupted_skipped_symbol_is_never_read(run_delivery, run_caches):
     # transmitted pairs and the oracle spans only those, so corrupting it
     # changes no verdict on masks, on payload or on both
     key = (1, (3, 4))
-    assert not run_delivery.is_transmitted(*key)
-    mask_i, mask_q = run_delivery.pairs[key]
+    mask_i, mask_q = run_delivery.skipped[key]
     stray = unit(3, (4,), 5, "I")
-    flipped = dataclasses.replace(run_delivery, pairs={**run_delivery.pairs, key: (mask_i ^ stray, mask_q)})
+    flipped = dataclasses.replace(run_delivery, skipped={**run_delivery.skipped, key: (mask_i ^ stray, mask_q)})
     for lifted in (lift(flipped), _lifted(flipped), _lifted(flipped, masks=True)):
         assert failing_symbols(flipped, lifted) == []
         assert all(user_ok(flipped, run_caches[k], k, lifted) for k in RUN.users)
@@ -746,7 +757,7 @@ def test_skip_combination_matches_its_definition():
             dset = delivery(params, d)
             for s, r_plus in dset.skipped:
                 _assert_matches_definition(skip_combination(dset, s, r_plus), dset, s, r_plus)
-                assert reconstructed_pair(dset, s, r_plus) == dset.pairs[(s, r_plus)]
+                assert reconstructed_pair(dset, s, r_plus) == dset.skipped[(s, r_plus)]
                 checked += 1
                 shared += len({d[u - 1] for u in r_plus}) < len(r_plus)
     # two members on one file can swap only one of them for its leader

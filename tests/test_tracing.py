@@ -105,7 +105,7 @@ def test_tracer_calls_every_wrapped_view():
     assert all(mask == 1 << index[seg] for seg, mask in masks)
     assert all(value == ints[seg] for seg, value in values)
     assert closure == cache.row[(2, ())][1]
-    assert rebuilt == dset.pairs[(1, (3, 4))][0]
+    assert rebuilt == dset.skipped[(1, (3, 4))][0]
     assert identity
     after = _bindings()
     assert after.keys() == before.keys()
