@@ -245,7 +245,11 @@ class SpanBasis:
     """Row space over GF(2) built incrementally from int-mask rows.
 
     Rows are reduced against pivots keyed by leading bit; copy() is cheap so a
-    precomputed basis can be extended per query without re-elimination.
+    precomputed basis can be extended per query without re-elimination.  The
+    oracle joins two pre-eliminated sides this way, copying the larger and
+    inserting the other: each user's cache basis takes the broadcast rows, or,
+    when the broadcast has more rows than a cache basis has pivots, one
+    broadcast basis per demand takes each user's cache pivots.
     """
 
     __slots__ = ("pivots",)

@@ -177,13 +177,25 @@ def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, lifted: Lift
 
 
 def _oracle_flags(params: SchemeParams, dset: DeliverySet) -> list[bool]:
-    """Per-user decodability by rank only: cache rows + transmitted symbols."""
+    """Per-user decodability by rank only: the span of the user's cache rows
+    and the transmitted symbols holds every segment of its file.  Each join
+    copies the larger pre-eliminated side and inserts the smaller one.  When
+    the broadcast has more rows than a cache basis has pivots, it is
+    eliminated once per demand and each user's cache pivots go into a copy
+    of it; otherwise the broadcast rows go into a copy of each user's cache
+    basis.  Either way the span, and so every verdict, is the same."""
     spans = _cache_spans(params)
     symbol_rows = [mask for pair in dset.pairs.values() for mask in pair]
+    if len(symbol_rows) > spans[0].rank:  # every user caches the same amount
+        broadcast = SpanBasis()
+        broadcast.insert_rows(symbol_rows)
+        joins = [(broadcast, span.pivots.values()) for span in spans]
+    else:
+        joins = [(span, symbol_rows) for span in spans]
     flags = []
-    for k in params.users:
-        span = spans[k - 1].copy()
-        span.insert_rows(symbol_rows)
+    for k, (base, rows) in zip(params.users, joins):
+        span = base.copy()
+        span.insert_rows(rows)
         flags.append(span.spans(_file_target_rows(params, dset.demand[k - 1])))
     return flags
 

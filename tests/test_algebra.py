@@ -181,6 +181,27 @@ def test_row_loops_match_row_by_row(base, rows, targets):
     assert at_once.spans(base + rows)
 
 
+@given(
+    st.lists(st.integers(0, 2**12), max_size=16),
+    st.lists(st.integers(0, 2**12), max_size=16),
+    st.lists(st.integers(0, 2**12), max_size=8),
+)
+def test_a_join_is_the_same_from_either_side(a, b, targets):
+    # the oracle copies whichever pre-eliminated side is larger and inserts
+    # the other: A's basis extended by B and B's basis extended by A's
+    # pivots are one row space (12-bit rows, so both verdicts occur)
+    a_first = SpanBasis()
+    a_first.insert_rows(a)
+    a_pivots = list(a_first.pivots.values())
+    a_first.insert_rows(b)
+    b_first = SpanBasis()
+    b_first.insert_rows(b)
+    b_first.insert_rows(a_pivots)
+    assert a_first.rank == b_first.rank
+    assert [a_first.spans([row]) for row in targets] == [b_first.spans([row]) for row in targets]
+    assert a_first.spans(targets) == b_first.spans(targets)
+
+
 def test_span_basis_copy_is_independent():
     basis = SpanBasis()
     basis.insert_row(mask_of([X]))

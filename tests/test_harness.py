@@ -396,6 +396,85 @@ def test_oracle_cannot_see_a_corrupted_item(monkeypatch):
     assert report.per_user == (False, True, True, True, True, True) and report.oracle_ok
 
 
+def _cache_first_flags(params, dset):
+    """The oracle as one per-user loop: each user's cache basis, copied, with
+    every transmitted row inserted, must span the unit rows of its file."""
+    per_file = segment_index(params).per_file
+    rows = [mask for pair in dset.pairs.values() for mask in pair]
+    flags = []
+    for span, f in zip(harness._cache_spans(params), dset.demand):
+        joined = span.copy()
+        joined.insert_rows(rows)
+        flags.append(joined.spans(1 << i for i in range((f - 1) * per_file, f * per_file)))
+    return flags
+
+
+# (3,4) r=1 has 28 cache pivots against 24 broadcast rows, (3,6) r=1 has 44 against 100-108
+ORACLE_SIDES = [((3, 4, 1), (1, 1, 2, 3)), ((3, 6, 1), RUN_D)]
+
+
+@pytest.mark.parametrize("params,demand", ORACLE_SIDES)
+def test_oracle_matches_the_cache_first_loop(params, demand):
+    # the join starts from either side and gives the same verdicts: on every
+    # fully demanded demand, and with each transmitted pair of one demand
+    # dropped in turn, where some user always fails
+    params = SchemeParams(*params)
+    for d in enumerate_demands(params, "fully_demanded"):
+        dset = scheme.delivery(params, d)
+        assert harness._oracle_flags(params, dset) == _cache_first_flags(params, dset) == [True] * params.n_users
+    dset = scheme.delivery(params, demand)
+    for key in dset.pairs:
+        fewer = dataclasses.replace(dset, pairs={other: pair for other, pair in dset.pairs.items() if other != key})
+        flags = harness._oracle_flags(params, fewer)
+        assert flags == _cache_first_flags(params, fewer) and not all(flags), key
+
+
+def test_oracle_matches_the_cache_first_loop_on_a_corrupted_cache(monkeypatch):
+    # both joins read the caches only through _cache_spans: the corrupted
+    # basis leaves user 1 short of its file on some demands
+    genuine = harness._cache_spans(RUN)
+    _corrupt_column_parity(monkeypatch)
+    corrupted = harness._cache_spans.__wrapped__(RUN)
+    assert corrupted[0].pivots != genuine[0].pivots
+    monkeypatch.setattr(harness, "_cache_spans", lambda params: corrupted)
+    failing = 0
+    for d in enumerate_demands(RUN, "fully_demanded"):
+        dset = scheme.delivery(RUN, d)
+        flags = harness._oracle_flags(RUN, dset)
+        assert flags == _cache_first_flags(RUN, dset)
+        failing += not all(flags)
+    assert failing > 0
+
+
+# rows each insert_rows of one demand's oracle takes: (4,6) r=2 sends 120
+# rows against 204 cache pivots, and (3,8) r=1 sends 240 against 60
+ORACLE_INSERTS = [
+    ((4, 6, 2), (1, 1, 2, 2, 3, 4), [120] * 6),
+    ((3, 8, 1), (1, 1, 1, 2, 2, 2, 3, 3), [240] + [60] * 8),
+]
+
+
+@pytest.mark.parametrize("params,demand,inserts", ORACLE_INSERTS)
+def test_oracle_eliminates_the_broadcast_once_when_it_is_larger(monkeypatch, params, demand, inserts):
+    # a broadcast larger than the cache basis is eliminated once per demand
+    # and each user's pivots go into a copy; a smaller one goes into a copy
+    # of each user's cache basis
+    params = SchemeParams(*params)
+    dset = scheme.delivery(params, demand)
+    harness._cache_spans(params)  # set-up inserts its rows before the count
+    inserted = []
+    real = algebra.SpanBasis.insert_rows
+
+    def counted(self, rows):
+        rows = list(rows)
+        inserted.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(algebra.SpanBasis, "insert_rows", counted)
+    assert all(harness._oracle_flags(params, dset))
+    assert inserted == inserts
+
+
 def test_verify_demand_generates_each_users_rows_once(monkeypatch):
     calls = []
     real = harness.decode_rows

@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 import re
+import types
 from functools import reduce
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fdcache"
@@ -58,6 +59,33 @@ def test_library_imports_are_used():
                     if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                         unread.append(f"{path.relative_to(PACKAGE)}:{alias.lineno}:{name}")
     assert unread == []
+
+
+# the decoder's functions: the oracle shares only the segment index with the
+# decoder and names none of them, so its verdict cannot inherit a decoder fault
+DECODER_NAMES = frozenset({
+    "lift", "decode_rows", "failing_symbols", "symbol_identities", "_equations",
+    "parity_combination", "closure_pair", "reconstructed_pair", "skip_combination",
+})
+
+
+def _code_names(code):
+    """The global and attribute names a code object reads, nested code included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
+def test_oracle_names_no_decoder_function():
+    from fdcache import harness, scheme
+
+    assert all(callable(getattr(scheme, name)) for name in DECODER_NAMES)  # no name here is stale
+    oracle = (harness._oracle_flags, harness._cache_spans.__wrapped__, harness._file_target_rows)
+    assert {function.__name__: sorted(_code_names(function.__code__) & DECODER_NAMES) for function in oracle} == {
+        function.__name__: [] for function in oracle
+    }
 
 
 def test_readme_names_resolve():
