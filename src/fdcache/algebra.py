@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from operator import xor
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import SchemeParams, UsageError, binom
@@ -167,10 +166,10 @@ MAX_SYMBOL_SEGMENTS = 2**28
 # every user's decoding equations and row-parity closures take about r steps
 # per segment pair, so near r = K-1 set-up grows like N K^3 while the segments
 # grow like N K ((1,25,22), at 7.9e6, builds and verifies its first demand in
-# about 4.5 s, the slowest system inside the three ceilings).  The oracle keeps
+# about 3-4 s, the slowest system inside the three ceilings).  The oracle keeps
 # one pre-eliminated cache basis per user for the process (harness._cache_spans),
 # up to about K size^2 / 8 bytes: one symbolic verify with the oracle peaks at
-# 584 MiB RSS at (16,23,21) and 460 MiB at (1,25,22), bounded by these ceilings
+# 525 MiB RSS at (16,23,21) and 439 MiB at (1,25,22), bounded by these ceilings
 MAX_SETUP_STEPS = 2**23
 
 
@@ -207,8 +206,7 @@ def segment_index(params: SchemeParams) -> SegmentIndex:
 class MaskValues:
     """Payload value of each mask over a segment index: the XOR of the
     segment values on its bits, as the server encodes it.  Nothing is kept
-    per mask: lift reads each transmitted mask once per demand.  xor_at
-    gives the value of a mask from its support, the positions of its bits."""
+    per mask: lift reads each transmitted mask once per demand."""
 
     def __init__(self, segment_values: Sequence[int]):
         self.segment_values = segment_values
@@ -233,12 +231,6 @@ class MaskValues:
             acc ^= values[low.bit_length() - 1]
             rest ^= low
         return acc
-
-    def xor_at(self, support: Sequence[int]) -> int:
-        """XOR of the segment values at the positions in support, the value
-        of the mask with those bits: one reduce at C speed, with no 0-seeded
-        copy of the first value; 0 for an empty support."""
-        return reduce(xor, map(self.segment_values.__getitem__, support)) if support else 0
 
 
 class SpanBasis:

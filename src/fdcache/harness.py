@@ -13,7 +13,6 @@ fields are emitted only on request so determinism checks can compare bytes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import time
@@ -43,7 +42,6 @@ from .scheme import (
     DeliverySet,
     Lift,
     PayloadSource,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
-    closure_pair,
     decode_file,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     decode_rows,
     delivery,
@@ -416,17 +414,17 @@ def identity_suite(
 ) -> IdentityReport:
     """Run the three XOR-identity families used by the construction.
 
-    parity_closure is demand-independent; the delivery families run per
-    sampled demand.  Every family compares int masks over the dense segment
-    index, two checks (I and Q) per pair.  Every failure records its full
-    index tuple.  Both skip families read one rebuilt pair per skipped
-    symbol: skip_reconstruction compares it with the skipped pair, and
-    delivery_redundancy's weighted zero-sum is MIX**h(leaders) of their
-    difference, so one comparison decides both; both stay so that reports
-    keep their shape.  The transformed-sum family makes one wide
-    transformed_sum_residual per demand, two checks per segment pair, and
-    reads each (s, r_set) block of it, the pair's bits in every file, only
-    when the residual is nonzero.
+    parity_closure compares each cache's closure table (CacheContent.closures)
+    with its row parities, once; the delivery families run per sampled demand.
+    Every family compares int masks over the dense segment index, two checks (I
+    and Q) per pair.  Every failure records its full index tuple.  Both skip
+    families read one rebuilt pair per skipped symbol: skip_reconstruction
+    compares it with the skipped pair, and delivery_redundancy's weighted
+    zero-sum is MIX**h(leaders) of their difference, so one comparison decides
+    both; both stay so that reports keep their shape.  The transformed-sum
+    family makes one wide transformed_sum_residual per demand, two checks per
+    segment pair, and reads each (s, r_set) block of it, the pair's bits in
+    every file, only when the residual is nonzero.
     """
     index = segment_index(params)  # refuses an oversized system before sampling
     if demands is None:
@@ -439,16 +437,13 @@ def identity_suite(
 
     closure_checked = 0
     closure_failures = []
-    if params.r >= 1:
-        for cache in _prefetch_all(params):
-            k = cache.owner
-            others = [u for u in params.users if u != k]
-            for f in params.files:
-                for r_minus in itertools.combinations(others, params.r - 1):
-                    got, want = closure_pair(cache, f, r_minus), row_parity_pair(params, k, f, r_minus)
-                    closure_checked += 2
-                    if got != want:
-                        _compare_pairs(got, want, closure_failures, f"k={k} f={f} subset={r_minus}")
+    for cache in _prefetch_all(params):  # no closure when r == 0
+        k = cache.owner
+        for (f, r_minus), got in cache.closures.items():
+            want = row_parity_pair(params, k, f, r_minus)
+            closure_checked += 2
+            if got != want:
+                _compare_pairs(got, want, closure_failures, f"k={k} f={f} subset={r_minus}")
 
     skip_checked = 0
     redundancy_failures = []

@@ -7,9 +7,9 @@ Pipeline, per (N, K, r) system:
 2. prefetch      - user k caches an uncoded slice plus product-code parities
                    (column parities across files, a pruned set of row parities
                    along each file).  The pruned row parities are linearly
-                   dependent on stored ones: parity_combination expands
-                   file 1 into column parities, all stored, and other files'
-                   rows, then swaps the anchor peer out of the row parities.
+                   dependent on stored ones: each cache sums every row
+                   parity's closure once (CacheContent), as parity_combination
+                   rewrites it into stored column and row parities.
 3. transform     - once demands are known, (I, Q) pairs are mixed by powers
                    MIX**e, e in {0, 1, 2}, of the GF(2) map MIX: (I, Q) ->
                    (I^Q, I), chosen per (requesting user, excluded user) so
@@ -37,8 +37,8 @@ verifier reads every item through the demand's Lift.  The identity lift
 reads each item as its mask and encodes nothing.  A lift through drawn
 values reads it as a payload value, or as its mask in the low index.size
 bits with its value above them: lift encodes each transmitted symbol once
-per demand, and each user's parities are lifted from their supports, the
-bit positions CacheContent keeps.  Each symbol (s, r_plus) carries one
+per demand, and each user's column parities and closures are lifted from
+the bit positions CacheContent keeps.  Each symbol (s, r_plus) carries one
 class-1 row (s != k) for each member k of r_plus, and moved to one side
 every such row is the same identity: the symbol's lifted broadcast terms
 and its r+1 lifted member segments, each under MIX**e(t, s), sum to zero.
@@ -47,10 +47,10 @@ failing_symbols checks each identity once per demand, for all its members
 decode_rows then ANDs the segments the user reads uncoded (its uncoded
 hits, held as they are, and the other members' segments of its class-1
 rows) once with what its cache lacks, and yields its class-2 rows (s == k),
-each the terms over cached parities and broadcast symbols whose weighted
-sum is MIX**undo of the target pair.  XOR never carries across bits, so a
-verifier checks an identity or a row on masks, payload or both with one
-plain mix_sum and one comparison.
+each the terms over a column parity, one closure per member and broadcast
+symbols whose weighted sum is MIX**undo of the target pair.  XOR never
+carries across bits, so a verifier checks an identity or a row on masks,
+payload or both with one plain mix_sum and one comparison.
 """
 
 from __future__ import annotations
@@ -122,9 +122,10 @@ def anchor_user(k: int) -> int:
 class CacheContent:
     """Everything user `owner` prefetches, over the dense segment index:
     the mask of its uncoded segments plus (I mask, Q mask) pairs of parities.
-    supports holds each stored parity's I and Q support, read once per cache
-    from its own masks, so a demand's decoding lifts every parity from the
-    segment values without scanning its bits again."""
+    Its closure table sums each row parity (file, r_minus) once from its own
+    stored masks (closure_pair), so a corrupted copy has its own closures.
+    supports keeps the I and Q positions of the column parities and closures,
+    which decoding lifts; closures keeps the masks, read by the identity suite."""
 
     params: SchemeParams
     owner: int
@@ -152,13 +153,27 @@ class CacheContent:
         """Cache size normalized by the per-file segment count."""
         return Fraction(self.size, segment_index(self.params).per_file)
 
+    def _closure_pairs(self) -> Iterator[tuple[tuple[int, tuple[int, ...]], tuple[int, int]]]:
+        """((file, r_minus), closure_pair) per file and (r-1)-subset of the others; none if r == 0."""
+        if self.params.r == 0:
+            return
+        others = [u for u in self.params.users if u != self.owner]
+        for f in self.params.files:
+            for r_minus in itertools.combinations(others, self.params.r - 1):
+                yield (f, r_minus), closure_pair(self, f, r_minus)
+
+    @cached_property
+    def closures(self) -> dict[tuple[int, tuple[int, ...]], tuple[int, int]]:
+        """(file, r_minus) -> the (I, Q) masks of its closure."""
+        return dict(self._closure_pairs())
+
     @cached_property
     def supports(self) -> tuple[dict, dict]:
-        """(column, row): the positions of the I bits and of the Q bits of
-        each stored parity, keyed as column and row key it."""
+        """(column, closure): the positions of the I bits and of the Q bits
+        of each column parity and closure, keyed as column and closures are."""
         return tuple(
-            {key: (tuple(bit_positions(i)), tuple(bit_positions(q))) for key, (i, q) in parities.items()}
-            for parities in (self.column, self.row)
+            {key: (tuple(bit_positions(i)), tuple(bit_positions(q))) for key, (i, q) in pairs}
+            for pairs in (self.column.items(), self._closure_pairs())
         )
 
 
@@ -193,13 +208,13 @@ def prefetch(params: SchemeParams, k: int) -> CacheContent:
     return CacheContent(params=params, owner=k, uncoded=uncoded, column=column, row=row)
 
 
-@lru_cache(maxsize=None)
 def parity_combination(
     params: SchemeParams, k: int, file: int, r_minus: tuple[int, ...]
 ) -> tuple[frozenset[tuple[int, ...]], frozenset[tuple[int, tuple[int, ...]]]]:
     """Stored parities whose XOR equals row parity (file, r_minus) of user k.
 
-    Returns (column subsets, (file, subset) row keys), channel-independent.
+    Returns (column subsets, (file, subset) row keys), channel-independent;
+    closure_pair calls it once per key of a cache's closure table.
     User k stores every column parity C(S) and the row parities R(f, m)
     (row_parity_pair) with f >= 2 and m avoiding the anchor peer a.  With O
     the users outside r_minus | {k}, two exact rewrites reach that set, and
@@ -245,19 +260,11 @@ def row_parity_pair(params: SchemeParams, k: int, file: int, r_minus: tuple[int,
     return mask, mask << 1
 
 
-def closure_terms(column: dict, row: dict, combination, e: int = 0) -> list[Term]:
-    """(I, Q, e) terms over the stored parities of a parity_combination,
-    each weighted by MIX**e; column and row hold the (I, Q) pair of each
-    stored parity, as CacheContent.column and CacheContent.row key them."""
-    columns, rows = combination
-    return [(*column[r_set], e) for r_set in columns] + [(*row[key], e) for key in rows]
-
-
 def closure_pair(cache: CacheContent, file: int, r_minus: tuple[int, ...]) -> tuple[int, int]:
     """(I, Q) masks of row parity (file, r_minus) of the cache owner, XORed
     together from stored parities only.  Stored inputs come back unchanged."""
-    combination = parity_combination(cache.params, cache.owner, file, tuple(r_minus))
-    return mix_sum(closure_terms(cache.column, cache.row, combination))
+    columns, rows = parity_combination(cache.params, cache.owner, file, tuple(r_minus))
+    return mix_sum([(*cache.column[r_set], 0) for r_set in columns] + [(*cache.row[key], 0) for key in rows])
 
 
 def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...], channel: str) -> int:
@@ -521,10 +528,10 @@ def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[tup
     subset and excluded user both avoid i (index pair masks).  A class-1 row is
     its symbol's identity (failing_symbols), so holding is all it leaves per
     user.  rows holds the class-2 row (s == k) of each r_set avoiding k, in
-    partition order, as (offset, r_set, ((t, parity_combination of r_set - t
-    for each file), ...), (r_set | {h}, ...)): the column parity, the
-    transformed row-parity closures of the files requested inside r_set, and
-    every broadcast symbol over r_set | {h}.
+    partition order, as (offset, r_set, ((t, r_set - t), ...), (r_set | {h},
+    ...)): the column parity, one transformed closure (d(t), r_set - t) of
+    the cache's closure table per member t, and every broadcast symbol over
+    r_set | {h}.
     """
     index = segment_index(params)
     inside, excluded = index.inside, index.excluded
@@ -534,13 +541,10 @@ def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[tup
     rows = []
     for (r_set, s), offset in index.offsets.items():
         if s == k:
-            closures = []
-            for i, t in enumerate(r_set):
-                r_minus = r_set[:i] + r_set[i + 1:]
-                closures.append((t, tuple(parity_combination(params, k, f, r_minus) for f in params.files)))
+            members = tuple((t, r_set[:i] + r_set[i + 1:]) for i, t in enumerate(r_set))
             bits = sum(1 << u for u in r_set)
             symbols = tuple(subsets[bits | 1 << h] for h in params.users if h != k and not bits >> h & 1)
-            rows.append((offset, r_set, tuple(closures), symbols))
+            rows.append((offset, r_set, members, symbols))
     return held, tuple(rows)
 
 
@@ -612,9 +616,11 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
     the segments at positions target and target + 1 of the dense segment
     index: the target as user k's transform toward itself leaves it, each
     segment read as lifted.units reads it.  Each term is (I, Q, e) over a
-    cached column or row parity or a broadcast symbol, read through the
-    Lift.  Unless the Lift is the identity, the user's parities are lifted
-    once, here, each from its support (CacheContent.supports).
+    cached column parity, a closure of the cache's table or a broadcast
+    symbol, read through the Lift.  Columns and closures are lifted once,
+    here, from their positions (CacheContent.supports) through the server's
+    per-segment encoding: the drawn values, or the unit masks under the
+    identity lift, never the values the user holds (lifted.units).
     Raises LookupError, naming the first missing segment, when the user does
     not hold a segment that its decoding reads uncoded.
     """
@@ -628,22 +634,26 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
     missing = needed & ~cache.uncoded
     if missing:
         raise LookupError(f"user {k} did not cache {index.segments[(missing & -missing).bit_length() - 1].label()}")
-    units, values, broadcast = lifted
-    if values is None:
-        column, row = cache.column, cache.row
-    else:
-        xor_at = values.xor_at
-        column, row = ({key: (xor_at(i), xor_at(q)) for key, (i, q) in supports.items()}
-                       for supports in cache.supports)
+    _, values, broadcast = lifted
+    encoded = index.units if values is None else values.segment_values
+    column, closure = tables = ({}, {})
+    for table, supports in zip(tables, cache.supports):
+        for key, positions in supports.items():
+            pair = ()
+            for at in positions:  # I, then Q: the first value starts the XOR, so none is copied into a 0
+                value = encoded[at[0]] if at else 0
+                for position in at[1:]:
+                    value ^= encoded[position]
+                pair += (value,)
+            table[key] = pair
     base = (demand[k - 1] - 1) * per_file
-    undo = exponents[k - 1][k - 1]
-    for offset, r_set, closures, symbols in rows:
+    toward = [row[k - 1] for row in exponents]
+    for offset, r_set, members, symbols in rows:
         terms = [(*column[r_set], 0)]
-        for t, combinations in closures:
-            terms += closure_terms(column, row, combinations[demand[t - 1] - 1], exponents[t - 1][k - 1])
+        terms += [(*closure[(demand[t - 1], r_minus)], toward[t - 1]) for t, r_minus in members]
         for r_plus in symbols:
             terms += broadcast[(k, r_plus)]
-        yield base + offset, undo, terms
+        yield base + offset, toward[k - 1], terms
 
 
 class PayloadSource:

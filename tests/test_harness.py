@@ -657,7 +657,7 @@ def test_symbolic_engine_draws_no_payload(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew or encoded a payload")
 
-    for name in ("random", "__getitem__", "xor_at"):
+    for name in ("random", "__getitem__"):
         monkeypatch.setattr(MaskValues, name, no_draw)
     report = verify_demand(RUN, RUN_D, engine="symbolic")
     assert report.success and report.oracle_ok
@@ -1045,9 +1045,10 @@ def test_payload_value_xors_pinned(monkeypatch):
     # every XOR a 64 KiB payload value takes part in is a 64 KiB copy: count
     # them for one demand, with counting ints as the segment values, in the
     # lift, in the one symbol pass and in the users' class-2 rows.  Uncoded
-    # hits are no rows, parities are lifted with no 0-seeded copy, and each
-    # mix_sum starts from its first term; the rows still count MIX**undo of
-    # each target's values
+    # hits are no rows, columns and closures are lifted with no 0-seeded
+    # copy, each row reads one closure per member, and each mix_sum starts
+    # from its first term; the rows still count MIX**undo of each target's
+    # values
     xors = {"lift": 0, "symbols": 0, "rows": 0}
     phase = []
 
@@ -1079,7 +1080,7 @@ def test_payload_value_xors_pinned(monkeypatch):
     monkeypatch.setattr(harness, "failing_symbols", counted("symbols", symbols))
     monkeypatch.setattr(harness, "_decode_user_ok", counted("rows", decode_user_ok))
     assert verify_demand(RUN, RUN_D, engine="payload", run_oracle=False).success
-    assert xors == {"lift": 260, "symbols": 352, "rows": 980}
+    assert xors == {"lift": 260, "symbols": 352, "rows": 668}
 
 
 def test_verify_demand_refuses_a_payload_past_the_ceiling(monkeypatch):

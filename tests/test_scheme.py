@@ -8,7 +8,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdcache.algebra import CHANNELS, MaskValues, Payload, segment, segment_index
+from fdcache.algebra import CHANNELS, MaskValues, Payload, bit_positions, segment, segment_index
 from fdcache.analysis import memory_point, type_operating_point
 from fdcache.core import SchemeParams, NotFullyDemandedError, demand_type, enumerate_demands
 from fdcache.harness import _decode_user_ok, _oracle_flags
@@ -596,16 +596,59 @@ def test_corrupted_skipped_symbol_is_never_read(run_delivery, run_caches):
     assert _oracle_flags(RUN, flipped) == [True] * 6
 
 
+def _positions(pair):
+    return tuple(tuple(bit_positions(mask)) for mask in pair)
+
+
 @pytest.mark.parametrize("masks", [False, True])
 @pytest.mark.parametrize("width", [1, 3, 64])
 def test_parities_lift_from_their_supports(run_caches, width, masks):
+    # every key of the table is a closure_pair, kept as its bit positions;
+    # over three demands that together read every file's closures, each
+    # class-2 row lifted through drawn values is its identity-lift row with
+    # every mask mapped through the values
     values = MaskValues.random(segment_index(RUN), width, "supports", masks=masks)
-    for cache in run_caches.values():
-        for parities, supports in zip((cache.column, cache.row), cache.supports):
-            assert supports.keys() == parities.keys()
-            for key, pair in parities.items():
-                assert tuple(map(values.xor_at, supports[key])) == tuple(values[mask] for mask in pair)
-    assert values.xor_at(()) == 0
+    demands = [RUN_D, (2, 2, 2, 2, 3, 1), (3, 3, 3, 3, 1, 2)]
+    for k, cache in run_caches.items():
+        columns, closures = cache.supports
+        assert columns == {key: _positions(pair) for key, pair in cache.column.items()}
+        keys = [(f, ()) for f in RUN.files]
+        assert closures == {key: _positions(closure_pair(cache, *key)) for key in keys}
+        assert cache.closures == {key: closure_pair(cache, *key) for key in keys}
+        for d in demands:
+            dset = delivery(RUN, d)
+            rows = decode_rows(dset, cache, k, lift(dset))
+            for (_, _, terms), (_, _, lifted) in zip(rows, decode_rows(dset, cache, k, lift(dset, values)), strict=True):
+                assert lifted == [(values[i], values[q], e) for i, q, e in terms]
+
+
+def test_a_corrupted_row_parity_reaches_only_its_copys_closures(run_delivery, run_caches):
+    # R(2, {}) of user 1 is its own closure and part of file 1's (see
+    # test_closure_running_example_combination); user 1 reads both under RUN_D
+    cache = run_caches[1]
+    pristine = {key: row_parity_pair(RUN, 1, *key) for key in cache.closures}
+    mask_i, mask_q = cache.row[(2, ())]
+    stray = unit(3, (4,), 1, "I")
+    assert _payload_values()[stray] != 0
+    corrupted = dataclasses.replace(cache, row={**cache.row, (2, ()): (mask_i ^ stray, mask_q)})
+    changed = {key for key, pair in corrupted.closures.items() if pair != pristine[key]}
+    assert changed == {(1, ()), (2, ())}
+    assert corrupted.supports[1] != cache.supports[1] and corrupted.supports[0] == cache.supports[0]
+    assert cache.closures == pristine
+    for lifted in (lift(run_delivery), _lifted(run_delivery), _lifted(run_delivery, masks=True)):
+        assert not user_ok(run_delivery, corrupted, 1, lifted)
+        assert user_ok(run_delivery, cache, 1, lifted)
+
+
+@pytest.mark.parametrize("params,d,count", [(RUN, RUN_D, 200), (SchemeParams(4, 6, 2), (1, 2, 3, 4, 1, 2), 360)])
+def test_class2_term_counts_pinned(params, d, count):
+    # each class-2 row is its column parity, one closure per member of r_set
+    # and its broadcast terms, over all users: 320 and 702 terms when each
+    # closure was expanded into stored parities
+    dset = delivery(params, d)
+    lifted = lift(dset)
+    rows = [row for k in params.users for row in decode_rows(dset, prefetch(params, k), k, lifted)]
+    assert sum(len(terms) for _, _, terms in rows) == count
 
 
 def test_lift_matches_the_broadcast_terms():
