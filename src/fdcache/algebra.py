@@ -169,7 +169,7 @@ MAX_SYMBOL_SEGMENTS = 2**28
 # about 3-4 s, the slowest system inside the three ceilings).  The oracle keeps
 # one pre-eliminated cache basis per user for the process (harness._cache_spans),
 # up to about K size^2 / 8 bytes: one symbolic verify with the oracle peaks at
-# 525 MiB RSS at (16,23,21) and 439 MiB at (1,25,22), bounded by these ceilings
+# 505 MiB RSS at (16,23,21) and 420 MiB at (1,25,22), bounded by these ceilings
 MAX_SETUP_STEPS = 2**23
 
 
@@ -234,30 +234,45 @@ class MaskValues:
 
 
 class SpanBasis:
-    """Row space over GF(2) built incrementally from int-mask rows.
+    """Row space over GF(2) of int-mask rows below bit width, built
+    incrementally.
 
-    Rows are reduced against pivots keyed by leading bit; copy() is cheap so a
-    precomputed basis can be extended per query without re-elimination.  The
-    oracle joins two pre-eliminated sides this way, copying the larger and
-    inserting the other: each user's cache basis takes the broadcast rows, or,
-    when the broadcast has more rows than a cache basis has pivots, one
-    broadcast basis per demand takes each user's cache pivots.
+    pivots[i] is the inserted row whose leading bit is i, or 0 when no pivot
+    leads there, and rank counts the pivots.  Rows are reduced against them;
+    copy() is cheap so a precomputed basis can be extended per query without
+    re-elimination.  The oracle joins two pre-eliminated sides this way,
+    copying the larger and inserting the other: each user's cache basis
+    takes the broadcast rows, or, when the broadcast has more rows than a
+    cache basis has pivots, one broadcast basis per demand takes each user's
+    cache pivots.
+
+    covers(lo, hi) reads a block of unit rows off the pivots.  Pivots have
+    distinct leads, so a combination of them leads where its highest pivot
+    does: the part of the span below bit hi is spanned by the pivots that
+    lead below hi, and likewise below lo.  Every e_i with lo <= i < hi is
+    then in the span iff every such i leads a pivot and the part below lo of
+    each of those pivots lies in the span.  Only if: e_i leads at i, and a
+    pivot leading in the block minus its block bits is a vector of the span
+    below lo.  If: going up from lo, the pivot leading at i minus its part
+    below lo is e_i plus block bits below i, which are in the span already.
     """
 
-    __slots__ = ("pivots",)
+    __slots__ = ("pivots", "rank")
 
-    def __init__(self, pivots: dict[int, int] | None = None):
-        self.pivots: dict[int, int] = {} if pivots is None else pivots
+    def __init__(self, width: int):
+        self.pivots = [0] * width
+        self.rank = 0
 
     def copy(self) -> "SpanBasis":
-        return SpanBasis(dict(self.pivots))
+        clone = SpanBasis.__new__(SpanBasis)
+        clone.pivots, clone.rank = self.pivots.copy(), self.rank
+        return clone
 
     def residual(self, row: int) -> int:
         pivots = self.pivots
         while row:
-            lead = row.bit_length() - 1
-            pivot = pivots.get(lead)
-            if pivot is None:
+            pivot = pivots[row.bit_length() - 1]
+            if not pivot:
                 return row
             row ^= pivot
         return 0
@@ -266,32 +281,42 @@ class SpanBasis:
         row = self.residual(row)
         if row:
             self.pivots[row.bit_length() - 1] = row
+            self.rank += 1
             return True
         return False
 
     def insert_rows(self, rows: Iterable[int]) -> None:
         """insert_row of each row in turn, in one elimination loop."""
-        pivots = self.pivots
+        pivots, rank = self.pivots, self.rank
         for row in rows:
             while row:
                 lead = row.bit_length() - 1
-                pivot = pivots.get(lead)
-                if pivot is None:
+                pivot = pivots[lead]
+                if not pivot:
                     pivots[lead] = row
+                    rank += 1
                     break
                 row ^= pivot
+        self.rank = rank
 
     def spans(self, rows: Iterable[int]) -> bool:
         """True iff every row lies in the span: each residual is 0."""
         pivots = self.pivots
         for row in rows:
             while row:
-                pivot = pivots.get(row.bit_length() - 1)
-                if pivot is None:
+                pivot = pivots[row.bit_length() - 1]
+                if not pivot:
                     return False
                 row ^= pivot
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def covers(self, lo: int, hi: int) -> bool:
+        """True iff every unit row e_i with lo <= i < hi lies in the span:
+        spans(1 << i for i in range(lo, hi)), read off the pivots (see the
+        class docstring).  The parts below lo reduce against pivots leading
+        below lo only."""
+        block = self.pivots[lo:hi]
+        if not all(block):
+            return False
+        below = (1 << lo) - 1
+        return self.spans([pivot & below for pivot in block])

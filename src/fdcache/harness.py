@@ -92,22 +92,26 @@ def _prefetch_all(params: SchemeParams) -> tuple[CacheContent, ...]:
     return caches
 
 
+class _CacheBasis(SpanBasis):
+    """One user's pre-eliminated cache span, with its pivot rows listed once
+    at set-up for the broadcast-first join; a copy is a plain SpanBasis."""
+
+    __slots__ = ("rows",)
+
+
 @lru_cache(maxsize=None)
-def _cache_spans(params: SchemeParams) -> tuple[SpanBasis, ...]:
+def _cache_spans(params: SchemeParams) -> tuple[_CacheBasis, ...]:
     """Pre-eliminated cache row spaces, one per user, over the segment index."""
+    size = segment_index(params).size
     spans = []
     for cache in _prefetch_all(params):
-        span = SpanBasis()
+        span = _CacheBasis(size)
         span.insert_rows(1 << position for position in bit_positions(cache.uncoded))
         for parities in (cache.column, cache.row):
             span.insert_rows(mask for key in sorted(parities) for mask in parities[key])
+        span.rows = list(filter(None, span.pivots))
         spans.append(span)
     return tuple(spans)
-
-
-def _file_target_rows(params: SchemeParams, file: int) -> tuple[int, ...]:
-    index = segment_index(params)
-    return index.units[(file - 1) * index.per_file : file * index.per_file]
 
 
 def _payload_seed(seed: str, params: SchemeParams, demand: Demand) -> str:
@@ -179,22 +183,27 @@ def _oracle_flags(params: SchemeParams, dset: DeliverySet) -> list[bool]:
     and the transmitted symbols holds every segment of its file.  Each join
     copies the larger pre-eliminated side and inserts the smaller one.  When
     the broadcast has more rows than a cache basis has pivots, it is
-    eliminated once per demand and each user's cache pivots go into a copy
-    of it; otherwise the broadcast rows go into a copy of each user's cache
-    basis.  Either way the span, and so every verdict, is the same."""
+    eliminated once per demand and each user's cache pivot rows, listed at
+    set-up, go into a copy of it; otherwise the broadcast rows go into a copy
+    of each user's cache basis.  Either way the span, and so every verdict,
+    is the same.  The file's block of per_file unit rows is read off the
+    joined pivots (SpanBasis.covers): every position of the block leads a
+    pivot, and the parts of those pivots below the block reduce to 0."""
+    index = segment_index(params)
+    per_file = index.per_file
     spans = _cache_spans(params)
     symbol_rows = [mask for pair in dset.pairs.values() for mask in pair]
     if len(symbol_rows) > spans[0].rank:  # every user caches the same amount
-        broadcast = SpanBasis()
+        broadcast = SpanBasis(index.size)
         broadcast.insert_rows(symbol_rows)
-        joins = [(broadcast, span.pivots.values()) for span in spans]
+        joins = [(broadcast, span.rows) for span in spans]
     else:
         joins = [(span, symbol_rows) for span in spans]
     flags = []
-    for k, (base, rows) in zip(params.users, joins):
+    for f, (base, rows) in zip(dset.demand, joins):
         span = base.copy()
         span.insert_rows(rows)
-        flags.append(span.spans(_file_target_rows(params, dset.demand[k - 1])))
+        flags.append(span.covers((f - 1) * per_file, f * per_file))
     return flags
 
 

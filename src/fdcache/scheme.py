@@ -617,10 +617,12 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
     index: the target as user k's transform toward itself leaves it, each
     segment read as lifted.units reads it.  Each term is (I, Q, e) over a
     cached column parity, a closure of the cache's table or a broadcast
-    symbol, read through the Lift.  Columns and closures are lifted once,
-    here, from their positions (CacheContent.supports) through the server's
+    symbol, read through the Lift.  Columns and closures are lifted here,
+    from their positions (CacheContent.supports) through the server's
     per-segment encoding: the drawn values, or the unit masks under the
-    identity lift, never the values the user holds (lifted.units).
+    identity lift, never the values the user holds (lifted.units).  Each
+    column is lifted by its one row, and each closure once, when a row first
+    reads it, so the closures of files no member requests are never lifted.
     Raises LookupError, naming the first missing segment, when the user does
     not hold a segment that its decoding reads uncoded.
     """
@@ -636,24 +638,33 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
         raise LookupError(f"user {k} did not cache {index.segments[(missing & -missing).bit_length() - 1].label()}")
     _, values, broadcast = lifted
     encoded = index.units if values is None else values.segment_values
-    column, closure = tables = ({}, {})
-    for table, supports in zip(tables, cache.supports):
-        for key, positions in supports.items():
-            pair = ()
-            for at in positions:  # I, then Q: the first value starts the XOR, so none is copied into a 0
-                value = encoded[at[0]] if at else 0
-                for position in at[1:]:
-                    value ^= encoded[position]
-                pair += (value,)
-            table[key] = pair
+    columns, closures = cache.supports
+    closure = {}  # lifted as a row first reads it: a demand reads only its files' closures
     base = (demand[k - 1] - 1) * per_file
     toward = [row[k - 1] for row in exponents]
     for offset, r_set, members, symbols in rows:
-        terms = [(*column[r_set], 0)]
-        terms += [(*closure[(demand[t - 1], r_minus)], toward[t - 1]) for t, r_minus in members]
+        terms = [(*_lift_pair(columns[r_set], encoded), 0)]  # each column is read by its one row
+        for t, r_minus in members:
+            key = (demand[t - 1], r_minus)
+            pair = closure.get(key)
+            if pair is None:
+                pair = closure[key] = _lift_pair(closures[key], encoded)
+            terms.append((*pair, toward[t - 1]))
         for r_plus in symbols:
             terms += broadcast[(k, r_plus)]
         yield base + offset, toward[k - 1], terms
+
+
+def _lift_pair(positions: tuple[tuple[int, ...], tuple[int, ...]], encoded: Sequence[int]) -> tuple[int, int]:
+    """The (I, Q) pair of a support (CacheContent.supports): the XOR of encoded
+    over the I positions, then over the Q positions."""
+    pair = ()
+    for at in positions:  # the first value starts the XOR, so none is copied into a 0
+        value = encoded[at[0]] if at else 0
+        for position in at[1:]:
+            value ^= encoded[position]
+        pair += (value,)
+    return pair
 
 
 class PayloadSource:

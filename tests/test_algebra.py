@@ -49,7 +49,7 @@ def values_of(by_segment):
 
 def spans(generators, targets):
     """True iff every target row lies in the GF(2) span of the generator rows."""
-    basis = SpanBasis()
+    basis = SpanBasis(INDEX.size)
     for row in generators:
         basis.insert_row(row)
     return all(basis.residual(row) == 0 for row in targets)
@@ -156,7 +156,7 @@ def test_span_contains_random_subset_sums(universe, rng):
 def test_rank_bounds(universe):
     pool = sorted(universe)
     gens = [mask_of(pool[i::2]) for i in range(2)]
-    basis = SpanBasis()
+    basis = SpanBasis(INDEX.size)
     for g in gens:
         basis.insert_row(g)
     assert basis.rank <= len([g for g in gens if g])
@@ -170,15 +170,48 @@ def test_rank_bounds(universe):
 )
 def test_row_loops_match_row_by_row(base, rows, targets):
     # insert_rows and spans are insert_row and residual over many rows at once
-    one_by_one = SpanBasis()
+    one_by_one = SpanBasis(41)
     for row in base + rows:
         one_by_one.insert_row(row)
-    at_once = SpanBasis()
+    at_once = SpanBasis(41)
     at_once.insert_rows(base)
     at_once.insert_rows(iter(rows))
     assert at_once.pivots == one_by_one.pivots
+    assert at_once.rank == one_by_one.rank == sum(map(bool, at_once.pivots))
     assert at_once.spans(targets) == all(one_by_one.residual(row) == 0 for row in targets)
     assert at_once.spans(base + rows)
+
+
+@st.composite
+def bases_and_blocks(draw):
+    """A width, a basis of random rows below it, and a block lo <= hi <= width."""
+    width = draw(st.integers(1, 14))
+    rows = draw(st.lists(st.integers(0, 2**width - 1), max_size=2 * width))
+    lo = draw(st.integers(0, width))
+    hi = draw(st.integers(lo, width))
+    basis = SpanBasis(width)
+    basis.insert_rows(rows)
+    return width, basis, lo, hi
+
+
+@given(bases_and_blocks())
+def test_covers_is_spans_of_the_unit_rows(case):
+    # covers reads the block off the pivots; spans reduces each unit row
+    width, basis, lo, hi = case
+    for a, b in {(lo, hi), (0, hi), (lo, width), (0, width)}:
+        assert basis.covers(a, b) == basis.spans(1 << i for i in range(a, b)), (a, b)
+
+
+def test_covers_checks_the_pivots_below_the_block():
+    # bit 3 leads a pivot, but 0b1110 = e_3 + e_2 + e_1 and nothing spans e_2 or e_1
+    basis = SpanBasis(4)
+    basis.insert_rows([0b1110])
+    assert basis.pivots[3] and not basis.covers(3, 4)
+    assert basis.covers(3, 3)
+    basis.insert_rows([0b0110])  # e_3 = 0b1110 + 0b0110, but e_2 needs e_1
+    assert basis.covers(3, 4) and not basis.covers(2, 4)
+    basis.insert_rows([0b0010])
+    assert basis.covers(1, 4) and not basis.covers(0, 4)
 
 
 @given(
@@ -190,11 +223,11 @@ def test_a_join_is_the_same_from_either_side(a, b, targets):
     # the oracle copies whichever pre-eliminated side is larger and inserts
     # the other: A's basis extended by B and B's basis extended by A's
     # pivots are one row space (12-bit rows, so both verdicts occur)
-    a_first = SpanBasis()
+    a_first = SpanBasis(13)
     a_first.insert_rows(a)
-    a_pivots = list(a_first.pivots.values())
+    a_pivots = [pivot for pivot in a_first.pivots if pivot]
     a_first.insert_rows(b)
-    b_first = SpanBasis()
+    b_first = SpanBasis(13)
     b_first.insert_rows(b)
     b_first.insert_rows(a_pivots)
     assert a_first.rank == b_first.rank
@@ -203,7 +236,7 @@ def test_a_join_is_the_same_from_either_side(a, b, targets):
 
 
 def test_span_basis_copy_is_independent():
-    basis = SpanBasis()
+    basis = SpanBasis(INDEX.size)
     basis.insert_row(mask_of([X]))
     clone = basis.copy()
     clone.insert_row(mask_of([Y]))

@@ -1046,9 +1046,10 @@ def test_payload_value_xors_pinned(monkeypatch):
     # them for one demand, with counting ints as the segment values, in the
     # lift, in the one symbol pass and in the users' class-2 rows.  Uncoded
     # hits are no rows, columns and closures are lifted with no 0-seeded
-    # copy, each row reads one closure per member, and each mix_sum starts
-    # from its first term; the rows still count MIX**undo of each target's
-    # values
+    # copy, each row reads one closure per member, a closure no row reads is
+    # never lifted (668 row XORs when all 18 were: 2 unread, 8 XORs each),
+    # and each mix_sum starts from its first term; the rows still count
+    # MIX**undo of each target's values
     xors = {"lift": 0, "symbols": 0, "rows": 0}
     phase = []
 
@@ -1080,7 +1081,7 @@ def test_payload_value_xors_pinned(monkeypatch):
     monkeypatch.setattr(harness, "failing_symbols", counted("symbols", symbols))
     monkeypatch.setattr(harness, "_decode_user_ok", counted("rows", decode_user_ok))
     assert verify_demand(RUN, RUN_D, engine="payload", run_oracle=False).success
-    assert xors == {"lift": 260, "symbols": 352, "rows": 668}
+    assert xors == {"lift": 260, "symbols": 352, "rows": 652}
 
 
 def test_verify_demand_refuses_a_payload_past_the_ceiling(monkeypatch):

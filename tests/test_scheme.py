@@ -8,6 +8,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fdcache import scheme
 from fdcache.algebra import CHANNELS, MaskValues, Payload, bit_positions, segment, segment_index
 from fdcache.analysis import memory_point, type_operating_point
 from fdcache.core import SchemeParams, NotFullyDemandedError, demand_type, enumerate_demands
@@ -649,6 +650,30 @@ def test_class2_term_counts_pinned(params, d, count):
     lifted = lift(dset)
     rows = [row for k in params.users for row in decode_rows(dset, prefetch(params, k), k, lifted)]
     assert sum(len(terms) for _, _, terms in rows) == count
+
+
+def test_closures_are_lifted_only_when_read(monkeypatch):
+    # (4,6) r=2, demand (1,2,3,4,1,2): each user's table holds 20 closures,
+    # 4 files x 5 r_minus, and its rows read 14 or 17 of them, 96 in all;
+    # every column is read by its one row.  All 120 closures were lifted per
+    # demand when the whole table was lifted up front
+    params, d = SchemeParams(4, 6, 2), (1, 2, 3, 4, 1, 2)
+    dset = delivery(params, d)
+    lifted = lift(dset)
+    caches = [prefetch(params, k) for k in params.users]
+    lifts = []
+    real = scheme._lift_pair
+
+    def counted(positions, encoded):
+        lifts.append(positions)
+        return real(positions, encoded)
+
+    monkeypatch.setattr(scheme, "_lift_pair", counted)
+    for k, cache in zip(params.users, caches):
+        list(decode_rows(dset, cache, k, lifted))
+    columns, closures = (sum(len(cache.supports[i]) for cache in caches) for i in (0, 1))
+    assert (columns, closures) == (60, 120)
+    assert len(lifts) == columns + 96
 
 
 def test_lift_matches_the_broadcast_terms():

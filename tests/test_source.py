@@ -86,7 +86,7 @@ def test_oracle_names_no_decoder_function():
 
     assert all(callable(getattr(scheme, name)) for name in DECODER_NAMES)  # no name here is stale
     assert all(hasattr(scheme.CacheContent, name) for name in DECODER_TABLES)
-    oracle = (harness._oracle_flags, harness._cache_spans.__wrapped__, harness._file_target_rows)
+    oracle = (harness._oracle_flags, harness._cache_spans.__wrapped__)
     named = {function.__name__: _code_names(function.__code__) for function in oracle}
     assert {name: sorted(names & (DECODER_NAMES | DECODER_TABLES)) for name, names in named.items()} == {
         name: [] for name in named
