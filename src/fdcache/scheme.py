@@ -75,7 +75,6 @@ from .core import (
     SchemeParams,
     leader_sets,
     require_fully_demanded,
-    requesters,
 )
 
 Term = tuple[int, int, int]  # (I mask, Q mask, e): one summand MIX**e (I, Q) of mix_sum
@@ -276,31 +275,26 @@ def row_parity_closure(cache: CacheContent, file: int, r_minus: tuple[int, ...],
 # pairwise transform
 
 
-def _transform_log(d: Demand, asking: tuple[int, ...], t: int, s: int) -> int:
-    """Exponent e of the transform MIX**e of user t toward s; asking = requesters(d(t)).
-
-    The identity (e = 0) when d(t) has odd multiplicity.  Otherwise one
-    special user gets MIX**2 = MIX^-1 and everyone else MIX: the special user
-    is t == s when t and s request the same file, else the lowest-indexed
-    requester of d(t).
-    """
-    if len(asking) % 2 == 1:
-        return 0
-    if d[t - 1] == d[s - 1]:
-        special = t == s
-    else:
-        # s does not request d(t), so min over all requesters is the leader
-        # among the users other than s
-        special = t == asking[0]
-    return 2 if special else 1
-
-
 def transform_exponents(params: SchemeParams, d: Demand) -> tuple[tuple[int, ...], ...]:
-    """K x K table whose entry [t-1][s-1] is the exponent of the transform of user t toward s."""
-    asking = {f: requesters(d, f) for f in params.files}
-    return tuple(
-        tuple(_transform_log(d, asking[d[t - 1]], t, s) for s in params.users) for t in params.users
-    )
+    """K x K table whose entry [t-1][s-1] is the exponent e of the transform
+    MIX**e of user t toward s.
+
+    Row t is all 0 (the identity) when d(t) has odd multiplicity.  Otherwise
+    one special user per s gets MIX**2 = MIX^-1 and everyone else MIX: toward
+    an s with d(s) = d(t) the special user is s itself, so the entry is 2 at
+    s = t and 1 elsewhere; toward every other s it is the lowest requester
+    of d(t), so the entry is 2 if t is that requester and 1 if not.
+    """
+    rows = []
+    for t, f in enumerate(d, start=1):
+        if d.count(f) % 2:
+            rows.append((0,) * params.n_users)
+        else:
+            other = 2 if d.index(f) == t - 1 else 1  # t is the lowest requester of f
+            row = [1 if g == f else other for g in d]
+            row[t - 1] = 2
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 def mix_sum(terms: Iterable[Term]) -> tuple[int, int]:
@@ -349,17 +343,20 @@ class DeliverySet:
     (r+1)-subset) to its (I, Q) masks over the dense segment index; skipped
     maps each other symbol to the masks it would carry, which only checks
     read.  leaders[s] is the leader set of the users other than s
-    (core.leaders).  exponents[t-1][s-1] is the e with MIX**e the transform
-    of user t toward s.  swaps[s], for each s that skips a symbol, maps each
-    user x other than s to (l, exponent change toward s of swapping l for x
-    mod 3, 1 << d(x)), l the leader of d(x).  subsets maps the user bitmask
-    sum(1 << u) of every (r+1)-subset to the subset (_subsets_by_bits), so
-    skip_combination grows its swap sets on bits.  reconstruction, the one
-    skip table, maps each skipped symbol to (rest, e) references to the
-    pairs[(s, rest)] whose MIX**e-weighted sum rebuilds it: one rest per set
-    of swaps, e the sum of their exponent changes.  They are read at each
-    rebuild, never copied, so a corrupted pair reaches every rebuild, and
-    both skip families of the identity suite read one rebuilt pair.
+    (core.leaders), and leader_bits[s-1] its user bits sum(1 << u).
+    exponents[t-1][s-1] is the e with MIX**e the transform of user t toward
+    s.  swaps[s], for each s that skips a symbol, maps each user x other
+    than s to (1 << x ^ 1 << l, exponent change toward s of swapping l for
+    x mod 3, 1 << d(x)), l the leader of d(x): the first entry is the XOR
+    flip that swaps x for l in a subset's user bits.  subsets maps the user
+    bits of every (r+1)-subset to the subset and bits maps it back
+    (_subsets_by_bits), so skip_combination grows its swap sets on bits.
+    reconstruction, the one skip table, maps each skipped symbol to (rest,
+    e) references to the pairs[(s, rest)] whose MIX**e-weighted sum rebuilds
+    it: one rest per set of swaps, e the sum of their exponent changes.
+    They are read at each rebuild, never copied, so a corrupted pair reaches
+    every rebuild, and both skip families of the identity suite read one
+    rebuilt pair.
     """
 
     params: SchemeParams
@@ -367,9 +364,11 @@ class DeliverySet:
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]]
     skipped: dict[tuple[int, tuple[int, ...]], tuple[int, int]]
     leaders: dict[int, frozenset[int]]
+    leader_bits: list[int]
     exponents: tuple[tuple[int, ...], ...]
     swaps: dict[int, dict[int, tuple[int, int, int]]]
     subsets: dict[int, tuple[int, ...]]
+    bits: dict[tuple[int, ...], int]
     reconstruction: dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], int], ...]] = field(
         default_factory=dict
     )
@@ -391,16 +390,16 @@ _MIXED_UNIT = tuple(mix(e, 1, 2) for e in range(3))
 @lru_cache(maxsize=None)
 def _symbol_layout(
     params: SchemeParams,
-) -> tuple[tuple[int, tuple[int, ...], int, tuple[tuple[int, int], ...]], ...]:
+) -> tuple[tuple[tuple[int, tuple[int, ...]], int, int, tuple[tuple[int, int], ...]], ...]:
     """The demand-independent part of every broadcast symbol, in delivery
-    order: (s, r_plus, user bits of r_plus, ((t, position of
+    order: ((s, r_plus), s - 1, user bits of r_plus, ((t - 1, position of
     W^I[1; r_plus - t; s]), ...)), the user bits sum(1 << u) over u in
     r_plus.  A demand moves each position to file d(t) by adding
     (d(t) - 1) * per_file."""
     offsets = segment_index(params).offsets
     # the subsets of all users that avoid s are those of the others, in order
     return tuple(
-        (s, r_plus, bits, tuple((t, offsets[(tuple(u for u in r_plus if u != t), s)]) for t in r_plus))
+        ((s, r_plus), s - 1, bits, tuple((t - 1, offsets[(tuple(u for u in r_plus if u != t), s)]) for t in r_plus))
         for s in params.users
         for bits, r_plus in _subsets_by_bits(params).items() if not bits >> s & 1
     )
@@ -412,38 +411,45 @@ def _subsets_by_bits(params: SchemeParams) -> dict[int, tuple[int, ...]]:
     return {sum(1 << u for u in r_plus): r_plus for r_plus in itertools.combinations(params.users, params.r + 1)}
 
 
+@lru_cache(maxsize=None)
+def _bits_by_subset(params: SchemeParams) -> dict[tuple[int, ...], int]:
+    """The inverse of _subsets_by_bits: each (r+1)-subset's user bits."""
+    return {r_plus: bits for bits, r_plus in _subsets_by_bits(params).items()}
+
+
 def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
     """Build every broadcast symbol for a fully demanded vector.
 
     Symbol (s, r_plus) XORs the transformed segments W_{d(t), r_plus - t, s}
     over t in r_plus; it is skipped when r_plus avoids the leader set of s.
     The r+1 terms of a symbol lie on distinct segment pairs and MIX acts
-    inside each pair, so each term is XORed in as the mixed unit pair
-    _MIXED_UNIT[e] shifted to its segment's position, with no mix_sum per
-    symbol.  The skip test is one AND of the leader set's user bits with the
-    symbol's (_symbol_layout).
+    inside each pair, so each term is the mixed unit pair _MIXED_UNIT[e]
+    shifted to its segment's position.  The table shifted[t-1][s-1] holds
+    that pair for e = e(t, s) already moved to file d(t), once per demand,
+    so each term costs two shifts and two XORs.  The skip test is one AND
+    of the leader set's user bits with the symbol's (_symbol_layout).
     """
     demand = require_fully_demanded(params, d)
     per_file = segment_index(params).per_file
-    base = [(f - 1) * per_file for f in demand]
     exponents = transform_exponents(params, demand)
+    shifted = [[(unit_i << base, unit_q << base) for unit_i, unit_q in map(_MIXED_UNIT.__getitem__, row)]
+               for row, base in zip(exponents, [(f - 1) * per_file for f in demand])]
     sets = leader_sets(params, demand)
-    leader_bits = {s: sum(1 << u for u in leader_set) for s, leader_set in sets.items()}
+    leader_bits = [sum(1 << u for u in sets[s]) for s in params.users]
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     skipped: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}  # in layout order, which is sorted order
-    for s, r_plus, bits, layout in _symbol_layout(params):
+    for key, s, bits, layout in _symbol_layout(params):  # s and t count from 0 here
         acc_i = acc_q = 0
         for t, at in layout:
-            unit_i, unit_q = _MIXED_UNIT[exponents[t - 1][s - 1]]
-            at += base[t - 1]
+            unit_i, unit_q = shifted[t][s]
             acc_i ^= unit_i << at
             acc_q ^= unit_q << at
-        (pairs if leader_bits[s] & bits else skipped)[(s, r_plus)] = acc_i, acc_q
+        (pairs if leader_bits[s] & bits else skipped)[key] = acc_i, acc_q
     swaps = {}
     for s in dict.fromkeys(s for s, _ in skipped):  # only skip_combination reads them
         toward = [row[s - 1] for row in exponents]
         leader_of = {demand[lead - 1]: lead for lead in sets[s]}
-        swaps[s] = {x: (leader_of[f], (toward[x - 1] - toward[leader_of[f] - 1]) % 3, 1 << f)
+        swaps[s] = {x: (1 << x ^ 1 << leader_of[f], (toward[x - 1] - toward[leader_of[f] - 1]) % 3, 1 << f)
                     for x, f in enumerate(demand, start=1) if x != s}
     dset = DeliverySet(
         params=params,
@@ -451,13 +457,22 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
         pairs=pairs,
         skipped=skipped,
         leaders=sets,
+        leader_bits=leader_bits,
         exponents=exponents,
         swaps=swaps,
         subsets=_subsets_by_bits(params),
+        bits=_bits_by_subset(params),
     )
     for s, r_plus in skipped:
         dset.reconstruction[(s, r_plus)] = skip_combination(dset, s, r_plus)
     return dset
+
+
+def _not_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> ValueError:
+    """The error for a (s, subset) with nothing to reconstruct."""
+    if (s, r_plus) in dset.pairs:
+        return ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
+    return ValueError(f"(s={s}, subset={r_plus}) is no broadcast symbol of this demand")
 
 
 def skip_combination(
@@ -476,32 +491,39 @@ def skip_combination(
     h(V) - h(leaders).  Every file requested inside B has its leader in B,
     so each other V swaps some members x of r_plus, at most one per file,
     for the leaders of their files (swaps[s]), and that weight is the sum of
-    those swaps' exponent changes.  Each B - V grows as user bits from
-    exponent 0 and is read back from dset.subsets; the entry with no swap,
-    grown first, is r_plus and is dropped.
+    those swaps' exponent changes.  Each B - V grows from r_plus's own user
+    bits (dset.bits) at exponent 0: member by member, every entry so far
+    that has not swapped x's file appends its XOR with x's flip, and every
+    entry is read back from dset.subsets.  The entry with no swap, first,
+    is r_plus and is dropped.
+    Raises ValueError when (s, r_plus) is a transmitted symbol or no
+    broadcast symbol of the demand.
     """
-    if (s, r_plus) in dset.pairs:
-        raise ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
+    if (s, r_plus) not in dset.skipped:
+        raise _not_skipped(dset, s, r_plus)
     swaps = dset.swaps[s]
-    grown = [(0, 0, 0)]  # (user bits left so far, exponent, bits of the files swapped)
+    grown = [(dset.bits[r_plus], 0, 0)]  # (user bits of B - V, exponent, bits of the files swapped)
     for x in r_plus:
-        leader, delta, bit = swaps[x]
-        grown = [(rest | 1 << x, e, used) for rest, e, used in grown] + [
-            (rest | 1 << leader, (e + delta) % 3, used | bit) for rest, e, used in grown if not used & bit]
+        flip, delta, bit = swaps[x]
+        grown += [(rest ^ flip, (e + delta) % 3, used | bit) for rest, e, used in grown if not used & bit]
+    del grown[0]
+    lead = dset.leader_bits[s - 1]
+    if not all([rest & lead for rest, _, _ in grown]):  # cannot happen: each swap brings a leader in
+        raise RuntimeError(f"reconstruction of (s={s}, subset={r_plus}) referenced a skipped symbol")
     subsets = dset.subsets
-    combination = tuple((subsets[rest], e) for rest, e, _ in grown[1:])
-    for rest, _ in combination:
-        if (s, rest) in dset.skipped:  # cannot happen: rest meets a leader
-            raise RuntimeError(f"reconstruction referenced skipped symbol {rest}")
-    return combination
+    return tuple([(subsets[rest], e) for rest, e, _ in grown])
 
 
 def reconstructed_pair(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> tuple[int, int]:
     """(I, Q) masks of a skipped symbol, summed from the transmitted pairs
-    that its reconstruction references."""
-    if (s, r_plus) in dset.pairs:
-        raise ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
-    return mix_sum((*dset.pairs[(s, rest)], e) for rest, e in dset.reconstruction[(s, r_plus)])
+    that its reconstruction references.  Raises ValueError when (s, r_plus)
+    is a transmitted symbol or no broadcast symbol of the demand."""
+    try:
+        combination = dset.reconstruction[(s, r_plus)]
+    except KeyError:
+        raise _not_skipped(dset, s, r_plus) from None
+    pairs = dset.pairs
+    return mix_sum([(*pairs[(s, rest)], e) for rest, e in combination])
 
 
 def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], channel: str) -> int:
@@ -571,7 +593,7 @@ def lift(dset: DeliverySet, values: MaskValues | None = None) -> Lift:
         pairs = {key: (values[i], values[q]) for key, (i, q) in pairs.items()}
     broadcast = {key: ((*pair, 0),) for key, pair in pairs.items()}
     for (s, r_plus), combo in dset.reconstruction.items():
-        broadcast[(s, r_plus)] = tuple((*pairs[(s, rest)], e) for rest, e in combo)
+        broadcast[(s, r_plus)] = tuple([(*pairs[(s, rest)], e) for rest, e in combo])
     return Lift(units, values, broadcast)
 
 
@@ -587,12 +609,11 @@ def symbol_identities(dset: DeliverySet, lifted: Lift) -> Iterator[tuple[tuple[i
     base = [(f - 1) * per_file for f in dset.demand]
     exponents = dset.exponents
     units, _, broadcast = lifted
-    for s, r_plus, _bits, layout in _symbol_layout(dset.params):
-        key = (s, r_plus)
+    for key, s, _bits, layout in _symbol_layout(dset.params):  # s and t count from 0 here
         terms = list(broadcast[key])
         for t, at in layout:
-            at += base[t - 1]
-            terms.append((units[at], units[at + 1], exponents[t - 1][s - 1]))
+            at += base[t]
+            terms.append((units[at], units[at + 1], exponents[t][s]))
         yield key, terms
 
 

@@ -544,6 +544,19 @@ def _load_script(name):
     return path, script
 
 
+@pytest.mark.parametrize("lemmas", [False, True], ids=["verify", "lemmas"])
+def test_stage_split_script_prints_every_stage(capsys, lemmas):
+    _, script = _load_script("stage_split")
+    args = ["--system", "3,4,1", "--demands", "5", "--passes", "1"] + ["--lemmas"] * lemmas
+    assert script.main(args) == 0
+    header, *lines, verdict = capsys.readouterr().out.splitlines()
+    assert header.startswith("(3,4) r=1: ms per demand")
+    stages = dict(line.strip().rsplit(" ", 1) for line in lines)
+    assert list(stages) == list(script.LEMMA_STAGES if lemmas else script.VERIFY_STAGES)
+    assert all(float(value) >= 0 for value in stages.values())
+    assert verdict == "verified 5 demands, 5 passed"
+
+
 def test_export_script_writes_cli_csv(tmp_path, capsys, monkeypatch):
     path, script = _load_script("export_tradeoff_points")
     monkeypatch.setattr(sys, "argv", [str(path), "--outdir", str(tmp_path)])

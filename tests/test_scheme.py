@@ -226,6 +226,33 @@ def test_transform_matrices_running_example():
     assert exponents[2 - 1][5 - 1] == 1  # leader of file 1 is user 1
 
 
+def _transform_exponent(d, t, s):
+    """The per-entry rule: MIX**e of user t toward s is the identity when d(t)
+    has odd multiplicity; otherwise the special user gets MIX**2 and everyone
+    else MIX, the special user being s itself when d(s) = d(t) and else the
+    leader of d(t), its lowest requester other than s."""
+    asking = [u for u, f in enumerate(d, start=1) if f == d[t - 1]]
+    if len(asking) % 2:
+        return 0
+    special = s if d[s - 1] == d[t - 1] else min(u for u in asking if u != s)
+    return 2 if t == special else 1
+
+
+def test_transform_exponents_match_the_per_entry_rule():
+    # every fully demanded demand of the sweep systems, and sampled demands
+    # of (4,10) r=1, the system of the lemmas-4x10r1 benchmark workload
+    from fdcache.harness import SWEEP_MATRIX, sample_fully_demanded
+
+    sweeps = [SchemeParams(*system) for system in SWEEP_MATRIX]
+    cases = [(params, d) for params in sweeps for d in enumerate_demands(params, "fully_demanded")]
+    wide = SchemeParams(4, 10, 1)
+    cases += [(wide, d) for d in sample_fully_demanded(wide, 200)]
+    for params, d in cases:
+        want = tuple(tuple(_transform_exponent(d, t, s) for s in params.users) for t in params.users)
+        assert transform_exponents(params, d) == want, d
+    assert len(cases) > 2000
+
+
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2**70), st.integers(0, 2**70))
 def test_mix_group_law(e1, e2, i, q):
     # delivery, skip reconstruction and plan compilation add exponents mod 3
@@ -398,6 +425,18 @@ def test_reconstruction_rejects_transmitted(run_delivery):
         reconstructed_pair(run_delivery, 1, (2, 3))
     with pytest.raises(ValueError):
         reconstruct_skipped(run_delivery, 1, (2, 3), "I")
+
+
+@pytest.mark.parametrize("s,r_plus", [(1, (1, 2)), (7, (2, 3)), (1, (2, 3, 4))],
+                         ids=["s-inside-subset", "s-outside-users", "subset-of-wrong-size"])
+def test_reconstruction_rejects_a_key_that_is_no_symbol(run_delivery, s, r_plus):
+    # a ValueError that names the key, not a bare KeyError from a table, and
+    # not the error of a transmitted symbol
+    for rebuild in (skip_combination, reconstructed_pair):
+        with pytest.raises(ValueError, match=re.escape(f"(s={s}, subset={r_plus}) is no broadcast symbol")):
+            rebuild(run_delivery, s, r_plus)
+        with pytest.raises(ValueError, match="was transmitted"):
+            rebuild(run_delivery, 1, (2, 3))
 
 
 def test_reconstruction_full_sweep_four_six_r1():
@@ -830,6 +869,47 @@ def test_skip_combination_matches_its_definition():
                 shared += len({d[u - 1] for u in r_plus}) < len(r_plus)
     # two members on one file can swap only one of them for its leader
     assert checked > 3000 and shared > 1000, (checked, shared)
+
+
+def _leader_growth(dset, s, r_plus):
+    """skip_combination's entries in the order the leader-based growth gives:
+    from no user, each member x of r_plus in turn joins every entry so far,
+    and then, on the entries that have not swapped its file, its file's
+    leader l among the users other than s joins instead, adding
+    e(x, s) - e(l, s) mod 3; the first entry, r_plus itself, is dropped."""
+    from fdcache.core import leaders
+
+    params, demand = dset.params, dset.demand
+    exponents = transform_exponents(params, demand)
+    leader_of = {demand[lead - 1]: lead for lead in leaders(params, demand, s)}
+    grown = [((), 0, frozenset())]  # (users so far, exponent, files swapped)
+    for x in r_plus:
+        f = demand[x - 1]
+        lead = leader_of[f]
+        change = (exponents[x - 1][s - 1] - exponents[lead - 1][s - 1]) % 3
+        grown = [(rest + (x,), e, used) for rest, e, used in grown] + [
+            (rest + (lead,), (e + change) % 3, used | {f}) for rest, e, used in grown if f not in used]
+    return [(tuple(sorted(rest)), e) for rest, e, _ in grown[1:]]
+
+
+def test_skip_combination_keeps_the_leader_growth_order():
+    # lift orders each rebuilt symbol's terms as these entries, and
+    # test_payload_value_xors_pinned counts the XORs of that order: sampled
+    # demands of every system up to K = 7 that has broadcast symbols, and of
+    # (3,8) r=1 and (4,10) r=1, the systems of the skipping benchmark workloads
+    from fdcache.harness import sample_fully_demanded
+
+    systems = [SchemeParams(n_files, k_users, r) for k_users in range(2, 8)
+               for n_files in range(1, k_users + 1) for r in range(k_users - 1)]
+    checked = 0
+    for params in systems + [SchemeParams(3, 8, 1), SchemeParams(4, 10, 1)]:
+        for d in sample_fully_demanded(params, 10):
+            dset = delivery(params, d)
+            for s, r_plus in dset.skipped:
+                assert list(skip_combination(dset, s, r_plus)) == _leader_growth(dset, s, r_plus), (d, s, r_plus)
+                assert list(dset.reconstruction[(s, r_plus)]) == _leader_growth(dset, s, r_plus)
+                checked += 1
+    assert checked > 3000, checked
 
 
 def test_cache_component_count_formulas():
