@@ -26,15 +26,17 @@ import time
 from fdcache import harness, scheme
 from fdcache.algebra import MaskValues, segment_index
 from fdcache.cli import at_least_one
-from fdcache.core import SchemeParams
+from fdcache.core import SchemeParams, UsageError
 
 
 def _system(text: str) -> SchemeParams:
     try:
         n_files, n_users, r = (int(part) for part in text.split(","))
+        return SchemeParams(n_files, n_users, r)
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N,K,R, got {text!r}") from None
-    return SchemeParams(n_files, n_users, r)
 
 
 def _demands(params: SchemeParams, count: int, seed: int) -> list[tuple[int, ...]]:
@@ -61,9 +63,9 @@ def _verify_stages(params: SchemeParams, demand: tuple[int, ...], seed: str, clo
     marks.append(time.perf_counter())
     failing = scheme.failing_symbols(dset, lifted)
     marks.append(time.perf_counter())
-    decoded = [harness._decode_user_ok(dset, caches[k - 1], k, lifted, failing) for k in params.users]
+    decoded = [harness._decode_user_ok(dset, cache, lifted, failing) for cache in caches]
     marks.append(time.perf_counter())
-    oracle = harness._oracle_flags(params, dset)
+    oracle = harness._oracle_flags(dset)
     marks.append(time.perf_counter())
     for i in range(len(clock)):
         clock[i] += marks[i + 1] - marks[i]

@@ -232,11 +232,12 @@ def enumerate_fully_demanded_types(n_files: int, n_users: int) -> list[DemandTyp
 
 
 def leader_sets(params: SchemeParams, d: Sequence[int]) -> dict[int, frozenset[int]]:
-    """leaders(params, d, s) for every user s, from one walk of the demand.
+    """The leader set of the users other than s, for every user s: each file
+    requested outside s, with its lowest-indexed requester outside s.
 
-    The walk keeps each file's two lowest-indexed requesters.  Every user
-    but the lowest requester of its own file sees the lowest requester of
-    each file; that one sees its file's second requester instead, or none.
+    One walk of the demand keeps each file's two lowest-indexed requesters.
+    Every user but the lowest requester of its own file sees the lowest
+    requester of each file; that one sees its second requester, or none.
     """
     demand = require_fully_demanded(params, d)
     lowest: dict[int, list[int]] = {}
@@ -247,15 +248,6 @@ def leader_sets(params: SchemeParams, d: Sequence[int]) -> dict[int, frozenset[i
     common = frozenset(two[0] for two in lowest.values())
     return {s: common if lowest[f][0] != s else common.difference([s]).union(lowest[f][1:])
             for s, f in enumerate(demand, start=1)}
-
-
-def leaders(params: SchemeParams, d: Sequence[int], s: int) -> frozenset[int]:
-    """Leader set of the users other than s: for every file requested outside
-    s, its lowest-indexed requester outside s."""
-    sets = leader_sets(params, d)
-    if s not in params.users:
-        raise ValueError(f"user {s} outside 1..{params.n_users}")
-    return sets[s]
 
 
 # ceiling on the decimal exponent parse_fraction accepts: "1e400" alone

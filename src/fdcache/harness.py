@@ -41,12 +41,12 @@ from .scheme import (
     CacheContent,
     DeliverySet,
     Lift,
+    MissingSegmentError,
     PayloadSource,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     decode_file,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     decode_rows,
     delivery,
     failing_symbols,
-    file_segments,
     lift,
     mix,
     mix_sum,
@@ -159,26 +159,28 @@ class VerificationReport:
         return self.oracle_ok is None or self.oracle_ok == self.decode_ok
 
 
-def _decode_user_ok(dset: DeliverySet, cache: CacheContent, k: int, lifted: Lift,
+def _decode_user_ok(dset: DeliverySet, cache: CacheContent, lifted: Lift,
                     failing: Sequence[tuple[int, tuple[int, ...]]]) -> bool:
-    """User k recovers every segment of its file.  Its class-1 rows are the
-    identities of the symbols over subsets holding k, failing ones listed in
-    failing (failing_symbols, one pass per demand); decode_rows checks that
-    it holds every segment it reads uncoded, and each class-2 row's terms
-    must sum to its target pair as the row leaves it, read through the Lift,
-    so one comparison checks whatever the engine lifted.  Each row is
-    checked as decode_rows makes it, up to the first that fails."""
+    """User k = cache.owner recovers every segment of its file.  Its class-1
+    rows are the identities of the symbols over subsets holding k, failing
+    ones listed in failing (failing_symbols, one pass per demand);
+    decode_rows checks that it holds every segment it reads uncoded, and
+    each class-2 row's terms must sum to its target pair as the row leaves
+    it, read through the Lift, so one comparison checks whatever the engine
+    lifted.  Each row is checked as decode_rows makes it, up to the first
+    that fails.  Only a MissingSegmentError fails it: other errors are bugs."""
+    k = cache.owner
     if any(k in r_plus for _, r_plus in failing):
         return False
     units = lifted.units
     try:
         return all(mix_sum(terms) == mix(undo, units[target], units[target + 1])
-                   for target, undo, terms in decode_rows(dset, cache, k, lifted))
-    except LookupError:  # the decoding needs an item the user does not hold
+                   for target, undo, terms in decode_rows(dset, cache, lifted))
+    except MissingSegmentError:  # the decoding needs an item the user does not hold
         return False
 
 
-def _oracle_flags(params: SchemeParams, dset: DeliverySet) -> list[bool]:
+def _oracle_flags(dset: DeliverySet) -> list[bool]:
     """Per-user decodability by rank only: the span of the user's cache rows
     and the transmitted symbols holds every segment of its file.  Each join
     copies the larger pre-eliminated side and inserts the smaller one.  When
@@ -189,9 +191,9 @@ def _oracle_flags(params: SchemeParams, dset: DeliverySet) -> list[bool]:
     is the same.  The file's block of per_file unit rows is read off the
     joined pivots (SpanBasis.covers): every position of the block leads a
     pivot, and the parts of those pivots below the block reduce to 0."""
-    index = segment_index(params)
+    index = segment_index(dset.params)
     per_file = index.per_file
-    spans = _cache_spans(params)
+    spans = _cache_spans(dset.params)
     symbol_rows = [mask for pair in dset.pairs.values() for mask in pair]
     if len(symbol_rows) > spans[0].rank:  # every user caches the same amount
         broadcast = SpanBasis(index.size)
@@ -234,14 +236,14 @@ def verify_demand(
         values = MaskValues.random(index, payload_width, seeded, masks=engine == "both")
     lifted = lift(dset, values)  # one per demand: every user reads the same broadcast
     failing = failing_symbols(dset, lifted)  # every user's class-1 rows, one check per symbol
-    per_user = tuple(_decode_user_ok(dset, caches[k - 1], k, lifted, failing) for k in params.users)
+    per_user = tuple(_decode_user_ok(dset, cache, lifted, failing) for cache in caches)
     engine_seconds = time.perf_counter() - started
 
     oracle_ok: bool | None = None
     oracle_seconds = 0.0
     if run_oracle:
         started = time.perf_counter()
-        oracle_ok = all(_oracle_flags(params, dset))
+        oracle_ok = all(_oracle_flags(dset))
         oracle_seconds = time.perf_counter() - started
 
     return VerificationReport(
@@ -468,7 +470,8 @@ def identity_suite(
             # the block's weighted zero-sum is MIX**h(leaders) of got - want,
             # and MIX is invertible, so it fails exactly when got != want
             if got != want:
-                redundancy_failures.append(f"d={tag} s={s} block={tuple(sorted(dset.leaders[s].union(r_plus)))}")
+                block = tuple(bit_positions(dset.leader_bits[s - 1] | dset.bits[r_plus]))
+                redundancy_failures.append(f"d={tag} s={s} block={block}")
                 _compare_pairs(got, want, reconstruction_failures, f"d={tag} s={s} subset={r_plus}")
         residual_i, residual_q = transformed_sum_residual(params, d, dset.exponents)
         sum_checked += 2 * len(index.offsets)
@@ -537,8 +540,8 @@ def golden_example_check() -> GoldenReport:
     def labels(bits: int) -> list[SegmentId]:
         return [index.segments[i] for i in bit_positions(bits)]
 
-    roster_ok = all(len(file_segments(params, f)) == 60 for f in params.files)
-    record("partition_roster_60_per_file", roster_ok)
+    files = [seg.file for seg in index.segments]
+    record("partition_roster_60_per_file", all(files.count(f) == 60 for f in params.files))
 
     cache1 = prefetch(params, 1)
     expect_uncoded = mask(segment(f, (1,), s, a) for f in params.files for s in range(2, 7) for a in CHANNELS)

@@ -3,7 +3,8 @@
 Pipeline, per (N, K, r) system:
 
 1. partition     - each file splits into 2(K-r)C(K,r) segments indexed by an
-                   r-subset of users, an excluded user, and an I/Q channel.
+                   r-subset of users, an excluded user, and an I/Q channel:
+                   algebra.SegmentIndex.segments, in canonical order.
 2. prefetch      - user k caches an uncoded slice plus product-code parities
                    (column parities across files, a pruned set of row parities
                    along each file).  The pruned row parities are linearly
@@ -65,9 +66,8 @@ from .algebra import (
     CHANNELS,
     MaskValues,
     Payload,
-    SegmentId,
     bit_positions,
-    segment,
+    segment,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     segment_index,
 )
 from .core import (
@@ -78,30 +78,6 @@ from .core import (
 )
 
 Term = tuple[int, int, int]  # (I mask, Q mask, e): one summand MIX**e (I, Q) of mix_sum
-
-
-# ---------------------------------------------------------------------------
-# partition
-
-
-def file_segments(params: SchemeParams, file: int) -> list[SegmentId]:
-    """All 2(K-r)C(K,r) segments of one file, in canonical (sorted) order."""
-    out = []
-    for r_set in itertools.combinations(params.users, params.r):
-        for s in params.users:
-            if s in r_set:
-                continue
-            for channel in CHANNELS:
-                out.append(segment(file, r_set, s, channel))
-    return out
-
-
-def partition(params: SchemeParams) -> list[SegmentId]:
-    """The full segment basis over all files, canonical order."""
-    out = []
-    for file in params.files:
-        out.extend(file_segments(params, file))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +318,8 @@ class DeliverySet:
     pairs, the broadcast, maps each transmitted symbol (excluded user,
     (r+1)-subset) to its (I, Q) masks over the dense segment index; skipped
     maps each other symbol to the masks it would carry, which only checks
-    read.  leaders[s] is the leader set of the users other than s
-    (core.leaders), and leader_bits[s-1] its user bits sum(1 << u).
+    read.  leader_bits[s-1] is the user bits sum(1 << u) of the leader set
+    of the users other than s (core.leader_sets).
     exponents[t-1][s-1] is the e with MIX**e the transform of user t toward
     s.  swaps[s], for each s that skips a symbol, maps each user x other
     than s to (1 << x ^ 1 << l, exponent change toward s of swapping l for
@@ -363,7 +339,6 @@ class DeliverySet:
     demand: Demand
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]]
     skipped: dict[tuple[int, tuple[int, ...]], tuple[int, int]]
-    leaders: dict[int, frozenset[int]]
     leader_bits: list[int]
     exponents: tuple[tuple[int, ...], ...]
     swaps: dict[int, dict[int, tuple[int, int, int]]]
@@ -456,7 +431,6 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
         demand=demand,
         pairs=pairs,
         skipped=skipped,
-        leaders=sets,
         leader_bits=leader_bits,
         exponents=exponents,
         swaps=swaps,
@@ -480,22 +454,22 @@ def skip_combination(
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Transmitted subsets and MIX exponents reconstructing a skipped symbol.
 
-    Over the block B = leaders[s] | r_plus, the symbol pairs (Y^I, Y^Q)_{B - V}
-    of the one-requester-per-file selections V sum to zero once each is
-    weighted by MIX^h(V), h(V) the sum of its members' transform logs toward
-    s mod 3: the two occurrences of a segment across selections swapping one
-    same-file requester carry equal total exponents and cancel.  (Unweighted
-    XOR fails once an even-multiplicity file other than d(s) puts its leader
-    inside a selection.)  The leader selection leaves r_plus itself, so the
-    skipped pair is the sum of the other terms, each weighted by
-    h(V) - h(leaders).  Every file requested inside B has its leader in B,
-    so each other V swaps some members x of r_plus, at most one per file,
-    for the leaders of their files (swaps[s]), and that weight is the sum of
-    those swaps' exponent changes.  Each B - V grows from r_plus's own user
-    bits (dset.bits) at exponent 0: member by member, every entry so far
-    that has not swapped x's file appends its XOR with x's flip, and every
-    entry is read back from dset.subsets.  The entry with no swap, first,
-    is r_plus and is dropped.
+    Over the block B = leaders | r_plus, the leaders of s (leader_bits[s-1]),
+    the symbol pairs (Y^I, Y^Q)_{B - V} of the one-requester-per-file
+    selections V sum to zero once each is weighted by MIX^h(V), h(V) the sum
+    of its members' transform logs toward s mod 3: the two occurrences of a
+    segment across selections swapping one same-file requester carry equal
+    total exponents and cancel.  (Unweighted XOR fails once an
+    even-multiplicity file other than d(s) puts its leader inside a
+    selection.)  The leader selection leaves r_plus itself, so the skipped
+    pair is the sum of the other terms, each weighted by h(V) - h(leaders).
+    Every file requested inside B has its leader in B, so each other V swaps
+    some members x of r_plus, at most one per file, for the leaders of their
+    files (swaps[s]), and that weight is the sum of those swaps' exponent
+    changes.  Each B - V grows from r_plus's own user bits (dset.bits) at
+    exponent 0: member by member, every entry so far that has not swapped x's
+    file appends its XOR with x's flip, and every entry is read back from
+    dset.subsets.  The entry with no swap, first, is r_plus and is dropped.
     Raises ValueError when (s, r_plus) is a transmitted symbol or no
     broadcast symbol of the demand.
     """
@@ -572,15 +546,19 @@ def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[tup
 
 class Lift(NamedTuple):
     """One demand's held items as lifted ints, built once and shared by all
-    its users.  units[i] is the lifted int of segment position i, as a user
-    holds it uncoded; values maps an item's mask to its lifted int as the
-    server encodes it (algebra.MaskValues), or is None for the identity
-    lift, under which each item's int is its mask; broadcast maps each symbol
-    to its lifted (I, Q, e) terms, a skipped one's rebuilt by reconstruction."""
+    its users: units[i] lifts segment position i as a user holds it uncoded,
+    encoded[i] as the server encodes it (the drawn values, or the unit masks
+    under the identity lift; lift makes both one sequence), and broadcast
+    maps each symbol to its lifted (I, Q, e) terms, a skipped one's rebuilt
+    by reconstruction."""
 
     units: Sequence[int]
-    values: MaskValues | None
+    encoded: Sequence[int]
     broadcast: dict[tuple[int, tuple[int, ...]], tuple[Term, ...]]
+
+
+class MissingSegmentError(LookupError):
+    """A user does not hold a segment that its decoding reads uncoded."""
 
 
 def lift(dset: DeliverySet, values: MaskValues | None = None) -> Lift:
@@ -594,7 +572,7 @@ def lift(dset: DeliverySet, values: MaskValues | None = None) -> Lift:
     broadcast = {key: ((*pair, 0),) for key, pair in pairs.items()}
     for (s, r_plus), combo in dset.reconstruction.items():
         broadcast[(s, r_plus)] = tuple([(*pairs[(s, rest)], e) for rest, e in combo])
-    return Lift(units, values, broadcast)
+    return Lift(units, units, broadcast)
 
 
 def symbol_identities(dset: DeliverySet, lifted: Lift) -> Iterator[tuple[tuple[int, tuple[int, ...]], list[Term]]]:
@@ -624,10 +602,10 @@ def failing_symbols(dset: DeliverySet, lifted: Lift) -> list[tuple[int, tuple[in
     return [key for key, terms in symbol_identities(dset, lifted) if mix_sum(terms) != (0, 0)]
 
 
-def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
-                lifted: Lift) -> Iterator[tuple[int, int, list[Term]]]:
-    """User k's class-2 rows (excluded user k) for this demand, in partition
-    order, after one check that it holds every segment it reads uncoded.
+def decode_rows(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> Iterator[tuple[int, int, list[Term]]]:
+    """The class-2 rows of user k = cache.owner (excluded user k) for this
+    demand, in partition order, after one check that it holds every segment
+    it reads uncoded.
 
     Its uncoded hits and the members its class-1 rows read (_equations'
     held masks, shifted to their files) are ANDed once with what the cache
@@ -640,14 +618,14 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
     cached column parity, a closure of the cache's table or a broadcast
     symbol, read through the Lift.  Columns and closures are lifted here,
     from their positions (CacheContent.supports) through the server's
-    per-segment encoding: the drawn values, or the unit masks under the
-    identity lift, never the values the user holds (lifted.units).  Each
-    column is lifted by its one row, and each closure once, when a row first
-    reads it, so the closures of files no member requests are never lifted.
-    Raises LookupError, naming the first missing segment, when the user does
-    not hold a segment that its decoding reads uncoded.
+    per-segment encoding (lifted.encoded), never the values the user holds
+    (lifted.units).  Each column is lifted by its one row, and each closure
+    once, when a row first reads it, so the closures of files no member
+    requests are never lifted.
+    Raises MissingSegmentError, naming the first missing segment, when the
+    user does not hold a segment that its decoding reads uncoded.
     """
-    params, demand, exponents = dset.params, dset.demand, dset.exponents
+    params, demand, exponents, k = dset.params, dset.demand, dset.exponents, cache.owner
     index = segment_index(params)
     per_file = index.per_file
     held, rows = _equations(params, k)
@@ -656,9 +634,8 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, k: int,
         needed |= mask << (f - 1) * per_file
     missing = needed & ~cache.uncoded
     if missing:
-        raise LookupError(f"user {k} did not cache {index.segments[(missing & -missing).bit_length() - 1].label()}")
-    _, values, broadcast = lifted
-    encoded = index.units if values is None else values.segment_values
+        raise MissingSegmentError(f"user {k} did not cache {index.segments[(missing & -missing).bit_length() - 1].label()}")
+    _, encoded, broadcast = lifted
     columns, closures = cache.supports
     closure = {}  # lifted as a row first reads it: a demand reads only its files' closures
     base = (demand[k - 1] - 1) * per_file
@@ -709,12 +686,12 @@ def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadS
     Returns [(SegmentId, int)] over every segment of the file: each int is
     the decoded mask, correct iff it is 1 << index[seg], or, with a
     PayloadSource, the decoded payload value.
-    Raises LookupError when the user does not hold what its decoding reads.
+    Raises MissingSegmentError when the user lacks a segment it reads.
     """
     index = segment_index(dset.params)
     lifted = lift(dset, None if source is None else source.values)
     base = (dset.demand[k - 1] - 1) * index.per_file
-    pairs = {target: mix(-undo % 3, *mix_sum(terms)) for target, undo, terms in decode_rows(dset, cache, k, lifted)}
+    pairs = {target: mix(-undo % 3, *mix_sum(terms)) for target, undo, terms in decode_rows(dset, cache, lifted)}
     for (s, r_plus), terms in symbol_identities(dset, lifted):
         if k in r_plus:
             mine = len(terms) - len(r_plus) + r_plus.index(k)

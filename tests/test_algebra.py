@@ -12,8 +12,7 @@ from fdcache.algebra import (
     segment,
     segment_index,
 )
-from fdcache.core import SchemeParams
-from fdcache.scheme import partition
+from fdcache.core import SchemeParams, binom
 
 
 def seg(file, users, excluded, channel="I"):
@@ -247,7 +246,7 @@ def test_span_basis_copy_is_independent():
 def test_span_oracle_running_example_end_to_end():
     # user 1's cache plus the transmitted symbols span all 60 file-1 segments;
     # the cache alone does not
-    from fdcache.scheme import delivery, file_segments, prefetch
+    from fdcache.scheme import delivery, prefetch
 
     params = SchemeParams(3, 6, 1)
     cache = prefetch(params, 1)
@@ -256,7 +255,8 @@ def test_span_oracle_running_example_end_to_end():
     for parities in (cache.column, cache.row):
         cache_rows += [mask for key in sorted(parities) for mask in parities[key]]
     received = [mask for pair in dset.pairs.values() for mask in pair]
-    targets = [mask_of([s]) for s in file_segments(params, 1)]
+    index = segment_index(params)
+    targets = [mask_of([s]) for s in index.segments[:index.per_file]]
     assert spans(cache_rows + received, targets)
     assert not spans(cache_rows, targets)
 
@@ -266,11 +266,13 @@ def test_segment_index_is_partition_position():
         for n_files in range(1, k_users + 1):
             for r in range(k_users):
                 params = SchemeParams(n_files, k_users, r)
-                segs = partition(params)
                 index = segment_index(params)
-                assert index.size == len(segs)
+                segs = list(index.segments)
                 assert [index[seg] for seg in segs] == list(range(len(segs)))
-                assert list(index.segments) == segs
+                assert all(segment(*seg) == seg for seg in segs)
+                # distinct and sorted: the order Payload.random and MaskValues.random share
+                assert segs == sorted(set(segs))
+                assert index.size == len(segs) == n_files * 2 * (k_users - r) * binom(k_users, r)
 
 
 def test_segment_index_refuses_a_system_past_the_ceiling(monkeypatch):

@@ -555,6 +555,10 @@ def test_stage_split_script_prints_every_stage(capsys, lemmas):
     assert list(stages) == list(script.LEMMA_STAGES if lemmas else script.VERIFY_STAGES)
     assert all(float(value) >= 0 for value in stages.values())
     assert verdict == "verified 5 demands, 5 passed"
+    # a system SchemeParams refuses is reported with its own message
+    with pytest.raises(SystemExit):
+        script.main(["--system", "4,3,1"] + ["--lemmas"] * lemmas)
+    assert "need 1 <= n_files <= n_users, got N=4 K=3" in capsys.readouterr().err
 
 
 def test_export_script_writes_cli_csv(tmp_path, capsys, monkeypatch):

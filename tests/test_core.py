@@ -18,7 +18,6 @@ from fdcache.core import (
     format_fraction,
     is_fully_demanded,
     leader_sets,
-    leaders,
     parse_fraction,
     requesters,
     validate_demand,
@@ -196,24 +195,24 @@ def test_fully_demanded_types_enumeration():
 def test_leaders_running_example():
     params = SchemeParams(3, 6, 1)
     d = (1, 1, 1, 1, 2, 3)
-    assert leaders(params, d, 1) == frozenset({2, 5, 6})
+    assert leader_sets(params, d)[1] == frozenset({2, 5, 6})
 
 
 def test_leaders_unique_file_requester():
     params = SchemeParams(3, 6, 1)
     # only user 5 wanted file 2, so file 2 has no leader outside user 5
-    assert leaders(params, (1, 1, 1, 1, 2, 3), 5) == frozenset({1, 6})
+    assert leader_sets(params, (1, 1, 1, 1, 2, 3))[5] == frozenset({1, 6})
 
 
 def test_leaders_two_users():
     params = SchemeParams(2, 2, 0)
-    assert leaders(params, (1, 2), 1) == frozenset({2})
+    assert leader_sets(params, (1, 2))[1] == frozenset({2})
 
 
 def test_leaders_rejects_partial_demand():
     params = SchemeParams(3, 3, 0)
     with pytest.raises(NotFullyDemandedError):
-        leaders(params, (1, 1, 2), 1)
+        leader_sets(params, (1, 1, 2))
 
 
 @pytest.mark.parametrize("n,k", [(2, 3), (3, 4), (3, 5), (4, 6)])
@@ -221,7 +220,7 @@ def test_leader_set_size_dichotomy(n, k):
     params = SchemeParams(n, k, 0)
     for d in enumerate_demands(params, "fully_demanded"):
         for s in params.users:
-            leader_set = leaders(params, d, s)
+            leader_set = leader_sets(params, d)[s]
             unique = len(requesters(d, d[s - 1])) == 1
             assert len(leader_set) == (n - 1 if unique else n)
             # brute force: the lowest requester outside s of every file
@@ -244,7 +243,7 @@ def test_leader_sets_match_the_per_user_definition():
                     assert list(sets) == list(params.users)
                     for s in params.users:
                         lowest = (min((u for u in requesters(d, f) if u != s), default=None) for f in params.files)
-                        assert sets[s] == leaders(params, d, s) == frozenset(u for u in lowest if u is not None)
+                        assert sets[s] == frozenset(u for u in lowest if u is not None)
                         checked += 1
     assert checked > 5000, checked
 
@@ -252,13 +251,9 @@ def test_leader_sets_match_the_per_user_definition():
 def test_leaders_checks_the_demand_before_the_user():
     params = SchemeParams(3, 3, 0)
     with pytest.raises(NotFullyDemandedError):
-        leaders(params, (1, 1, 2), 4)
-    with pytest.raises(UsageError, match="demand length"):
-        leaders(params, (1, 2), 4)
-    with pytest.raises(ValueError, match="user 4 outside"):
-        leaders(params, (1, 2, 3), 4)
-    with pytest.raises(NotFullyDemandedError):
         leader_sets(params, (1, 1, 2))
+    with pytest.raises(UsageError, match="demand length"):
+        leader_sets(params, (1, 2))
 
 
 def test_requesters():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdcache import algebra, harness, scheme
+from fdcache import algebra, cli, harness, scheme
 from fdcache.algebra import MaskValues, segment, segment_index
 from fdcache.analysis import type_operating_point
 from fdcache.core import (
@@ -21,6 +21,7 @@ from fdcache.core import (
     count_demands,
     demand_type,
     enumerate_demands,
+    leader_sets,
 )
 from fdcache.harness import (
     SweepLimitExceeded,
@@ -366,11 +367,11 @@ def test_every_transmitted_symbol_is_needed(params, demand, sent):
     params = SchemeParams(*params)
     dset = scheme.delivery(params, demand)
     assert len(dset.pairs) == sent
-    assert all(harness._oracle_flags(params, dset))
+    assert all(harness._oracle_flags(dset))
     for key, pair in dset.pairs.items():
         pairs = {other: kept for other, kept in dset.pairs.items() if other != key}
         fewer = dataclasses.replace(dset, pairs=pairs, skipped={**dset.skipped, key: pair})
-        assert not all(harness._oracle_flags(params, fewer)), key
+        assert not all(harness._oracle_flags(fewer)), key
 
 
 def test_oracle_cannot_see_a_corrupted_item(monkeypatch):
@@ -383,7 +384,7 @@ def test_oracle_cannot_see_a_corrupted_item(monkeypatch):
     mask_i, mask_q = dset.pairs[key]
     stray = 1 << index[segment(3, (4,), 5, "I")]
     flipped = dataclasses.replace(dset, pairs={**dset.pairs, key: (mask_i ^ stray, mask_q)})
-    assert harness._oracle_flags(RUN, flipped) == [True] * 6
+    assert harness._oracle_flags(flipped) == [True] * 6
     with monkeypatch.context() as patch:
         patch.setattr(harness, "delivery", lambda params, d: flipped)
         report = verify_demand(RUN, RUN_D, engine="symbolic")
@@ -391,7 +392,7 @@ def test_oracle_cannot_see_a_corrupted_item(monkeypatch):
 
     _corrupt_column_parity(monkeypatch)
     monkeypatch.setattr(harness, "_cache_spans", harness._cache_spans.__wrapped__)  # spans of the corrupted cache
-    assert harness._oracle_flags(RUN, dset) == [True] * 6
+    assert harness._oracle_flags(dset) == [True] * 6
     report = verify_demand(RUN, RUN_D, engine="symbolic")
     assert report.per_user == (False, True, True, True, True, True) and report.oracle_ok
 
@@ -421,11 +422,11 @@ def test_oracle_matches_the_cache_first_loop(params, demand):
     params = SchemeParams(*params)
     for d in enumerate_demands(params, "fully_demanded"):
         dset = scheme.delivery(params, d)
-        assert harness._oracle_flags(params, dset) == _cache_first_flags(params, dset) == [True] * params.n_users
+        assert harness._oracle_flags(dset) == _cache_first_flags(params, dset) == [True] * params.n_users
     dset = scheme.delivery(params, demand)
     for key in dset.pairs:
         fewer = dataclasses.replace(dset, pairs={other: pair for other, pair in dset.pairs.items() if other != key})
-        flags = harness._oracle_flags(params, fewer)
+        flags = harness._oracle_flags(fewer)
         assert flags == _cache_first_flags(params, fewer) and not all(flags), key
 
 
@@ -440,7 +441,7 @@ def test_oracle_matches_the_cache_first_loop_on_a_corrupted_cache(monkeypatch):
     failing = 0
     for d in enumerate_demands(RUN, "fully_demanded"):
         dset = scheme.delivery(RUN, d)
-        flags = harness._oracle_flags(RUN, dset)
+        flags = harness._oracle_flags(dset)
         assert flags == _cache_first_flags(RUN, dset)
         failing += not all(flags)
     assert failing > 0
@@ -471,7 +472,7 @@ def test_oracle_eliminates_the_broadcast_once_when_it_is_larger(monkeypatch, par
         return real(self, rows)
 
     monkeypatch.setattr(algebra.SpanBasis, "insert_rows", counted)
-    assert all(harness._oracle_flags(params, dset))
+    assert all(harness._oracle_flags(dset))
     assert inserted == inserts
 
 
@@ -479,9 +480,9 @@ def test_verify_demand_generates_each_users_rows_once(monkeypatch):
     calls = []
     real = harness.decode_rows
 
-    def counted(dset, cache, k, lifted):
-        calls.append(k)
-        return real(dset, cache, k, lifted)
+    def counted(dset, cache, lifted):
+        calls.append(cache.owner)
+        return real(dset, cache, lifted)
 
     monkeypatch.setattr(harness, "decode_rows", counted)
     demands = [RUN_D, (3, 2, 1, 1, 2, 3), (1, 2, 3, 3, 3, 3)]
@@ -510,9 +511,29 @@ def test_rows_are_checked_as_they_are_made(monkeypatch):
     lifted = scheme.lift(flipped)
     failing = scheme.failing_symbols(flipped, lifted)
     assert key in failing and not any(1 in r_plus for _, r_plus in failing)
-    assert not harness._decode_user_ok(flipped, harness._prefetch_all(RUN)[0], 1, lifted, failing)
+    assert not harness._decode_user_ok(flipped, harness._prefetch_all(RUN)[0], lifted, failing)
     assert len(made) == 1
     assert any(mask_i ^ 1 == i for i, _q, _e in made[-1][2])
+
+
+def test_a_lookup_bug_in_decoding_is_no_decode_failure(monkeypatch, capsys):
+    # only a missing segment fails a user's decoding: a row that names a
+    # closure key no cache has is a bug, so verify_demand raises its KeyError
+    # and the CLI exits 3 on it, never 1 as on a failed check
+    real = scheme._equations
+
+    def broken(params, k):
+        held, rows = real(params, k)
+        (offset, r_set, members, symbols), *rest = rows
+        (t, _r_minus), *others = members
+        return held, ((offset, r_set, ((t, (0,)), *others), symbols), *rest)
+
+    monkeypatch.setattr(scheme, "_equations", broken)
+    for engine in harness.ENGINES:
+        with pytest.raises(KeyError):
+            verify_demand(RUN, RUN_D, engine=engine)
+    assert cli.main(["verify", "--n", "3", "--k", "6", "--r", "1", "--demand", "1,1,1,1,2,3"]) == 3
+    assert "internal error: KeyError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("engine", harness.ENGINES)
@@ -532,9 +553,9 @@ def test_each_symbol_identity_is_summed_once_per_demand(monkeypatch, engine):
             patch.setattr(scheme, "mix_sum", counted_sum)
             return real_pass(dset, lifted)
 
-    def counted_rows(dset, cache, k, lifted):
-        rows.append(k)
-        return real_rows(dset, cache, k, lifted)
+    def counted_rows(dset, cache, lifted):
+        rows.append(cache.owner)
+        return real_rows(dset, cache, lifted)
 
     monkeypatch.setattr(harness, "failing_symbols", counted_pass)
     monkeypatch.setattr(harness, "decode_rows", counted_rows)
@@ -577,7 +598,7 @@ def _reference_user_ok(dset, cache, k, lifted):
                 return False
     everything = dataclasses.replace(cache, uncoded=(1 << index.size) - 1)
     return all(scheme.mix_sum(terms) == scheme.mix(undo, units[target], units[target + 1])
-               for target, undo, terms in scheme.decode_rows(dset, everything, k, lifted))
+               for target, undo, terms in scheme.decode_rows(dset, everything, lifted))
 
 
 def _lifts(params, dset):
@@ -594,7 +615,7 @@ def _assert_verdicts_match_reference(params, dset, caches):
     failed = 0
     for lifted in _lifts(params, dset):
         failing = scheme.failing_symbols(dset, lifted)
-        got = [harness._decode_user_ok(dset, cache, cache.owner, lifted, failing) for cache in caches]
+        got = [harness._decode_user_ok(dset, cache, lifted, failing) for cache in caches]
         assert got == [_reference_user_ok(dset, cache, cache.owner, lifted) for cache in caches]
         failed += got.count(False)
     return failed
@@ -783,7 +804,7 @@ CORRUPTED_SYMBOLS += [key for key in _read_by_reconstructions() if key not in CO
 def _skip_failures(suite):
     """(s, subset) named by each skip family's failures; a redundancy block
     is the skipped subset with the leaders of s added."""
-    leaders = scheme.delivery(RUN, RUN_D).leaders
+    leaders = leader_sets(RUN, RUN_D)
     named = {}
     for family, tag in (("delivery_redundancy", "block="), ("skip_reconstruction", "subset=")):
         named[family] = set()

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fdcache import scheme
 from fdcache.algebra import CHANNELS, MaskValues, Payload, bit_positions, segment, segment_index
 from fdcache.analysis import memory_point, type_operating_point
-from fdcache.core import SchemeParams, NotFullyDemandedError, demand_type, enumerate_demands
+from fdcache.core import SchemeParams, NotFullyDemandedError, demand_type, enumerate_demands, leader_sets
 from fdcache.harness import _decode_user_ok, _oracle_flags
 from fdcache.scheme import (
     PayloadSource,
@@ -21,12 +21,10 @@ from fdcache.scheme import (
     decode_rows,
     delivery,
     failing_symbols,
-    file_segments,
     lift,
     mix,
     mix_sum,
     parity_combination,
-    partition,
     prefetch,
     reconstruct_skipped,
     reconstructed_pair,
@@ -60,9 +58,15 @@ def decoded_pair(rows, unit_i):
     raise KeyError(unit_i)
 
 
-def user_ok(dset, cache, k, lifted):
-    """User k's verdict on the lift, after the demand's one symbol pass."""
-    return _decode_user_ok(dset, cache, k, lifted, failing_symbols(dset, lifted))
+def file_segments(params, file):
+    """The slice of the segment index that is one file, in canonical order."""
+    index = segment_index(params)
+    return list(index.segments[(file - 1) * index.per_file : file * index.per_file])
+
+
+def user_ok(dset, cache, lifted):
+    """The cache owner's verdict on the lift, after the demand's one symbol pass."""
+    return _decode_user_ok(dset, cache, lifted, failing_symbols(dset, lifted))
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +85,7 @@ def run_caches():
 
 def test_partition_running_example():
     assert len(file_segments(RUN, 1)) == 60
-    assert len(partition(RUN)) == 180
+    assert len(segment_index(RUN).segments) == 180
 
 
 @pytest.mark.parametrize("r,expected", [(0, 6), (2, 6)])
@@ -91,7 +95,7 @@ def test_partition_three_by_three(r, expected):
 
 
 def test_partition_distinct_and_sorted():
-    segs = partition(SchemeParams(3, 4, 2))
+    segs = list(segment_index(SchemeParams(3, 4, 2)).segments)
     assert len(segs) == len(set(segs))
     assert segs == sorted(segs)
 
@@ -356,7 +360,6 @@ def test_delivery_matches_its_definition():
     # MIX**e[t][s], built from labelled segments; pairs and skipped split the
     # symbols in delivery order, skipped holding exactly those whose r_plus
     # avoids the leader set of s
-    from fdcache.core import leaders
     from fdcache.harness import sample_fully_demanded
 
     symbols = skips = 0
@@ -379,7 +382,7 @@ def test_delivery_matches_its_definition():
                                 for t in r_plus
                             )
                     dset = delivery(params, d)
-                    skip = {(s, r_plus) for s, r_plus in want if not leaders(params, d, s).intersection(r_plus)}
+                    skip = {(s, r_plus) for s, r_plus in want if not leader_sets(params, d)[s].intersection(r_plus)}
                     assert list(dset.pairs.items()) == [item for item in want.items() if item[0] not in skip]
                     assert list(dset.skipped.items()) == [item for item in want.items() if item[0] in skip]
                     symbols += len(want)
@@ -496,7 +499,7 @@ def test_decode_class2_worked_equations(run_delivery, run_caches):
     rhs_q = reduce(operator.xor, [z_col[1], z_row[0]] + [pair[1] for pair in y.values()])
     target = unit_pair(1, (2,), 1)
     assert (rhs_i, rhs_q) == mix(run_delivery.exponents[1 - 1][1 - 1], *target)
-    assert decoded_pair(decode_rows(run_delivery, cache, 1, lift(run_delivery)), target[0]) == target
+    assert decoded_pair(decode_rows(run_delivery, cache, lift(run_delivery)), target[0]) == target
 
 
 def decodes_to_units(decoded, params=RUN):
@@ -530,7 +533,7 @@ def test_decode_smallest_instance():
 
 
 def test_decode_payload_bit_exact(run_delivery, run_caches):
-    payload = Payload.random(partition(RUN), width=3, seed="payload-test")
+    payload = Payload.random(segment_index(RUN).segments, width=3, seed="payload-test")
     ints = payload.int_values()
     for k in RUN.users:
         source = PayloadSource(run_caches[k], run_delivery, payload)
@@ -570,7 +573,7 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
         identities = dict(symbol_identities(run_delivery, lifted))
         assert len(identities) == 60 and all(mix_sum(terms) == (0, 0) for terms in identities.values())
     for k in RUN.users:
-        rows = list(decode_rows(run_delivery, run_caches[k], k, lift(run_delivery)))
+        rows = list(decode_rows(run_delivery, run_caches[k], lift(run_delivery)))
         targets = [target for target, _undo, _terms in rows]
         assert targets == sorted(targets)
         # 60 segments of the file, 30 I/Q pairs: a class-2 row for each pair
@@ -582,7 +585,7 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
                   for s, r_plus in [*run_delivery.pairs, *run_delivery.skipped] if k in r_plus]
         assert (len(rows), len(class1), len(hits)) == (5, 20, 5)
         assert sorted(targets + class1 + hits) == list(pairs)
-        lifted_rows = decode_rows(run_delivery, run_caches[k], k, both)
+        lifted_rows = decode_rows(run_delivery, run_caches[k], both)
         for (target, undo, terms), (_target, _undo, lifted_terms) in zip(rows, lifted_rows):
             unit = mix(undo, 1 << target, 2 << target)
             assert mix_sum(terms) == unit
@@ -590,7 +593,7 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
             value_pair = mix(undo, values[1 << target], values[2 << target])
             assert mix_sum(lifted_terms) == tuple(v << size | m for v, m in zip(value_pair, unit))
         for lifted in lifts:
-            assert user_ok(run_delivery, run_caches[k], k, lifted)
+            assert user_ok(run_delivery, run_caches[k], lifted)
 
 
 def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches):
@@ -607,19 +610,19 @@ def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches
         failing = failing_symbols(flipped, lifted)
         assert failing == [key, (2, (3, 4))]
         assert [bad for bad in failing if 1 in bad[1]] == [key]
-        assert not _decode_user_ok(flipped, run_caches[1], 1, lifted, failing)
+        assert not _decode_user_ok(flipped, run_caches[1], lifted, failing)
 
 
 def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
     cache = run_caches[1]
     mask_i, mask_q = cache.column[(2,)]  # read by user 1's class-2 row for subset {2}
-    assert _reads(decode_rows(run_delivery, cache, 1, lift(run_delivery)), mask_i)
+    assert _reads(decode_rows(run_delivery, cache, lift(run_delivery)), mask_i)
     stray = unit(2, (3,), 1, "I")
     corrupted = dataclasses.replace(cache, column={**cache.column, (2,): (mask_i ^ stray, mask_q)})
     values = _payload_values()
     assert values[stray] != 0
-    assert not user_ok(run_delivery, corrupted, 1, lift(run_delivery))
-    assert not user_ok(run_delivery, corrupted, 1, _lifted(run_delivery))
+    assert not user_ok(run_delivery, corrupted, lift(run_delivery))
+    assert not user_ok(run_delivery, corrupted, _lifted(run_delivery))
 
 
 def test_corrupted_skipped_symbol_is_never_read(run_delivery, run_caches):
@@ -632,8 +635,8 @@ def test_corrupted_skipped_symbol_is_never_read(run_delivery, run_caches):
     flipped = dataclasses.replace(run_delivery, skipped={**run_delivery.skipped, key: (mask_i ^ stray, mask_q)})
     for lifted in (lift(flipped), _lifted(flipped), _lifted(flipped, masks=True)):
         assert failing_symbols(flipped, lifted) == []
-        assert all(user_ok(flipped, run_caches[k], k, lifted) for k in RUN.users)
-    assert _oracle_flags(RUN, flipped) == [True] * 6
+        assert all(user_ok(flipped, run_caches[k], lifted) for k in RUN.users)
+    assert _oracle_flags(flipped) == [True] * 6
 
 
 def _positions(pair):
@@ -649,7 +652,7 @@ def test_parities_lift_from_their_supports(run_caches, width, masks):
     # every mask mapped through the values
     values = MaskValues.random(segment_index(RUN), width, "supports", masks=masks)
     demands = [RUN_D, (2, 2, 2, 2, 3, 1), (3, 3, 3, 3, 1, 2)]
-    for k, cache in run_caches.items():
+    for cache in run_caches.values():
         columns, closures = cache.supports
         assert columns == {key: _positions(pair) for key, pair in cache.column.items()}
         keys = [(f, ()) for f in RUN.files]
@@ -657,8 +660,8 @@ def test_parities_lift_from_their_supports(run_caches, width, masks):
         assert cache.closures == {key: closure_pair(cache, *key) for key in keys}
         for d in demands:
             dset = delivery(RUN, d)
-            rows = decode_rows(dset, cache, k, lift(dset))
-            for (_, _, terms), (_, _, lifted) in zip(rows, decode_rows(dset, cache, k, lift(dset, values)), strict=True):
+            rows = decode_rows(dset, cache, lift(dset))
+            for (_, _, terms), (_, _, lifted) in zip(rows, decode_rows(dset, cache, lift(dset, values)), strict=True):
                 assert lifted == [(values[i], values[q], e) for i, q, e in terms]
 
 
@@ -676,8 +679,8 @@ def test_a_corrupted_row_parity_reaches_only_its_copys_closures(run_delivery, ru
     assert corrupted.supports[1] != cache.supports[1] and corrupted.supports[0] == cache.supports[0]
     assert cache.closures == pristine
     for lifted in (lift(run_delivery), _lifted(run_delivery), _lifted(run_delivery, masks=True)):
-        assert not user_ok(run_delivery, corrupted, 1, lifted)
-        assert user_ok(run_delivery, cache, 1, lifted)
+        assert not user_ok(run_delivery, corrupted, lifted)
+        assert user_ok(run_delivery, cache, lifted)
 
 
 @pytest.mark.parametrize("params,d,count", [(RUN, RUN_D, 200), (SchemeParams(4, 6, 2), (1, 2, 3, 4, 1, 2), 360)])
@@ -687,7 +690,7 @@ def test_class2_term_counts_pinned(params, d, count):
     # closure was expanded into stored parities
     dset = delivery(params, d)
     lifted = lift(dset)
-    rows = [row for k in params.users for row in decode_rows(dset, prefetch(params, k), k, lifted)]
+    rows = [row for k in params.users for row in decode_rows(dset, prefetch(params, k), lifted)]
     assert sum(len(terms) for _, _, terms in rows) == count
 
 
@@ -708,8 +711,8 @@ def test_closures_are_lifted_only_when_read(monkeypatch):
         return real(positions, encoded)
 
     monkeypatch.setattr(scheme, "_lift_pair", counted)
-    for k, cache in zip(params.users, caches):
-        list(decode_rows(dset, cache, k, lifted))
+    for cache in caches:
+        list(decode_rows(dset, cache, lifted))
     columns, closures = (sum(len(cache.supports[i]) for cache in caches) for i in (0, 1))
     assert (columns, closures) == (60, 120)
     assert len(lifts) == columns + 96
@@ -745,10 +748,10 @@ def test_plan_needs_every_uncoded_slot(run_delivery, run_caches):
         cache = run_caches[k]
         missing = dataclasses.replace(cache, uncoded=cache.uncoded & ~(1 << index[seg]))
         with pytest.raises(LookupError, match=re.escape(seg.label())):
-            list(decode_rows(run_delivery, missing, k, lift(run_delivery)))
+            list(decode_rows(run_delivery, missing, lift(run_delivery)))
         with pytest.raises(LookupError):
             decode_file(run_delivery, missing, k)
-        assert not user_ok(run_delivery, missing, k, _lifted(run_delivery, masks=True))
+        assert not user_ok(run_delivery, missing, _lifted(run_delivery, masks=True))
 
 
 def test_plan_needs_every_uncoded_hit(run_delivery, run_caches):
@@ -757,9 +760,9 @@ def test_plan_needs_every_uncoded_hit(run_delivery, run_caches):
     cache = run_caches[5]
     missing = dataclasses.replace(cache, uncoded=cache.uncoded & ~(1 << segment_index(RUN)[segment(2, (5,), 1, "Q")]))
     with pytest.raises(LookupError):
-        next(decode_rows(run_delivery, missing, 5, lift(run_delivery)))
-    assert not user_ok(run_delivery, missing, 5, lift(run_delivery))
-    assert not user_ok(run_delivery, missing, 5, _lifted(run_delivery, masks=True))
+        next(decode_rows(run_delivery, missing, lift(run_delivery)))
+    assert not user_ok(run_delivery, missing, lift(run_delivery))
+    assert not user_ok(run_delivery, missing, _lifted(run_delivery, masks=True))
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +796,7 @@ def test_skip_count_formula_per_excluded_user(run_delivery):
     for params, d in ((RUN, RUN_D), (SchemeParams(4, 6, 1), (1, 1, 2, 2, 3, 4))):
         dset = delivery(params, d)
         for s in params.users:
-            expected = binom(params.n_users - 1 - len(dset.leaders[s]), params.r + 1)
+            expected = binom(params.n_users - 1 - dset.leader_bits[s - 1].bit_count(), params.r + 1)
             got = sum(1 for ss, _rp in dset.skipped if ss == s)
             assert got == expected
 
@@ -812,9 +815,9 @@ def _reference_picks(params, d, s, block):
 
 
 def _reference_rests(dset, s, extra):
-    """The definition over subsets: each pick of the block leaders[s] | extra
-    as (block - pick, its weight)."""
-    block = tuple(sorted(dset.leaders[s].union(extra)))
+    """The definition over subsets: each pick of the block leaders | extra,
+    the leaders those of s, as (block - pick, its weight)."""
+    block = tuple(sorted(leader_sets(dset.params, dset.demand)[s].union(extra)))
     return [
         (tuple(u for u in block if u not in pick), weight)
         for pick, weight in _reference_picks(dset.params, dset.demand, s, block)
@@ -822,7 +825,7 @@ def _reference_rests(dset, s, extra):
 
 
 def _assert_matches_definition(combination, dset, s, r_plus):
-    """combination holds the other picks of leaders[s] | r_plus, each as
+    """combination holds the other picks of leaders | r_plus, each as
     (block - pick, its weight relative to the leader pick's)."""
     want = _reference_rests(dset, s, r_plus)
     leader_weight = next(weight for rest, weight in want if rest == r_plus)
@@ -877,11 +880,9 @@ def _leader_growth(dset, s, r_plus):
     and then, on the entries that have not swapped its file, its file's
     leader l among the users other than s joins instead, adding
     e(x, s) - e(l, s) mod 3; the first entry, r_plus itself, is dropped."""
-    from fdcache.core import leaders
-
     params, demand = dset.params, dset.demand
     exponents = transform_exponents(params, demand)
-    leader_of = {demand[lead - 1]: lead for lead in leaders(params, demand, s)}
+    leader_of = {demand[lead - 1]: lead for lead in leader_sets(params, demand)[s]}
     grown = [((), 0, frozenset())]  # (users so far, exponent, files swapped)
     for x in r_plus:
         f = demand[x - 1]

@@ -134,3 +134,20 @@ def test_readme_ceilings_match_the_code():
         if not quoted or any(value != want for value in quoted):
             stale.append((name, want, quoted))
     assert stale == []
+
+
+def test_scheme_reexports_only_what_the_tracer_patches():
+    # scheme keeps an import it no longer reads only for the benchmark's
+    # tracer to rebind; once the tracer stops patching it, the import must go
+    tracing = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    patched = {
+        node.elts[1].value
+        for node in ast.walk(ast.parse(tracing.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Tuple) and len(node.elts) == 3
+        and isinstance(node.elts[0], ast.Name) and node.elts[0].id == "scheme"
+        and isinstance(node.elts[1], ast.Constant)
+    }
+    source = (PACKAGE / "scheme.py").read_text(encoding="utf-8")
+    reexported = set(re.findall(r"^\s*(\w+),\s*# noqa: F401", source, flags=re.MULTILINE))
+    assert patched and reexported
+    assert reexported <= patched, sorted(reexported - patched)
