@@ -95,15 +95,15 @@ _REGIONS_33 = {
             RatePoint(3, 0),
         ),
     ),
-    "type300": RegionData33(
+    "300": RegionData33(
         outer_facets=(Halfspace(1, 3, 3),),
         inner_corners=(RatePoint(0, 1), RatePoint(3, 0)),
     ),
-    "type210": RegionData33(
+    "210": RegionData33(
         outer_facets=(Halfspace(1, 1, 2), Halfspace(2, 3, 5), Halfspace(1, 3, 3)),
         inner_corners=(RatePoint(0, 2), RatePoint(1, 1), RatePoint(2, Fraction(1, 3)), RatePoint(3, 0)),
     ),
-    "type111": RegionData33(
+    "111": RegionData33(
         outer_facets=(
             Halfspace(3, 1, 3),
             Halfspace(6, 3, 8),
@@ -129,7 +129,7 @@ REGION_SETTINGS = tuple(_REGIONS_33)
 
 
 def region_33(setting: str) -> RegionData33:
-    """Stored bound region for the (3,3) system under one demand restriction."""
+    """Stored (3,3) bound region of one `bounds --setting` name (REGION_SETTINGS)."""
     try:
         return _REGIONS_33[setting]
     except KeyError:
@@ -140,17 +140,13 @@ def region_33(setting: str) -> RegionData33:
 # achievable operating points
 
 
-def saving_factor_from_ones(params: SchemeParams, ones: int) -> Fraction:
-    """Rate saving from skipped delivery symbols, given the count of
-    singly-requested files; symbols avoiding all leaders are never sent."""
+def saving_factor(params: SchemeParams, dtype) -> Fraction:
+    """Rate saving of a fully demanded type, set by its count p of singly-requested
+    files, from skipped delivery symbols: those avoiding all leaders are never sent."""
+    ones = require_fully_demanded_type(params, dtype).p
     n, k, r = params.n_files, params.n_users, params.r
     numerator = (k - ones) * binom(k - 1 - n, r + 1) + ones * binom(k - n, r + 1)
     return Fraction(numerator, k * binom(k - 1, r))
-
-
-def saving_factor(params: SchemeParams, dtype) -> Fraction:
-    dtype = require_fully_demanded_type(params, dtype)
-    return saving_factor_from_ones(params, dtype.p)
 
 
 def memory_point(params: SchemeParams) -> Fraction:
@@ -178,7 +174,8 @@ def worst_case_ones_count(n_files: int, n_users: int) -> int:
 
 def worst_case_type(n_files: int, n_users: int) -> DemandType:
     """A witness type attaining the worst-case ones count: its p is
-    worst_case_ones_count."""
+    worst_case_ones_count.  Raises UsageError unless 1 <= N <= K."""
+    SchemeParams(n_files, n_users, 0)
     ones = worst_case_ones_count(n_files, n_users)
     counts = [1] * ones + [2] * (n_files - ones)
     counts[-1] += n_users - sum(counts)
@@ -191,10 +188,9 @@ def worst_case_operating_point(params: SchemeParams) -> RatePoint:
 
 
 def fallback_extra_rate_bound(params: SchemeParams) -> Fraction:
-    """Extra rate that always suffices when some file goes unrequested:
-    K/(r+1) minus the worst-case saving."""
-    ones = worst_case_ones_count(params.n_files, params.n_users)
-    return Fraction(params.n_users, params.r + 1) - saving_factor_from_ones(params, ones)
+    """Extra rate that always suffices when some file goes unrequested: K/(r+1)
+    minus the worst-case saving, which is R_worst + 1 as K/(r+1) = (K-1-r)/(r+1) + 1."""
+    return worst_case_operating_point(params).rate + 1
 
 
 @dataclass(frozen=True)
@@ -206,25 +202,21 @@ class TradeoffRow:
     saving: Fraction | None
 
 
-def tradeoff_curve(
-    n_files: int,
-    n_users: int,
-    dtype=None,
-    worst: bool = False,
-    hull: bool = False,
-) -> list[TradeoffRow]:
-    """Curve rows for r = 0..K-1 plus the (0, N) endpoint, sorted by memory;
-    worst=True takes the type worst_case_type(N, K).  Raises UsageError for
-    K past MAX_TRADEOFF_USERS."""
-    if (dtype is None) == (not worst):
-        raise ValueError("provide exactly one of dtype or worst=True")
-    SchemeParams(n_files, n_users, 0)  # checks (N, K) up front: the r loop is empty when K <= 0
+def check_curve_system(n_files: int, n_users: int) -> None:
+    """Raise UsageError unless 1 <= N <= K and K is at most MAX_TRADEOFF_USERS."""
+    SchemeParams(n_files, n_users, 0)
     if n_users > MAX_TRADEOFF_USERS:
         raise UsageError(f"K={n_users} users exceed the tradeoff ceiling of {MAX_TRADEOFF_USERS}")
+
+
+def tradeoff_curve(n_files: int, n_users: int, dtype, hull: bool = False) -> list[TradeoffRow]:
+    """One type's rows (the worst case: worst_case_type(N, K)) for r = 0..K-1
+    plus the (0, N) endpoint, sorted by memory; (N, K) is checked first."""
+    check_curve_system(n_files, n_users)
     rows = [TradeoffRow(None, RatePoint(Fraction(0), Fraction(n_files)), None)]
     for r in range(n_users):
         params = SchemeParams(n_files, n_users, r)
-        saving = saving_factor(params, worst_case_type(n_files, n_users) if worst else dtype)
+        saving = saving_factor(params, dtype)
         rows.append(TradeoffRow(r, RatePoint(memory_point(params), base_rate(params) - saving), saving))
     rows.sort(key=lambda row: (row.point.memory, row.point.rate))
     if hull:

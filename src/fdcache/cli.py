@@ -18,10 +18,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .analysis import (
+    REGION_SETTINGS,
     RatePoint,
+    check_curve_system,
     check_point,
     region_33,
     tradeoff_curve,
+    worst_case_type,
 )
 from .core import (
     DemandType,
@@ -44,8 +47,6 @@ from .harness import (
     verify_demand,
     verify_sweep,
 )
-
-SETTINGS = {"mixed": "mixed", "300": "type300", "210": "type210", "111": "type111"}
 
 
 class Output(NamedTuple):
@@ -80,12 +81,14 @@ def at_least_one(text: str) -> int:
 
 
 def cmd_tradeoff(args) -> Output:
-    dtype = DemandType.of(_parse_ints(args.type)) if args.type is not None else None
+    if args.worst:
+        check_curve_system(args.n, args.k)  # refuses a huge N before its N-count witness is built
+    dtype = worst_case_type(args.n, args.k) if args.worst else DemandType.of(_parse_ints(args.type))
     label = "worst case" if args.worst else f"type ({dtype.label()})"
     rows = []
     csv = ["r,M_frac,M_dec,R_frac,R_dec,S_frac"]
     text = [f"tradeoff for N={args.n} K={args.k}, {label}"]
-    for row in tradeoff_curve(args.n, args.k, dtype=dtype, worst=args.worst, hull=args.hull):
+    for row in tradeoff_curve(args.n, args.k, dtype, hull=args.hull):
         m, m_dec = format_fraction(row.point.memory), _decimal(row.point.memory)
         rate, rate_dec = format_fraction(row.point.rate), _decimal(row.point.rate)
         saving = None if row.saving is None else format_fraction(row.saving)
@@ -151,7 +154,7 @@ def cmd_verify(args) -> Output:
 
 
 def cmd_bounds(args) -> Output:
-    region = region_33(SETTINGS[args.setting])
+    region = region_33(args.setting)
     check = None
     if args.check is not None:
         parts = args.check.split(",")
@@ -190,8 +193,6 @@ def cmd_bounds(args) -> Output:
 
 def cmd_lemmas(args) -> Output:
     params = SchemeParams(args.n, args.k, args.r)
-    if args.samples > SWEEP_LIMIT:
-        raise UsageError(f"--samples {args.samples} exceeds the limit of {SWEEP_LIMIT}")
     demands = [_parse_ints(args.demand)] if args.demand is not None else None
     report = identity_suite(params, demands=demands, samples=args.samples)
     csv = ["family,checked,failed"]
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="(3,3) bound regions and point checks")
-    p.add_argument("--setting", choices=tuple(SETTINGS), required=True)
+    p.add_argument("--setting", choices=REGION_SETTINGS, required=True)
     p.add_argument("--check", help="point to classify, as M,R fractions e.g. 5/3,1/2")
     _add_common(p)
     p.set_defaults(func=cmd_bounds)

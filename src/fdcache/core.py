@@ -217,6 +217,7 @@ def count_demands(params: SchemeParams, demand_class: DemandClass) -> int:
 
 def enumerate_fully_demanded_types(n_files: int, n_users: int) -> list[DemandType]:
     """All demand types with every file requested, largest counts first."""
+    SchemeParams(n_files, n_users, 0)  # UsageError unless 1 <= N <= K
 
     def parts(total: int, slots: int, cap: int):
         if slots == 1:

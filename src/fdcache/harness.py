@@ -75,12 +75,12 @@ SWEEP_MATRIX = (
     (4, 6, 1), (4, 6, 2),
 )
 IDENTITY_SUITES = ((3, 6, 1), (4, 6, 2))
-# ceiling on the demands of one sweep, and on lemma samples
+# ceiling on the demands of one sweep, and on those identity_suite samples
 SWEEP_LIMIT = 100_000
 
 
 class SweepLimitExceeded(UsageError):
-    """A sweep would enumerate more than SWEEP_LIMIT demands."""
+    """A sweep would enumerate, or identity_suite sample, over SWEEP_LIMIT demands."""
 
 
 @lru_cache(maxsize=None)
@@ -219,6 +219,8 @@ def verify_demand(
 ) -> VerificationReport:
     if engine not in ENGINES:
         raise UsageError(f"engine must be one of {ENGINES}")
+    if payload_width < 1:
+        raise UsageError(f"payload_width must be at least 1, got {payload_width}")
     demand = require_fully_demanded(params, d)
     started = time.perf_counter()
     caches = _prefetch_all(params)
@@ -423,7 +425,8 @@ def _compare_pairs(got: tuple[int, int], want: tuple[int, int], failures: list[s
 def identity_suite(
     params: SchemeParams, demands: Sequence[Demand] | None = None, samples: int = 10
 ) -> IdentityReport:
-    """Run the three XOR-identity families used by the construction.
+    """Run the three XOR-identity families used by the construction over the
+    demands, or when None over 1 to SWEEP_LIMIT sample_fully_demanded samples.
 
     parity_closure compares each cache's closure table (CacheContent.closures)
     with its row parities, once; the delivery families run per sampled demand.
@@ -441,6 +444,8 @@ def identity_suite(
     if demands is None:
         if samples < 1:
             raise UsageError(f"samples must be >= 1, got {samples}")
+        if samples > SWEEP_LIMIT:
+            raise SweepLimitExceeded(f"{samples} samples exceed the limit of {SWEEP_LIMIT}")
         demands = sample_fully_demanded(params, samples)
     demands = tuple(require_fully_demanded(params, d) for d in demands)
     if not demands:

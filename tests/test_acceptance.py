@@ -145,11 +145,11 @@ def test_criterion_7_oracle_equivalence(sweep_matrix):
 
 def test_criterion_8_region_observation():
     point = RatePoint(F(5, 3), F(1, 2))
-    against_210 = check_point(point, region_33("type210"))
+    against_210 = check_point(point, region_33("210"))
     assert not against_210.satisfied
     assert [fc.facet.label() for fc in against_210.violated] == ["2M+3R>=5"]
     assert against_210.violated[0].value == F(29, 6)
-    assert check_point(point, region_33("type111")).satisfied
+    assert check_point(point, region_33("111")).satisfied
     print("[acceptance] criterion 8: PASS (5/3,1/2) violates 2M+3R>=5 at 29/6, satisfies (1,1,1) facets")
 
 

@@ -12,7 +12,6 @@ from fdcache.analysis import (
     memory_point,
     region_33,
     saving_factor,
-    saving_factor_from_ones,
     tradeoff_curve,
     type_operating_point,
     worst_case_ones_count,
@@ -23,6 +22,8 @@ from fdcache.core import (
     DemandType,
     NotFullyDemandedError,
     SchemeParams,
+    UsageError,
+    binom,
     enumerate_fully_demanded_types,
 )
 
@@ -93,7 +94,7 @@ def test_worst_case_point_four_six():
 def test_worst_case_point_three_six():
     # p*=0, saving 6*C(2,2)/30 = 1/5
     assert worst_case_ones_count(3, 6) == 0
-    assert saving_factor_from_ones(SchemeParams(3, 6, 1), 0) == F(1, 5)
+    assert saving_factor(SchemeParams(3, 6, 1), (2, 2, 2)) == F(1, 5)
     assert worst_case_operating_point(SchemeParams(3, 6, 1)) == pt(F(11, 15), F(9, 5))
 
 
@@ -110,6 +111,12 @@ def test_worst_case_type_is_feasible_witness():
             assert sum(dtype.counts) == k and len(dtype.counts) == n
             assert dtype.fully_demanded
             assert dtype.p == worst_case_ones_count(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(0, 3), (3, 2), (-1, 2)])
+def test_worst_case_type_checks_the_system(n, k):
+    with pytest.raises(UsageError, match="need 1 <= n_files <= n_users"):
+        worst_case_type(n, k)
 
 
 def test_worst_case_is_brute_force_maximum():
@@ -134,6 +141,20 @@ def test_fallback_bound_values():
     assert fallback_extra_rate_bound(SchemeParams(3, 6, 5)) == F(1)
 
 
+def test_fallback_bound_is_worst_case_rate_plus_one():
+    # K/(r+1) minus the worst-case saving, written out from the paper's
+    # saving formula, equals R_worst + 1 on every system up to K = 12
+    for k in range(1, 13):
+        for n in range(1, k + 1):
+            ones = worst_case_ones_count(n, k)
+            for r in range(k):
+                params = SchemeParams(n, k, r)
+                saving = F((k - ones) * binom(k - 1 - n, r + 1) + ones * binom(k - n, r + 1),
+                           k * binom(k - 1, r))
+                assert fallback_extra_rate_bound(params) == F(k, r + 1) - saving, (n, k, r)
+                assert fallback_extra_rate_bound(params) == worst_case_operating_point(params).rate + 1
+
+
 # ---------------------------------------------------------------------------
 # tradeoff curve
 
@@ -155,13 +176,9 @@ def test_curve_three_three():
 
 
 def test_curve_sorted_by_memory_and_validated():
-    rows = tradeoff_curve(3, 6, worst=True)
+    rows = tradeoff_curve(3, 6, worst_case_type(3, 6))
     memories = [row.point.memory for row in rows]
     assert memories == sorted(memories)
-    with pytest.raises(ValueError):
-        tradeoff_curve(3, 6)  # needs a type or worst
-    with pytest.raises(ValueError):
-        tradeoff_curve(3, 6, dtype=DemandType.of((4, 1, 1)), worst=True)
 
 
 def test_curve_hull_reduction_drops_nothing_here():
@@ -177,15 +194,15 @@ def test_curve_hull_reduction_drops_nothing_here():
 def test_region_shapes():
     assert len(region_33("mixed").outer_facets) == 5
     assert len(region_33("mixed").inner_corners) == 7
-    assert [f.label() for f in region_33("type300").outer_facets] == ["M+3R>=3"]
-    assert len(region_33("type111").outer_facets) == 6
-    assert any(f.label() == "12M+18R>=29" for f in region_33("type111").outer_facets)
+    assert [f.label() for f in region_33("300").outer_facets] == ["M+3R>=3"]
+    assert len(region_33("111").outer_facets) == 6
+    assert any(f.label() == "12M+18R>=29" for f in region_33("111").outer_facets)
     with pytest.raises(ValueError):
-        region_33("type222")
+        region_33("222")
 
 
 def test_inner_corners_satisfy_own_outer_facets():
-    for setting in ("mixed", "type300", "type210", "type111"):
+    for setting in ("mixed", "300", "210", "111"):
         region = region_33(setting)
         for corner in region.inner_corners:
             assert check_point(corner, region).satisfied, (setting, corner)
@@ -193,13 +210,13 @@ def test_inner_corners_satisfy_own_outer_facets():
 
 def test_five_thirds_point_against_210_and_111():
     point = pt(F(5, 3), F(1, 2))
-    report = check_point(point, region_33("type210"))
+    report = check_point(point, region_33("210"))
     assert not report.satisfied
     violated = report.violated
     assert len(violated) == 1
     assert violated[0].facet.label() == "2M+3R>=5"
     assert violated[0].value == F(29, 6)
-    assert check_point(point, region_33("type111")).satisfied
+    assert check_point(point, region_33("111")).satisfied
 
 
 def test_boundary_points_of_mixed_region():
@@ -230,7 +247,7 @@ def test_hull_drops_collinear_point():
 
 
 def test_hull_keeps_all_single_type_corners():
-    corners = region_33("type111").inner_corners
+    corners = region_33("111").inner_corners
     assert lower_convex_hull(corners) == sorted(corners, key=lambda p: p.memory)
 
 
@@ -244,7 +261,7 @@ def test_hull_invariant_under_permutation(shuffled):
     assert lower_convex_hull(shuffled) == lower_convex_hull(region_33("mixed").inner_corners)
 
 
-@given(st.lists(st.sampled_from(region_33("type111").inner_corners), min_size=1, max_size=12))
+@given(st.lists(st.sampled_from(region_33("111").inner_corners), min_size=1, max_size=12))
 def test_hull_invariant_under_duplicates(points):
     assert lower_convex_hull(points) == lower_convex_hull(set(points))
 

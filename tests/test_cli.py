@@ -59,6 +59,17 @@ def test_tradeoff_runs_at_the_user_ceiling(capsys):
     assert len(out.splitlines()) == 1 + 1 + 1000  # header, the (0, N) endpoint, r = 0..999
 
 
+def test_tradeoff_worst_refuses_past_the_ceiling_before_building_its_witness(capsys, monkeypatch):
+    # the witness holds N counts, so a huge N must be refused before it is built
+    def no_witness(*args):
+        raise AssertionError("built the worst-case witness")
+
+    monkeypatch.setattr(cli, "worst_case_type", no_witness)
+    code, out, err = run(capsys, "tradeoff", "--n", "1001", "--k", "1001", "--worst")
+    assert (code, out) == (2, "")
+    assert "tradeoff ceiling of 1000" in err
+
+
 def test_tradeoff_requires_type_or_worst(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tradeoff", "--n", "3", "--k", "3"])
@@ -244,7 +255,7 @@ def test_lemmas_vacuous_families(capsys):
 @pytest.mark.parametrize("samples,message", [
     ("0", "--samples: must be at least 1, got 0"),
     ("-3", "--samples: must be at least 1, got -3"),
-    ("100001", "--samples 100001 exceeds the limit of 100000"),
+    ("100001", "100001 samples exceed the limit of 100000"),
 ])
 def test_lemmas_rejects_samples_out_of_range(capsys, monkeypatch, samples, message):
     def no_sampling(*args, **kwargs):

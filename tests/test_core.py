@@ -192,6 +192,12 @@ def test_fully_demanded_types_enumeration():
     assert types == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
 
 
+@pytest.mark.parametrize("n,k", [(0, 3), (-1, 2), (3, 2)])
+def test_fully_demanded_types_check_the_system(n, k):
+    with pytest.raises(UsageError, match="need 1 <= n_files <= n_users"):
+        enumerate_fully_demanded_types(n, k)
+
+
 def test_leaders_running_example():
     params = SchemeParams(3, 6, 1)
     d = (1, 1, 1, 1, 2, 3)

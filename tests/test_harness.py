@@ -17,6 +17,7 @@ from fdcache.core import (
     DemandType,
     NotFullyDemandedError,
     SchemeParams,
+    UsageError,
     binom,
     count_demands,
     demand_type,
@@ -329,6 +330,15 @@ def test_identity_suite_rejects_samples_below_one(monkeypatch, samples):
     monkeypatch.setattr(harness, "sample_fully_demanded", no_sample)
     with pytest.raises(ValueError, match="samples"):
         identity_suite(RUN, samples=samples)
+
+
+def test_identity_suite_refuses_samples_past_the_sweep_limit(monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("sampled demands")
+
+    monkeypatch.setattr(harness, "sample_fully_demanded", no_sample)
+    with pytest.raises(SweepLimitExceeded, match="100001 samples exceed the limit of 100000"):
+        identity_suite(RUN, samples=harness.SWEEP_LIMIT + 1)
 
 
 def test_identity_suite_builds_one_selection_list_per_skipped_pair(monkeypatch):
@@ -1124,6 +1134,11 @@ def test_payload_ceiling_is_inclusive(monkeypatch):
 
 
 @pytest.mark.parametrize("width", [0, -2])
-def test_verify_demand_rejects_payload_width_below_one(width):
-    with pytest.raises(ValueError):
-        verify_demand(RUN, RUN_D, engine="payload", payload_width=width)
+def test_verify_demand_rejects_payload_width_below_one(monkeypatch, width):
+    def no_draw(*args):
+        raise AssertionError("drew a payload for a width below one")
+
+    monkeypatch.setattr(MaskValues, "random", no_draw)
+    for engine in harness.ENGINES:
+        with pytest.raises(UsageError, match="payload_width must be at least 1"):
+            verify_demand(RUN, RUN_D, engine=engine, payload_width=width)
