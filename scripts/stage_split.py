@@ -8,12 +8,13 @@ Demands are drawn as perfbench draws them: fully demanded vectors by
 rejection sampling from random.Random(--seed).  Each pass runs every demand
 through the stages in order, each stage timed on its own, and each stage
 prints its best pass.  Without --lemmas the stages are those of
-harness.verify_demand with engine "both": delivery, the payload draw, the
-broadcast lift, the symbol pass (failing_symbols), every user's class-2 rows
-and the rank oracle.  With --lemmas they are those of harness.identity_suite
-per demand: delivery, the skip_combination calls that delivery makes
-(timed again after it, so they are a part of delivery's time), every
-reconstructed_pair and the transformed sum.  The last line says how many
+harness.verify_demand with engine "both": delivery, the payload draw, then,
+timed inside each excluded user's pass and summed over the users, the lift
+of that user's symbols, its symbol pass (failing_symbols) and its class-2
+rows, and last the rank oracle.  With --lemmas they are those of
+harness.identity_suite per demand: delivery, the skip_combination calls
+that delivery makes (timed again after it, so they are a part of
+delivery's time), every reconstructed_pair and the transformed sum.  The last line says how many
 demands were verified and how many passed.  Exits 1 when one failed.
 """
 
@@ -51,24 +52,32 @@ def _demands(params: SchemeParams, count: int, seed: int) -> list[tuple[int, ...
 
 def _verify_stages(params: SchemeParams, demand: tuple[int, ...], seed: str, clock: list[float]) -> bool:
     """One demand of verify_demand(engine="both"), each stage's seconds
-    added to clock in order; True when every user decodes and the oracle
-    agrees."""
+    added to clock in order: the lift, symbol pass and class-2 rows are
+    timed inside the pass of each excluded user and summed over users.
+    True when every user decodes and the oracle agrees."""
     caches = harness._prefetch_all(params)
-    marks = [time.perf_counter()]
+    started = time.perf_counter()
     dset = scheme.delivery(params, demand)
-    marks.append(time.perf_counter())
+    drawn = time.perf_counter()
     values = MaskValues.random(segment_index(params), 1, harness._payload_seed(seed, params, demand), masks=True)
-    marks.append(time.perf_counter())
-    lifted = scheme.lift(dset, values)
-    marks.append(time.perf_counter())
-    failing = scheme.failing_symbols(dset, lifted)
-    marks.append(time.perf_counter())
-    decoded = [harness._decode_user_ok(dset, cache, lifted, failing) for cache in caches]
-    marks.append(time.perf_counter())
+    clock[0] += drawn - started
+    clock[1] += time.perf_counter() - drawn
+    failed, rows_ok = set(), []
+    for cache in caches:
+        marks = [time.perf_counter()]
+        lifted = scheme.lift(dset, cache.owner, values)
+        marks.append(time.perf_counter())
+        failed.update(k for _, r_plus in scheme.failing_symbols(dset, lifted) for k in r_plus)
+        marks.append(time.perf_counter())
+        rows_ok.append(harness._decode_user_ok(dset, cache, lifted))
+        marks.append(time.perf_counter())
+        del lifted  # one user's Lift at a time, as verify_demand holds it
+        for i in range(3):
+            clock[2 + i] += marks[i + 1] - marks[i]
+    started = time.perf_counter()
     oracle = harness._oracle_flags(dset)
-    marks.append(time.perf_counter())
-    for i in range(len(clock)):
-        clock[i] += marks[i + 1] - marks[i]
+    clock[5] += time.perf_counter() - started
+    decoded = [ok and k not in failed for k, ok in zip(params.users, rows_ok)]
     return all(decoded) and all(oracle)
 
 

@@ -206,7 +206,8 @@ def segment_index(params: SchemeParams) -> SegmentIndex:
 class MaskValues:
     """Payload value of each mask over a segment index: the XOR of the
     segment values on its bits, as the server encodes it.  Nothing is kept
-    per mask: lift reads each transmitted mask once per demand."""
+    per mask: lift reads each transmitted mask once per demand, in the pass
+    of the user the symbol excludes."""
 
     def __init__(self, segment_values: Sequence[int]):
         self.segment_values = segment_values
@@ -224,8 +225,13 @@ class MaskValues:
         return cls(_random_values(index.size, width, seed, index.units if masks else None))
 
     def __getitem__(self, mask: int) -> int:
+        """The XOR of the values on mask's bits, started from the value of
+        its lowest bit, so no value is copied into a 0; 0 for the empty mask."""
+        if not mask:
+            return 0
         values = self.segment_values
-        acc, rest = 0, mask
+        low = mask & -mask
+        acc, rest = values[low.bit_length() - 1], mask ^ low
         while rest:  # bit_positions, inlined: this runs once per transmitted mask and demand
             low = rest & -rest
             acc ^= values[low.bit_length() - 1]

@@ -62,7 +62,9 @@ from .scheme import (
 
 ENGINES = ("symbolic", "payload", "both")
 # ceiling on the bytes of one demand's segment values (payload_width x segment
-# count), so no accepted width draws a payload without bound
+# count), so no accepted width draws a payload without bound; a verify peaks at
+# about those values plus one user's encoded symbols, as each user's pass
+# lifts and drops its own share of the broadcast
 MAX_PAYLOAD_BYTES = 256 * 2**20
 
 # (N, K, r) of the exhaustive fully demanded sweeps of the acceptance gate and
@@ -159,25 +161,31 @@ class VerificationReport:
         return self.oracle_ok is None or self.oracle_ok == self.decode_ok
 
 
-def _decode_user_ok(dset: DeliverySet, cache: CacheContent, lifted: Lift,
-                    failing: Sequence[tuple[int, tuple[int, ...]]]) -> bool:
-    """User k = cache.owner recovers every segment of its file.  Its class-1
-    rows are the identities of the symbols over subsets holding k, failing
-    ones listed in failing (failing_symbols, one pass per demand);
+def _decode_user_ok(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> bool:
+    """The row verdict of user k = cache.owner, read through k's own Lift:
     decode_rows checks that it holds every segment it reads uncoded, and
     each class-2 row's terms must sum to its target pair as the row leaves
-    it, read through the Lift, so one comparison checks whatever the engine
-    lifted.  Each row is checked as decode_rows makes it, up to the first
-    that fails.  Only a MissingSegmentError fails it: other errors are bugs."""
-    k = cache.owner
-    if any(k in r_plus for _, r_plus in failing):
-        return False
+    it, so one comparison checks whatever the engine lifted.  Each row is
+    checked as decode_rows makes it, up to the first that fails.  Its
+    class-1 rows are the identities of symbols of other users, which their
+    passes check (verify_demand).  Only a MissingSegmentError fails it:
+    other errors are bugs."""
     units = lifted.units
     try:
         return all(mix_sum(terms) == mix(undo, units[target], units[target + 1])
                    for target, undo, terms in decode_rows(dset, cache, lifted))
     except MissingSegmentError:  # the decoding needs an item the user does not hold
         return False
+
+
+def _user_pass(dset: DeliverySet, cache: CacheContent,
+               values: MaskValues | None) -> tuple[list[tuple[int, tuple[int, ...]]], bool]:
+    """One excluded user's pass: lift the symbols of k = cache.owner, check
+    their identities and k's class-2 rows, and return (failing_symbols,
+    row verdict).  The Lift lives in this call only, so a verifier holds one
+    user's encoded broadcast at a time."""
+    lifted = lift(dset, cache.owner, values)
+    return failing_symbols(dset, lifted), _decode_user_ok(dset, cache, lifted)
 
 
 def _oracle_flags(dset: DeliverySet) -> list[bool]:
@@ -217,6 +225,17 @@ def verify_demand(
     payload_width: int = 1,
     run_oracle: bool = True,
 ) -> VerificationReport:
+    """Verify one demand: delivery, then one pass per excluded user s
+    (_user_pass) that lifts s's share of the broadcast, checks its symbol
+    identities and user s's class-2 rows, and drops it before the next
+    user's pass.  A user decodes when its rows hold and no identity of a
+    symbol over a subset holding it failed, in whichever user's pass.  The
+    engine decides what each segment lifts to: its unit mask (symbolic), a
+    seeded payload value of payload_width bytes (payload), or that value
+    above the mask (both).  run_oracle adds the rank oracle's verdict.
+    Raises UsageError for an unknown engine, a payload_width below 1, a
+    payload past MAX_PAYLOAD_BYTES or a demand that leaves a file
+    unrequested (NotFullyDemandedError)."""
     if engine not in ENGINES:
         raise UsageError(f"engine must be one of {ENGINES}")
     if payload_width < 1:
@@ -236,9 +255,12 @@ def verify_demand(
             )
         seeded = _payload_seed(seed, params, demand)
         values = MaskValues.random(index, payload_width, seeded, masks=engine == "both")
-    lifted = lift(dset, values)  # one per demand: every user reads the same broadcast
-    failing = failing_symbols(dset, lifted)  # every user's class-1 rows, one check per symbol
-    per_user = tuple(_decode_user_ok(dset, cache, lifted, failing) for cache in caches)
+    failed, rows_ok = set(), []
+    for cache in caches:  # each pass's Lift is dropped when _user_pass returns
+        failing, ok = _user_pass(dset, cache, values)
+        failed.update(k for _, r_plus in failing for k in r_plus)  # each member fails its class-1 row
+        rows_ok.append(ok)
+    per_user = tuple(ok and k not in failed for k, ok in zip(params.users, rows_ok))
     engine_seconds = time.perf_counter() - started
 
     oracle_ok: bool | None = None

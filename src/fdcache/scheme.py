@@ -34,24 +34,29 @@ segment layout lives in SegmentIndex: offsets is the one enumeration of a
 file's segment pairs, and every cache mask (prefetch, row_parity_pair),
 held mask (_equations) and the transformed-sum residual is built from its
 per-user pair masks inside and excluded, with no walk per file.  A
-verifier reads every item through the demand's Lift.  The identity lift
-reads each item as its mask and encodes nothing.  A lift through drawn
-values reads it as a payload value, or as its mask in the low index.size
-bits with its value above them: lift encodes each transmitted symbol once
-per demand, and each user's column parities and closures are lifted from
-the bit positions CacheContent keeps.  Each symbol (s, r_plus) carries one
-class-1 row (s != k) for each member k of r_plus, and moved to one side
-every such row is the same identity: the symbol's lifted broadcast terms
-and its r+1 lifted member segments, each under MIX**e(t, s), sum to zero.
-failing_symbols checks each identity once per demand, for all its members
-(symbol_identities, the one definition of a class-1 row).  Per user,
-decode_rows then ANDs the segments the user reads uncoded (its uncoded
-hits, held as they are, and the other members' segments of its class-1
-rows) once with what its cache lacks, and yields its class-2 rows (s == k),
-each the terms over a column parity, one closure per member and broadcast
-symbols whose weighted sum is MIX**undo of the target pair.  XOR never
-carries across bits, so a verifier checks an identity or a row on masks,
-payload or both with one plain mix_sum and one comparison.
+verifier works one excluded user s at a time, through s's Lift, built once
+per user and demand: every item a check of user s reads lies on segments
+that exclude s (its symbols, the transmitted ones a skipped one of them is
+rebuilt from, their member segments, its column parities, closures and
+class-2 targets), so each pass lifts, checks and drops about 1/K of the
+broadcast.  The identity lift reads each item as its mask and encodes
+nothing.  A lift through drawn values reads it as a payload value, or as
+its mask in the low index.size bits with its value above them: lift
+encodes each transmitted symbol of s once per demand, and each user's
+column parities and closures are lifted from the bit positions
+CacheContent keeps.  Each symbol (s, r_plus) carries one class-1 row
+(s != k) for each member k of r_plus, and moved to one side every such row
+is the same identity: the symbol's lifted broadcast terms and its r+1
+lifted member segments, each under MIX**e(t, s), sum to zero.
+failing_symbols checks each identity once per demand, in the pass of s,
+for all its members (symbol_identities, the one definition of a class-1
+row).  In the same pass decode_rows ANDs the segments user s reads uncoded
+(its uncoded hits, held as they are, and the other members' segments of
+its class-1 rows) once with what its cache lacks, and yields its class-2
+rows (k == s), each the terms over a column parity, one closure per member
+and broadcast symbols whose weighted sum is MIX**undo of the target pair.
+XOR never carries across bits, so a verifier checks an identity or a row
+on masks, payload or both with one plain mix_sum and one comparison.
 """
 
 from __future__ import annotations
@@ -365,18 +370,19 @@ _MIXED_UNIT = tuple(mix(e, 1, 2) for e in range(3))
 @lru_cache(maxsize=None)
 def _symbol_layout(
     params: SchemeParams,
-) -> tuple[tuple[tuple[int, tuple[int, ...]], int, int, tuple[tuple[int, int], ...]], ...]:
-    """The demand-independent part of every broadcast symbol, in delivery
-    order: ((s, r_plus), s - 1, user bits of r_plus, ((t - 1, position of
-    W^I[1; r_plus - t; s]), ...)), the user bits sum(1 << u) over u in
-    r_plus.  A demand moves each position to file d(t) by adding
-    (d(t) - 1) * per_file."""
+) -> tuple[tuple[tuple[tuple[int, tuple[int, ...]], int, tuple[tuple[int, int], ...]], ...], ...]:
+    """The demand-independent part of every broadcast symbol, grouped by
+    excluded user: entry s - 1 holds the symbols of s in delivery order, as
+    ((s, r_plus), user bits of r_plus, ((t - 1, position of W^I[1; r_plus -
+    t; s]), ...)), the user bits sum(1 << u) over u in r_plus.  The groups
+    chained are delivery order.  A demand moves each position to file d(t)
+    by adding (d(t) - 1) * per_file."""
     offsets = segment_index(params).offsets
     # the subsets of all users that avoid s are those of the others, in order
     return tuple(
-        ((s, r_plus), s - 1, bits, tuple((t - 1, offsets[(tuple(u for u in r_plus if u != t), s)]) for t in r_plus))
+        tuple(((s, r_plus), bits, tuple((t - 1, offsets[(tuple(u for u in r_plus if u != t), s)]) for t in r_plus))
+              for bits, r_plus in _subsets_by_bits(params).items() if not bits >> s & 1)
         for s in params.users
-        for bits, r_plus in _subsets_by_bits(params).items() if not bits >> s & 1
     )
 
 
@@ -413,13 +419,14 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
     leader_bits = [sum(1 << u for u in sets[s]) for s in params.users]
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     skipped: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}  # in layout order, which is sorted order
-    for key, s, bits, layout in _symbol_layout(params):  # s and t count from 0 here
-        acc_i = acc_q = 0
-        for t, at in layout:
-            unit_i, unit_q = shifted[t][s]
-            acc_i ^= unit_i << at
-            acc_q ^= unit_q << at
-        (pairs if leader_bits[s] & bits else skipped)[key] = acc_i, acc_q
+    for s, group in enumerate(_symbol_layout(params)):  # s and t count from 0 here
+        for key, bits, layout in group:
+            acc_i = acc_q = 0
+            for t, at in layout:
+                unit_i, unit_q = shifted[t][s]
+                acc_i ^= unit_i << at
+                acc_q ^= unit_q << at
+            (pairs if leader_bits[s] & bits else skipped)[key] = acc_i, acc_q
     swaps = {}
     for s in dict.fromkeys(s for s, _ in skipped):  # only skip_combination reads them
         toward = [row[s - 1] for row in exponents]
@@ -506,8 +513,8 @@ def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], chan
 
 
 # ---------------------------------------------------------------------------
-# decoding: one symbol pass per demand, then one pass of rows per user,
-# both through the demand's Lift
+# decoding: one pass per excluded user s, each through s's Lift: its symbol
+# identities, then its class-2 rows
 
 
 @lru_cache(maxsize=None)
@@ -524,10 +531,10 @@ def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[tup
     subset and excluded user both avoid i (index pair masks).  A class-1 row is
     its symbol's identity (failing_symbols), so holding is all it leaves per
     user.  rows holds the class-2 row (s == k) of each r_set avoiding k, in
-    partition order, as (offset, r_set, ((t, r_set - t), ...), (r_set | {h},
-    ...)): the column parity, one transformed closure (d(t), r_set - t) of
-    the cache's closure table per member t, and every broadcast symbol over
-    r_set | {h}.
+    partition order, as (offset, r_set, ((t, r_set - t), ...), ((k, r_set |
+    {h}), ...)): the column parity, one transformed closure (d(t), r_set - t)
+    of the cache's closure table per member t, and the key of every
+    broadcast symbol (k, r_set | {h}).
     """
     index = segment_index(params)
     inside, excluded = index.inside, index.excluded
@@ -539,19 +546,21 @@ def _equations(params: SchemeParams, k: int) -> tuple[tuple[int, ...], tuple[tup
         if s == k:
             members = tuple((t, r_set[:i] + r_set[i + 1:]) for i, t in enumerate(r_set))
             bits = sum(1 << u for u in r_set)
-            symbols = tuple(subsets[bits | 1 << h] for h in params.users if h != k and not bits >> h & 1)
+            symbols = tuple((k, subsets[bits | 1 << h]) for h in params.users if h != k and not bits >> h & 1)
             rows.append((offset, r_set, members, symbols))
     return held, tuple(rows)
 
 
 class Lift(NamedTuple):
-    """One demand's held items as lifted ints, built once and shared by all
-    its users: units[i] lifts segment position i as a user holds it uncoded,
-    encoded[i] as the server encodes it (the drawn values, or the unit masks
-    under the identity lift; lift makes both one sequence), and broadcast
-    maps each symbol to its lifted (I, Q, e) terms, a skipped one's rebuilt
-    by reconstruction."""
+    """The items of one demand that the checks of excluded user `user` read,
+    as lifted ints: units[i] lifts segment position i as a user holds it
+    uncoded, encoded[i] as the server encodes it (the drawn values, or the
+    unit masks under the identity lift; lift makes both one sequence), and
+    broadcast maps each symbol (user, r_plus) to its lifted (I, Q, e) terms,
+    a skipped one's rebuilt by reconstruction.  It holds no other user's
+    symbols: a verifier builds one per user and drops it before the next."""
 
+    user: int
     units: Sequence[int]
     encoded: Sequence[int]
     broadcast: dict[tuple[int, tuple[int, ...]], tuple[Term, ...]]
@@ -561,71 +570,97 @@ class MissingSegmentError(LookupError):
     """A user does not hold a segment that its decoding reads uncoded."""
 
 
-def lift(dset: DeliverySet, values: MaskValues | None = None) -> Lift:
-    """The demand's lift through values, in one pass: each transmitted pair
-    is encoded once.  With no values it is the identity lift: segment i
-    lifts to 1 << i, so the pairs are read as they are."""
-    units, pairs = segment_index(dset.params).units, dset.pairs
-    if values is not None:
-        units = values.segment_values
-        pairs = {key: (values[i], values[q]) for key, (i, q) in pairs.items()}
-    broadcast = {key: ((*pair, 0),) for key, pair in pairs.items()}
-    for (s, r_plus), combo in dset.reconstruction.items():
-        broadcast[(s, r_plus)] = tuple([(*pairs[(s, rest)], e) for rest, e in combo])
-    return Lift(units, units, broadcast)
+def lift(dset: DeliverySet, s: int, values: MaskValues | None = None) -> Lift:
+    """The lift through values of excluded user s's symbols, in one pass
+    over s's slice of the layout: each transmitted pair (s, r_plus) is
+    encoded once, and each skipped one of s is rebuilt from those terms, as
+    its reconstruction names only transmitted pairs (s, rest).  With no
+    values it is the identity lift: segment i lifts to 1 << i, so the pairs
+    are read as they are."""
+    params, pairs = dset.params, dset.pairs
+    if not 0 < s <= params.n_users:
+        raise ValueError(f"user {s} outside 1..{params.n_users}")
+    if values is None:
+        units = segment_index(params).units
+    else:
+        units, encode = values.segment_values, values.__getitem__
+    broadcast: dict[tuple[int, tuple[int, ...]], tuple[Term, ...]] = {}
+    skipped = []
+    for key, _bits, _layout in _symbol_layout(params)[s - 1]:
+        pair = pairs.get(key)
+        if pair is None:
+            skipped.append(key)
+        elif values is None:
+            broadcast[key] = ((pair[0], pair[1], 0),)
+        else:
+            broadcast[key] = ((encode(pair[0]), encode(pair[1]), 0),)
+    reconstruction = dset.reconstruction
+    for key in skipped:
+        terms = []
+        for rest, e in reconstruction[key]:
+            (i_val, q_val, _), = broadcast[(s, rest)]
+            terms.append((i_val, q_val, e))
+        broadcast[key] = tuple(terms)
+    return Lift(s, units, units, broadcast)
 
 
 def symbol_identities(dset: DeliverySet, lifted: Lift) -> Iterator[tuple[tuple[int, tuple[int, ...]], list[Term]]]:
-    """Each broadcast symbol's identity, in delivery order, as (key, terms):
-    the symbol's lifted broadcast terms (a skipped symbol's rebuilt ones),
-    then one term MIX**e(t, s) W[d(t); r_plus - t; s] per member t of
-    r_plus, in order, each segment read as lifted.units reads it.  The terms
-    sum to zero exactly when every member's class-1 row of the symbol holds:
-    user t's row says that the other terms sum to MIX**e(t, s) of its own
-    segment pair."""
+    """The identity of each broadcast symbol (s, r_plus) of s = lifted.user,
+    in delivery order, as (key, terms): the symbol's lifted broadcast terms
+    (a skipped symbol's rebuilt ones), then one term MIX**e(t, s) W[d(t);
+    r_plus - t; s] per member t of r_plus, in order, each segment read as
+    lifted.units reads it.  The terms sum to zero exactly when every
+    member's class-1 row of the symbol holds: user t's row says that the
+    other terms sum to MIX**e(t, s) of its own segment pair."""
     per_file = segment_index(dset.params).per_file
     base = [(f - 1) * per_file for f in dset.demand]
-    exponents = dset.exponents
-    units, _, broadcast = lifted
-    for key, s, _bits, layout in _symbol_layout(dset.params):  # s and t count from 0 here
+    s = lifted.user - 1  # s and t count from 0 here
+    toward = [row[s] for row in dset.exponents]
+    units, broadcast = lifted.units, lifted.broadcast
+    for key, _bits, layout in _symbol_layout(dset.params)[s]:
         terms = list(broadcast[key])
         for t, at in layout:
             at += base[t]
-            terms.append((units[at], units[at + 1], exponents[t][s]))
+            terms.append((units[at], units[at + 1], toward[t]))
         yield key, terms
 
 
 def failing_symbols(dset: DeliverySet, lifted: Lift) -> list[tuple[int, tuple[int, ...]]]:
-    """The keys (s, r_plus) whose symbol identity does not sum to zero, in
-    delivery order: one check per symbol and demand decides the class-1 row
-    of the symbol of every member of r_plus."""
+    """The keys (s, r_plus) of s = lifted.user whose symbol identity does
+    not sum to zero, in delivery order: one check per symbol and demand
+    decides the class-1 row of the symbol of every member of r_plus."""
     return [key for key, terms in symbol_identities(dset, lifted) if mix_sum(terms) != (0, 0)]
 
 
 def decode_rows(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> Iterator[tuple[int, int, list[Term]]]:
     """The class-2 rows of user k = cache.owner (excluded user k) for this
-    demand, in partition order, after one check that it holds every segment
-    it reads uncoded.
+    demand, in partition order, read through k's own Lift, after one check
+    that the user holds every segment it reads uncoded.
 
     Its uncoded hits and the members its class-1 rows read (_equations'
     held masks, shifted to their files) are ANDed once with what the cache
-    lacks; a class-1 row itself is its symbol's identity, which
-    failing_symbols checks once for all users.  Row (target, undo, terms)
-    says that the mix_sum of the terms is MIX**undo of the (I, Q) pair of
-    the segments at positions target and target + 1 of the dense segment
-    index: the target as user k's transform toward itself leaves it, each
-    segment read as lifted.units reads it.  Each term is (I, Q, e) over a
-    cached column parity, a closure of the cache's table or a broadcast
-    symbol, read through the Lift.  Columns and closures are lifted here,
-    from their positions (CacheContent.supports) through the server's
+    lacks: this holding check reads masks only, the one check of user k that
+    reads segments of other users' symbols.  A class-1 row itself is its
+    symbol's identity, which failing_symbols checks in the pass of the
+    symbol's excluded user.  Row (target, undo, terms) says that the
+    mix_sum of the terms is MIX**undo of the (I, Q) pair of the segments at
+    positions target and target + 1 of the dense segment index: the target
+    as user k's transform toward itself leaves it, each segment read as
+    lifted.units reads it.  Each term is (I, Q, e) over a cached column
+    parity, a closure of the cache's table or a broadcast symbol (k, .),
+    read through the Lift.  Columns and closures are lifted here, from
+    their positions (CacheContent.supports) through the server's
     per-segment encoding (lifted.encoded), never the values the user holds
     (lifted.units).  Each column is lifted by its one row, and each closure
     once, when a row first reads it, so the closures of files no member
     requests are never lifted.
-    Raises MissingSegmentError, naming the first missing segment, when the
-    user does not hold a segment that its decoding reads uncoded.
+    Raises ValueError, naming both users, when lifted is another user's
+    Lift, and MissingSegmentError, naming the first missing segment, when
+    the user does not hold a segment that its decoding reads uncoded.
     """
     params, demand, exponents, k = dset.params, dset.demand, dset.exponents, cache.owner
+    if lifted.user != k:
+        raise ValueError(f"the rows of user {k} read its own Lift, not the Lift of user {lifted.user}")
     index = segment_index(params)
     per_file = index.per_file
     held, rows = _equations(params, k)
@@ -635,34 +670,40 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> Iterato
     missing = needed & ~cache.uncoded
     if missing:
         raise MissingSegmentError(f"user {k} did not cache {index.segments[(missing & -missing).bit_length() - 1].label()}")
-    _, encoded, broadcast = lifted
+    encoded, broadcast = lifted.encoded, lifted.broadcast
     columns, closures = cache.supports
     closure = {}  # lifted as a row first reads it: a demand reads only its files' closures
     base = (demand[k - 1] - 1) * per_file
     toward = [row[k - 1] for row in exponents]
     for offset, r_set, members, symbols in rows:
-        terms = [(*_lift_pair(columns[r_set], encoded), 0)]  # each column is read by its one row
+        i_val, q_val = _lift_pair(columns[r_set], encoded)  # each column is read by its one row
+        terms = [(i_val, q_val, 0)]
         for t, r_minus in members:
             key = (demand[t - 1], r_minus)
             pair = closure.get(key)
             if pair is None:
                 pair = closure[key] = _lift_pair(closures[key], encoded)
-            terms.append((*pair, toward[t - 1]))
-        for r_plus in symbols:
-            terms += broadcast[(k, r_plus)]
+            i_val, q_val = pair
+            terms.append((i_val, q_val, toward[t - 1]))
+        for key in symbols:
+            terms += broadcast[key]
         yield base + offset, toward[k - 1], terms
 
 
 def _lift_pair(positions: tuple[tuple[int, ...], tuple[int, ...]], encoded: Sequence[int]) -> tuple[int, int]:
     """The (I, Q) pair of a support (CacheContent.supports): the XOR of encoded
     over the I positions, then over the Q positions."""
-    pair = ()
-    for at in positions:  # the first value starts the XOR, so none is copied into a 0
-        value = encoded[at[0]] if at else 0
-        for position in at[1:]:
-            value ^= encoded[position]
-        pair += (value,)
-    return pair
+    i_at, q_at = positions
+    i_val = q_val = 0
+    if i_at:  # the first value starts the XOR, so none is copied into a 0
+        i_val = encoded[i_at[0]]
+        for position in i_at[1:]:
+            i_val ^= encoded[position]
+    if q_at:
+        q_val = encoded[q_at[0]]
+        for position in q_at[1:]:
+            q_val ^= encoded[position]
+    return i_val, q_val
 
 
 class PayloadSource:
@@ -681,7 +722,7 @@ def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadS
     transforms undone, in canonical segment order.  Each uncoded hit is the
     held pair, each class-2 target its decode_rows row, and each class-1
     target the identity of its symbol (symbol_identities) with user k's own
-    member term dropped.
+    member term dropped.  One excluded user's Lift is held at a time.
 
     Returns [(SegmentId, int)] over every segment of the file: each int is
     the decoded mask, correct iff it is 1 << index[seg], or, with a
@@ -689,17 +730,24 @@ def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadS
     Raises MissingSegmentError when the user lacks a segment it reads.
     """
     index = segment_index(dset.params)
-    lifted = lift(dset, None if source is None else source.values)
+    values = None if source is None else source.values
     base = (dset.demand[k - 1] - 1) * index.per_file
-    pairs = {target: mix(-undo % 3, *mix_sum(terms)) for target, undo, terms in decode_rows(dset, cache, lifted)}
-    for (s, r_plus), terms in symbol_identities(dset, lifted):
-        if k in r_plus:
-            mine = len(terms) - len(r_plus) + r_plus.index(k)
-            target = base + index.offsets[(tuple(u for u in r_plus if u != k), s)]
-            pairs[target] = mix(-terms[mine][2] % 3, *mix_sum(terms[:mine] + terms[mine + 1:]))
+    pairs = {}
+    for s in dset.params.users:
+        lifted = lift(dset, s, values)
+        if s == cache.owner:
+            for target, undo, terms in decode_rows(dset, cache, lifted):
+                pairs[target] = mix(-undo % 3, *mix_sum(terms))
+        for (_, r_plus), terms in symbol_identities(dset, lifted):
+            if k in r_plus:
+                mine = len(terms) - len(r_plus) + r_plus.index(k)
+                target = base + index.offsets[(tuple(u for u in r_plus if u != k), s)]
+                pairs[target] = mix(-terms[mine][2] % 3, *mix_sum(terms[:mine] + terms[mine + 1:]))
+        del lifted  # dropped before the next user's is built
+    units = index.units if values is None else values.segment_values
     out = []
     for target in range(base, base + index.per_file, 2):
-        out += zip(index.segments[target : target + 2], pairs.get(target, lifted.units[target : target + 2]))
+        out += zip(index.segments[target : target + 2], pairs.get(target, units[target : target + 2]))
     return out
 
 

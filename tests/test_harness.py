@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -518,10 +519,9 @@ def test_rows_are_checked_as_they_are_made(monkeypatch):
     key = (1, (2, 3))
     mask_i, mask_q = dset.pairs[key]
     flipped = dataclasses.replace(dset, pairs={**dset.pairs, key: (mask_i ^ 1, mask_q)})
-    lifted = scheme.lift(flipped)
-    failing = scheme.failing_symbols(flipped, lifted)
+    failing = [bad for s in RUN.users for bad in scheme.failing_symbols(flipped, scheme.lift(flipped, s))]
     assert key in failing and not any(1 in r_plus for _, r_plus in failing)
-    assert not harness._decode_user_ok(flipped, harness._prefetch_all(RUN)[0], lifted, failing)
+    assert not harness._decode_user_ok(flipped, harness._prefetch_all(RUN)[0], scheme.lift(flipped, 1))
     assert len(made) == 1
     assert any(mask_i ^ 1 == i for i, _q, _e in made[-1][2])
 
@@ -576,16 +576,17 @@ def test_each_symbol_identity_is_summed_once_per_demand(monkeypatch, engine):
     assert rows == list(RUN.users) * len(demands)
 
 
-def _reference_user_ok(dset, cache, k, lifted):
+def _reference_user_ok(dset, cache, k, lifts):
     """The per-row check: user k holds each of its uncoded hits, and each
-    class-1 row (s != k), the broadcast symbol over r_set | {k} and the
-    member segments user k caches uncoded, each membership tested on
-    cache.uncoded, sums to MIX**undo of its target pair.  Class-2 rows are
-    read from decode_rows on a copy of the cache that holds every segment,
-    so holding is decided here alone."""
+    class-1 row (s != k), the broadcast symbol over r_set | {k} read from
+    the Lift of s and the member segments user k caches uncoded, each
+    membership tested on cache.uncoded, sums to MIX**undo of its target
+    pair.  Class-2 rows are read from decode_rows on user k's Lift and a
+    copy of the cache that holds every segment, so holding is decided here
+    alone."""
     params, demand, exponents = dset.params, dset.demand, dset.exponents
     index = segment_index(params)
-    units = lifted.units
+    units = lifts[k].units
 
     def held(file, r_set, s):
         return cache.uncoded >> index.slot(file, r_set, s) & 3 == 3
@@ -596,7 +597,7 @@ def _reference_user_ok(dset, cache, k, lifted):
                 return False
         elif s != k:
             r_plus = tuple(sorted(r_set + (k,)))
-            terms = list(lifted.broadcast[(s, r_plus)])
+            terms = list(lifts[s].broadcast[(s, r_plus)])
             for i in r_set:
                 rest = tuple(u for u in r_plus if u != i)
                 if not held(demand[i - 1], rest, s):
@@ -608,25 +609,28 @@ def _reference_user_ok(dset, cache, k, lifted):
                 return False
     everything = dataclasses.replace(cache, uncoded=(1 << index.size) - 1)
     return all(scheme.mix_sum(terms) == scheme.mix(undo, units[target], units[target + 1])
-               for target, undo, terms in scheme.decode_rows(dset, everything, lifted))
+               for target, undo, terms in scheme.decode_rows(dset, everything, lifts[k]))
 
 
 def _lifts(params, dset):
-    """The identity lift, a lift through payload values, and one through
-    payload values above the masks, as the three engines lift."""
+    """Every user's Lift, keyed by user, of the identity lift, of a lift
+    through payload values, and of one through payload values above the
+    masks, as the three engines lift."""
     index = segment_index(params)
-    return (scheme.lift(dset), scheme.lift(dset, MaskValues.random(index, 4, "reference")),
-            scheme.lift(dset, MaskValues.random(index, 4, "reference", masks=True)))
+    engines = (None, MaskValues.random(index, 4, "reference"), MaskValues.random(index, 4, "reference", masks=True))
+    return [{s: scheme.lift(dset, s, values) for s in params.users} for values in engines]
 
 
 def _assert_verdicts_match_reference(params, dset, caches):
-    """The verdicts of the caches' owners, from the symbol pass and class-2
-    rows, equal _reference_user_ok's on every lift; returns how many failed."""
+    """The verdicts of the caches' owners, from every user's symbol pass and
+    their own class-2 rows, equal _reference_user_ok's on every lift;
+    returns how many failed."""
     failed = 0
-    for lifted in _lifts(params, dset):
-        failing = scheme.failing_symbols(dset, lifted)
-        got = [harness._decode_user_ok(dset, cache, lifted, failing) for cache in caches]
-        assert got == [_reference_user_ok(dset, cache, cache.owner, lifted) for cache in caches]
+    for lifts in _lifts(params, dset):
+        failing = [bad for s in params.users for bad in scheme.failing_symbols(dset, lifts[s])]
+        got = [not any(cache.owner in r_plus for _, r_plus in failing)
+               and harness._decode_user_ok(dset, cache, lifts[cache.owner]) for cache in caches]
+        assert got == [_reference_user_ok(dset, cache, cache.owner, lifts) for cache in caches]
         failed += got.count(False)
     return failed
 
@@ -696,19 +700,32 @@ def test_symbolic_engine_draws_no_payload(monkeypatch):
 
 @pytest.mark.parametrize("engine", harness.ENGINES)
 def test_every_engine_lifts_each_demand_once(monkeypatch, engine):
-    # every engine decodes through one Lift per demand, shared by its users
-    lifts = []
-    real = harness.lift
+    # every engine decodes through one Lift per user and demand, in user
+    # order, and together they encode each transmitted mask of the demand
+    # exactly once; the identity lift encodes none
+    lifts, encoded = [], Counter()
+    real, real_value = harness.lift, MaskValues.__getitem__
 
-    def counted(dset, values=None):
-        lifts.append(dset.demand)
-        return real(dset, values)
+    def counted(dset, s, values=None):
+        lifts.append((dset.demand, s))
+        return real(dset, s, values)
+
+    def counted_value(self, mask):
+        encoded[mask] += 1
+        return real_value(self, mask)
 
     monkeypatch.setattr(harness, "lift", counted)
+    monkeypatch.setattr(MaskValues, "__getitem__", counted_value)
     demands = [RUN_D, (3, 2, 1, 1, 2, 3), (1, 2, 3, 3, 3, 3)]
     for d in demands:
+        encoded.clear()
         assert verify_demand(RUN, d, engine=engine, run_oracle=False).success
-    assert lifts == demands
+        pairs = scheme.delivery(RUN, d).pairs
+        if engine == "symbolic":
+            assert not encoded
+        else:  # 2 |pairs| calls, one per transmitted mask
+            assert encoded == Counter(mask for pair in pairs.values() for mask in pair)
+    assert lifts == [(d, s) for d in demands for s in RUN.users]
 
 
 def test_checks_build_no_labelled_vectors(monkeypatch):
@@ -999,8 +1016,8 @@ def _flip_held_value(monkeypatch, position, width, shift=0):
     of the lifted int."""
     real = harness.lift
 
-    def flipped(dset, values=None):
-        lifted = real(dset, values)
+    def flipped(dset, s, values=None):
+        lifted = real(dset, s, values)
         if values is None:  # the identity lift holds no drawn value to flip
             return lifted
         units = list(lifted.units)
@@ -1072,15 +1089,33 @@ def test_lifting_holds_each_payload_value_once():
     assert peaks["both"] <= 1.1 * peaks["payload"]
 
 
+def test_a_payload_verify_holds_one_users_encoded_symbols():
+    # each excluded user's pass lifts, checks and drops its own share of the
+    # broadcast, so above the drawn values (index.size values of 16 KiB) a
+    # payload verify holds about 43 values, one user's encoded symbols and
+    # the sums its checks make; about 131 when one Lift held every user's
+    width = 16384
+    verify_demand(RUN, RUN_D, engine="payload", run_oracle=False)  # fills the per-system caches
+    tracemalloc.start()
+    try:
+        verify_demand(RUN, RUN_D, engine="payload", payload_width=width, run_oracle=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - segment_index(RUN).size * width < 64 * width
+
+
 def test_payload_value_xors_pinned(monkeypatch):
     # every XOR a 64 KiB payload value takes part in is a 64 KiB copy: count
     # them for one demand, with counting ints as the segment values, in the
-    # lift, in the one symbol pass and in the users' class-2 rows.  Uncoded
-    # hits are no rows, columns and closures are lifted with no 0-seeded
-    # copy, each row reads one closure per member, a closure no row reads is
-    # never lifted (668 row XORs when all 18 were: 2 unread, 8 XORs each),
-    # and each mix_sum starts from its first term; the rows still count
-    # MIX**undo of each target's values
+    # users' lifts, symbol passes and class-2 rows.  Each transmitted mask is
+    # encoded from its lowest bit's value (260 lift XORs when each started
+    # from a 0: one per transmitted mask), uncoded hits are no rows, columns
+    # and closures are lifted with no 0-seeded copy, each row reads one
+    # closure per member, a closure no row reads is never lifted (668 row
+    # XORs when all 18 were: 2 unread, 8 XORs each), and each mix_sum starts
+    # from its first term; the rows still count MIX**undo of each target's
+    # values
     xors = {"lift": 0, "symbols": 0, "rows": 0}
     phase = []
 
@@ -1112,7 +1147,7 @@ def test_payload_value_xors_pinned(monkeypatch):
     monkeypatch.setattr(harness, "failing_symbols", counted("symbols", symbols))
     monkeypatch.setattr(harness, "_decode_user_ok", counted("rows", decode_user_ok))
     assert verify_demand(RUN, RUN_D, engine="payload", run_oracle=False).success
-    assert xors == {"lift": 260, "symbols": 352, "rows": 652}
+    assert xors == {"lift": 160, "symbols": 352, "rows": 652}
 
 
 def test_verify_demand_refuses_a_payload_past_the_ceiling(monkeypatch):

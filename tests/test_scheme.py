@@ -64,9 +64,20 @@ def file_segments(params, file):
     return list(index.segments[(file - 1) * index.per_file : file * index.per_file])
 
 
-def user_ok(dset, cache, lifted):
-    """The cache owner's verdict on the lift, after the demand's one symbol pass."""
-    return _decode_user_ok(dset, cache, lifted, failing_symbols(dset, lifted))
+def failing(dset, values=None):
+    """failing_symbols of every excluded user's Lift through values, in user
+    order, which is delivery order: the failing identities of the demand."""
+    return [key for s in dset.params.users for key in failing_symbols(dset, lift(dset, s, values))]
+
+
+def user_ok(dset, cache, values=None):
+    """The cache owner's verdict on the lift through values: no identity of a
+    symbol over a subset holding it fails, in any user's pass, and its
+    class-2 rows hold on its own Lift."""
+    k = cache.owner
+    if any(k in r_plus for _, r_plus in failing(dset, values)):
+        return False
+    return _decode_user_ok(dset, cache, lift(dset, k, values))
 
 
 @pytest.fixture(scope="module")
@@ -461,7 +472,7 @@ def test_decode_class1_worked_case(run_delivery, run_caches):
     # (3, {1, 2}): its broadcast pair, then the transformed member segments
     target = unit_pair(1, (2,), 3)
     exponents = run_delivery.exponents
-    terms = dict(symbol_identities(run_delivery, lift(run_delivery)))[(3, (1, 2))]
+    terms = dict(symbol_identities(run_delivery, lift(run_delivery, 3)))[(3, (1, 2))]
     assert terms == [(*run_delivery.pairs[(3, (1, 2))], 0),
                      (*target, exponents[1 - 1][3 - 1]), (*unit_pair(1, (1,), 3), exponents[2 - 1][3 - 1])]
     assert mix_sum(terms) == (0, 0)
@@ -482,7 +493,7 @@ def test_decode_class1_r0_boundary():
     dset = delivery(params, d)
     cache = prefetch(params, 2)
     target = unit_pair(2, (), 1, params)
-    terms = dict(symbol_identities(dset, lift(dset)))[(1, (2,))]
+    terms = dict(symbol_identities(dset, lift(dset, 1)))[(1, (2,))]
     assert terms == [(*dset.pairs[(1, (2,))], 0), (*target, dset.exponents[2 - 1][1 - 1])]
     assert mix_sum(terms) == (0, 0)
     decoded = dict(decode_file(dset, cache, 2))
@@ -499,7 +510,7 @@ def test_decode_class2_worked_equations(run_delivery, run_caches):
     rhs_q = reduce(operator.xor, [z_col[1], z_row[0]] + [pair[1] for pair in y.values()])
     target = unit_pair(1, (2,), 1)
     assert (rhs_i, rhs_q) == mix(run_delivery.exponents[1 - 1][1 - 1], *target)
-    assert decoded_pair(decode_rows(run_delivery, cache, lift(run_delivery)), target[0]) == target
+    assert decoded_pair(decode_rows(run_delivery, cache, lift(run_delivery, 1)), target[0]) == target
 
 
 def decodes_to_units(decoded, params=RUN):
@@ -554,26 +565,22 @@ def _payload_values(masks=False):
     return MaskValues.random(segment_index(RUN), 8, "fault", masks=masks)
 
 
-def _lifted(dset, masks=False):
-    """The demand's lift of _payload_values."""
-    return lift(dset, _payload_values(masks))
-
-
 def _reads(rows, mask):
     return any(mask in (i, q) for _t, _undo, terms in rows for i, q, _e in terms)
 
 
 def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
     values = _payload_values()
-    both = _lifted(run_delivery, masks=True)
+    both = _payload_values(masks=True)
     index = segment_index(RUN)
     size = index.size
-    lifts = (lift(run_delivery), _lifted(run_delivery), both)
-    for lifted in lifts:  # 60 symbols, one identity each, shared by their members
-        identities = dict(symbol_identities(run_delivery, lifted))
+    engines = (None, values, both)
+    for lifted in engines:  # 60 symbols, one identity each, shared by their members
+        identities = {key: terms for s in RUN.users
+                      for key, terms in symbol_identities(run_delivery, lift(run_delivery, s, lifted))}
         assert len(identities) == 60 and all(mix_sum(terms) == (0, 0) for terms in identities.values())
     for k in RUN.users:
-        rows = list(decode_rows(run_delivery, run_caches[k], lift(run_delivery)))
+        rows = list(decode_rows(run_delivery, run_caches[k], lift(run_delivery, k)))
         targets = [target for target, _undo, _terms in rows]
         assert targets == sorted(targets)
         # 60 segments of the file, 30 I/Q pairs: a class-2 row for each pair
@@ -585,14 +592,14 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
                   for s, r_plus in [*run_delivery.pairs, *run_delivery.skipped] if k in r_plus]
         assert (len(rows), len(class1), len(hits)) == (5, 20, 5)
         assert sorted(targets + class1 + hits) == list(pairs)
-        lifted_rows = decode_rows(run_delivery, run_caches[k], both)
+        lifted_rows = decode_rows(run_delivery, run_caches[k], lift(run_delivery, k, both))
         for (target, undo, terms), (_target, _undo, lifted_terms) in zip(rows, lifted_rows):
             unit = mix(undo, 1 << target, 2 << target)
             assert mix_sum(terms) == unit
             # the lifted sum is the value sum above the mask sum
             value_pair = mix(undo, values[1 << target], values[2 << target])
             assert mix_sum(lifted_terms) == tuple(v << size | m for v, m in zip(value_pair, unit))
-        for lifted in lifts:
+        for lifted in engines:
             assert user_ok(run_delivery, run_caches[k], lifted)
 
 
@@ -605,24 +612,24 @@ def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches
     values = _payload_values()
     assert values.segment_values[position] != 0
     flipped = dataclasses.replace(run_delivery, pairs={**run_delivery.pairs, key: (mask_i ^ (1 << position), mask_q)})
-    for lifted in (lift(flipped), _lifted(flipped)):
+    for lifted in (None, values):
         # the skipped (2, {3, 4}) is rebuilt from it, so its identity fails too
-        failing = failing_symbols(flipped, lifted)
-        assert failing == [key, (2, (3, 4))]
-        assert [bad for bad in failing if 1 in bad[1]] == [key]
-        assert not _decode_user_ok(flipped, run_caches[1], lifted, failing)
+        failed = failing(flipped, lifted)
+        assert failed == [key, (2, (3, 4))]
+        assert [bad for bad in failed if 1 in bad[1]] == [key]
+        assert not user_ok(flipped, run_caches[1], lifted)
 
 
 def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
     cache = run_caches[1]
     mask_i, mask_q = cache.column[(2,)]  # read by user 1's class-2 row for subset {2}
-    assert _reads(decode_rows(run_delivery, cache, lift(run_delivery)), mask_i)
+    assert _reads(decode_rows(run_delivery, cache, lift(run_delivery, 1)), mask_i)
     stray = unit(2, (3,), 1, "I")
     corrupted = dataclasses.replace(cache, column={**cache.column, (2,): (mask_i ^ stray, mask_q)})
     values = _payload_values()
     assert values[stray] != 0
-    assert not user_ok(run_delivery, corrupted, lift(run_delivery))
-    assert not user_ok(run_delivery, corrupted, _lifted(run_delivery))
+    assert not user_ok(run_delivery, corrupted)
+    assert not user_ok(run_delivery, corrupted, values)
 
 
 def test_corrupted_skipped_symbol_is_never_read(run_delivery, run_caches):
@@ -633,8 +640,8 @@ def test_corrupted_skipped_symbol_is_never_read(run_delivery, run_caches):
     mask_i, mask_q = run_delivery.skipped[key]
     stray = unit(3, (4,), 5, "I")
     flipped = dataclasses.replace(run_delivery, skipped={**run_delivery.skipped, key: (mask_i ^ stray, mask_q)})
-    for lifted in (lift(flipped), _lifted(flipped), _lifted(flipped, masks=True)):
-        assert failing_symbols(flipped, lifted) == []
+    for lifted in (None, _payload_values(), _payload_values(masks=True)):
+        assert failing(flipped, lifted) == []
         assert all(user_ok(flipped, run_caches[k], lifted) for k in RUN.users)
     assert _oracle_flags(flipped) == [True] * 6
 
@@ -660,8 +667,9 @@ def test_parities_lift_from_their_supports(run_caches, width, masks):
         assert cache.closures == {key: closure_pair(cache, *key) for key in keys}
         for d in demands:
             dset = delivery(RUN, d)
-            rows = decode_rows(dset, cache, lift(dset))
-            for (_, _, terms), (_, _, lifted) in zip(rows, decode_rows(dset, cache, lift(dset, values)), strict=True):
+            rows = decode_rows(dset, cache, lift(dset, cache.owner))
+            lifted_rows = decode_rows(dset, cache, lift(dset, cache.owner, values))
+            for (_, _, terms), (_, _, lifted) in zip(rows, lifted_rows, strict=True):
                 assert lifted == [(values[i], values[q], e) for i, q, e in terms]
 
 
@@ -678,7 +686,7 @@ def test_a_corrupted_row_parity_reaches_only_its_copys_closures(run_delivery, ru
     assert changed == {(1, ()), (2, ())}
     assert corrupted.supports[1] != cache.supports[1] and corrupted.supports[0] == cache.supports[0]
     assert cache.closures == pristine
-    for lifted in (lift(run_delivery), _lifted(run_delivery), _lifted(run_delivery, masks=True)):
+    for lifted in (None, _payload_values(), _payload_values(masks=True)):
         assert not user_ok(run_delivery, corrupted, lifted)
         assert user_ok(run_delivery, cache, lifted)
 
@@ -689,8 +697,7 @@ def test_class2_term_counts_pinned(params, d, count):
     # and its broadcast terms, over all users: 320 and 702 terms when each
     # closure was expanded into stored parities
     dset = delivery(params, d)
-    lifted = lift(dset)
-    rows = [row for k in params.users for row in decode_rows(dset, prefetch(params, k), lifted)]
+    rows = [row for k in params.users for row in decode_rows(dset, prefetch(params, k), lift(dset, k))]
     assert sum(len(terms) for _, _, terms in rows) == count
 
 
@@ -701,7 +708,6 @@ def test_closures_are_lifted_only_when_read(monkeypatch):
     # demand when the whole table was lifted up front
     params, d = SchemeParams(4, 6, 2), (1, 2, 3, 4, 1, 2)
     dset = delivery(params, d)
-    lifted = lift(dset)
     caches = [prefetch(params, k) for k in params.users]
     lifts = []
     real = scheme._lift_pair
@@ -712,7 +718,7 @@ def test_closures_are_lifted_only_when_read(monkeypatch):
 
     monkeypatch.setattr(scheme, "_lift_pair", counted)
     for cache in caches:
-        list(decode_rows(dset, cache, lifted))
+        list(decode_rows(dset, cache, lift(dset, cache.owner)))
     columns, closures = (sum(len(cache.supports[i]) for cache in caches) for i in (0, 1))
     assert (columns, closures) == (60, 120)
     assert len(lifts) == columns + 96
@@ -732,11 +738,58 @@ def test_lift_matches_the_broadcast_terms():
                 for d in sample_fully_demanded(params, 3):
                     dset = delivery(params, d)
                     values = MaskValues.random(segment_index(params), 2, "lift", masks=True)
-                    want = {key: tuple((values[i], values[q], e) for i, q, e in terms)
-                            for key, terms in lift(dset).broadcast.items()}
-                    assert lift(dset, values).broadcast == want
+                    for s in params.users:
+                        want = {key: tuple((values[i], values[q], e) for i, q, e in terms)
+                                for key, terms in lift(dset, s).broadcast.items()}
+                        assert lift(dset, s, values).broadcast == want
                     skipped += len(dset.skipped)
     assert skipped > 0
+
+
+def test_each_users_checks_read_only_segments_that_exclude_it():
+    # a verifier lifts, checks and drops one excluded user s at a time: every
+    # item s's pass reads lies on segments that exclude s (its transmitted
+    # and skipped symbols, its column parities, row parities and closures,
+    # its class-2 targets and the member segments of its identities), and
+    # every reconstruction of a skipped symbol of s names transmitted symbols
+    # of s, so the Lift of s is closed.  Every system of the sweeps, and
+    # (3,8) r=1 and (4,10) r=1, the skipping benchmark systems, 20 sampled
+    # demands each
+    from fdcache.harness import SWEEP_MATRIX, sample_fully_demanded
+
+    checked = 0
+    for system in SWEEP_MATRIX + ((3, 8, 1), (4, 10, 1)):
+        params = SchemeParams(*system)
+        index = segment_index(params)
+        caches = [prefetch(params, s) for s in params.users]
+        for d in sample_fully_demanded(params, 20):
+            dset = delivery(params, d)
+            for s, cache in zip(params.users, caches):
+                outside = ~index.in_every_file(index.excluded[s - 1])
+                masks = [mask for symbols in (dset.pairs, dset.skipped)
+                         for (t, _), pair in symbols.items() if t == s for mask in pair]
+                masks += [mask for table in (cache.column, cache.row, cache.closures)
+                          for pair in table.values() for mask in pair]
+                lifted = lift(dset, s)
+                masks += [3 << target for target, _undo, _terms in decode_rows(dset, cache, lifted)]
+                for (_, r_plus), terms in symbol_identities(dset, lifted):
+                    masks += [mask for i, q, _e in terms[len(terms) - len(r_plus):] for mask in (i, q)]
+                assert [mask for mask in masks if mask & outside] == [], (system, d, s)
+                for (t, _), combination in dset.reconstruction.items():
+                    if t == s:
+                        assert all((s, rest) in dset.pairs for rest, _e in combination)
+                checked += len(masks)
+    assert checked > 100_000, checked
+
+
+def test_rows_refuse_another_users_lift(run_delivery, run_caches):
+    # a Lift holds its own user's symbols only, so user 1's rows cannot read
+    # user 2's: the mismatch names both users, never a KeyError in the rows
+    with pytest.raises(ValueError, match=r"user 1 .*user 2$"):
+        next(decode_rows(run_delivery, run_caches[1], lift(run_delivery, 2)))
+    for s in (0, RUN.n_users + 1):
+        with pytest.raises(ValueError, match=f"user {s} outside"):
+            lift(run_delivery, s)
 
 
 def test_plan_needs_every_uncoded_slot(run_delivery, run_caches):
@@ -748,10 +801,10 @@ def test_plan_needs_every_uncoded_slot(run_delivery, run_caches):
         cache = run_caches[k]
         missing = dataclasses.replace(cache, uncoded=cache.uncoded & ~(1 << index[seg]))
         with pytest.raises(LookupError, match=re.escape(seg.label())):
-            list(decode_rows(run_delivery, missing, lift(run_delivery)))
+            list(decode_rows(run_delivery, missing, lift(run_delivery, k)))
         with pytest.raises(LookupError):
             decode_file(run_delivery, missing, k)
-        assert not user_ok(run_delivery, missing, _lifted(run_delivery, masks=True))
+        assert not user_ok(run_delivery, missing, _payload_values(masks=True))
 
 
 def test_plan_needs_every_uncoded_hit(run_delivery, run_caches):
@@ -760,9 +813,9 @@ def test_plan_needs_every_uncoded_hit(run_delivery, run_caches):
     cache = run_caches[5]
     missing = dataclasses.replace(cache, uncoded=cache.uncoded & ~(1 << segment_index(RUN)[segment(2, (5,), 1, "Q")]))
     with pytest.raises(LookupError):
-        next(decode_rows(run_delivery, missing, lift(run_delivery)))
-    assert not user_ok(run_delivery, missing, lift(run_delivery))
-    assert not user_ok(run_delivery, missing, _lifted(run_delivery, masks=True))
+        next(decode_rows(run_delivery, missing, lift(run_delivery, 5)))
+    assert not user_ok(run_delivery, missing)
+    assert not user_ok(run_delivery, missing, _payload_values(masks=True))
 
 
 # ---------------------------------------------------------------------------
