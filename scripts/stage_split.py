@@ -4,30 +4,55 @@
     PYTHONPATH=src python3 scripts/stage_split.py --system 4,6,2
     PYTHONPATH=src python3 scripts/stage_split.py --system 4,10,1 --lemmas
 
-Demands are drawn as perfbench draws them: fully demanded vectors by
-rejection sampling from random.Random(--seed).  Each pass runs every demand
-through the stages in order, each stage timed on its own, and each stage
-prints its best pass.  Without --lemmas the stages are those of
-harness.verify_demand with engine "both": delivery, the payload draw, then,
-timed inside each excluded user's pass and summed over the users, the lift
-of that user's symbols, its symbol pass (failing_symbols) and its class-2
-rows, and last the rank oracle.  With --lemmas they are those of
-harness.identity_suite per demand: delivery, the skip_combination calls
-that delivery makes (timed again after it, so they are a part of
-delivery's time), every reconstructed_pair and the transformed sum.  The last line says how many
-demands were verified and how many passed.  Exits 1 when one failed.
+Demands come from perfbench's seeded demand stream (perfbench/workloads.py).
+After one untimed operation for set-up, each pass runs every demand through
+the shipped operation, harness.verify_demand(params, d, seed=str(--seed)) or
+with --lemmas harness.identity_suite(params, demands=[d]), with each stage
+(STAGES: a function the operation looks up by name) rebound for the run to a
+wrapper that counts its calls and sums its time.  Every binding is put back
+after the run, also when the operation raises; a stage called inside another
+(NESTED) gets a run of its own.  Each stage prints its best pass: delivery,
+the payload draw, the lift, symbol pass and class-2 rows summed over the
+excluded users' passes, and the rank oracle; or delivery, the
+skip_combination calls inside it, every reconstructed_pair and the
+transformed sum.  The last line counts the demands the operation passed
+(verify: success and the oracle agreeing); exits 1 when one failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
+import itertools
+import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 from fdcache import harness, scheme
-from fdcache.algebra import MaskValues, segment_index
+from fdcache.algebra import MaskValues
 from fdcache.cli import at_least_one
 from fdcache.core import SchemeParams, UsageError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import demand_stream  # noqa: E402
+
+# each stage's function, as (owner, name) where the shipped operation looks it up
+STAGES = {
+    "delivery": (harness, "delivery"),
+    "draw": (MaskValues, "random"),
+    "lift": (harness, "lift"),
+    "symbol pass": (harness, "failing_symbols"),
+    "class-2 rows": (harness, "_decode_user_ok"),
+    "oracle": (harness, "_oracle_flags"),
+    "skip_combination": (scheme, "skip_combination"),
+    "reconstructed_pair": (harness, "reconstructed_pair"),
+    "transformed sum": (harness, "transformed_sum_residual"),
+}
+VERIFY_STAGES = ("delivery", "draw", "lift", "symbol pass", "class-2 rows", "oracle")
+LEMMA_STAGES = ("delivery", "skip_combination", "reconstructed_pair", "transformed sum")
+# stages called inside another stage (delivery calls skip_combination): one
+# timed with its caller would add its wrapper to the caller's time
+NESTED = frozenset({"skip_combination"})
 
 
 def _system(text: str) -> SchemeParams:
@@ -40,68 +65,49 @@ def _system(text: str) -> SchemeParams:
         raise argparse.ArgumentTypeError(f"expected N,K,R, got {text!r}") from None
 
 
-def _demands(params: SchemeParams, count: int, seed: int) -> list[tuple[int, ...]]:
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        demand = tuple(rng.randint(1, params.n_files) for _ in params.users)
-        if len(set(demand)) == params.n_files:
-            out.append(demand)
-    return out
+def _run(operation, demands, stages, clock: Counter, calls: Counter) -> list[bool]:
+    """Each demand's verdict, with the stages rebound to timed wrappers for this run only."""
+    def timed(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            started = time.perf_counter()
+            out = func(*args, **kwargs)
+            clock[name] += time.perf_counter() - started
+            return out
+        return wrapper
+
+    bound = [(name, *STAGES[name]) for name in stages]
+    originals = [vars(owner)[attr] for _, owner, attr in bound]
+    try:
+        for (name, owner, attr), original in zip(bound, originals):
+            if isinstance(original, classmethod):
+                setattr(owner, attr, classmethod(timed(name, original.__func__)))
+            else:
+                setattr(owner, attr, timed(name, original))
+        return [operation(demand) for demand in demands]
+    finally:
+        for (_, owner, attr), original in zip(bound, originals):
+            setattr(owner, attr, original)
 
 
-def _verify_stages(params: SchemeParams, demand: tuple[int, ...], seed: str, clock: list[float]) -> bool:
-    """One demand of verify_demand(engine="both"), each stage's seconds
-    added to clock in order: the lift, symbol pass and class-2 rows are
-    timed inside the pass of each excluded user and summed over users.
-    True when every user decodes and the oracle agrees."""
-    caches = harness._prefetch_all(params)
-    started = time.perf_counter()
-    dset = scheme.delivery(params, demand)
-    drawn = time.perf_counter()
-    values = MaskValues.random(segment_index(params), 1, harness._payload_seed(seed, params, demand), masks=True)
-    clock[0] += drawn - started
-    clock[1] += time.perf_counter() - drawn
-    failed, rows_ok = set(), []
-    for cache in caches:
-        marks = [time.perf_counter()]
-        lifted = scheme.lift(dset, cache.owner, values)
-        marks.append(time.perf_counter())
-        failed.update(k for _, r_plus in scheme.failing_symbols(dset, lifted) for k in r_plus)
-        marks.append(time.perf_counter())
-        rows_ok.append(harness._decode_user_ok(dset, cache, lifted))
-        marks.append(time.perf_counter())
-        del lifted  # one user's Lift at a time, as verify_demand holds it
-        for i in range(3):
-            clock[2 + i] += marks[i + 1] - marks[i]
-    started = time.perf_counter()
-    oracle = harness._oracle_flags(dset)
-    clock[5] += time.perf_counter() - started
-    decoded = [ok and k not in failed for k, ok in zip(params.users, rows_ok)]
-    return all(decoded) and all(oracle)
+def split(params: SchemeParams, demands, passes: int, seed: int, lemmas: bool = False) -> tuple[dict, Counter, int]:
+    """(each stage's best seconds over the passes, each stage's calls in the
+    last pass, the demands the operation passed in the last pass)."""
+    def operation(demand):
+        if lemmas:
+            return harness.identity_suite(params, demands=[demand]).success
+        report = harness.verify_demand(params, demand, seed=str(seed))
+        return report.success and report.oracle_ok is True
 
-
-def _lemma_stages(params: SchemeParams, demand: tuple[int, ...], seed: str, clock: list[float]) -> bool:
-    """One demand of identity_suite's delivery families, timed as
-    _verify_stages is; True when every skipped pair is rebuilt and the
-    transformed sum is zero."""
-    marks = [time.perf_counter()]
-    dset = scheme.delivery(params, demand)
-    marks.append(time.perf_counter())
-    for s, r_plus in dset.skipped:
-        scheme.skip_combination(dset, s, r_plus)
-    marks.append(time.perf_counter())
-    rebuilt = [scheme.reconstructed_pair(dset, s, r_plus) == want for (s, r_plus), want in dset.skipped.items()]
-    marks.append(time.perf_counter())
-    residual = scheme.transformed_sum_residual(params, dset.demand, dset.exponents)
-    marks.append(time.perf_counter())
-    for i in range(len(clock)):
-        clock[i] += marks[i + 1] - marks[i]
-    return all(rebuilt) and residual == (0, 0)
-
-
-VERIFY_STAGES = ("delivery", "draw", "lift", "symbol pass", "class-2 rows", "oracle")
-LEMMA_STAGES = ("delivery", "skip_combination", "reconstructed_pair", "transformed sum")
+    names = LEMMA_STAGES if lemmas else VERIFY_STAGES
+    runs = [[name for name in names if name not in NESTED]] + [[name] for name in names if name in NESTED]
+    operation(demands[0])  # set-up is not a stage
+    best = dict.fromkeys(names, float("inf"))
+    for _ in range(passes):
+        clock, calls = Counter(), Counter()
+        verdicts = [_run(operation, demands, run, clock, calls) for run in runs]
+        best = {name: min(seconds, clock[name]) for name, seconds in best.items()}
+    return best, calls, sum(map(all, zip(*verdicts)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -113,19 +119,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lemmas", action="store_true", help="split identity_suite, not verify_demand")
     args = parser.parse_args(argv)
     params = args.system
-    names, run = (LEMMA_STAGES, _lemma_stages) if args.lemmas else (VERIFY_STAGES, _verify_stages)
-    demands = _demands(params, args.demands, args.seed)
-    harness._prefetch_all(params)  # set-up is not a stage
-    if not args.lemmas:
-        harness._cache_spans(params)
-    best = [float("inf")] * len(names)
-    passed = 0
-    for _ in range(args.passes):
-        clock = [0.0] * len(names)
-        passed = sum(run(params, demand, str(args.seed), clock) for demand in demands)
-        best = [min(old, new) for old, new in zip(best, clock)]
+    demands = list(itertools.islice(demand_stream(params.n_files, params.n_users, args.seed), args.demands))
+    best, _, passed = split(params, demands, args.passes, args.seed, args.lemmas)
     print(f"({params.n_files},{params.n_users}) r={params.r}: ms per demand, best of {args.passes} passes")
-    for name, seconds in zip(names, best):
+    for name, seconds in best.items():
         print(f"{name:>20} {1000 * seconds / len(demands):.4f}")
     print(f"verified {len(demands)} demands, {passed} passed")
     return 0 if passed == len(demands) else 1

@@ -143,7 +143,10 @@ def region_33(setting: str) -> RegionData33:
 def saving_factor(params: SchemeParams, dtype) -> Fraction:
     """Rate saving of a fully demanded type, set by its count p of singly-requested
     files, from skipped delivery symbols: those avoiding all leaders are never sent."""
-    ones = require_fully_demanded_type(params, dtype).p
+    return _saving(params, require_fully_demanded_type(params, dtype).p)
+
+
+def _saving(params: SchemeParams, ones: int) -> Fraction:
     n, k, r = params.n_files, params.n_users, params.r
     numerator = (k - ones) * binom(k - 1 - n, r + 1) + ones * binom(k - n, r + 1)
     return Fraction(numerator, k * binom(k - 1, r))
@@ -165,6 +168,13 @@ def type_operating_point(params: SchemeParams, dtype) -> RatePoint:
     """Achievable (M, R) of the construction for one fully demanded type."""
     saving = saving_factor(params, dtype)
     return RatePoint(memory_point(params), base_rate(params) - saving)
+
+
+def rates_by_ones(params: SchemeParams) -> tuple[Fraction, ...]:
+    """Entry p is the rate of type_operating_point for every fully demanded
+    type with p singly-requested files, the only part of a type the rate
+    reads; entries for a p that no type of (N, K) has are unused."""
+    return tuple(base_rate(params) - _saving(params, ones) for ones in range(params.n_files + 1))
 
 
 def worst_case_ones_count(n_files: int, n_users: int) -> int:

@@ -135,7 +135,10 @@ def require_fully_demanded(params: SchemeParams, d: Sequence[int]) -> Demand:
 
 
 def as_demand_type(params: SchemeParams, value: DemandClass) -> DemandType:
-    """Coerce a type-like value and validate it against (N, K)."""
+    """Coerce a type-like value and validate it against (N, K).  Callers
+    handle the two class names first, so any string here is bad input."""
+    if isinstance(value, str):
+        raise UsageError(f"demand class must be 'mixed', 'fully_demanded' or a demand type, got {value!r}")
     dtype = value if isinstance(value, DemandType) else DemandType.of(value)
     if len(dtype.counts) != params.n_files:
         raise UsageError(f"type {dtype.counts} has {len(dtype.counts)} entries, need N={params.n_files}")

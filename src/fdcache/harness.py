@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 from typing import Sequence
 
 from .algebra import CHANNELS, MaskValues, SegmentId, SpanBasis, bit_positions, segment, segment_index
-from .analysis import memory_point, type_operating_point
+from .analysis import memory_point, rates_by_ones
 from .core import (
     Demand,
     DemandClass,
@@ -178,14 +178,18 @@ def _decode_user_ok(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> boo
         return False
 
 
-def _user_pass(dset: DeliverySet, cache: CacheContent,
-               values: MaskValues | None) -> tuple[list[tuple[int, tuple[int, ...]]], bool]:
+def _user_pass(dset: DeliverySet, cache: CacheContent, values: MaskValues | None) -> set[int]:
     """One excluded user's pass: lift the symbols of k = cache.owner, check
-    their identities and k's class-2 rows, and return (failing_symbols,
-    row verdict).  The Lift lives in this call only, so a verifier holds one
-    user's encoded broadcast at a time."""
+    their identities and k's class-2 rows, and return the users the pass
+    fails: every member of a subset whose symbol fails its identity (the
+    member's class-1 row), and k when its rows fail.  The Lift lives in
+    this call only, so a verifier holds one user's encoded broadcast at a
+    time."""
     lifted = lift(dset, cache.owner, values)
-    return failing_symbols(dset, lifted), _decode_user_ok(dset, cache, lifted)
+    failed = {k for _, r_plus in failing_symbols(dset, lifted) for k in r_plus}
+    if not _decode_user_ok(dset, cache, lifted):
+        failed.add(cache.owner)
+    return failed
 
 
 def _oracle_flags(dset: DeliverySet) -> list[bool]:
@@ -217,6 +221,27 @@ def _oracle_flags(dset: DeliverySet) -> list[bool]:
     return flags
 
 
+def _refuse_bad_verify_input(params: SchemeParams, engine: str, payload_width: int) -> None:
+    """Raise UsageError for an unknown engine, a payload_width below 1, a
+    system past the segment index's ceilings or a payload past
+    MAX_PAYLOAD_BYTES.  It reads only the segment count, so a caller runs it
+    before any set-up or enumeration."""
+    if engine not in ENGINES:
+        raise UsageError(f"engine must be one of {ENGINES}")
+    if payload_width < 1:
+        raise UsageError(f"payload_width must be at least 1, got {payload_width}")
+    size = segment_index(params).size
+    if engine != "symbolic" and payload_width * size > MAX_PAYLOAD_BYTES:
+        raise UsageError(f"payload of {size} segments x {payload_width} bytes exceeds {MAX_PAYLOAD_BYTES} bytes")
+
+
+@lru_cache(maxsize=None)
+def _formulas(params: SchemeParams) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The rate formula by count of singly-requested files (rates_by_ones)
+    and the memory formula: built once per system, not per demand."""
+    return rates_by_ones(params), memory_point(params)
+
+
 def verify_demand(
     params: SchemeParams,
     d: Sequence[int],
@@ -227,19 +252,15 @@ def verify_demand(
 ) -> VerificationReport:
     """Verify one demand: delivery, then one pass per excluded user s
     (_user_pass) that lifts s's share of the broadcast, checks its symbol
-    identities and user s's class-2 rows, and drops it before the next
-    user's pass.  A user decodes when its rows hold and no identity of a
-    symbol over a subset holding it failed, in whichever user's pass.  The
-    engine decides what each segment lifts to: its unit mask (symbolic), a
-    seeded payload value of payload_width bytes (payload), or that value
-    above the mask (both).  run_oracle adds the rank oracle's verdict.
-    Raises UsageError for an unknown engine, a payload_width below 1, a
-    payload past MAX_PAYLOAD_BYTES or a demand that leaves a file
-    unrequested (NotFullyDemandedError)."""
-    if engine not in ENGINES:
-        raise UsageError(f"engine must be one of {ENGINES}")
-    if payload_width < 1:
-        raise UsageError(f"payload_width must be at least 1, got {payload_width}")
+    identities and user s's class-2 rows, drops it before the next user's
+    pass and returns the users it fails.  A user decodes when no pass fails
+    it.  The engine decides what each segment lifts to: its unit mask
+    (symbolic), a seeded payload value of payload_width bytes (payload), or
+    that value above the mask (both).  run_oracle adds the rank oracle's
+    verdict.  Raises UsageError, before any set-up, for an unknown engine, a
+    payload_width below 1 or a payload past MAX_PAYLOAD_BYTES, and for a
+    demand that leaves a file unrequested (NotFullyDemandedError)."""
+    _refuse_bad_verify_input(params, engine, payload_width)
     demand = require_fully_demanded(params, d)
     started = time.perf_counter()
     caches = _prefetch_all(params)
@@ -248,19 +269,12 @@ def verify_demand(
     # its payload value (payload), or both, the mask below the value
     values = None
     if engine != "symbolic":
-        index = segment_index(params)
-        if payload_width * index.size > MAX_PAYLOAD_BYTES:
-            raise UsageError(
-                f"payload of {index.size} segments x {payload_width} bytes exceeds {MAX_PAYLOAD_BYTES} bytes"
-            )
         seeded = _payload_seed(seed, params, demand)
-        values = MaskValues.random(index, payload_width, seeded, masks=engine == "both")
-    failed, rows_ok = set(), []
+        values = MaskValues.random(segment_index(params), payload_width, seeded, masks=engine == "both")
+    failed = set()
     for cache in caches:  # each pass's Lift is dropped when _user_pass returns
-        failing, ok = _user_pass(dset, cache, values)
-        failed.update(k for _, r_plus in failing for k in r_plus)  # each member fails its class-1 row
-        rows_ok.append(ok)
-    per_user = tuple(ok and k not in failed for k, ok in zip(params.users, rows_ok))
+        failed |= _user_pass(dset, cache, values)
+    per_user = tuple(k not in failed for k in params.users)
     engine_seconds = time.perf_counter() - started
 
     oracle_ok: bool | None = None
@@ -270,6 +284,7 @@ def verify_demand(
         oracle_ok = all(_oracle_flags(dset))
         oracle_seconds = time.perf_counter() - started
 
+    rates, memory_formula = _formulas(params)
     return VerificationReport(
         params=params,
         demand=demand,
@@ -279,9 +294,9 @@ def verify_demand(
         per_user=per_user,
         t_count=dset.transmitted_count,
         rate_measured=dset.rate(),
-        rate_formula=type_operating_point(params, demand_type(params, demand)).rate,
+        rate_formula=rates[demand_type(params, demand).p],
         memory_measured=caches[0].memory(),
-        memory_formula=memory_point(params),
+        memory_formula=memory_formula,
         oracle_ok=oracle_ok,
         engine_seconds=engine_seconds,
         oracle_seconds=oracle_seconds,
@@ -350,12 +365,12 @@ def verify_sweep(
     payload_width: int = 1,
     run_oracle: bool = True,
 ) -> SweepReport:
+    _refuse_bad_verify_input(params, engine, payload_width)
     if demand_class == "mixed":
         raise NotFullyDemandedError("verification sweeps cover fully demanded classes only")
     label = demand_class
     if not isinstance(demand_class, str):
         label = f"type:{require_fully_demanded_type(params, demand_class).label()}"
-    segment_index(params)  # refuses an oversized system before the count
     count = count_demands(params, demand_class)
     if count > SWEEP_LIMIT:
         raise SweepLimitExceeded(f"{count} demands exceed the limit of {SWEEP_LIMIT}")

@@ -10,6 +10,7 @@ from fdcache.analysis import (
     fallback_extra_rate_bound,
     lower_convex_hull,
     memory_point,
+    rates_by_ones,
     region_33,
     saving_factor,
     tradeoff_curve,
@@ -117,6 +118,16 @@ def test_worst_case_type_is_feasible_witness():
 def test_worst_case_type_checks_the_system(n, k):
     with pytest.raises(UsageError, match="need 1 <= n_files <= n_users"):
         worst_case_type(n, k)
+
+
+def test_rates_by_ones_match_every_type_point():
+    for n in range(1, 5):
+        for k in range(n, 8):
+            for r in range(k):
+                params = SchemeParams(n, k, r)
+                rates = rates_by_ones(params)
+                for dtype in enumerate_fully_demanded_types(n, k):
+                    assert rates[dtype.p] == type_operating_point(params, dtype).rate
 
 
 def test_worst_case_is_brute_force_maximum():

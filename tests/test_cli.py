@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from fdcache import algebra, cli, harness
+from fdcache import algebra, cli, harness, scheme
 from fdcache.cli import main
+from fdcache.core import SchemeParams
 from fdcache.harness import FamilyResult, GoldenCheck, GoldenReport, IdentityReport
 
 GOLDEN_TRADEOFF_33 = """\
@@ -570,6 +571,63 @@ def test_stage_split_script_prints_every_stage(capsys, lemmas):
     with pytest.raises(SystemExit):
         script.main(["--system", "4,3,1"] + ["--lemmas"] * lemmas)
     assert "need 1 <= n_files <= n_users, got N=4 K=3" in capsys.readouterr().err
+
+
+def _split_bindings():
+    return {
+        (owner.__name__, name): value
+        for owner in (harness, scheme, algebra.MaskValues)
+        for name, value in vars(owner).items()
+    }
+
+
+def _assert_bindings_kept(before):
+    after = _split_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+@pytest.mark.parametrize("lemmas", [False, True], ids=["verify", "lemmas"])
+def test_stage_split_puts_every_binding_back(capsys, monkeypatch, lemmas):
+    _, script = _load_script("stage_split")
+    before = _split_bindings()
+    assert script.main(["--system", "3,5,1", "--demands", "3", "--passes", "2"] + ["--lemmas"] * lemmas) == 0
+    capsys.readouterr()
+    _assert_bindings_kept(before)
+    # an operation that raises inside a timed run still gets them back
+    checked = []
+
+    def fails_after_set_up(params, d):
+        checked.append(d)
+        if len(checked) > 1:
+            raise RuntimeError("demand check failed")
+        return tuple(d)
+
+    monkeypatch.setattr(harness, "require_fully_demanded", fails_after_set_up)
+    before = _split_bindings()
+    with pytest.raises(RuntimeError, match="demand check failed"):
+        script.main(["--system", "3,5,1", "--demands", "3", "--passes", "1"] + ["--lemmas"] * lemmas)
+    _assert_bindings_kept(before)
+
+
+@pytest.mark.parametrize("lemmas", [False, True], ids=["verify", "lemmas"])
+def test_stage_split_calls_every_stage_on_the_shipped_path(lemmas):
+    # a stage whose function the operation stops calling would read 0 here
+    # instead of going quietly stale; (3,5) r=1 skips a symbol on every demand
+    _, script = _load_script("stage_split")
+    demands = [(1, 1, 1, 2, 3), (3, 2, 1, 1, 2), (2, 3, 3, 1, 1)]
+    best, calls, passed = script.split(SchemeParams(3, 5, 1), demands, 1, 7, lemmas)
+    names = script.LEMMA_STAGES if lemmas else script.VERIFY_STAGES
+    assert list(best) == list(names)
+    assert {name: calls[name] >= len(demands) for name in names} == dict.fromkeys(names, True)
+    assert passed == len(demands)
+
+
+def test_stage_split_verdict_is_the_operations(capsys, monkeypatch):
+    _, script = _load_script("stage_split")
+    monkeypatch.setattr(harness, "_decode_user_ok", lambda dset, cache, lifted: False)
+    assert script.main(["--system", "3,4,1", "--demands", "4", "--passes", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verified 4 demands, 0 passed"
 
 
 def test_export_script_writes_cli_csv(tmp_path, capsys, monkeypatch):

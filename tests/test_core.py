@@ -130,6 +130,14 @@ def test_enumerate_rejects_bad_type():
         enumerate_demands(params, (2, 2, 0))  # sums to 4, not K=3
 
 
+@pytest.mark.parametrize("name", ["fully-demanded", "Mixed", ""])
+def test_a_misspelled_demand_class_is_a_usage_error(name):
+    params = SchemeParams(3, 4, 1)
+    for count_or_walk in (count_demands, enumerate_demands):
+        with pytest.raises(UsageError, match="'mixed', 'fully_demanded' or a demand type"):
+            count_or_walk(params, name)
+
+
 def test_enumeration_is_lexicographic():
     params = SchemeParams(2, 3, 0)
     demands = enumerate_demands(params, "mixed")

@@ -1168,6 +1168,26 @@ def test_payload_ceiling_is_inclusive(monkeypatch):
         verify_demand(RUN, RUN_D, engine="payload", payload_width=3)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"engine": "fast"}, "engine must be one of"),
+    ({"payload_width": 0}, "payload_width must be at least 1"),
+    ({"engine": "payload", "payload_width": harness.MAX_PAYLOAD_BYTES}, "exceeds"),
+], ids=["engine", "width", "payload"])
+def test_bad_verify_input_is_refused_before_any_set_up(monkeypatch, kwargs, message):
+    def no_set_up(*args, **kwargs):
+        raise AssertionError("prefetched, delivered or enumerated before refusing")
+
+    for name in ("_prefetch_all", "delivery", "enumerate_demands"):
+        monkeypatch.setattr(harness, name, no_set_up)
+    with pytest.raises(UsageError, match=message):
+        verify_demand(RUN, RUN_D, **kwargs)
+    with pytest.raises(UsageError, match=message):
+        verify_sweep(RUN, "fully_demanded", **kwargs)
+    # a misspelled class is refused by its count, before any enumeration
+    with pytest.raises(UsageError, match="'mixed', 'fully_demanded' or a demand type"):
+        verify_sweep(RUN, "fully-demanded")
+
+
 @pytest.mark.parametrize("width", [0, -2])
 def test_verify_demand_rejects_payload_width_below_one(monkeypatch, width):
     def no_draw(*args):
