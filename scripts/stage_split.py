@@ -13,10 +13,12 @@ wrapper that counts its calls and sums its time.  Every binding is put back
 after the run, also when the operation raises; a stage called inside another
 (NESTED) gets a run of its own.  Each stage prints its best pass: delivery,
 the payload draw, the lift, symbol pass and class-2 rows summed over the
-excluded users' passes, and the rank oracle; or delivery, the
-skip_combination calls inside it, every reconstructed_pair and the
-transformed sum.  The last line counts the demands the operation passed
-(verify: success and the oracle agreeing); exits 1 when one failed.
+excluded users' passes, and the rank oracle; or delivery, every
+skip_combination call, every reconstructed_pair and the transformed sum.
+lift and reconstructed_pair call skip_combination once per skipped symbol,
+so their times hold the rule's; delivery never calls it.  The last line
+counts the demands the operation passed (verify: success and the oracle
+agreeing); exits 1 when one failed.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ STAGES = {
 }
 VERIFY_STAGES = ("delivery", "draw", "lift", "symbol pass", "class-2 rows", "oracle")
 LEMMA_STAGES = ("delivery", "skip_combination", "reconstructed_pair", "transformed sum")
-# stages called inside another stage (delivery calls skip_combination): one
-# timed with its caller would add its wrapper to the caller's time
+# stages called inside another stage (lift and reconstructed_pair call
+# skip_combination): one timed with its caller would add its wrapper to the
+# caller's time
 NESTED = frozenset({"skip_combination"})
 
 

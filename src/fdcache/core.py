@@ -263,7 +263,7 @@ def parse_fraction(text: str) -> Fraction:
     """Parse "p/q" (or a plain integer or decimal) into an exact Fraction.
     Raises UsageError, before building its power of ten, for a decimal
     exponent of magnitude past MAX_DECIMAL_EXPONENT."""
-    exponent = re.search(r"[eE]([-+]?[0-9_]+)\s*$", text)
+    exponent = re.search(r"[eE]([-+]?[\d_]+)\s*$", text)
     try:
         if exponent is None or abs(int(exponent[1])) <= MAX_DECIMAL_EXPONENT:
             return Fraction(text.strip())

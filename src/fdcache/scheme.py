@@ -62,7 +62,7 @@ on masks, payload or both with one plain mix_sum and one comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -332,12 +332,9 @@ class DeliverySet:
     flip that swaps x for l in a subset's user bits.  subsets maps the user
     bits of every (r+1)-subset to the subset and bits maps it back
     (_subsets_by_bits), so skip_combination grows its swap sets on bits.
-    reconstruction, the one skip table, maps each skipped symbol to (rest,
-    e) references to the pairs[(s, rest)] whose MIX**e-weighted sum rebuilds
-    it: one rest per set of swaps, e the sum of their exponent changes.
-    They are read at each rebuild, never copied, so a corrupted pair reaches
-    every rebuild, and both skip families of the identity suite read one
-    rebuilt pair.
+    These are the skip rule's inputs: each reader of a skipped symbol calls
+    skip_combination where it rebuilds it, from the pairs as they stand, so
+    a corrupted pair reaches every rebuild.
     """
 
     params: SchemeParams
@@ -349,9 +346,6 @@ class DeliverySet:
     swaps: dict[int, dict[int, tuple[int, int, int]]]
     subsets: dict[int, tuple[int, ...]]
     bits: dict[tuple[int, ...], int]
-    reconstruction: dict[tuple[int, tuple[int, ...]], tuple[tuple[tuple[int, ...], int], ...]] = field(
-        default_factory=dict
-    )
 
     @property
     def transmitted_count(self) -> int:
@@ -433,7 +427,7 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
         leader_of = {demand[lead - 1]: lead for lead in sets[s]}
         swaps[s] = {x: (1 << x ^ 1 << leader_of[f], (toward[x - 1] - toward[leader_of[f] - 1]) % 3, 1 << f)
                     for x, f in enumerate(demand, start=1) if x != s}
-    dset = DeliverySet(
+    return DeliverySet(
         params=params,
         demand=demand,
         pairs=pairs,
@@ -444,22 +438,15 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
         subsets=_subsets_by_bits(params),
         bits=_bits_by_subset(params),
     )
-    for s, r_plus in skipped:
-        dset.reconstruction[(s, r_plus)] = skip_combination(dset, s, r_plus)
-    return dset
-
-
-def _not_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> ValueError:
-    """The error for a (s, subset) with nothing to reconstruct."""
-    if (s, r_plus) in dset.pairs:
-        return ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
-    return ValueError(f"(s={s}, subset={r_plus}) is no broadcast symbol of this demand")
 
 
 def skip_combination(
     dset: DeliverySet, s: int, r_plus: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Transmitted subsets and MIX exponents reconstructing a skipped symbol.
+    """Transmitted subsets and MIX exponents reconstructing a skipped symbol:
+    (rest, e) references to the pairs[(s, rest)] whose MIX**e-weighted sum
+    rebuilds it, one rest per set of swaps.  Its readers (lift,
+    reconstructed_pair) call it once per skipped symbol they rebuild.
 
     Over the block B = leaders | r_plus, the leaders of s (leader_bits[s-1]),
     the symbol pairs (Y^I, Y^Q)_{B - V} of the one-requester-per-file
@@ -481,30 +468,29 @@ def skip_combination(
     broadcast symbol of the demand.
     """
     if (s, r_plus) not in dset.skipped:
-        raise _not_skipped(dset, s, r_plus)
+        if (s, r_plus) in dset.pairs:
+            raise ValueError(f"symbol (s={s}, subset={r_plus}) was transmitted, nothing to reconstruct")
+        raise ValueError(f"(s={s}, subset={r_plus}) is no broadcast symbol of this demand")
     swaps = dset.swaps[s]
     grown = [(dset.bits[r_plus], 0, 0)]  # (user bits of B - V, exponent, bits of the files swapped)
     for x in r_plus:
         flip, delta, bit = swaps[x]
         grown += [(rest ^ flip, (e + delta) % 3, used | bit) for rest, e, used in grown if not used & bit]
-    del grown[0]
-    lead = dset.leader_bits[s - 1]
-    if not all([rest & lead for rest, _, _ in grown]):  # cannot happen: each swap brings a leader in
-        raise RuntimeError(f"reconstruction of (s={s}, subset={r_plus}) referenced a skipped symbol")
-    subsets = dset.subsets
-    return tuple([(subsets[rest], e) for rest, e, _ in grown])
+    lead, subsets = dset.leader_bits[s - 1], dset.subsets
+    combination = []
+    for rest, e, _ in grown[1:]:
+        if not rest & lead:  # cannot happen: each swap brings a leader in
+            raise RuntimeError(f"reconstruction of (s={s}, subset={r_plus}) referenced a skipped symbol")
+        combination.append((subsets[rest], e))
+    return tuple(combination)
 
 
 def reconstructed_pair(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> tuple[int, int]:
     """(I, Q) masks of a skipped symbol, summed from the transmitted pairs
-    that its reconstruction references.  Raises ValueError when (s, r_plus)
+    that skip_combination names for it.  Raises ValueError when (s, r_plus)
     is a transmitted symbol or no broadcast symbol of the demand."""
-    try:
-        combination = dset.reconstruction[(s, r_plus)]
-    except KeyError:
-        raise _not_skipped(dset, s, r_plus) from None
     pairs = dset.pairs
-    return mix_sum([(*pairs[(s, rest)], e) for rest, e in combination])
+    return mix_sum([(*pairs[(s, rest)], e) for rest, e in skip_combination(dset, s, r_plus)])
 
 
 def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], channel: str) -> int:
@@ -557,7 +543,7 @@ class Lift(NamedTuple):
     uncoded, encoded[i] as the server encodes it (the drawn values, or the
     unit masks under the identity lift; lift makes both one sequence), and
     broadcast maps each symbol (user, r_plus) to its lifted (I, Q, e) terms,
-    a skipped one's rebuilt by reconstruction.  It holds no other user's
+    a skipped one's rebuilt by skip_combination.  It holds no other user's
     symbols: a verifier builds one per user and drops it before the next."""
 
     user: int
@@ -573,10 +559,10 @@ class MissingSegmentError(LookupError):
 def lift(dset: DeliverySet, s: int, values: MaskValues | None = None) -> Lift:
     """The lift through values of excluded user s's symbols, in one pass
     over s's slice of the layout: each transmitted pair (s, r_plus) is
-    encoded once, and each skipped one of s is rebuilt from those terms, as
-    its reconstruction names only transmitted pairs (s, rest).  With no
-    values it is the identity lift: segment i lifts to 1 << i, so the pairs
-    are read as they are."""
+    encoded once, and each skipped one of s is rebuilt from those terms by
+    one skip_combination call, which names only transmitted pairs (s, rest).
+    With no values it is the identity lift: segment i lifts to 1 << i, so
+    the pairs are read as they are."""
     params, pairs = dset.params, dset.pairs
     if not 0 < s <= params.n_users:
         raise ValueError(f"user {s} outside 1..{params.n_users}")
@@ -585,22 +571,21 @@ def lift(dset: DeliverySet, s: int, values: MaskValues | None = None) -> Lift:
     else:
         units, encode = values.segment_values, values.__getitem__
     broadcast: dict[tuple[int, tuple[int, ...]], tuple[Term, ...]] = {}
-    skipped = []
+    skipped = []  # the r_plus of each skipped symbol of s
     for key, _bits, _layout in _symbol_layout(params)[s - 1]:
         pair = pairs.get(key)
         if pair is None:
-            skipped.append(key)
+            skipped.append(key[1])
         elif values is None:
             broadcast[key] = ((pair[0], pair[1], 0),)
         else:
             broadcast[key] = ((encode(pair[0]), encode(pair[1]), 0),)
-    reconstruction = dset.reconstruction
-    for key in skipped:
+    for r_plus in skipped:
         terms = []
-        for rest, e in reconstruction[key]:
+        for rest, e in skip_combination(dset, s, r_plus):
             (i_val, q_val, _), = broadcast[(s, rest)]
             terms.append((i_val, q_val, e))
-        broadcast[key] = tuple(terms)
+        broadcast[(s, r_plus)] = tuple(terms)
     return Lift(s, units, units, broadcast)
 
 

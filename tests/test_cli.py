@@ -537,6 +537,13 @@ def test_bounds_check_takes_an_exponent_at_the_ceiling(capsys):
     assert json.loads(out)["check"]["point"] == [str(10**100), f"1/{10**100}"]
 
 
+def test_bounds_check_refuses_a_non_ascii_exponent_past_the_ceiling(capsys):
+    text = "1e\u0661\u0660\u0661"  # 1e101 in Arabic-Indic digits
+    code, out, err = run(capsys, "bounds", "--setting", "111", "--check", f"{text},1")
+    assert (code, out) == (2, "")
+    assert err == f"error: decimal exponent of {text!r} is past the ceiling of 100\n"
+
+
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "golden", "--format", "json", "--output", str(target))

@@ -307,6 +307,15 @@ def test_fraction_exponent_ceiling():
             parse_fraction(text)
 
 
+def test_fraction_exponent_ceiling_reads_every_decimal_digit():
+    # Fraction reads any Unicode decimal digit, so the ceiling does too:
+    # Arabic-Indic and fullwidth digits count as the ASCII ones
+    assert parse_fraction("1e\u0661\u0660\u0660") == 10**100
+    for text in ("1e\u0661\u0660\u0661", "1E\uff11\u0660\u0661", "1e\uff11_\u0660\u0661"):
+        with pytest.raises(UsageError, match="past the ceiling of 100"):
+            parse_fraction(text)
+
+
 @given(st.integers(-100, 100), st.integers(1, 40))
 def test_fraction_arithmetic_lowest_terms(num, den):
     q = Fraction(num, den)

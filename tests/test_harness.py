@@ -343,8 +343,8 @@ def test_identity_suite_refuses_samples_past_the_sweep_limit(monkeypatch):
 
 
 def test_identity_suite_builds_one_selection_list_per_skipped_pair(monkeypatch):
-    # delivery calls skip_combination once per skipped pair, and both skip
-    # families read the rebuilt pair instead of building more
+    # reconstructed_pair calls skip_combination once per skipped pair, and
+    # both skip families read the rebuilt pair instead of building more
     built, calls = [], []
     real = scheme.skip_combination
 
@@ -361,6 +361,30 @@ def test_identity_suite_builds_one_selection_list_per_skipped_pair(monkeypatch):
     suite = identity_suite(SchemeParams(4, 10, 1), samples=3)
     assert suite.success and len(built) == 3
     assert sorted(calls) == sorted((dset.demand, *key) for dset in built for key in dset.skipped)
+
+
+@pytest.mark.parametrize("engine", harness.ENGINES)
+def test_verify_calls_the_skip_rule_once_per_skipped_pair(monkeypatch, engine):
+    # delivery makes no rule call; each user's lift calls it once for each
+    # skipped pair of that user, so a verify makes one call per skipped pair
+    params = SchemeParams(3, 8, 1)
+    calls = []
+    real = scheme.skip_combination
+
+    def counted(dset, s, r_plus):
+        calls.append((s, r_plus))
+        return real(dset, s, r_plus)
+
+    monkeypatch.setattr(scheme, "skip_combination", counted)
+    skipped = 0
+    for d in sample_fully_demanded(params, 20):
+        calls.clear()
+        dset = scheme.delivery(params, d)
+        assert calls == []
+        assert verify_demand(params, d, engine=engine, run_oracle=False).success
+        assert sorted(calls) == sorted(dset.skipped)
+        skipped += len(dset.skipped)
+    assert skipped > 0
 
 
 # one demand per system, with the number of pairs it transmits
@@ -817,9 +841,9 @@ def _patch_delivery(monkeypatch, change):
 
 
 def _read_by_reconstructions():
-    """Every transmitted pair of RUN/RUN_D that some reconstruction reads."""
+    """Every transmitted pair of RUN/RUN_D that the rebuild of some skipped pair reads."""
     dset = scheme.delivery(RUN, RUN_D)
-    return sorted({(s, rest) for (s, _), combo in dset.reconstruction.items() for rest, _ in combo})
+    return sorted({(s, rest) for s, r_plus in dset.skipped for rest, _ in scheme.skip_combination(dset, s, r_plus)})
 
 
 # (1,(3,4)) and (5,(2,3)) are skipped, (1,(2,3)) is transmitted and rebuilds
@@ -857,15 +881,19 @@ def test_identity_suite_catches_a_corrupted_symbol(monkeypatch, s, r_plus):
 
 
 def test_identity_suite_catches_a_corrupted_reconstruction(monkeypatch):
-    # one wrong exponent in the skip table fails both skip families, at the
+    # one wrong exponent from the skip rule fails both skip families, at the
     # same skipped pair
     key = (1, (3, 4))
+    real = scheme.skip_combination
 
-    def bump(dset):
-        (rest, e), *others = dset.reconstruction[key]
-        return dataclasses.replace(dset, reconstruction={**dset.reconstruction, key: ((rest, (e + 1) % 3), *others)})
+    def bumped(dset, s, r_plus):
+        combination = real(dset, s, r_plus)
+        if (s, r_plus) != key:
+            return combination
+        (rest, e), *others = combination
+        return ((rest, (e + 1) % 3), *others)
 
-    _patch_delivery(monkeypatch, bump)
+    monkeypatch.setattr(scheme, "skip_combination", bumped)
     suite = identity_suite(RUN, demands=[RUN_D])
     assert _failing_families(suite) == {"delivery_redundancy", "skip_reconstruction"}
     named = _skip_failures(suite)

@@ -101,6 +101,8 @@ def test_tracer_calls_every_wrapped_view():
         "scheme.closure": 1,
         "scheme.reconstruct": 1,
         "scheme.transformed_sum": 1,
+        # the ten skipped pairs of the demand per decode_file, and one rebuild
+        "scheme.skip_combination": 21,
     }
     assert all(mask == 1 << index[seg] for seg, mask in masks)
     assert all(value == ints[seg] for seg, value in values)
