@@ -54,7 +54,6 @@ from .scheme import (
     reconstruct_skipped,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     reconstructed_pair,
     row_parity_closure,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
-    row_parity_pair,
     transform_exponents,
     transformed_sum_identity,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     transformed_sum_residual,
@@ -465,8 +464,10 @@ def identity_suite(
     """Run the three XOR-identity families used by the construction over the
     demands, or when None over 1 to SWEEP_LIMIT sample_fully_demanded samples.
 
-    parity_closure compares each cache's closure table (CacheContent.closures)
-    with its row parities, once; the delivery families run per sampled demand.
+    parity_closure reads each cache's closures that differ from its row
+    parities (CacheContent.closure_mismatches), compared once per cache
+    object whatever the calls, and counts two checks per closure; the
+    delivery families run per sampled demand.
     Every family compares int masks over the dense segment index, two checks (I
     and Q) per pair.  Every failure records its full index tuple.  Both skip
     families read one rebuilt pair per skipped symbol: skip_reconstruction
@@ -491,12 +492,9 @@ def identity_suite(
     closure_checked = 0
     closure_failures = []
     for cache in _prefetch_all(params):  # no closure when r == 0
-        k = cache.owner
-        for (f, r_minus), got in cache.closures.items():
-            want = row_parity_pair(params, k, f, r_minus)
-            closure_checked += 2
-            if got != want:
-                _compare_pairs(got, want, closure_failures, f"k={k} f={f} subset={r_minus}")
+        closure_checked += 2 * len(cache.closures)
+        for (f, r_minus), got, want in cache.closure_mismatches:
+            _compare_pairs(got, want, closure_failures, f"k={cache.owner} f={f} subset={r_minus}")
 
     skip_checked = 0
     redundancy_failures = []

@@ -105,7 +105,10 @@ class CacheContent:
     Its closure table sums each row parity (file, r_minus) once from its own
     stored masks (closure_pair), so a corrupted copy has its own closures.
     supports keeps the I and Q positions of the column parities and closures,
-    which decoding lifts; closures keeps the masks, read by the identity suite."""
+    which decoding lifts; closures keeps the masks, and closure_mismatches
+    the closures that differ from their row parities, compared once per
+    cache object and read by the identity suite.  Each is per object, not
+    per params, so a copy made with dataclasses.replace computes its own."""
 
     params: SchemeParams
     owner: int
@@ -146,6 +149,17 @@ class CacheContent:
     def closures(self) -> dict[tuple[int, tuple[int, ...]], tuple[int, int]]:
         """(file, r_minus) -> the (I, Q) masks of its closure."""
         return dict(self._closure_pairs())
+
+    @cached_property
+    def closure_mismatches(self) -> tuple[tuple[tuple[int, tuple[int, ...]], tuple[int, int], tuple[int, int]], ...]:
+        """((file, r_minus), closure, row parity) for each closure that differs
+        from row_parity_pair, in closures order; empty for a sound cache."""
+        mismatches = []
+        for (f, r_minus), got in self.closures.items():
+            want = row_parity_pair(self.params, self.owner, f, r_minus)
+            if got != want:
+                mismatches.append(((f, r_minus), got, want))
+        return tuple(mismatches)
 
     @cached_property
     def supports(self) -> tuple[dict, dict]:
@@ -357,7 +371,8 @@ class DeliverySet:
 
 
 # MIX**e of the unit pair (I, Q) = (1, 2): shifted left by a segment pair's
-# position p, it is MIX**e of that pair's unit masks (1 << p, 1 << p + 1)
+# position p, it is MIX**e of that pair's unit masks (1 << p, 1 << p + 1);
+# delivery packs each pair into one int, Q above the index's size bits
 _MIXED_UNIT = tuple(mix(e, 1, 2) for e in range(3))
 
 
@@ -399,28 +414,33 @@ def delivery(params: SchemeParams, d: Sequence[int]) -> DeliverySet:
     over t in r_plus; it is skipped when r_plus avoids the leader set of s.
     The r+1 terms of a symbol lie on distinct segment pairs and MIX acts
     inside each pair, so each term is the mixed unit pair _MIXED_UNIT[e]
-    shifted to its segment's position.  The table shifted[t-1][s-1] holds
-    that pair for e = e(t, s) already moved to file d(t), once per demand,
-    so each term costs two shifts and two XORs.  The skip test is one AND
-    of the leader set's user bits with the symbol's (_symbol_layout).
+    shifted to its segment's position.  A symbol's pair is summed packed in
+    one int, its I mask in the low index.size bits and its Q mask above
+    them: the table shifted[t-1][s-1] holds the packed pair units[e] for
+    e = e(t, s) already moved to file d(t), once per demand, so each term
+    costs one shift and one XOR.  XOR never carries and every position lies
+    below index.size, so the halves split once per symbol without mixing.
+    The skip test is one AND of the leader set's user bits with the
+    symbol's (_symbol_layout).
     """
     demand = require_fully_demanded(params, d)
-    per_file = segment_index(params).per_file
+    index = segment_index(params)
+    size = index.size
     exponents = transform_exponents(params, demand)
-    shifted = [[(unit_i << base, unit_q << base) for unit_i, unit_q in map(_MIXED_UNIT.__getitem__, row)]
-               for row, base in zip(exponents, [(f - 1) * per_file for f in demand])]
+    units = [unit_i | unit_q << size for unit_i, unit_q in _MIXED_UNIT]
+    shifted = [[units[e] << base for e in row]
+               for row, base in zip(exponents, [(f - 1) * index.per_file for f in demand])]
+    low = (1 << size) - 1
     sets = leader_sets(params, demand)
     leader_bits = [sum(1 << u for u in sets[s]) for s in params.users]
     pairs: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     skipped: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}  # in layout order, which is sorted order
     for s, group in enumerate(_symbol_layout(params)):  # s and t count from 0 here
         for key, bits, layout in group:
-            acc_i = acc_q = 0
+            acc = 0
             for t, at in layout:
-                unit_i, unit_q = shifted[t][s]
-                acc_i ^= unit_i << at
-                acc_q ^= unit_q << at
-            (pairs if leader_bits[s] & bits else skipped)[key] = acc_i, acc_q
+                acc ^= shifted[t][s] << at
+            (pairs if leader_bits[s] & bits else skipped)[key] = acc & low, acc >> size
     swaps = {}
     for s in dict.fromkeys(s for s, _ in skipped):  # only skip_combination reads them
         toward = [row[s - 1] for row in exponents]
@@ -475,7 +495,9 @@ def skip_combination(
     grown = [(dset.bits[r_plus], 0, 0)]  # (user bits of B - V, exponent, bits of the files swapped)
     for x in r_plus:
         flip, delta, bit = swaps[x]
-        grown += [(rest ^ flip, (e + delta) % 3, used | bit) for rest, e, used in grown if not used & bit]
+        for rest, e, used in grown[:]:
+            if not used & bit:
+                grown.append((rest ^ flip, (e + delta) % 3, used | bit))
     lead, subsets = dset.leader_bits[s - 1], dset.subsets
     combination = []
     for rest, e, _ in grown[1:]:
@@ -490,7 +512,11 @@ def reconstructed_pair(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> tu
     that skip_combination names for it.  Raises ValueError when (s, r_plus)
     is a transmitted symbol or no broadcast symbol of the demand."""
     pairs = dset.pairs
-    return mix_sum([(*pairs[(s, rest)], e) for rest, e in skip_combination(dset, s, r_plus)])
+    terms = []
+    for rest, e in skip_combination(dset, s, r_plus):
+        i_val, q_val = pairs[(s, rest)]
+        terms.append((i_val, q_val, e))
+    return mix_sum(terms)
 
 
 def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], channel: str) -> int:

@@ -938,6 +938,40 @@ def test_identity_suite_catches_a_corrupted_parity(monkeypatch, params, kind):
     assert failures and all(failure.startswith(f"k={owner} ") for failure in failures)
 
 
+def test_identity_suite_checks_each_caches_closures_once(monkeypatch):
+    # the parity-closure family is a fact of each cache object: two suites
+    # read each closure's row parity once per cache, and a copy made with
+    # dataclasses.replace compares its own closures, so a corrupted copy
+    # patched in after them cannot pass on a stale result
+    harness._prefetch_all.cache_clear()
+    caches = harness._prefetch_all(RUN)
+    pristine = scheme.row_parity_pair
+    reads = Counter()
+
+    def counted(params, k, file, r_minus):
+        reads[(k, file, r_minus)] += 1
+        return pristine(params, k, file, r_minus)
+
+    monkeypatch.setattr(scheme, "row_parity_pair", counted)
+    for _ in range(2):
+        assert identity_suite(RUN, demands=[RUN_D]).success
+    assert reads == Counter((cache.owner, *key) for cache in caches for key in cache.closures)
+
+    owner = 3
+    _corrupt_parity(monkeypatch, RUN, "row", owner)
+    corrupted = harness._prefetch_all(RUN)[owner - 1]
+    suite = identity_suite(RUN, demands=[RUN_D])
+    assert _failing_families(suite) == {"parity_closure"}
+    want = [
+        f"k={owner} f={f} subset={r_minus} ch={channel}"
+        for (f, r_minus), got in corrupted.closures.items()
+        for channel, got_mask, want_mask in zip(algebra.CHANNELS, got, pristine(RUN, owner, f, r_minus))
+        if got_mask != want_mask
+    ]
+    assert want and list(suite.families["parity_closure"].failures) == want
+    assert reads == Counter((cache.owner, *key) for cache in (*caches, corrupted) for key in cache.closures)
+
+
 def test_identity_suite_catches_a_corrupted_exponent(monkeypatch):
     _patch_delivery(monkeypatch, _bump_exponent)
     suite = identity_suite(RUN, demands=[RUN_D])

@@ -366,38 +366,43 @@ def test_no_skips_when_all_files_covered_narrowly():
 
 
 def test_delivery_matches_its_definition():
-    # sampled demands of every system up to K = 7: symbol (s, r_plus) is the
-    # mix_sum over t in r_plus of segment (d(t), r_plus - t, s) under
-    # MIX**e[t][s], built from labelled segments; pairs and skipped split the
-    # symbols in delivery order, skipped holding exactly those whose r_plus
-    # avoids the leader set of s
+    # sampled demands of every system up to K = 7, and of the benchmark's
+    # (3,8) r=1 and (4,10) r=1, whose packed pairs split at 336 and 720 bits:
+    # symbol (s, r_plus) is the mix_sum over t in r_plus of segment (d(t),
+    # r_plus - t, s) under MIX**e[t][s], built from labelled segments; pairs
+    # and skipped split the symbols in delivery order, skipped holding
+    # exactly those whose r_plus avoids the leader set of s
     from fdcache.harness import sample_fully_demanded
 
+    systems = [
+        SchemeParams(n_files, k_users, r)
+        for k_users in range(2, 8)
+        for n_files in range(1, k_users + 1)
+        for r in range(k_users)
+    ]
+    systems += [SchemeParams(3, 8, 1), SchemeParams(4, 10, 1)]
     symbols = skips = 0
-    for k_users in range(2, 8):
-        for n_files in range(1, k_users + 1):
-            for r in range(k_users):
-                params = SchemeParams(n_files, k_users, r)
-                index = segment_index(params)
-                for d in sample_fully_demanded(params, 3):
-                    exponents = transform_exponents(params, d)
-                    want = {}
-                    for s in params.users:
-                        others = [u for u in params.users if u != s]
-                        for r_plus in itertools.combinations(others, r + 1):
-                            want[(s, r_plus)] = mix_sum(
-                                (
-                                    *(1 << index[segment(d[t - 1], set(r_plus) - {t}, s, ch)] for ch in CHANNELS),
-                                    exponents[t - 1][s - 1],
-                                )
-                                for t in r_plus
-                            )
-                    dset = delivery(params, d)
-                    skip = {(s, r_plus) for s, r_plus in want if not leader_sets(params, d)[s].intersection(r_plus)}
-                    assert list(dset.pairs.items()) == [item for item in want.items() if item[0] not in skip]
-                    assert list(dset.skipped.items()) == [item for item in want.items() if item[0] in skip]
-                    symbols += len(want)
-                    skips += len(dset.skipped)
+    for params in systems:
+        index = segment_index(params)
+        for d in sample_fully_demanded(params, 3):
+            exponents = transform_exponents(params, d)
+            want = {}
+            for s in params.users:
+                others = [u for u in params.users if u != s]
+                for r_plus in itertools.combinations(others, params.r + 1):
+                    want[(s, r_plus)] = mix_sum(
+                        (
+                            *(1 << index[segment(d[t - 1], set(r_plus) - {t}, s, ch)] for ch in CHANNELS),
+                            exponents[t - 1][s - 1],
+                        )
+                        for t in r_plus
+                    )
+            dset = delivery(params, d)
+            skip = {(s, r_plus) for s, r_plus in want if not leader_sets(params, d)[s].intersection(r_plus)}
+            assert list(dset.pairs.items()) == [item for item in want.items() if item[0] not in skip]
+            assert list(dset.skipped.items()) == [item for item in want.items() if item[0] in skip]
+            symbols += len(want)
+            skips += len(dset.skipped)
     assert symbols > 10000 and skips > 1000, (symbols, skips)
 
 

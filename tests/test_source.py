@@ -69,7 +69,7 @@ DECODER_NAMES = frozenset({
 })
 # the decoder's per-cache tables (CacheContent attributes): the oracle reads a
 # cache's stored masks only, so a fault in a table cannot reach its verdict
-DECODER_TABLES = frozenset({"closures", "supports"})
+DECODER_TABLES = frozenset({"closures", "closure_mismatches", "supports"})
 
 
 def _code_names(code):
