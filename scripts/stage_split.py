@@ -15,8 +15,9 @@ after the run, also when the operation raises; a stage called inside another
 the payload draw, the lift, symbol pass and class-2 rows summed over the
 excluded users' passes, and the rank oracle; or delivery, every
 skip_combination call, every reconstructed_pair and the transformed sum.
-lift and reconstructed_pair call skip_combination once per skipped symbol,
-so their times hold the rule's; delivery never calls it.  The last line
+reconstructed_pair calls skip_combination once per skipped symbol, and lift
+sums each skipped symbol of its user by one scheme.reconstructed_pair call,
+so both times hold the rule's; delivery never calls it.  The last line
 counts the demands the operation passed (verify: success and the oracle
 agreeing); exits 1 when one failed.
 """

@@ -49,7 +49,6 @@ from .scheme import (
     failing_symbols,
     lift,
     mix,
-    mix_sum,
     prefetch,
     reconstruct_skipped,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     reconstructed_pair,
@@ -163,18 +162,25 @@ class VerificationReport:
 def _decode_user_ok(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> bool:
     """The row verdict of user k = cache.owner, read through k's own Lift:
     decode_rows checks that it holds every segment it reads uncoded, and
-    each class-2 row's terms must sum to its target pair as the row leaves
-    it, so one comparison checks whatever the engine lifted.  Each row is
-    checked as decode_rows makes it, up to the first that fails.  Its
-    class-1 rows are the identities of symbols of other users, which their
-    passes check (verify_demand).  Only a MissingSegmentError fails it:
-    other errors are bugs."""
+    each class-2 row's sum must be MIX**undo of its target pair, written out
+    here as in mix_sum, so one comparison checks whatever the engine lifted.
+    Each row is checked as decode_rows makes it, up to the first that fails.
+    Its class-1 rows are the identities of symbols of other users, which
+    their passes check (verify_demand).  Only a MissingSegmentError fails
+    it: other errors are bugs."""
     units = lifted.units
     try:
-        return all(mix_sum(terms) == mix(undo, units[target], units[target + 1])
-                   for target, undo, terms in decode_rows(dset, cache, lifted))
+        for target, undo, got in decode_rows(dset, cache, lifted):
+            i_val, q_val = units[target], units[target + 1]
+            if undo == 1:
+                i_val, q_val = i_val ^ q_val, i_val
+            elif undo == 2:
+                i_val, q_val = q_val, i_val ^ q_val
+            if got != (i_val, q_val):
+                return False
     except MissingSegmentError:  # the decoding needs an item the user does not hold
         return False
+    return True
 
 
 def _user_pass(dset: DeliverySet, cache: CacheContent, values: MaskValues | None) -> set[int]:

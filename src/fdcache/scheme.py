@@ -28,35 +28,37 @@ Pipeline, per (N, K, r) system:
                    inverts the transform.
 
 Delivery and decoding work on int masks over the dense segment index
-(algebra.SegmentIndex), as (I mask, Q mask, e) terms whose MIX**e-weighted
-sum mix_sum forms; a cache's uncoded segments are one mask too.  The
-segment layout lives in SegmentIndex: offsets is the one enumeration of a
-file's segment pairs, and every cache mask (prefetch, row_parity_pair),
-held mask (_equations) and the transformed-sum residual is built from its
-per-user pair masks inside and excluded, with no walk per file.  A
-verifier works one excluded user s at a time, through s's Lift, built once
-per user and demand: every item a check of user s reads lies on segments
-that exclude s (its symbols, the transmitted ones a skipped one of them is
-rebuilt from, their member segments, its column parities, closures and
-class-2 targets), so each pass lifts, checks and drops about 1/K of the
-broadcast.  The identity lift reads each item as its mask and encodes
-nothing.  A lift through drawn values reads it as a payload value, or as
-its mask in the low index.size bits with its value above them: lift
-encodes each transmitted symbol of s once per demand, and each user's
-column parities and closures are lifted from the bit positions
+(algebra.SegmentIndex), summed as (I, Q) pairs under powers MIX**e; a
+cache's uncoded segments are one mask too.  The segment layout lives in
+SegmentIndex: offsets is the one enumeration of a file's segment pairs,
+and every cache mask (prefetch, row_parity_pair), held mask (_equations)
+and the transformed-sum residual is built from its per-user pair masks
+inside and excluded, with no walk per file.  A verifier works one excluded
+user s at a time, through s's Lift, built once per user and demand: every
+item a check of user s reads lies on segments that exclude s (its symbols,
+the transmitted ones a skipped one of them is rebuilt from, their member
+segments, its column parities, closures and class-2 targets), so each pass
+lifts, checks and drops about 1/K of the broadcast.  The identity lift
+reads each item as its mask and encodes nothing.  A lift through drawn
+values reads it as a payload value, or as its mask in the low index.size
+bits with its value above them: lift encodes each transmitted symbol of s
+once per demand and sums each skipped one of s once from those
+(reconstructed_pair), so every symbol is one lifted (I, Q) pair, and each
+user's column parities and closures are lifted from the bit positions
 CacheContent keeps.  Each symbol (s, r_plus) carries one class-1 row
 (s != k) for each member k of r_plus, and moved to one side every such row
-is the same identity: the symbol's lifted broadcast terms and its r+1
-lifted member segments, each under MIX**e(t, s), sum to zero.
-failing_symbols checks each identity once per demand, in the pass of s,
-for all its members (symbol_identities, the one definition of a class-1
-row).  In the same pass decode_rows ANDs the segments user s reads uncoded
-(its uncoded hits, held as they are, and the other members' segments of
-its class-1 rows) once with what its cache lacks, and yields its class-2
-rows (k == s), each the terms over a column parity, one closure per member
-and broadcast symbols whose weighted sum is MIX**undo of the target pair.
-XOR never carries across bits, so a verifier checks an identity or a row
-on masks, payload or both with one plain mix_sum and one comparison.
+is the same identity: the symbol's lifted pair and its r+1 lifted member
+segments, each under MIX**e(t, s), sum to zero.  failing_symbols checks
+each identity once per demand, in the pass of s, for all its members
+(symbol_identities, the one definition of a class-1 row, which yields the
+residual).  In the same pass decode_rows ANDs the segments user s reads
+uncoded (its uncoded hits, held as they are, and the other members' segments
+of its class-1 rows) once with what its cache lacks, and yields the sum of
+each of its class-2 rows (k == s) over a column parity, one closure per
+member and broadcast symbols, which should be MIX**undo of the target pair.
+Every check sums its items where it reads them, from its first item, with
+no list of terms: XOR never carries across bits, so a verifier checks an
+identity or a row on masks, payload or both with one comparison.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import (
     CHANNELS,
@@ -299,8 +301,13 @@ def mix_sum(terms: Iterable[Term]) -> tuple[int, int]:
     to (Q, I^Q) and MIX**3 is the identity.  The ints may be masks, payload
     values or lifted ints carrying both: MIX acts on every bit alike.  The
     accumulators start from the first term, mixed, so no value is copied
-    into a 0 to start a sum; an empty sum is (0, 0).  This function is the
-    only place the map is written out.
+    into a 0 to start a sum; an empty sum is (0, 0).  This is the written
+    definition of the map and of a sum under it.  The verifier's sums do
+    not build terms: its three branches are also written out where each
+    sum reads its items, in reconstructed_pair (a skipped symbol's pair),
+    symbol_identities (the identity residual) and decode_rows (a class-2
+    row's closures), and _decode_user_ok (harness) applies MIX**undo to a
+    target pair; tests pin each to this function over the same terms.
     """
     terms = iter(terms)
     acc_i, acc_q, e = next(terms, (0, 0, 0))
@@ -465,8 +472,8 @@ def skip_combination(
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Transmitted subsets and MIX exponents reconstructing a skipped symbol:
     (rest, e) references to the pairs[(s, rest)] whose MIX**e-weighted sum
-    rebuilds it, one rest per set of swaps.  Its readers (lift,
-    reconstructed_pair) call it once per skipped symbol they rebuild.
+    rebuilds it, one rest per set of swaps.  reconstructed_pair, which
+    lift and the identity suite call, reads it once per skipped symbol.
 
     Over the block B = leaders | r_plus, the leaders of s (leader_bits[s-1]),
     the symbol pairs (Y^I, Y^Q)_{B - V} of the one-requester-per-file
@@ -507,16 +514,40 @@ def skip_combination(
     return tuple(combination)
 
 
-def reconstructed_pair(dset: DeliverySet, s: int, r_plus: tuple[int, ...]) -> tuple[int, int]:
-    """(I, Q) masks of a skipped symbol, summed from the transmitted pairs
-    that skip_combination names for it.  Raises ValueError when (s, r_plus)
-    is a transmitted symbol or no broadcast symbol of the demand."""
-    pairs = dset.pairs
-    terms = []
-    for rest, e in skip_combination(dset, s, r_plus):
+def reconstructed_pair(
+    dset: DeliverySet,
+    s: int,
+    r_plus: tuple[int, ...],
+    pairs: Mapping[tuple[int, tuple[int, ...]], tuple[int, int]] | None = None,
+) -> tuple[int, int]:
+    """(I, Q) pair of a skipped symbol, summed from the pairs that
+    skip_combination names for it, each under MIX**e: pairs maps
+    transmitted symbols as dset.pairs does, and is dset.pairs, the masks,
+    when None; lift passes its lifted ints.  The sum starts from the first
+    named pair, mixed, and adds the others in place, one skip_combination
+    call per rebuild.  Raises ValueError when (s, r_plus) is a transmitted
+    symbol or no broadcast symbol of the demand."""
+    if pairs is None:
+        pairs = dset.pairs
+    combination = iter(skip_combination(dset, s, r_plus))
+    rest, e = next(combination)  # a skipped symbol swaps at least one member
+    acc_i, acc_q = pairs[(s, rest)]
+    if e == 1:
+        acc_i, acc_q = acc_i ^ acc_q, acc_i
+    elif e == 2:
+        acc_i, acc_q = acc_q, acc_i ^ acc_q
+    for rest, e in combination:
         i_val, q_val = pairs[(s, rest)]
-        terms.append((i_val, q_val, e))
-    return mix_sum(terms)
+        if e == 0:
+            acc_i ^= i_val
+            acc_q ^= q_val
+        elif e == 1:
+            acc_i ^= i_val ^ q_val
+            acc_q ^= i_val
+        else:
+            acc_i ^= q_val
+            acc_q ^= i_val ^ q_val
+    return acc_i, acc_q
 
 
 def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], channel: str) -> int:
@@ -568,14 +599,15 @@ class Lift(NamedTuple):
     as lifted ints: units[i] lifts segment position i as a user holds it
     uncoded, encoded[i] as the server encodes it (the drawn values, or the
     unit masks under the identity lift; lift makes both one sequence), and
-    broadcast maps each symbol (user, r_plus) to its lifted (I, Q, e) terms,
-    a skipped one's rebuilt by skip_combination.  It holds no other user's
-    symbols: a verifier builds one per user and drops it before the next."""
+    broadcast maps each symbol (user, r_plus) to its one lifted (I, Q) pair,
+    a skipped one's summed once by reconstructed_pair.  It holds no other
+    user's symbols: a verifier builds one per user and drops it before the
+    next."""
 
     user: int
     units: Sequence[int]
     encoded: Sequence[int]
-    broadcast: dict[tuple[int, tuple[int, ...]], tuple[Term, ...]]
+    broadcast: dict[tuple[int, tuple[int, ...]], tuple[int, int]]
 
 
 class MissingSegmentError(LookupError):
@@ -585,10 +617,10 @@ class MissingSegmentError(LookupError):
 def lift(dset: DeliverySet, s: int, values: MaskValues | None = None) -> Lift:
     """The lift through values of excluded user s's symbols, in one pass
     over s's slice of the layout: each transmitted pair (s, r_plus) is
-    encoded once, and each skipped one of s is rebuilt from those terms by
-    one skip_combination call, which names only transmitted pairs (s, rest).
-    With no values it is the identity lift: segment i lifts to 1 << i, so
-    the pairs are read as they are."""
+    encoded once, and each skipped one of s is summed from those lifted
+    pairs by reconstructed_pair, whose one skip_combination call names only
+    transmitted pairs (s, rest).  With no values it is the identity lift:
+    segment i lifts to 1 << i, so the pairs are read as they are."""
     params, pairs = dset.params, dset.pairs
     if not 0 < s <= params.n_users:
         raise ValueError(f"user {s} outside 1..{params.n_users}")
@@ -596,54 +628,60 @@ def lift(dset: DeliverySet, s: int, values: MaskValues | None = None) -> Lift:
         units = segment_index(params).units
     else:
         units, encode = values.segment_values, values.__getitem__
-    broadcast: dict[tuple[int, tuple[int, ...]], tuple[Term, ...]] = {}
+    broadcast: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     skipped = []  # the r_plus of each skipped symbol of s
     for key, _bits, _layout in _symbol_layout(params)[s - 1]:
         pair = pairs.get(key)
         if pair is None:
             skipped.append(key[1])
         elif values is None:
-            broadcast[key] = ((pair[0], pair[1], 0),)
+            broadcast[key] = pair
         else:
-            broadcast[key] = ((encode(pair[0]), encode(pair[1]), 0),)
+            broadcast[key] = encode(pair[0]), encode(pair[1])
     for r_plus in skipped:
-        terms = []
-        for rest, e in skip_combination(dset, s, r_plus):
-            (i_val, q_val, _), = broadcast[(s, rest)]
-            terms.append((i_val, q_val, e))
-        broadcast[(s, r_plus)] = tuple(terms)
+        broadcast[(s, r_plus)] = reconstructed_pair(dset, s, r_plus, broadcast)
     return Lift(s, units, units, broadcast)
 
 
-def symbol_identities(dset: DeliverySet, lifted: Lift) -> Iterator[tuple[tuple[int, tuple[int, ...]], list[Term]]]:
+def symbol_identities(dset: DeliverySet, lifted: Lift) -> Iterator[tuple[tuple[int, tuple[int, ...]], tuple[int, int]]]:
     """The identity of each broadcast symbol (s, r_plus) of s = lifted.user,
-    in delivery order, as (key, terms): the symbol's lifted broadcast terms
-    (a skipped symbol's rebuilt ones), then one term MIX**e(t, s) W[d(t);
-    r_plus - t; s] per member t of r_plus, in order, each segment read as
-    lifted.units reads it.  The terms sum to zero exactly when every
-    member's class-1 row of the symbol holds: user t's row says that the
-    other terms sum to MIX**e(t, s) of its own segment pair."""
+    in delivery order, as (key, residual): the symbol's lifted pair XOR one
+    term MIX**e(t, s) W[d(t); r_plus - t; s] per member t of r_plus, in
+    order, each segment read as lifted.units reads it, summed in place from
+    the pair.  The residual is (0, 0) exactly when every member's class-1
+    row of the symbol holds: user t's row says that the other terms sum to
+    MIX**e(t, s) of its own segment pair."""
     per_file = segment_index(dset.params).per_file
     base = [(f - 1) * per_file for f in dset.demand]
     s = lifted.user - 1  # s and t count from 0 here
     toward = [row[s] for row in dset.exponents]
     units, broadcast = lifted.units, lifted.broadcast
     for key, _bits, layout in _symbol_layout(dset.params)[s]:
-        terms = list(broadcast[key])
+        acc_i, acc_q = broadcast[key]
         for t, at in layout:
             at += base[t]
-            terms.append((units[at], units[at + 1], toward[t]))
-        yield key, terms
+            i_val, q_val, e = units[at], units[at + 1], toward[t]
+            if e == 0:
+                acc_i ^= i_val
+                acc_q ^= q_val
+            elif e == 1:
+                acc_i ^= i_val ^ q_val
+                acc_q ^= i_val
+            else:
+                acc_i ^= q_val
+                acc_q ^= i_val ^ q_val
+        yield key, (acc_i, acc_q)
 
 
 def failing_symbols(dset: DeliverySet, lifted: Lift) -> list[tuple[int, tuple[int, ...]]]:
-    """The keys (s, r_plus) of s = lifted.user whose symbol identity does
-    not sum to zero, in delivery order: one check per symbol and demand
-    decides the class-1 row of the symbol of every member of r_plus."""
-    return [key for key, terms in symbol_identities(dset, lifted) if mix_sum(terms) != (0, 0)]
+    """The keys (s, r_plus) of s = lifted.user whose symbol identity leaves
+    a residual other than (0, 0), in delivery order: one check per symbol
+    and demand decides the class-1 row of the symbol of every member of
+    r_plus."""
+    return [key for key, residual in symbol_identities(dset, lifted) if residual != (0, 0)]
 
 
-def decode_rows(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> Iterator[tuple[int, int, list[Term]]]:
+def decode_rows(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> Iterator[tuple[int, int, tuple[int, int]]]:
     """The class-2 rows of user k = cache.owner (excluded user k) for this
     demand, in partition order, read through k's own Lift, after one check
     that the user holds every segment it reads uncoded.
@@ -653,18 +691,18 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> Iterato
     lacks: this holding check reads masks only, the one check of user k that
     reads segments of other users' symbols.  A class-1 row itself is its
     symbol's identity, which failing_symbols checks in the pass of the
-    symbol's excluded user.  Row (target, undo, terms) says that the
-    mix_sum of the terms is MIX**undo of the (I, Q) pair of the segments at
-    positions target and target + 1 of the dense segment index: the target
-    as user k's transform toward itself leaves it, each segment read as
-    lifted.units reads it.  Each term is (I, Q, e) over a cached column
-    parity, a closure of the cache's table or a broadcast symbol (k, .),
-    read through the Lift.  Columns and closures are lifted here, from
-    their positions (CacheContent.supports) through the server's
-    per-segment encoding (lifted.encoded), never the values the user holds
-    (lifted.units).  Each column is lifted by its one row, and each closure
-    once, when a row first reads it, so the closures of files no member
-    requests are never lifted.
+    symbol's excluded user.  Row (target, undo, (I, Q)) says that the sum
+    (I, Q) is MIX**undo of the pair of the segments at positions target and
+    target + 1 of the dense segment index: the target as user k's transform
+    toward itself leaves it, each segment read as lifted.units reads it.
+    The sum starts from the row's cached column parity, adds one closure of
+    the cache's table per member t under MIX**e(t, k), and XORs the lifted
+    pair of each broadcast symbol (k, .) it reads, all in place.  Columns
+    and closures are lifted here, from their positions
+    (CacheContent.supports) through the server's per-segment encoding
+    (lifted.encoded), never the values the user holds (lifted.units).  Each
+    column is lifted by its one row, and each closure once, when a row first
+    reads it, so the closures of files no member requests are never lifted.
     Raises ValueError, naming both users, when lifted is another user's
     Lift, and MissingSegmentError, naming the first missing segment, when
     the user does not hold a segment that its decoding reads uncoded.
@@ -687,18 +725,28 @@ def decode_rows(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> Iterato
     base = (demand[k - 1] - 1) * per_file
     toward = [row[k - 1] for row in exponents]
     for offset, r_set, members, symbols in rows:
-        i_val, q_val = _lift_pair(columns[r_set], encoded)  # each column is read by its one row
-        terms = [(i_val, q_val, 0)]
+        acc_i, acc_q = _lift_pair(columns[r_set], encoded)  # each column is read by its one row
         for t, r_minus in members:
             key = (demand[t - 1], r_minus)
             pair = closure.get(key)
             if pair is None:
                 pair = closure[key] = _lift_pair(closures[key], encoded)
             i_val, q_val = pair
-            terms.append((i_val, q_val, toward[t - 1]))
+            e = toward[t - 1]
+            if e == 0:
+                acc_i ^= i_val
+                acc_q ^= q_val
+            elif e == 1:
+                acc_i ^= i_val ^ q_val
+                acc_q ^= i_val
+            else:
+                acc_i ^= q_val
+                acc_q ^= i_val ^ q_val
         for key in symbols:
-            terms += broadcast[key]
-        yield base + offset, toward[k - 1], terms
+            i_val, q_val = broadcast[key]
+            acc_i ^= i_val
+            acc_q ^= q_val
+        yield base + offset, toward[k - 1], (acc_i, acc_q)
 
 
 def _lift_pair(positions: tuple[tuple[int, ...], tuple[int, ...]], encoded: Sequence[int]) -> tuple[int, int]:
@@ -731,9 +779,11 @@ class PayloadSource:
 def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadSource | None = None):
     """User k's file decoded on the identity lift or on source.values,
     transforms undone, in canonical segment order.  Each uncoded hit is the
-    held pair, each class-2 target its decode_rows row, and each class-1
-    target the identity of its symbol (symbol_identities) with user k's own
-    member term dropped.  One excluded user's Lift is held at a time.
+    held pair, each class-2 target its decode_rows sum, and each class-1
+    target MIX**-e of its symbol's identity residual (symbol_identities)
+    with user k's own member term, MIX**e of its segment pair as the Lift's
+    units read it, XORed back out, e = e(k, s).  One excluded user's Lift is
+    held at a time.
 
     Returns [(SegmentId, int)] over every segment of the file: each int is
     the decoded mask, correct iff it is 1 << index[seg], or, with a
@@ -742,20 +792,21 @@ def decode_file(dset: DeliverySet, cache: CacheContent, k: int, source: PayloadS
     """
     index = segment_index(dset.params)
     values = None if source is None else source.values
+    units = index.units if values is None else values.segment_values
     base = (dset.demand[k - 1] - 1) * index.per_file
     pairs = {}
     for s in dset.params.users:
         lifted = lift(dset, s, values)
         if s == cache.owner:
-            for target, undo, terms in decode_rows(dset, cache, lifted):
-                pairs[target] = mix(-undo % 3, *mix_sum(terms))
-        for (_, r_plus), terms in symbol_identities(dset, lifted):
+            for target, undo, pair in decode_rows(dset, cache, lifted):
+                pairs[target] = mix(-undo % 3, *pair)
+        e = dset.exponents[k - 1][s - 1]
+        for (_, r_plus), (res_i, res_q) in symbol_identities(dset, lifted):
             if k in r_plus:
-                mine = len(terms) - len(r_plus) + r_plus.index(k)
                 target = base + index.offsets[(tuple(u for u in r_plus if u != k), s)]
-                pairs[target] = mix(-terms[mine][2] % 3, *mix_sum(terms[:mine] + terms[mine + 1:]))
+                own_i, own_q = mix(e, units[target], units[target + 1])
+                pairs[target] = mix(-e % 3, res_i ^ own_i, res_q ^ own_q)
         del lifted  # dropped before the next user's is built
-    units = index.units if values is None else values.segment_values
     out = []
     for target in range(base, base + index.per_file, 2):
         out += zip(index.segments[target : target + 2], pairs.get(target, units[target : target + 2]))

@@ -529,7 +529,8 @@ def test_verify_demand_generates_each_users_rows_once(monkeypatch):
 def test_rows_are_checked_as_they_are_made(monkeypatch):
     # user 1's check stops at its first failing class-2 row: the rows after
     # it are never made.  Symbol (1, {2, 3}) excludes user 1, so no class-1
-    # row of user 1 reads it, and the first of its five class-2 rows does
+    # row of user 1 reads it, and the first of its five class-2 rows does:
+    # that row's sum is the pristine row's with the flipped bit
     made = []
     real = harness.decode_rows
 
@@ -547,7 +548,9 @@ def test_rows_are_checked_as_they_are_made(monkeypatch):
     assert key in failing and not any(1 in r_plus for _, r_plus in failing)
     assert not harness._decode_user_ok(flipped, harness._prefetch_all(RUN)[0], scheme.lift(flipped, 1))
     assert len(made) == 1
-    assert any(mask_i ^ 1 == i for i, _q, _e in made[-1][2])
+    pristine = next(scheme.decode_rows(dset, harness._prefetch_all(RUN)[0], scheme.lift(dset, 1)))
+    assert made[-1][:2] == pristine[:2]
+    assert tuple(a ^ b for a, b in zip(made[-1][2], pristine[2])) == (1, 0)
 
 
 def test_a_lookup_bug_in_decoding_is_no_decode_failure(monkeypatch, capsys):
@@ -573,18 +576,20 @@ def test_a_lookup_bug_in_decoding_is_no_decode_failure(monkeypatch, capsys):
 @pytest.mark.parametrize("engine", harness.ENGINES)
 def test_each_symbol_identity_is_summed_once_per_demand(monkeypatch, engine):
     # every user's class-1 rows read one shared identity per symbol, so a
-    # demand sums K C(K-1, r+1) of them, 60 at (3,6) r=1, whatever the
-    # engine, and still makes each user's class-2 rows once
+    # demand sums K C(K-1, r+1) of them, 60 at (3,6) r=1, each symbol's
+    # once, whatever the engine, and still makes each user's class-2 rows
+    # once.  symbol_identities yields each sum as it is made
     sums, rows = [], []
-    real_pass, real_sum, real_rows = harness.failing_symbols, scheme.mix_sum, harness.decode_rows
+    real_pass, real_identities, real_rows = harness.failing_symbols, scheme.symbol_identities, harness.decode_rows
 
-    def counted_sum(terms):
-        sums.append(len(terms))
-        return real_sum(terms)
+    def counted_identities(dset, lifted):
+        for key, residual in real_identities(dset, lifted):
+            sums.append((dset.demand, key))
+            yield key, residual
 
     def counted_pass(dset, lifted):
         with monkeypatch.context() as patch:
-            patch.setattr(scheme, "mix_sum", counted_sum)
+            patch.setattr(scheme, "symbol_identities", counted_identities)
             return real_pass(dset, lifted)
 
     def counted_rows(dset, cache, lifted):
@@ -597,6 +602,7 @@ def test_each_symbol_identity_is_summed_once_per_demand(monkeypatch, engine):
     for d in demands:
         assert verify_demand(RUN, d, engine=engine, run_oracle=False).success
     assert len(sums) == RUN.n_users * binom(RUN.n_users - 1, RUN.r + 1) * len(demands) == 60 * len(demands)
+    assert len(set(sums)) == len(sums)
     assert rows == list(RUN.users) * len(demands)
 
 
@@ -621,7 +627,7 @@ def _reference_user_ok(dset, cache, k, lifts):
                 return False
         elif s != k:
             r_plus = tuple(sorted(r_set + (k,)))
-            terms = list(lifts[s].broadcast[(s, r_plus)])
+            terms = [(*lifts[s].broadcast[(s, r_plus)], 0)]
             for i in r_set:
                 rest = tuple(u for u in r_plus if u != i)
                 if not held(demand[i - 1], rest, s):
@@ -632,8 +638,8 @@ def _reference_user_ok(dset, cache, k, lifts):
             if scheme.mix_sum(terms) != scheme.mix(exponents[k - 1][s - 1], units[target], units[target + 1]):
                 return False
     everything = dataclasses.replace(cache, uncoded=(1 << index.size) - 1)
-    return all(scheme.mix_sum(terms) == scheme.mix(undo, units[target], units[target + 1])
-               for target, undo, terms in scheme.decode_rows(dset, everything, lifts[k]))
+    return all(pair == scheme.mix(undo, units[target], units[target + 1])
+               for target, undo, pair in scheme.decode_rows(dset, everything, lifts[k]))
 
 
 def _lifts(params, dset):
@@ -1175,9 +1181,13 @@ def test_payload_value_xors_pinned(monkeypatch):
     # from a 0: one per transmitted mask), uncoded hits are no rows, columns
     # and closures are lifted with no 0-seeded copy, each row reads one
     # closure per member, a closure no row reads is never lifted (668 row
-    # XORs when all 18 were: 2 unread, 8 XORs each), and each mix_sum starts
-    # from its first term; the rows still count MIX**undo of each target's
-    # values
+    # XORs when all 18 were: 2 unread, 8 XORs each), and each sum starts
+    # from its first item.  The lift sums each of the 10 skipped pairs once
+    # from its transmitted pairs (32 XORs), and the identities and rows read
+    # that one pair: 352 symbol and 652 row XORs, 1164 in all, when each
+    # skipped symbol's 2 or 3 terms were summed again by its identity and by
+    # every row reading it.  The rows still count MIX**undo of each
+    # target's values
     xors = {"lift": 0, "symbols": 0, "rows": 0}
     phase = []
 
@@ -1209,7 +1219,7 @@ def test_payload_value_xors_pinned(monkeypatch):
     monkeypatch.setattr(harness, "failing_symbols", counted("symbols", symbols))
     monkeypatch.setattr(harness, "_decode_user_ok", counted("rows", decode_user_ok))
     assert verify_demand(RUN, RUN_D, engine="payload", run_oracle=False).success
-    assert xors == {"lift": 160, "symbols": 352, "rows": 652}
+    assert xors == {"lift": 192, "symbols": 320, "rows": 588}
 
 
 def test_verify_demand_refuses_a_payload_past_the_ceiling(monkeypatch):

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import operator
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -12,8 +14,9 @@ from fdcache import scheme
 from fdcache.algebra import CHANNELS, MaskValues, Payload, bit_positions, segment, segment_index
 from fdcache.analysis import memory_point, type_operating_point
 from fdcache.core import SchemeParams, NotFullyDemandedError, demand_type, enumerate_demands, leader_sets
-from fdcache.harness import _decode_user_ok, _oracle_flags
+from fdcache.harness import ENGINES, _decode_user_ok, _oracle_flags
 from fdcache.scheme import (
+    Lift,
     PayloadSource,
     anchor_user,
     closure_pair,
@@ -50,11 +53,11 @@ def unit_pair(file, users, excluded, params=RUN):
 
 
 def decoded_pair(rows, unit_i):
-    """The (I, Q) masks that the terms of the row for the segment with I mask
-    unit_i sum to, with the row's transform undone."""
-    for target, undo, terms in rows:
+    """The (I, Q) masks that the row for the segment with I mask unit_i
+    sums to, with the row's transform undone."""
+    for target, undo, pair in rows:
         if 1 << target == unit_i:
-            return mix(-undo % 3, *mix_sum(terms))
+            return mix(-undo % 3, *pair)
     raise KeyError(unit_i)
 
 
@@ -472,15 +475,28 @@ def test_reconstruction_full_sweep_four_six_r1():
 # decoding
 
 
+def _drawn_residual(dset, key, seed):
+    """The identity residual of symbol key through drawn units, on which no
+    identity holds: (the drawn units, the residual)."""
+    index = segment_index(dset.params)
+    units = MaskValues.random(index, 8, seed).segment_values
+    lifted = lift(dset, key[0])._replace(units=units)
+    return units, dict(symbol_identities(dset, lifted))[key]
+
+
 def test_decode_class1_worked_case(run_delivery, run_caches):
     # user 1's class-1 row for (1, {2}, 3) is the identity of symbol
-    # (3, {1, 2}): its broadcast pair, then the transformed member segments
+    # (3, {1, 2}): its broadcast pair, then the transformed member segments,
+    # which sum to zero; through drawn units it is still exactly those terms
     target = unit_pair(1, (2,), 3)
     exponents = run_delivery.exponents
-    terms = dict(symbol_identities(run_delivery, lift(run_delivery, 3)))[(3, (1, 2))]
-    assert terms == [(*run_delivery.pairs[(3, (1, 2))], 0),
-                     (*target, exponents[1 - 1][3 - 1]), (*unit_pair(1, (1,), 3), exponents[2 - 1][3 - 1])]
-    assert mix_sum(terms) == (0, 0)
+    assert dict(symbol_identities(run_delivery, lift(run_delivery, 3)))[(3, (1, 2))] == (0, 0)
+    units, residual = _drawn_residual(run_delivery, (3, (1, 2)), "worked")
+    at = [segment_index(RUN).slot(1, users, 3) for users in ((2,), (1,))]
+    assert residual == mix_sum([(*run_delivery.pairs[(3, (1, 2))], 0),
+                                (units[at[0]], units[at[0] + 1], exponents[1 - 1][3 - 1]),
+                                (units[at[1]], units[at[1] + 1], exponents[2 - 1][3 - 1])])
+    assert residual != (0, 0)
     decoded = dict(decode_file(run_delivery, run_caches[1], 1))
     assert tuple(decoded[segment(1, (2,), 3, channel)] for channel in CHANNELS) == target
     # the elimination identity behind it, on transformed masks
@@ -498,9 +514,11 @@ def test_decode_class1_r0_boundary():
     dset = delivery(params, d)
     cache = prefetch(params, 2)
     target = unit_pair(2, (), 1, params)
-    terms = dict(symbol_identities(dset, lift(dset, 1)))[(1, (2,))]
-    assert terms == [(*dset.pairs[(1, (2,))], 0), (*target, dset.exponents[2 - 1][1 - 1])]
-    assert mix_sum(terms) == (0, 0)
+    assert dict(symbol_identities(dset, lift(dset, 1)))[(1, (2,))] == (0, 0)
+    units, residual = _drawn_residual(dset, (1, (2,)), "r0")
+    at = segment_index(params).slot(2, (), 1)
+    assert residual == mix_sum([(*dset.pairs[(1, (2,))], 0), (units[at], units[at + 1], dset.exponents[2 - 1][1 - 1])])
+    assert residual != (0, 0)
     decoded = dict(decode_file(dset, cache, 2))
     assert tuple(decoded[segment(2, (), 1, channel)] for channel in CHANNELS) == target
     assert dset.pairs[(1, (2,))][0] == target[0]
@@ -570,8 +588,20 @@ def _payload_values(masks=False):
     return MaskValues.random(segment_index(RUN), 8, "fault", masks=masks)
 
 
-def _reads(rows, mask):
-    return any(mask in (i, q) for _t, _undo, terms in rows for i, q, _e in terms)
+def _lifted_supports(monkeypatch, dset, cache):
+    """The supports (CacheContent.supports) that the class-2 rows of the
+    cache's owner lift, in order: each starts or enters the sum of a row."""
+    lifted = []
+    real = scheme._lift_pair
+
+    def recorded(positions, encoded):
+        lifted.append(positions)
+        return real(positions, encoded)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scheme, "_lift_pair", recorded)
+        list(decode_rows(dset, cache, lift(dset, cache.owner)))
+    return lifted
 
 
 def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
@@ -581,12 +611,12 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
     size = index.size
     engines = (None, values, both)
     for lifted in engines:  # 60 symbols, one identity each, shared by their members
-        identities = {key: terms for s in RUN.users
-                      for key, terms in symbol_identities(run_delivery, lift(run_delivery, s, lifted))}
-        assert len(identities) == 60 and all(mix_sum(terms) == (0, 0) for terms in identities.values())
+        identities = {key: residual for s in RUN.users
+                      for key, residual in symbol_identities(run_delivery, lift(run_delivery, s, lifted))}
+        assert len(identities) == 60 and all(residual == (0, 0) for residual in identities.values())
     for k in RUN.users:
         rows = list(decode_rows(run_delivery, run_caches[k], lift(run_delivery, k)))
-        targets = [target for target, _undo, _terms in rows]
+        targets = [target for target, _undo, _pair in rows]
         assert targets == sorted(targets)
         # 60 segments of the file, 30 I/Q pairs: a class-2 row for each pair
         # whose excluded user is k, a symbol identity for each other coded
@@ -598,12 +628,12 @@ def test_plan_recovers_on_masks_and_payload(run_delivery, run_caches):
         assert (len(rows), len(class1), len(hits)) == (5, 20, 5)
         assert sorted(targets + class1 + hits) == list(pairs)
         lifted_rows = decode_rows(run_delivery, run_caches[k], lift(run_delivery, k, both))
-        for (target, undo, terms), (_target, _undo, lifted_terms) in zip(rows, lifted_rows):
+        for (target, undo, pair), (_target, _undo, lifted_pair) in zip(rows, lifted_rows):
             unit = mix(undo, 1 << target, 2 << target)
-            assert mix_sum(terms) == unit
+            assert pair == unit
             # the lifted sum is the value sum above the mask sum
             value_pair = mix(undo, values[1 << target], values[2 << target])
-            assert mix_sum(lifted_terms) == tuple(v << size | m for v, m in zip(value_pair, unit))
+            assert lifted_pair == tuple(v << size | m for v, m in zip(value_pair, unit))
         for lifted in engines:
             assert user_ok(run_delivery, run_caches[k], lifted)
 
@@ -625,10 +655,10 @@ def test_corrupted_transmitted_symbol_fails_both_checks(run_delivery, run_caches
         assert not user_ok(flipped, run_caches[1], lifted)
 
 
-def test_corrupted_cached_parity_fails_both_checks(run_delivery, run_caches):
+def test_corrupted_cached_parity_fails_both_checks(monkeypatch, run_delivery, run_caches):
     cache = run_caches[1]
     mask_i, mask_q = cache.column[(2,)]  # read by user 1's class-2 row for subset {2}
-    assert _reads(decode_rows(run_delivery, cache, lift(run_delivery, 1)), mask_i)
+    assert cache.supports[0][(2,)] in _lifted_supports(monkeypatch, run_delivery, cache)
     stray = unit(2, (3,), 1, "I")
     corrupted = dataclasses.replace(cache, column={**cache.column, (2,): (mask_i ^ stray, mask_q)})
     values = _payload_values()
@@ -660,8 +690,10 @@ def _positions(pair):
 def test_parities_lift_from_their_supports(run_caches, width, masks):
     # every key of the table is a closure_pair, kept as its bit positions;
     # over three demands that together read every file's closures, each
-    # class-2 row lifted through drawn values is its identity-lift row with
-    # every mask mapped through the values
+    # class-2 row's sum lifted through drawn values is its identity-lift sum
+    # with each mask mapped through the values: the encoding and MIX are
+    # linear, and test_in_place_sums_equal_mix_sum_over_their_terms pins
+    # each sum to its items
     values = MaskValues.random(segment_index(RUN), width, "supports", masks=masks)
     demands = [RUN_D, (2, 2, 2, 2, 3, 1), (3, 3, 3, 3, 1, 2)]
     for cache in run_caches.values():
@@ -674,8 +706,8 @@ def test_parities_lift_from_their_supports(run_caches, width, masks):
             dset = delivery(RUN, d)
             rows = decode_rows(dset, cache, lift(dset, cache.owner))
             lifted_rows = decode_rows(dset, cache, lift(dset, cache.owner, values))
-            for (_, _, terms), (_, _, lifted) in zip(rows, lifted_rows, strict=True):
-                assert lifted == [(values[i], values[q], e) for i, q, e in terms]
+            for (_, _, pair), (_, _, lifted) in zip(rows, lifted_rows, strict=True):
+                assert lifted == (values[pair[0]], values[pair[1]])
 
 
 def test_a_corrupted_row_parity_reaches_only_its_copys_closures(run_delivery, run_caches):
@@ -696,14 +728,37 @@ def test_a_corrupted_row_parity_reaches_only_its_copys_closures(run_delivery, ru
         assert user_ok(run_delivery, cache, lifted)
 
 
-@pytest.mark.parametrize("params,d,count", [(RUN, RUN_D, 200), (SchemeParams(4, 6, 2), (1, 2, 3, 4, 1, 2), 360)])
+class _CountedReads(dict):
+    """A Lift's broadcast that records each key read."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("params,d,count", [(RUN, RUN_D, 180), (SchemeParams(4, 6, 2), (1, 2, 3, 4, 1, 2), 360)])
 def test_class2_term_counts_pinned(params, d, count):
-    # each class-2 row is its column parity, one closure per member of r_set
-    # and its broadcast terms, over all users: 320 and 702 terms when each
-    # closure was expanded into stored parities
+    # each class-2 row sums its column parity, one closure per member of its
+    # r-subset and one lifted pair per broadcast symbol it reads, over all
+    # users: 200 items at (3,6) r=1 when each skipped symbol's 2 or 3
+    # rebuilt terms entered every row that read it, and 320 and 702 at
+    # (4,6) r=2, which skips nothing, when each closure was expanded into
+    # stored parities
     dset = delivery(params, d)
-    rows = [row for k in params.users for row in decode_rows(dset, prefetch(params, k), lift(dset, k))]
-    assert sum(len(terms) for _, _, terms in rows) == count
+    items = 0
+    for k in params.users:
+        reads = []
+        lifted = lift(dset, k)
+        counted = lifted._replace(broadcast=_CountedReads(lifted.broadcast, reads))
+        rows = list(decode_rows(dset, prefetch(params, k), counted))
+        # each symbol (k, r_plus) enters the row of each r-subset of r_plus
+        assert Counter(reads) == dict.fromkeys(lifted.broadcast, params.r + 1)
+        items += len(rows) * (1 + params.r) + len(reads)
+    assert items == count
 
 
 def test_closures_are_lifted_only_when_read(monkeypatch):
@@ -732,7 +787,7 @@ def test_closures_are_lifted_only_when_read(monkeypatch):
 def test_lift_matches_the_broadcast_terms():
     # sampled demands of every system up to K = 6: the lift through drawn
     # values is the identity lift with each mask mapped through the values,
-    # skipped symbols' reconstructions included
+    # skipped symbols' sums included, as the encoding and MIX are linear
     from fdcache.harness import sample_fully_demanded
 
     skipped = 0
@@ -744,22 +799,94 @@ def test_lift_matches_the_broadcast_terms():
                     dset = delivery(params, d)
                     values = MaskValues.random(segment_index(params), 2, "lift", masks=True)
                     for s in params.users:
-                        want = {key: tuple((values[i], values[q], e) for i, q, e in terms)
-                                for key, terms in lift(dset, s).broadcast.items()}
+                        want = {key: (values[i], values[q]) for key, (i, q) in lift(dset, s).broadcast.items()}
                         assert lift(dset, s, values).broadcast == want
                     skipped += len(dset.skipped)
     assert skipped > 0
+
+
+@st.composite
+def _fully_demanded(draw, params):
+    """A fully demanded vector: every file once, then any files, shuffled."""
+    extra = draw(st.lists(st.sampled_from(params.files), min_size=params.n_users - params.n_files,
+                          max_size=params.n_users - params.n_files))
+    return tuple(draw(st.permutations(list(params.files) + extra)))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("params", [RUN, SchemeParams(3, 8, 1), SchemeParams(4, 6, 2)], ids=["3x6r1", "3x8r1", "4x6r2"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_in_place_sums_equal_mix_sum_over_their_terms(params, engine, data):
+    # every check sums its items where it reads them; here each sum equals
+    # mix_sum, the written definition, over the same terms spelled out: a
+    # skipped symbol's lifted pair over its skip_combination pairs, an
+    # identity residual over the symbol's pair and its members' segments,
+    # and a class-2 row over its column parity, one closure per member and
+    # its symbols.  The residuals and rows read drawn broadcast pairs, on
+    # which no identity holds, and every other item as the engine lifts it,
+    # columns and closures encoded here from their masks
+    d = data.draw(_fully_demanded(params), label="demand")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    dset = delivery(params, d)
+    index = segment_index(params)
+    values = None if engine == "symbolic" else MaskValues.random(index, 2, "sums", masks=engine == "both")
+    exponents = dset.exponents
+    for s in params.users:
+        lifted = lift(dset, s, values)
+        drawn = {key: (rng.getrandbits(2 * index.size), rng.getrandbits(2 * index.size)) for key in lifted.broadcast}
+        for t, r_plus in dset.skipped:
+            if t == s:
+                combination = skip_combination(dset, s, r_plus)
+                want = mix_sum((*lifted.broadcast[(s, rest)], e) for rest, e in combination)
+                assert lifted.broadcast[(s, r_plus)] == want
+                want = mix_sum((*drawn[(s, rest)], e) for rest, e in combination)
+                assert reconstructed_pair(dset, s, r_plus, drawn) == want
+        units = lifted.units
+        noisy = Lift(s, units, lifted.encoded, drawn)
+        for key, residual in symbol_identities(dset, noisy):
+            terms = [(*drawn[key], 0)]
+            for t in key[1]:
+                at = index.slot(d[t - 1], tuple(u for u in key[1] if u != t), s)
+                terms.append((units[at], units[at + 1], exponents[t - 1][s - 1]))
+            assert residual == mix_sum(terms), key
+
+        def encode(mask):
+            return reduce(operator.xor, (lifted.encoded[p] for p in bit_positions(mask)), 0)
+
+        cache = prefetch(params, s)
+        row_sets = [(r_set, offset) for (r_set, k), offset in index.offsets.items() if k == s]
+        for (target, undo, got), (r_set, offset) in zip(decode_rows(dset, cache, noisy), row_sets, strict=True):
+            assert (target, undo) == ((d[s - 1] - 1) * index.per_file + offset, exponents[s - 1][s - 1])
+            terms = [(*map(encode, cache.column[r_set]), 0)]
+            for t in r_set:
+                closure = cache.closures[(d[t - 1], tuple(u for u in r_set if u != t))]
+                terms.append((*map(encode, closure), exponents[t - 1][s - 1]))
+            terms += [(*drawn[(s, tuple(sorted((*r_set, h))))], 0) for h in params.users if h != s and h not in r_set]
+            assert got == mix_sum(terms), r_set
+
+
+class _Recording:
+    """A Lift's units or encoded sequence that records each position read."""
+
+    def __init__(self, values, read):
+        self.values, self.read = values, read
+
+    def __getitem__(self, position):
+        self.read.append(position)
+        return self.values[position]
 
 
 def test_each_users_checks_read_only_segments_that_exclude_it():
     # a verifier lifts, checks and drops one excluded user s at a time: every
     # item s's pass reads lies on segments that exclude s (its transmitted
     # and skipped symbols, its column parities, row parities and closures,
-    # its class-2 targets and the member segments of its identities), and
-    # every reconstruction of a skipped symbol of s names transmitted symbols
-    # of s, so the Lift of s is closed.  Every system of the sweeps, and
-    # (3,8) r=1 and (4,10) r=1, the skipping benchmark systems, 20 sampled
-    # demands each
+    # its class-2 targets and every segment its identities and rows read
+    # through the Lift, recorded by the Lift's units), and every
+    # reconstruction of a skipped symbol of s names transmitted symbols of
+    # s, so the Lift of s is closed.  Every system of the sweeps, and (3,8)
+    # r=1 and (4,10) r=1, the skipping benchmark systems, 20 sampled demands
+    # each
     from fdcache.harness import SWEEP_MATRIX, sample_fully_demanded
 
     checked = 0
@@ -775,10 +902,13 @@ def test_each_users_checks_read_only_segments_that_exclude_it():
                          for (t, _), pair in symbols.items() if t == s for mask in pair]
                 masks += [mask for table in (cache.column, cache.row, cache.closures)
                           for pair in table.values() for mask in pair]
-                lifted = lift(dset, s)
-                masks += [3 << target for target, _undo, _terms in decode_rows(dset, cache, lifted)]
-                for (_, r_plus), terms in symbol_identities(dset, lifted):
-                    masks += [mask for i, q, _e in terms[len(terms) - len(r_plus):] for mask in (i, q)]
+                read = []
+                recording = _Recording(segment_index(params).units, read)
+                lifted = lift(dset, s)._replace(units=recording, encoded=recording)
+                masks += [3 << target for target, _undo, _pair in decode_rows(dset, cache, lifted)]
+                failing_symbols(dset, lifted)
+                assert read
+                masks += [1 << position for position in read]
                 assert [mask for mask in masks if mask & outside] == [], (system, d, s)
                 for t, r_plus in dset.skipped:
                     if t == s:
@@ -952,8 +1082,9 @@ def _leader_growth(dset, s, r_plus):
 
 
 def test_skip_combination_keeps_the_leader_growth_order():
-    # lift orders each rebuilt symbol's terms as these entries, and
-    # test_payload_value_xors_pinned counts the XORs of that order: sampled
+    # reconstructed_pair sums each rebuilt symbol's pairs in the order of
+    # these entries, and test_payload_value_xors_pinned counts the XORs of
+    # that order in the lift: sampled
     # demands of every system up to K = 7 that has broadcast symbols, and of
     # (3,8) r=1 and (4,10) r=1, the systems of the skipping benchmark workloads
     from fdcache.harness import sample_fully_demanded
