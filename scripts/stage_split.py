@@ -12,14 +12,15 @@ with --lemmas harness.identity_suite(params, demands=[d]), with each stage
 wrapper that counts its calls and sums its time.  Every binding is put back
 after the run, also when the operation raises; a stage called inside another
 (NESTED) gets a run of its own.  Each stage prints its best pass: delivery,
-the payload draw, the lift, symbol pass and class-2 rows summed over the
-excluded users' passes, and the rank oracle; or delivery, every
-skip_combination call, every reconstructed_pair and the transformed sum.
-reconstructed_pair calls skip_combination once per skipped symbol, and lift
-sums each skipped symbol of its user by one scheme.reconstructed_pair call,
-so both times hold the rule's; delivery never calls it.  The last line
-counts the demands the operation passed (verify: success and the oracle
-agreeing); exits 1 when one failed.
+the payload draw, the lift, symbol pass and class-2 rows (scheme.lift,
+scheme.failing_symbols and scheme.rows_hold, which scheme.user_pass calls
+once per excluded user) summed over the users' passes, and the rank oracle;
+or delivery, every skip_combination call, every reconstructed_pair and the
+transformed sum.  reconstructed_pair calls skip_combination once per
+skipped symbol, and lift sums each skipped symbol of its user by one
+scheme.reconstructed_pair call, so both times hold the rule's; delivery
+never calls it.  The last line counts the demands the operation passed
+(verify: success and the oracle agreeing); exits 1 when one failed.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from workloads import demand_stream  # noqa: E402
 STAGES = {
     "delivery": (harness, "delivery"),
     "draw": (MaskValues, "random"),
-    "lift": (harness, "lift"),
-    "symbol pass": (harness, "failing_symbols"),
-    "class-2 rows": (harness, "_decode_user_ok"),
+    "lift": (scheme, "lift"),
+    "symbol pass": (scheme, "failing_symbols"),
+    "class-2 rows": (scheme, "rows_hold"),
     "oracle": (harness, "_oracle_flags"),
     "skip_combination": (scheme, "skip_combination"),
     "reconstructed_pair": (harness, "reconstructed_pair"),

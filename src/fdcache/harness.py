@@ -2,10 +2,13 @@
 
 verify_demand runs prefetch -> delivery -> decode for every user on one
 demand, in the symbolic and/or concrete-payload domains, and independently
-cross-checks decodability with the rank oracle.  verify_sweep fans that out
-over a demand class.  identity_suite exercises the parity-closure,
-delivery-redundancy, and transformed-sum identities.  golden_example_check
-replays the (3,6) r=1 construction against hard-coded expected supports.
+cross-checks decodability with the rank oracle.  The decoder's checks are
+scheme's (scheme.user_pass): harness writes no decoder arithmetic, and its
+oracle reads only the segment index and each cache's stored masks.
+verify_sweep fans that out over a demand class.  identity_suite exercises
+the parity-closure, delivery-redundancy, and transformed-sum identities.
+golden_example_check replays the (3,6) r=1 construction against
+hard-coded expected supports.
 
 Serialized JSON/CSV is byte-stable for fixed inputs and seed; wall-clock
 fields are emitted only on request so determinism checks can compare bytes.
@@ -40,14 +43,9 @@ from .core import (
 from .scheme import (
     CacheContent,
     DeliverySet,
-    Lift,
-    MissingSegmentError,
     PayloadSource,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     decode_file,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
-    decode_rows,
     delivery,
-    failing_symbols,
-    lift,
     mix,
     prefetch,
     reconstruct_skipped,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
@@ -56,6 +54,7 @@ from .scheme import (
     transform_exponents,
     transformed_sum_identity,  # noqa: F401  re-exported: perfbench/tracing.py wraps it by name
     transformed_sum_residual,
+    user_pass,
 )
 
 ENGINES = ("symbolic", "payload", "both")
@@ -92,25 +91,19 @@ def _prefetch_all(params: SchemeParams) -> tuple[CacheContent, ...]:
     return caches
 
 
-class _CacheBasis(SpanBasis):
-    """One user's pre-eliminated cache span, with its pivot rows listed once
-    at set-up for the broadcast-first join; a copy is a plain SpanBasis."""
-
-    __slots__ = ("rows",)
-
-
 @lru_cache(maxsize=None)
-def _cache_spans(params: SchemeParams) -> tuple[_CacheBasis, ...]:
-    """Pre-eliminated cache row spaces, one per user, over the segment index."""
+def _cache_spans(params: SchemeParams) -> tuple[tuple[SpanBasis, list[int]], ...]:
+    """Pre-eliminated cache row spaces over the segment index, one per user,
+    each with its pivot rows, listed once at set-up for the broadcast-first
+    join."""
     size = segment_index(params).size
     spans = []
     for cache in _prefetch_all(params):
-        span = _CacheBasis(size)
+        span = SpanBasis(size)
         span.insert_rows(1 << position for position in bit_positions(cache.uncoded))
         for parities in (cache.column, cache.row):
             span.insert_rows(mask for key in sorted(parities) for mask in parities[key])
-        span.rows = list(filter(None, span.pivots))
-        spans.append(span)
+        spans.append((span, list(filter(None, span.pivots))))
     return tuple(spans)
 
 
@@ -159,44 +152,6 @@ class VerificationReport:
         return self.oracle_ok is None or self.oracle_ok == self.decode_ok
 
 
-def _decode_user_ok(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> bool:
-    """The row verdict of user k = cache.owner, read through k's own Lift:
-    decode_rows checks that it holds every segment it reads uncoded, and
-    each class-2 row's sum must be MIX**undo of its target pair, written out
-    here as in mix_sum, so one comparison checks whatever the engine lifted.
-    Each row is checked as decode_rows makes it, up to the first that fails.
-    Its class-1 rows are the identities of symbols of other users, which
-    their passes check (verify_demand).  Only a MissingSegmentError fails
-    it: other errors are bugs."""
-    units = lifted.units
-    try:
-        for target, undo, got in decode_rows(dset, cache, lifted):
-            i_val, q_val = units[target], units[target + 1]
-            if undo == 1:
-                i_val, q_val = i_val ^ q_val, i_val
-            elif undo == 2:
-                i_val, q_val = q_val, i_val ^ q_val
-            if got != (i_val, q_val):
-                return False
-    except MissingSegmentError:  # the decoding needs an item the user does not hold
-        return False
-    return True
-
-
-def _user_pass(dset: DeliverySet, cache: CacheContent, values: MaskValues | None) -> set[int]:
-    """One excluded user's pass: lift the symbols of k = cache.owner, check
-    their identities and k's class-2 rows, and return the users the pass
-    fails: every member of a subset whose symbol fails its identity (the
-    member's class-1 row), and k when its rows fail.  The Lift lives in
-    this call only, so a verifier holds one user's encoded broadcast at a
-    time."""
-    lifted = lift(dset, cache.owner, values)
-    failed = {k for _, r_plus in failing_symbols(dset, lifted) for k in r_plus}
-    if not _decode_user_ok(dset, cache, lifted):
-        failed.add(cache.owner)
-    return failed
-
-
 def _oracle_flags(dset: DeliverySet) -> list[bool]:
     """Per-user decodability by rank only: the span of the user's cache rows
     and the transmitted symbols holds every segment of its file.  Each join
@@ -212,12 +167,12 @@ def _oracle_flags(dset: DeliverySet) -> list[bool]:
     per_file = index.per_file
     spans = _cache_spans(dset.params)
     symbol_rows = [mask for pair in dset.pairs.values() for mask in pair]
-    if len(symbol_rows) > spans[0].rank:  # every user caches the same amount
+    if len(symbol_rows) > spans[0][0].rank:  # every user caches the same amount
         broadcast = SpanBasis(index.size)
         broadcast.insert_rows(symbol_rows)
-        joins = [(broadcast, span.rows) for span in spans]
+        joins = [(broadcast, rows) for _, rows in spans]
     else:
-        joins = [(span, symbol_rows) for span in spans]
+        joins = [(span, symbol_rows) for span, _ in spans]
     flags = []
     for f, (base, rows) in zip(dset.demand, joins):
         span = base.copy()
@@ -255,16 +210,14 @@ def verify_demand(
     payload_width: int = 1,
     run_oracle: bool = True,
 ) -> VerificationReport:
-    """Verify one demand: delivery, then one pass per excluded user s
-    (_user_pass) that lifts s's share of the broadcast, checks its symbol
-    identities and user s's class-2 rows, drops it before the next user's
-    pass and returns the users it fails.  A user decodes when no pass fails
-    it.  The engine decides what each segment lifts to: its unit mask
-    (symbolic), a seeded payload value of payload_width bytes (payload), or
-    that value above the mask (both).  run_oracle adds the rank oracle's
-    verdict.  Raises UsageError, before any set-up, for an unknown engine, a
-    payload_width below 1 or a payload past MAX_PAYLOAD_BYTES, and for a
-    demand that leaves a file unrequested (NotFullyDemandedError)."""
+    """Verify one demand: delivery, then one scheme.user_pass per excluded
+    user; a user decodes when no pass fails it.  The engine decides what
+    each segment lifts to: its unit mask (symbolic), a seeded payload value
+    of payload_width bytes (payload), or that value above the mask (both).
+    run_oracle adds the rank oracle's verdict.  Raises UsageError, before
+    any set-up, for an unknown engine, a payload_width below 1 or a payload
+    past MAX_PAYLOAD_BYTES, and for a demand that leaves a file unrequested
+    (NotFullyDemandedError)."""
     _refuse_bad_verify_input(params, engine, payload_width)
     demand = require_fully_demanded(params, d)
     started = time.perf_counter()
@@ -277,8 +230,8 @@ def verify_demand(
         seeded = _payload_seed(seed, params, demand)
         values = MaskValues.random(segment_index(params), payload_width, seeded, masks=engine == "both")
     failed = set()
-    for cache in caches:  # each pass's Lift is dropped when _user_pass returns
-        failed |= _user_pass(dset, cache, values)
+    for cache in caches:  # each pass's Lift is dropped when user_pass returns
+        failed |= user_pass(dset, cache, values)
     per_user = tuple(k not in failed for k in params.users)
     engine_seconds = time.perf_counter() - started
 

@@ -55,7 +55,10 @@ residual).  In the same pass decode_rows ANDs the segments user s reads
 uncoded (its uncoded hits, held as they are, and the other members' segments
 of its class-1 rows) once with what its cache lacks, and yields the sum of
 each of its class-2 rows (k == s) over a column parity, one closure per
-member and broadcast symbols, which should be MIX**undo of the target pair.
+member and broadcast symbols, which rows_hold compares with MIX**undo of
+the target pair.  user_pass is that whole pass for one user: lift,
+failing_symbols, rows_hold, and the users it fails; a verifier
+(harness.verify_demand) makes one call per user and writes no decoder sum.
 Every check sums its items where it reads them, from its first item, with
 no list of terms: XOR never carries across bits, so a verifier checks an
 identity or a row on masks, payload or both with one comparison.
@@ -303,11 +306,11 @@ def mix_sum(terms: Iterable[Term]) -> tuple[int, int]:
     accumulators start from the first term, mixed, so no value is copied
     into a 0 to start a sum; an empty sum is (0, 0).  This is the written
     definition of the map and of a sum under it.  The verifier's sums do
-    not build terms: its three branches are also written out where each
-    sum reads its items, in reconstructed_pair (a skipped symbol's pair),
-    symbol_identities (the identity residual) and decode_rows (a class-2
-    row's closures), and _decode_user_ok (harness) applies MIX**undo to a
-    target pair; tests pin each to this function over the same terms.
+    not build terms: its branches are also written out, in this module
+    only, where each sum reads its items, in reconstructed_pair (a skipped
+    symbol's pair), symbol_identities (the identity residual) and
+    decode_rows (a class-2 row's closures), and rows_hold applies MIX**undo
+    to a target pair; tests pin each to this function over the same terms.
     """
     terms = iter(terms)
     acc_i, acc_q, e = next(terms, (0, 0, 0))
@@ -556,8 +559,8 @@ def reconstruct_skipped(dset: DeliverySet, s: int, r_plus: tuple[int, ...], chan
 
 
 # ---------------------------------------------------------------------------
-# decoding: one pass per excluded user s, each through s's Lift: its symbol
-# identities, then its class-2 rows
+# decoding: one pass per excluded user s (user_pass), each through s's Lift:
+# its symbol identities, then its class-2 rows
 
 
 @lru_cache(maxsize=None)
@@ -763,6 +766,44 @@ def _lift_pair(positions: tuple[tuple[int, ...], tuple[int, ...]], encoded: Sequ
         for position in q_at[1:]:
             q_val ^= encoded[position]
     return i_val, q_val
+
+
+def rows_hold(dset: DeliverySet, cache: CacheContent, lifted: Lift) -> bool:
+    """The row verdict of user k = cache.owner, read through k's own Lift:
+    decode_rows checks that it holds every segment it reads uncoded, and
+    each class-2 row's sum must be MIX**undo of its target pair, written out
+    here as in mix_sum, so one comparison checks whatever the engine lifted.
+    Each row is checked as decode_rows makes it, up to the first that fails.
+    Its class-1 rows are the identities of symbols of other users, which
+    their passes check (user_pass).  Only a MissingSegmentError fails it:
+    other errors are bugs."""
+    units = lifted.units
+    try:
+        for target, undo, got in decode_rows(dset, cache, lifted):
+            i_val, q_val = units[target], units[target + 1]
+            if undo == 1:
+                i_val, q_val = i_val ^ q_val, i_val
+            elif undo == 2:
+                i_val, q_val = q_val, i_val ^ q_val
+            if got != (i_val, q_val):
+                return False
+    except MissingSegmentError:  # the decoding needs an item the user does not hold
+        return False
+    return True
+
+
+def user_pass(dset: DeliverySet, cache: CacheContent, values: MaskValues | None) -> set[int]:
+    """One excluded user's pass: lift the symbols of k = cache.owner, check
+    their identities and k's class-2 rows, and return the users the pass
+    fails: every member of a subset whose symbol fails its identity (the
+    member's class-1 row), and k when its rows fail (rows_hold).  The Lift
+    lives in this call only, so a verifier holds one user's encoded
+    broadcast at a time."""
+    lifted = lift(dset, cache.owner, values)
+    failed = {k for _, r_plus in failing_symbols(dset, lifted) for k in r_plus}
+    if not rows_hold(dset, cache, lifted):
+        failed.add(cache.owner)
+    return failed
 
 
 class PayloadSource:

@@ -632,7 +632,7 @@ def test_stage_split_calls_every_stage_on_the_shipped_path(lemmas):
 
 def test_stage_split_verdict_is_the_operations(capsys, monkeypatch):
     _, script = _load_script("stage_split")
-    monkeypatch.setattr(harness, "_decode_user_ok", lambda dset, cache, lifted: False)
+    monkeypatch.setattr(scheme, "rows_hold", lambda dset, cache, lifted: False)
     assert script.main(["--system", "3,4,1", "--demands", "4", "--passes", "1"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "verified 4 demands, 0 passed"
 

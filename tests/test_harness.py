@@ -438,7 +438,7 @@ def _cache_first_flags(params, dset):
     per_file = segment_index(params).per_file
     rows = [mask for pair in dset.pairs.values() for mask in pair]
     flags = []
-    for span, f in zip(harness._cache_spans(params), dset.demand):
+    for (span, _), f in zip(harness._cache_spans(params), dset.demand):
         joined = span.copy()
         joined.insert_rows(rows)
         flags.append(joined.spans(1 << i for i in range((f - 1) * per_file, f * per_file)))
@@ -471,7 +471,7 @@ def test_oracle_matches_the_cache_first_loop_on_a_corrupted_cache(monkeypatch):
     genuine = harness._cache_spans(RUN)
     _corrupt_column_parity(monkeypatch)
     corrupted = harness._cache_spans.__wrapped__(RUN)
-    assert corrupted[0].pivots != genuine[0].pivots
+    assert corrupted[0][0].pivots != genuine[0][0].pivots
     monkeypatch.setattr(harness, "_cache_spans", lambda params: corrupted)
     failing = 0
     for d in enumerate_demands(RUN, "fully_demanded"):
@@ -513,13 +513,13 @@ def test_oracle_eliminates_the_broadcast_once_when_it_is_larger(monkeypatch, par
 
 def test_verify_demand_generates_each_users_rows_once(monkeypatch):
     calls = []
-    real = harness.decode_rows
+    real = scheme.decode_rows
 
     def counted(dset, cache, lifted):
         calls.append(cache.owner)
         return real(dset, cache, lifted)
 
-    monkeypatch.setattr(harness, "decode_rows", counted)
+    monkeypatch.setattr(scheme, "decode_rows", counted)
     demands = [RUN_D, (3, 2, 1, 1, 2, 3), (1, 2, 3, 3, 3, 3)]
     for d in demands:
         assert verify_demand(RUN, d, engine="both").success
@@ -532,23 +532,23 @@ def test_rows_are_checked_as_they_are_made(monkeypatch):
     # row of user 1 reads it, and the first of its five class-2 rows does:
     # that row's sum is the pristine row's with the flipped bit
     made = []
-    real = harness.decode_rows
+    real = scheme.decode_rows
 
     def counted(*args):
         for row in real(*args):
             made.append(row)
             yield row
 
-    monkeypatch.setattr(harness, "decode_rows", counted)
+    monkeypatch.setattr(scheme, "decode_rows", counted)
     dset = scheme.delivery(RUN, RUN_D)
     key = (1, (2, 3))
     mask_i, mask_q = dset.pairs[key]
     flipped = dataclasses.replace(dset, pairs={**dset.pairs, key: (mask_i ^ 1, mask_q)})
     failing = [bad for s in RUN.users for bad in scheme.failing_symbols(flipped, scheme.lift(flipped, s))]
     assert key in failing and not any(1 in r_plus for _, r_plus in failing)
-    assert not harness._decode_user_ok(flipped, harness._prefetch_all(RUN)[0], scheme.lift(flipped, 1))
+    assert not scheme.rows_hold(flipped, harness._prefetch_all(RUN)[0], scheme.lift(flipped, 1))
     assert len(made) == 1
-    pristine = next(scheme.decode_rows(dset, harness._prefetch_all(RUN)[0], scheme.lift(dset, 1)))
+    pristine = next(real(dset, harness._prefetch_all(RUN)[0], scheme.lift(dset, 1)))
     assert made[-1][:2] == pristine[:2]
     assert tuple(a ^ b for a, b in zip(made[-1][2], pristine[2])) == (1, 0)
 
@@ -580,7 +580,7 @@ def test_each_symbol_identity_is_summed_once_per_demand(monkeypatch, engine):
     # once, whatever the engine, and still makes each user's class-2 rows
     # once.  symbol_identities yields each sum as it is made
     sums, rows = [], []
-    real_pass, real_identities, real_rows = harness.failing_symbols, scheme.symbol_identities, harness.decode_rows
+    real_pass, real_identities, real_rows = scheme.failing_symbols, scheme.symbol_identities, scheme.decode_rows
 
     def counted_identities(dset, lifted):
         for key, residual in real_identities(dset, lifted):
@@ -596,8 +596,8 @@ def test_each_symbol_identity_is_summed_once_per_demand(monkeypatch, engine):
         rows.append(cache.owner)
         return real_rows(dset, cache, lifted)
 
-    monkeypatch.setattr(harness, "failing_symbols", counted_pass)
-    monkeypatch.setattr(harness, "decode_rows", counted_rows)
+    monkeypatch.setattr(scheme, "failing_symbols", counted_pass)
+    monkeypatch.setattr(scheme, "decode_rows", counted_rows)
     demands = [RUN_D, (3, 2, 1, 1, 2, 3), (1, 2, 3, 3, 3, 3)]
     for d in demands:
         assert verify_demand(RUN, d, engine=engine, run_oracle=False).success
@@ -659,7 +659,7 @@ def _assert_verdicts_match_reference(params, dset, caches):
     for lifts in _lifts(params, dset):
         failing = [bad for s in params.users for bad in scheme.failing_symbols(dset, lifts[s])]
         got = [not any(cache.owner in r_plus for _, r_plus in failing)
-               and harness._decode_user_ok(dset, cache, lifts[cache.owner]) for cache in caches]
+               and scheme.rows_hold(dset, cache, lifts[cache.owner]) for cache in caches]
         assert got == [_reference_user_ok(dset, cache, cache.owner, lifts) for cache in caches]
         failed += got.count(False)
     return failed
@@ -734,7 +734,7 @@ def test_every_engine_lifts_each_demand_once(monkeypatch, engine):
     # order, and together they encode each transmitted mask of the demand
     # exactly once; the identity lift encodes none
     lifts, encoded = [], Counter()
-    real, real_value = harness.lift, MaskValues.__getitem__
+    real, real_value = scheme.lift, MaskValues.__getitem__
 
     def counted(dset, s, values=None):
         lifts.append((dset.demand, s))
@@ -744,7 +744,7 @@ def test_every_engine_lifts_each_demand_once(monkeypatch, engine):
         encoded[mask] += 1
         return real_value(self, mask)
 
-    monkeypatch.setattr(harness, "lift", counted)
+    monkeypatch.setattr(scheme, "lift", counted)
     monkeypatch.setattr(MaskValues, "__getitem__", counted_value)
     demands = [RUN_D, (3, 2, 1, 1, 2, 3), (1, 2, 3, 3, 3, 3)]
     for d in demands:
@@ -1082,7 +1082,7 @@ def _flip_held_value(monkeypatch, position, width, shift=0):
     position, and not the value the server's encodings are made from, as if
     the users had recovered different bytes.  The value starts at bit shift
     of the lifted int."""
-    real = harness.lift
+    real = scheme.lift
 
     def flipped(dset, s, values=None):
         lifted = real(dset, s, values)
@@ -1092,7 +1092,7 @@ def _flip_held_value(monkeypatch, position, width, shift=0):
         units[position] ^= 1 << (shift + 8 * width - 1)
         return lifted._replace(units=units)
 
-    monkeypatch.setattr(harness, "lift", flipped)
+    monkeypatch.setattr(scheme, "lift", flipped)
 
 
 @pytest.mark.parametrize("position,width", [(67, 1), (0, 3), (123, 64)])
@@ -1198,8 +1198,8 @@ def test_payload_value_xors_pinned(monkeypatch):
 
         __rxor__ = __xor__
 
-    draw, lift, symbols = MaskValues.random.__func__, harness.lift, harness.failing_symbols
-    decode_user_ok = harness._decode_user_ok
+    draw, lift, symbols = MaskValues.random.__func__, scheme.lift, scheme.failing_symbols
+    rows_hold = scheme.rows_hold
 
     def counted(name, call):
         def wrapped(*args):
@@ -1215,9 +1215,9 @@ def test_payload_value_xors_pinned(monkeypatch):
         return cls([Counting(v) for v in draw(cls, index, width, seed, masks).segment_values])
 
     monkeypatch.setattr(MaskValues, "random", classmethod(counting_values))
-    monkeypatch.setattr(harness, "lift", counted("lift", lift))
-    monkeypatch.setattr(harness, "failing_symbols", counted("symbols", symbols))
-    monkeypatch.setattr(harness, "_decode_user_ok", counted("rows", decode_user_ok))
+    monkeypatch.setattr(scheme, "lift", counted("lift", lift))
+    monkeypatch.setattr(scheme, "failing_symbols", counted("symbols", symbols))
+    monkeypatch.setattr(scheme, "rows_hold", counted("rows", rows_hold))
     assert verify_demand(RUN, RUN_D, engine="payload", run_oracle=False).success
     assert xors == {"lift": 192, "symbols": 320, "rows": 588}
 

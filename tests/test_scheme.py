@@ -14,7 +14,7 @@ from fdcache import scheme
 from fdcache.algebra import CHANNELS, MaskValues, Payload, bit_positions, segment, segment_index
 from fdcache.analysis import memory_point, type_operating_point
 from fdcache.core import SchemeParams, NotFullyDemandedError, demand_type, enumerate_demands, leader_sets
-from fdcache.harness import ENGINES, _decode_user_ok, _oracle_flags
+from fdcache.harness import ENGINES, _oracle_flags
 from fdcache.scheme import (
     Lift,
     PayloadSource,
@@ -33,6 +33,7 @@ from fdcache.scheme import (
     reconstructed_pair,
     row_parity_closure,
     row_parity_pair,
+    rows_hold,
     skip_combination,
     symbol_identities,
     transform_exponents,
@@ -80,7 +81,7 @@ def user_ok(dset, cache, values=None):
     k = cache.owner
     if any(k in r_plus for _, r_plus in failing(dset, values)):
         return False
-    return _decode_user_ok(dset, cache, lift(dset, k, values))
+    return rows_hold(dset, cache, lift(dset, k, values))
 
 
 @pytest.fixture(scope="module")

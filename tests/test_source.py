@@ -66,6 +66,7 @@ def test_library_imports_are_used():
 DECODER_NAMES = frozenset({
     "lift", "decode_rows", "failing_symbols", "symbol_identities", "_equations",
     "parity_combination", "closure_pair", "reconstructed_pair", "skip_combination",
+    "user_pass", "rows_hold",
 })
 # the decoder's per-cache tables (CacheContent attributes): the oracle reads a
 # cache's stored masks only, so a fault in a table cannot reach its verdict
