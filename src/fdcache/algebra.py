@@ -239,18 +239,44 @@ class MaskValues:
         return acc
 
 
+def _eliminate(pivots: list[int], rows: Iterable[int]) -> int:
+    """Reduce each row against pivots, a list indexed by bit_length, and keep
+    what is left as the pivot of its lead; the number of pivots added."""
+    added = 0
+    for row in rows:
+        while pivot := pivots[row.bit_length()]:  # a 0 row stops at slot 0, which stays 0
+            row ^= pivot
+        if row:
+            pivots[row.bit_length()] = row
+            added += 1
+    return added
+
+
+def _block_spanned(pivots: list[int], lo: int, hi: int) -> bool:
+    """SpanBasis.covers(lo, hi) of a pivot list indexed by bit_length; it
+    stops at the first position that fails."""
+    below = (1 << lo) - 1
+    for pivot in pivots[lo + 1 : hi + 1]:
+        if not pivot:
+            return False
+        part = pivot & below
+        while part:  # the reduction of residual, inlined: it runs per block position and user
+            low_pivot = pivots[part.bit_length()]
+            if not low_pivot:
+                return False
+            part ^= low_pivot
+    return True
+
+
 class SpanBasis:
     """Row space over GF(2) of int-mask rows below bit width, built
     incrementally.
 
-    pivots[i] is the inserted row whose leading bit is i, or 0 when no pivot
-    leads there, and rank counts the pivots.  Rows are reduced against them;
-    copy() is cheap so a precomputed basis can be extended per query without
-    re-elimination.  The oracle joins two pre-eliminated sides this way,
-    copying the larger and inserting the other: each user's cache basis
-    takes the broadcast rows, or, when the broadcast has more rows than a
-    cache basis has pivots, one broadcast basis per demand takes each user's
-    cache pivots.
+    pivots[n] is the inserted row of bit_length n, which leads at bit n - 1,
+    or 0 when no pivot leads there; slot 0 stays 0, so a row's bit_length
+    indexes its pivot and a 0 row finds none.  rank counts the pivots.
+    join_covers(rows, lo, hi), the oracle's kernel, is covers(lo, hi) of the
+    join with rows, made on a copy of the pivot list.
 
     covers(lo, hi) reads a block of unit rows off the pivots.  Pivots have
     distinct leads, so a combination of them leads where its highest pivot
@@ -266,7 +292,7 @@ class SpanBasis:
     __slots__ = ("pivots", "rank")
 
     def __init__(self, width: int):
-        self.pivots = [0] * width
+        self.pivots = [0] * (width + 1)
         self.rank = 0
 
     def copy(self) -> "SpanBasis":
@@ -276,53 +302,36 @@ class SpanBasis:
 
     def residual(self, row: int) -> int:
         pivots = self.pivots
-        while row:
-            pivot = pivots[row.bit_length() - 1]
-            if not pivot:
-                return row
+        while pivot := pivots[row.bit_length()]:
             row ^= pivot
-        return 0
+        return row
 
     def insert_row(self, row: int) -> bool:
+        """Insert one row by its residual: the reference the tests hold the
+        shared elimination loop to."""
         row = self.residual(row)
         if row:
-            self.pivots[row.bit_length() - 1] = row
+            self.pivots[row.bit_length()] = row
             self.rank += 1
-            return True
-        return False
+        return bool(row)
 
     def insert_rows(self, rows: Iterable[int]) -> None:
         """insert_row of each row in turn, in one elimination loop."""
-        pivots, rank = self.pivots, self.rank
-        for row in rows:
-            while row:
-                lead = row.bit_length() - 1
-                pivot = pivots[lead]
-                if not pivot:
-                    pivots[lead] = row
-                    rank += 1
-                    break
-                row ^= pivot
-        self.rank = rank
+        self.rank += _eliminate(self.pivots, rows)
 
     def spans(self, rows: Iterable[int]) -> bool:
         """True iff every row lies in the span: each residual is 0."""
-        pivots = self.pivots
-        for row in rows:
-            while row:
-                pivot = pivots[row.bit_length() - 1]
-                if not pivot:
-                    return False
-                row ^= pivot
-        return True
+        return not any(map(self.residual, rows))
 
     def covers(self, lo: int, hi: int) -> bool:
         """True iff every unit row e_i with lo <= i < hi lies in the span:
         spans(1 << i for i in range(lo, hi)), read off the pivots (see the
-        class docstring).  The parts below lo reduce against pivots leading
-        below lo only."""
-        block = self.pivots[lo:hi]
-        if not all(block):
-            return False
-        below = (1 << lo) - 1
-        return self.spans([pivot & below for pivot in block])
+        class docstring)."""
+        return _block_spanned(self.pivots, lo, hi)
+
+    def join_covers(self, rows: Iterable[int], lo: int, hi: int) -> bool:
+        """covers(lo, hi) of this basis with rows inserted, on a copy of the
+        pivot list: the basis itself is unchanged."""
+        pivots = self.pivots.copy()
+        _eliminate(pivots, rows)
+        return _block_spanned(pivots, lo, hi)

@@ -147,10 +147,6 @@ class VerificationReport:
     def success(self) -> bool:
         return self.decode_ok and self.rate_ok and self.memory_ok
 
-    @property
-    def oracle_agreement(self) -> bool:
-        return self.oracle_ok is None or self.oracle_ok == self.decode_ok
-
 
 def _oracle_flags(dset: DeliverySet) -> list[bool]:
     """Per-user decodability by rank only: the span of the user's cache rows
@@ -160,9 +156,10 @@ def _oracle_flags(dset: DeliverySet) -> list[bool]:
     eliminated once per demand and each user's cache pivot rows, listed at
     set-up, go into a copy of it; otherwise the broadcast rows go into a copy
     of each user's cache basis.  Either way the span, and so every verdict,
-    is the same.  The file's block of per_file unit rows is read off the
-    joined pivots (SpanBasis.covers): every position of the block leads a
-    pivot, and the parts of those pivots below the block reduce to 0."""
+    is the same.  One SpanBasis.join_covers call per user makes the join on
+    a copy of the larger side's pivot list and reads the file's block of
+    per_file unit rows off the joined pivots: every position of the block
+    leads a pivot, and the parts of those pivots below the block reduce to 0."""
     index = segment_index(dset.params)
     per_file = index.per_file
     spans = _cache_spans(dset.params)
@@ -173,12 +170,7 @@ def _oracle_flags(dset: DeliverySet) -> list[bool]:
         joins = [(broadcast, rows) for _, rows in spans]
     else:
         joins = [(span, symbol_rows) for span, _ in spans]
-    flags = []
-    for f, (base, rows) in zip(dset.demand, joins):
-        span = base.copy()
-        span.insert_rows(rows)
-        flags.append(span.covers((f - 1) * per_file, f * per_file))
-    return flags
+    return [base.join_covers(rows, (f - 1) * per_file, f * per_file) for f, (base, rows) in zip(dset.demand, joins)]
 
 
 def _refuse_bad_verify_input(params: SchemeParams, engine: str, payload_width: int) -> None:

@@ -139,7 +139,7 @@ def test_criterion_7_oracle_equivalence(sweep_matrix):
     for (n, k, r), (sweep, _wall) in sweep_matrix.items():
         for report in sweep.reports:
             assert report.oracle_ok is True, (n, k, r, report.demand)
-            assert report.oracle_agreement
+            assert report.oracle_ok == report.decode_ok
     print("[acceptance] criterion 7: PASS rank oracle confirms every sweep case")
 
 

@@ -183,29 +183,42 @@ def test_row_loops_match_row_by_row(base, rows, targets):
 
 @st.composite
 def bases_and_blocks(draw):
-    """A width, a basis of random rows below it, and a block lo <= hi <= width."""
+    """A width, a basis of random rows below it, more rows to join, and a
+    block lo <= hi <= width."""
     width = draw(st.integers(1, 14))
     rows = draw(st.lists(st.integers(0, 2**width - 1), max_size=2 * width))
+    joined = draw(st.lists(st.integers(0, 2**width - 1), max_size=2 * width))
     lo = draw(st.integers(0, width))
     hi = draw(st.integers(lo, width))
     basis = SpanBasis(width)
     basis.insert_rows(rows)
-    return width, basis, lo, hi
+    return width, basis, joined, lo, hi
 
 
 @given(bases_and_blocks())
 def test_covers_is_spans_of_the_unit_rows(case):
-    # covers reads the block off the pivots; spans reduces each unit row
-    width, basis, lo, hi = case
+    # covers reads the block off the pivots; spans reduces each unit row.
+    # join_covers is the same test on the basis with more rows, against an
+    # elimination from scratch, row by row, of both row lists; it leaves the
+    # basis as it was
+    width, basis, joined, lo, hi = case
+    pivots = basis.pivots.copy()
+    scratch = SpanBasis(width)
+    for row in [pivot for pivot in pivots if pivot] + joined:
+        scratch.insert_row(row)
     for a, b in {(lo, hi), (0, hi), (lo, width), (0, width)}:
-        assert basis.covers(a, b) == basis.spans(1 << i for i in range(a, b)), (a, b)
+        units = [1 << i for i in range(a, b)]
+        assert basis.covers(a, b) == basis.spans(units), (a, b)
+        assert basis.join_covers(joined, a, b) == scratch.spans(units), (a, b)
+    assert basis.pivots == pivots
 
 
 def test_covers_checks_the_pivots_below_the_block():
-    # bit 3 leads a pivot, but 0b1110 = e_3 + e_2 + e_1 and nothing spans e_2 or e_1
+    # bit 3 leads a pivot, at slot bit_length 4, but 0b1110 = e_3 + e_2 + e_1
+    # and nothing spans e_2 or e_1
     basis = SpanBasis(4)
     basis.insert_rows([0b1110])
-    assert basis.pivots[3] and not basis.covers(3, 4)
+    assert basis.pivots[4] and not basis.covers(3, 4)
     assert basis.covers(3, 3)
     basis.insert_rows([0b0110])  # e_3 = 0b1110 + 0b0110, but e_2 needs e_1
     assert basis.covers(3, 4) and not basis.covers(2, 4)

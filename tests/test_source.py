@@ -1,7 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
-import importlib
+import importlib.util
 import pathlib
 import re
 import types
@@ -152,3 +152,20 @@ def test_scheme_reexports_only_what_the_tracer_patches():
     reexported = set(re.findall(r"^\s*(\w+),\s*# noqa: F401", source, flags=re.MULTILINE))
     assert patched and reexported
     assert reexported <= patched, sorted(reexported - patched)
+
+
+def test_every_mutant_anchor_occurs_once():
+    # scripts/mutants.py replaces each anchor in a copy of the source: an
+    # anchor that a change moved or duplicated fails here, not silently there
+    path = PACKAGE.parents[1] / "scripts" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.ANCHOR_TEST == f"tests/test_source.py::{test_every_mutant_anchor_occurs_once.__name__}"
+    labels = [mutant.label for mutant in mutants.CATALOGUE]
+    assert len(set(labels)) == len(labels)
+    for mutant in mutants.CATALOGUE:
+        text = (PACKAGE.parents[1] / mutant.path).read_text(encoding="utf-8")
+        assert text.count(mutant.anchor) == 1, mutant.label
+        assert mutant.replacement != mutant.anchor, mutant.label
+        assert mutant.expect == "killed" or mutant.expect.startswith("equivalent: "), mutant.label
