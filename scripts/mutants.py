@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run each catalogued mutant against the test suite and record what kills it.
 
-    python3 scripts/mutants.py [--timeout SECONDS]      # writes MUTANTS.json
+    python3 scripts/mutants.py      # writes MUTANTS.json
 
 Each CATALOGUE entry names a file under the repository root, an anchor (an
 exact text that occurs once in that file), the text that replaces it, a
@@ -9,7 +9,7 @@ label, and the expected outcome: "killed", or "equivalent: <reason>" for a
 mutant that computes the same results, so that no test can kill it.  Each
 mutant is applied to a fresh copy of the repository in a temporary
 directory, never to the working tree, and `python -m pytest -x -q` runs
-there under --timeout seconds, without ANCHOR_TEST, which checks the
+there under TIMEOUT seconds, without ANCHOR_TEST, which checks the
 catalogue against the unmutated source.  MUTANTS.json at the repository
 root lists per mutant its outcome (killed, survived or timeout), the first
 failing test and the seconds taken.  Exits 1 when an outcome differs from
@@ -19,7 +19,6 @@ closed by a test that kills it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import pathlib
@@ -67,6 +66,8 @@ CATALOGUE = (
 
 # checks the catalogue against the unmutated source, so it would kill every mutant
 ANCHOR_TEST = "tests/test_source.py::test_every_mutant_anchor_occurs_once"
+# seconds per suite run; the unmutated suite takes about 20
+TIMEOUT = 600.0
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "MUTANTS.json")
 
 
@@ -79,7 +80,7 @@ def _first_failure(output: str) -> str | None:
     return None
 
 
-def run_mutant(mutant: Mutant, timeout: float) -> dict:
+def run_mutant(mutant: Mutant) -> dict:
     """Apply mutant to a copy of the repository and run the suite there."""
     with tempfile.TemporaryDirectory(prefix="fdcache-mutant-") as tmp:
         copy = pathlib.Path(tmp) / "repo"
@@ -93,7 +94,7 @@ def run_mutant(mutant: Mutant, timeout: float) -> dict:
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", ANCHOR_TEST]
         started = time.perf_counter()
         try:
-            done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
+            done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             outcome, killed_by = "timeout", None
         else:
@@ -114,13 +115,10 @@ def run_mutant(mutant: Mutant, timeout: float) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per suite run")
-    args = parser.parse_args(argv)
+def main() -> int:
     results = []
     for mutant in CATALOGUE:
-        result = run_mutant(mutant, args.timeout)
+        result = run_mutant(mutant)
         results.append(result)
         print(f"{result['outcome']:>8} {result['seconds']:7.1f}s  {mutant.label}  [{result['killed_by']}]")
     (ROOT / "MUTANTS.json").write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")

@@ -253,8 +253,9 @@ def _eliminate(pivots: list[int], rows: Iterable[int]) -> int:
 
 
 def _block_spanned(pivots: list[int], lo: int, hi: int) -> bool:
-    """SpanBasis.covers(lo, hi) of a pivot list indexed by bit_length; it
-    stops at the first position that fails."""
+    """True iff the span of pivots, a list indexed by bit_length, holds every
+    unit row e_i with lo <= i < hi (see SpanBasis); it stops at the first
+    position that fails."""
     below = (1 << lo) - 1
     for pivot in pivots[lo + 1 : hi + 1]:
         if not pivot:
@@ -275,10 +276,11 @@ class SpanBasis:
     pivots[n] is the inserted row of bit_length n, which leads at bit n - 1,
     or 0 when no pivot leads there; slot 0 stays 0, so a row's bit_length
     indexes its pivot and a 0 row finds none.  rank counts the pivots.
-    join_covers(rows, lo, hi), the oracle's kernel, is covers(lo, hi) of the
-    join with rows, made on a copy of the pivot list.
+    join_covers(rows, lo, hi), the oracle's kernel, tests whether the join
+    with rows spans the unit rows of the block [lo, hi), on a copy of the
+    pivot list; with no rows it tests the basis itself.
 
-    covers(lo, hi) reads a block of unit rows off the pivots.  Pivots have
+    The block test reads the unit rows off the pivots.  Pivots have
     distinct leads, so a combination of them leads where its highest pivot
     does: the part of the span below bit hi is spanned by the pivots that
     lead below hi, and likewise below lo.  Every e_i with lo <= i < hi is
@@ -296,6 +298,9 @@ class SpanBasis:
         self.rank = 0
 
     def copy(self) -> "SpanBasis":
+        """An independent basis with the same pivots.  The oracle copies only
+        pivot lists, in join_covers; this stays for the tests' cache-first
+        reference, which joins by insert_rows on a copied basis."""
         clone = SpanBasis.__new__(SpanBasis)
         clone.pivots, clone.rank = self.pivots.copy(), self.rank
         return clone
@@ -323,15 +328,10 @@ class SpanBasis:
         """True iff every row lies in the span: each residual is 0."""
         return not any(map(self.residual, rows))
 
-    def covers(self, lo: int, hi: int) -> bool:
-        """True iff every unit row e_i with lo <= i < hi lies in the span:
-        spans(1 << i for i in range(lo, hi)), read off the pivots (see the
-        class docstring)."""
-        return _block_spanned(self.pivots, lo, hi)
-
     def join_covers(self, rows: Iterable[int], lo: int, hi: int) -> bool:
-        """covers(lo, hi) of this basis with rows inserted, on a copy of the
-        pivot list: the basis itself is unchanged."""
+        """True iff this basis with rows inserted spans every unit row e_i
+        with lo <= i < hi: spans(1 << i for i in range(lo, hi)) of the join,
+        read off a copy of the pivot list, so the basis itself is unchanged."""
         pivots = self.pivots.copy()
         _eliminate(pivots, rows)
         return _block_spanned(pivots, lo, hi)

@@ -197,10 +197,9 @@ def bases_and_blocks(draw):
 
 @given(bases_and_blocks())
 def test_covers_is_spans_of_the_unit_rows(case):
-    # covers reads the block off the pivots; spans reduces each unit row.
-    # join_covers is the same test on the basis with more rows, against an
-    # elimination from scratch, row by row, of both row lists; it leaves the
-    # basis as it was
+    # join_covers with no rows reads the block off the pivots; spans reduces
+    # each unit row.  With more rows it is held to an elimination from
+    # scratch, row by row, of both row lists; it leaves the basis as it was
     width, basis, joined, lo, hi = case
     pivots = basis.pivots.copy()
     scratch = SpanBasis(width)
@@ -208,7 +207,7 @@ def test_covers_is_spans_of_the_unit_rows(case):
         scratch.insert_row(row)
     for a, b in {(lo, hi), (0, hi), (lo, width), (0, width)}:
         units = [1 << i for i in range(a, b)]
-        assert basis.covers(a, b) == basis.spans(units), (a, b)
+        assert basis.join_covers([], a, b) == basis.spans(units), (a, b)
         assert basis.join_covers(joined, a, b) == scratch.spans(units), (a, b)
     assert basis.pivots == pivots
 
@@ -218,12 +217,12 @@ def test_covers_checks_the_pivots_below_the_block():
     # and nothing spans e_2 or e_1
     basis = SpanBasis(4)
     basis.insert_rows([0b1110])
-    assert basis.pivots[4] and not basis.covers(3, 4)
-    assert basis.covers(3, 3)
+    assert basis.pivots[4] and not basis.join_covers([], 3, 4)
+    assert basis.join_covers([], 3, 3)
     basis.insert_rows([0b0110])  # e_3 = 0b1110 + 0b0110, but e_2 needs e_1
-    assert basis.covers(3, 4) and not basis.covers(2, 4)
+    assert basis.join_covers([], 3, 4) and not basis.join_covers([], 2, 4)
     basis.insert_rows([0b0010])
-    assert basis.covers(1, 4) and not basis.covers(0, 4)
+    assert basis.join_covers([], 1, 4) and not basis.join_covers([], 0, 4)
 
 
 @given(
